@@ -4,9 +4,9 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-fast test-equivalence test-telemetry test-faults \
-	test-lint test-noise lint typecheck bench-smoke bench-batch \
-	bench-fleet bench-traces bench-offline bench-telemetry bench-faults \
-	bench-noise benchmarks
+	test-lint test-noise test-offline lint typecheck bench-smoke \
+	bench-batch bench-fleet bench-traces bench-offline bench-telemetry \
+	bench-faults bench-noise benchmarks
 
 # Tier-1 verify: the full suite, fail-fast.
 test:
@@ -42,6 +42,12 @@ test-lint:
 # (the `noise` marker; `make test` runs these as part of tier-1).
 test-noise:
 	$(PY) -m pytest -q -m noise
+
+# Offline baseline only: LP-heavy packs — batched == scalar plans,
+# the fleet gap column, trace-twin sharing, the public-HiGHS fallback
+# (the `offline` marker; `make test` runs these as part of tier-1).
+test-offline:
+	$(PY) -m pytest -q -m offline
 
 # The repo's own AST linter over the library source.  Exit 0 means
 # every invariant in src/repro/lint/README.md holds (modulo inline

@@ -38,6 +38,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.baselines.offline import (
     OfflineOptimal,
+    OfflinePlan,
     OfflinePlanBatch,
     solve_offline_plan_batch,
 )
@@ -56,7 +57,7 @@ from repro.fleet.engine import (
 from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import observation_from_mapping
 from repro.fleet.spec import ScenarioSpec
-from repro.fleet.stream import ArrayTraceStream
+from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
 from repro.sim.batch import RunSpec, run_group_batch
 from repro.sim.results import SimulationResult
 from repro.telemetry import (
@@ -168,6 +169,39 @@ def _progress_arity(progress: Callable) -> int:
     return 4 if len(positional) >= 4 else 3
 
 
+def _shard_traces(specs: "list[ScenarioSpec]", systems: "list",
+                  telemetry=None) -> "list[TraceSet]":
+    """One shard's materialized traces, built once per realization.
+
+    Trace twins (equal :meth:`ScenarioSpec.trace_key`) share one
+    read-only :class:`TraceSet`.  When every distinct realization is a
+    ``stream`` recipe, all of them come from one full-horizon
+    :class:`BatchTraceStream` read — bit-identical to each stream's
+    scalar ``materialize()`` by the kernel contract; any other recipe
+    (``paper``, or a mix) materializes each distinct realization on
+    its own.  ``telemetry`` counts the shared scenarios under
+    ``trace_twins``.
+    """
+    distinct: dict[tuple, int] = {}  # trace key -> realization slot
+    streams = []
+    which = []
+    for spec, system in zip(specs, systems):
+        key = spec.trace_key(system)
+        if key not in distinct:
+            distinct[key] = len(streams)
+            streams.append(spec.open_stream(system))
+        which.append(distinct[key])
+    batch = BatchTraceStream.for_streams(streams)
+    if batch is not None:
+        block = batch.open().read(batch.n_slots)
+        realizations = [block.scenario(b) for b in range(len(streams))]
+    else:
+        realizations = [stream.materialize() for stream in streams]
+    if telemetry is not None and len(streams) < len(specs):
+        telemetry.count("trace_twins", len(specs) - len(streams))
+    return [realizations[slot] for slot in which]
+
+
 def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
                         metrics: "list[ScenarioMetrics]",
                         chunk_coarse: int,
@@ -175,83 +209,99 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
                         ) -> "list[ScenarioMetrics]":
     """Add the offline-gap columns to one shard's metrics.
 
-    Solves the clairvoyant LP for every scenario through the batched
-    structure-stamping path (grouped by system configuration — one
-    compiled structure per distinct system), replays all plans through
-    the vectorized engine in a single pass, and reports the replayed
-    offline cost plus the policy's relative gap against it.  The
-    replayed cost record is bit-identical to replaying each plan
-    through the scalar engine (the equivalence tests pin this), so the
-    gap column is an honest same-accounting comparison, not an
-    LP-objective shortcut.
+    Solves the clairvoyant LP once per distinct trace realization —
+    one representative per distinct ``(system, traces)`` pair, where
+    trace twins share one :class:`TraceSet` object (see
+    :func:`_shard_traces`) — through the batched structure-stamping
+    path (one compiled structure per distinct system), replays each
+    distinct plan once through the vectorized engine, and reports the
+    replayed offline cost plus each scenario's relative gap against
+    it.  Every instance is cold-solved, so a twin's plan and replay
+    are bit-identical to solving its own.  The replayed cost record is
+    bit-identical to replaying each plan through the scalar engine
+    (the equivalence tests pin this), so the gap column is an honest
+    same-accounting comparison, not an LP-objective shortcut.
 
     Graceful degradation: an LP failure
     (:class:`~repro.exceptions.SolverError` — iteration limit,
     infeasible, unbounded) does not fail the shard.  The group falls
-    back to per-scenario solves so one bad LP costs only its own
-    scenario, whose record simply *omits* the ``offline_cost`` /
+    back to per-realization solves, with the ``lp_solve`` fault site
+    still firing per scenario, so one bad LP costs only its own
+    scenarios, whose records simply *omit* the ``offline_cost`` /
     ``offline_gap`` columns (the telemetry counter
     ``offline_degraded`` counts such scenarios).
     """
     tele = telemetry
-    by_system: dict[object, list[int]] = {}
-    for index, system in enumerate(systems):
-        by_system.setdefault(system, []).append(index)
-    plans = [None] * len(systems)
+    # system -> traces identity -> the scenarios sharing that pair.
+    by_system: dict[object, dict[int, list[int]]] = {}
+    for index, (system, traces) in enumerate(zip(systems, traces_list)):
+        by_system.setdefault(system, {}).setdefault(
+            id(traces), []).append(index)
+    # (scenarios sharing one plan, the plan), replayed once each.
+    solved: list[tuple[list[int], OfflinePlan]] = []
     degraded = 0
     t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    for system, indices in by_system.items():
+    for system, realizations in by_system.items():
+        groups = list(realizations.values())
         try:
             if faults is not None:
-                faults.fire("lp_solve", subset=indices)
+                faults.fire("lp_solve", subset=[
+                    i for members in groups for i in members])
             block = TraceBlock.from_tracesets(
-                [traces_list[i] for i in indices])
-            for i, plan in zip(indices,
-                               solve_offline_plan_batch(
-                                   system, block, telemetry=tele)):
-                plans[i] = plan
+                [traces_list[members[0]] for members in groups])
+            solved.extend(zip(groups, solve_offline_plan_batch(
+                system, block, telemetry=tele)))
         except SolverError:
-            # The batch solve died; retry scenario-by-scenario so the
-            # failure is pinned to (and only costs) its own scenario.
-            for i in indices:
+            # The batch solve died; retry realization by realization,
+            # firing per scenario so a failure is pinned to (and only
+            # costs) its own scenario.
+            for members in groups:
+                healthy = []
+                for i in members:
+                    try:
+                        if faults is not None:
+                            faults.fire("lp_solve", subset=[i])
+                        healthy.append(i)
+                    except SolverError:
+                        degraded += 1
+                if not healthy:
+                    continue
                 try:
-                    if faults is not None:
-                        faults.fire("lp_solve", subset=[i])
-                    block = TraceBlock.from_tracesets([traces_list[i]])
-                    plans[i] = solve_offline_plan_batch(
-                        system, block, telemetry=tele)[0]
+                    block = TraceBlock.from_tracesets(
+                        [traces_list[healthy[0]]])
+                    solved.append((healthy, solve_offline_plan_batch(
+                        system, block, telemetry=tele)[0]))
                 except SolverError:
-                    plans[i] = None
-                    degraded += 1
+                    degraded += len(healthy)
     if tele is not None and tele.enabled:
         tele.add_time("offline_lp", tele.clock() - t0)
         if degraded:
             tele.count("offline_degraded", degraded)
         t0 = tele.clock()
-    planned = [i for i in range(len(systems)) if plans[i] is not None]
-    replay_by_index: dict[int, ScenarioMetrics] = {}
-    if planned:
+    offline_costs: dict[int, float] = {}
+    if solved:
         runs = [StreamRunSpec(
-                    system=systems[i],
-                    controller=OfflineOptimal(None, plan=plans[i]),
-                    stream=ArrayTraceStream(traces_list[i]))
-                for i in planned]
+                    system=systems[members[0]],
+                    controller=OfflineOptimal(None, plan=plan),
+                    stream=ArrayTraceStream(traces_list[members[0]]))
+                for members, plan in solved]
         # The replay engine is deliberately *not* instrumented: its
         # slot-loop time belongs to the single ``offline_replay`` stage,
         # not to the policy run's plan/real_time/physics breakdown.
         replay = StreamingBatchSimulator(
-            runs, controller=OfflinePlanBatch([plans[i] for i in planned]),
+            runs, controller=OfflinePlanBatch([plan for _, plan in solved]),
             chunk_coarse=chunk_coarse).run()
-        replay_by_index = dict(zip(planned, replay))
+        for (members, _), offline in zip(solved, replay):
+            for i in members:
+                offline_costs[i] = float(offline.time_avg_cost)
     if tele is not None and tele.enabled:
         tele.add_time("offline_replay", tele.clock() - t0)
     out = []
     for index, metric in enumerate(metrics):
-        offline = replay_by_index.get(index)
-        if offline is None:
+        offline_cost = offline_costs.get(index)
+        if offline_cost is None:
             out.append(metric)  # degraded: offline columns stay omitted
             continue
-        offline_cost = float(offline.time_avg_cost)
         policy_cost = float(metric.time_avg_cost)
         gap = ((policy_cost - offline_cost) / abs(offline_cost)
                if abs(offline_cost) > 0 else 0.0)
@@ -331,10 +381,12 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     JSON-ready records so the parent can append them to the store
     without touching numpy state.
 
-    With ``offline_gap`` the shard's trace windows are materialized up
-    front and shared between the policy run and the offline baseline —
-    the gap column then costs one compiled LP solve plus one vectorized
-    replay per scenario, not a second trace generation.
+    With ``offline_gap`` (and on the in-memory path) the shard's trace
+    horizons are materialized up front, once per distinct trace
+    realization (:func:`_shard_traces`), and shared between the policy
+    run and the offline baseline — the gap column then costs one
+    compiled LP solve plus one vectorized replay per distinct trace
+    realization, not a second trace generation.
 
     With ``telemetry`` in the payload the shard owns a fresh
     :class:`~repro.telemetry.Telemetry` collector (explicitly passed
@@ -363,28 +415,28 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             in_worker=bool(payload.get("in_worker", False)))
 
     build_t0 = tele.clock() if tele is not None else 0.0
-    systems = []
-    traces_list: list[TraceSet] = []
-    observations = []
+    systems = [spec.build_system() for spec in specs]
+    observations = [spec.build_observation(system)
+                    for spec, system in zip(specs, systems)]
+    # Whole horizons, once per distinct realization: the in-memory
+    # engine and the offline-gap baseline both need them.
+    traces_list: list[TraceSet] = (
+        _shard_traces(specs, systems, telemetry=tele)
+        if offline_gap or not streamable else [])
     if streamable:
         runs = []
-        for spec in specs:
-            system = spec.build_system()
-            systems.append(system)
-            observations.append(spec.build_observation(system))
+        for index, spec in enumerate(specs):
             if offline_gap:
-                # Materialize once; the policy streams over array
-                # views of the same window the LP will consume.
-                traces = spec.build_traces(system)
-                traces_list.append(traces)
-                stream = ArrayTraceStream(traces)
+                # The policy streams over array views of the same
+                # window the LP will consume.
+                stream = ArrayTraceStream(traces_list[index])
             else:
-                stream = spec.open_stream(system)
+                stream = spec.open_stream(systems[index])
             runs.append(StreamRunSpec(
-                system=system,
+                system=systems[index],
                 controller=spec.build_controller(),
                 stream=stream,
-                observation=observations[-1]))
+                observation=observations[index]))
         if tele is not None:
             tele.add_time("build", tele.clock() - build_t0)
         metrics = StreamingBatchSimulator(
@@ -392,20 +444,13 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             faults=faults).run()
         engine = "stream"
     else:
-        runs = []
-        for spec in specs:
-            system = spec.build_system()
-            traces = spec.build_traces(system)
-            systems.append(system)
-            traces_list.append(traces)
-            observation = spec.build_observation(system)
-            observations.append(observation)
-            runs.append(RunSpec(
-                system=system,
-                controller=spec.build_controller(traces),
-                traces=traces,
-                observed=(observation.observed_traces(traces)
-                          if observation is not None else None)))
+        runs = [RunSpec(system=system,
+                        controller=spec.build_controller(traces),
+                        traces=traces,
+                        observed=(observation.observed_traces(traces)
+                                  if observation is not None else None))
+                for spec, system, traces, observation
+                in zip(specs, systems, traces_list, observations)]
         if tele is not None:
             tele.add_time("build", tele.clock() - build_t0)
         if faults is not None:
@@ -503,7 +548,11 @@ class FleetRunner:
         Each shard solves the offline LP through the batched
         structure-stamping path and replays the plans through the
         vectorized engine, so the column costs roughly one small LP
-        solve per scenario on top of the policy run.
+        solve (plus one replay) per distinct trace realization on top
+        of the policy run: trace twins — scenarios of one shard with
+        the same system, trace seed and trace recipe, such as a
+        ``controller.v`` sweep over shared seeds — share one trace
+        build, plan and replay (telemetry counter ``trace_twins``).
     telemetry:
         ``True`` instruments the run: every shard owns a
         :class:`~repro.telemetry.Telemetry` collector whose snapshot

@@ -314,8 +314,25 @@ class ScenarioSpec:
         raise ConfigurationError(
             f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}")
 
+    def trace_key(self, system: SystemConfig | None = None) -> tuple:
+        """Identity of the trace realization :meth:`open_stream` builds.
+
+        The key is everything ``open_stream`` reads: the built system,
+        the trace seed and the trace recipe (as canonical JSON).  Specs
+        with equal keys — *trace twins*, e.g. a ``controller.v`` sweep
+        over one seed — get bit-identical traces; controller,
+        observation, name and value are not part of the key.
+        """
+        system = system or self.build_system()
+        return (system, self.trace_seed,
+                json.dumps(dict(self.trace), sort_keys=True))
+
     def build_traces(self, system: SystemConfig | None = None) -> TraceSet:
-        """Materialize the full trace horizon (in-memory path)."""
+        """Materialize the full trace horizon.
+
+        The per-spec reference for the horizons a fleet shard builds
+        (the runner materializes once per :meth:`trace_key`).
+        """
         return self.open_stream(system).materialize()
 
     def build_controller(self, traces: TraceSet | None = None

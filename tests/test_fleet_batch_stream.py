@@ -8,6 +8,7 @@ from repro.core.smartdpss import SmartDPSS
 from repro.exceptions import ConfigurationError, TraceError
 from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
 from repro.fleet.stream import (
+    DEFAULT_MATERIALIZE_CHUNK,
     ArrayTraceStream,
     BatchTraceStream,
     StreamingPaperTraces,
@@ -35,6 +36,23 @@ class TestBatchTraceStream:
                 assert np.array_equal(
                     getattr(block, name),
                     np.stack([getattr(w, name) for w in windows])), name
+
+    def test_full_horizon_read_matches_materialize(self):
+        # One read past DEFAULT_MATERIALIZE_CHUNK, split per scenario,
+        # equals the scalar chunked materialize() — including the clip
+        # count materialize() sums over its windows.
+        n_slots = 2 * DEFAULT_MATERIALIZE_CHUNK + 40
+        streams = _streams(n_slots=n_slots, batch=3, clip=1.5)
+        block = BatchTraceStream(streams).open().read(n_slots)
+        for index, stream in enumerate(streams):
+            reference = stream.materialize()
+            scenario = block.scenario(index)
+            for name in SERIES_FIELDS:
+                assert np.array_equal(getattr(scenario, name),
+                                      getattr(reference, name)), name
+            assert reference.meta["peak_clip_slots"] > 0
+            for key in ("seed", "peak_clip_slots"):
+                assert scenario.meta[key] == reference.meta[key], key
 
     def test_heterogeneous_models_stack(self):
         streams = [StreamingPaperTraces(

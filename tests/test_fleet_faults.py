@@ -259,6 +259,53 @@ class TestSerialRecovery:
             {spec.spec_hash() for spec in fleet}
 
 
+@pytest.mark.offline
+class TestTraceTwinFaults:
+    """Trace twins share one trace build, LP solve and replay per shard,
+    yet a fault aimed at one twin stays with that twin."""
+
+    @pytest.fixture(scope="class")
+    def twins(self) -> list[ScenarioSpec]:
+        # One seed, two controller.v values: one trace realization.
+        return grid_specs(tiny_template(), "controller.v", [0.2, 1.0],
+                          seeds=(5,))
+
+    @pytest.fixture(scope="class")
+    def twin_reference(self, twins) -> list[dict]:
+        return FleetRunner(twins, offline_gap=True,
+                           fault_plan=FaultPlan()).run()
+
+    @pytest.mark.parametrize("faulty", [0, 1])
+    def test_lp_failure_degrades_only_its_twin(self, twins,
+                                               twin_reference, faulty):
+        plan = FaultPlan(faults=(
+            Fault(site="lp_solve", error="solver",
+                  scenario=twins[faulty].name, times=None),))
+        runner, records = run_chaos(twins, plan, offline_gap=True,
+                                    telemetry=True)
+        assert runner.last_run_stats["shards"] == 1
+        assert runner.last_run_stats["retries"] == 0
+        assert runner.last_manifest.counters["offline_degraded"] == 1
+        degraded = records[faulty]["metrics"]
+        assert "offline_cost" not in degraded
+        assert "offline_gap" not in degraded
+        assert degraded == {
+            k: v for k, v in twin_reference[faulty]["metrics"].items()
+            if k not in ("offline_cost", "offline_gap")}
+        assert records[1 - faulty] == twin_reference[1 - faulty]
+
+    def test_nan_corruption_quarantines_only_its_twin(self, twins,
+                                                      twin_reference):
+        plan = FaultPlan(faults=(
+            Fault(site="traces", action="nan", scenario=twins[0].name,
+                  slot=2, series="demand_ds"),))
+        runner, records = run_chaos(twins, plan, offline_gap=True)
+        assert runner.last_run_stats["quarantined"] == 1
+        assert records[0]["quarantined"] is True
+        assert records[0]["error"]["type"] == "TraceCorruptionError"
+        assert records[1] == twin_reference[1]
+
+
 class TestObserveSite:
     """The ``observe`` fault site: corruption of what controllers see."""
 

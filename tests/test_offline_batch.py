@@ -11,7 +11,11 @@ The acceptance contract for the fleet-scale offline baseline:
   stamped solves on objectives (independent cross-check of the
   stamping logic).
 * ``FleetRunner(offline_gap=True)`` adds ``offline_cost`` /
-  ``offline_gap`` columns without disturbing the policy metrics.
+  ``offline_gap`` columns without disturbing the policy metrics, and
+  solves one LP per distinct trace realization of a shard: trace twins
+  get records identical to running alone.
+* Without scipy's private HiGHS bindings the public ``linprog`` path
+  reaches the same LP objectives, and the fleet column still fills.
 """
 
 import numpy as np
@@ -36,6 +40,7 @@ from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
+from repro.solvers import batch_lp
 from repro.solvers.batch_lp import solve_block_diagonal
 from repro.traces.base import TraceBlock
 from repro.traces.library import make_paper_traces
@@ -150,13 +155,16 @@ class TestBatchScalarEquivalence:
 
 
 class TestFleetGapColumn:
-    def _specs(self, n_seeds: int = 3):
-        template = ScenarioSpec(
+    @staticmethod
+    def _template(trace_kind: str = "stream") -> ScenarioSpec:
+        return ScenarioSpec(
             system={"preset": "paper", "days": 1,
                     "fine_slots_per_coarse": 6},
             controller={"kind": "smartdpss"},
-            trace={"kind": "stream"})
-        return grid_specs(template, "controller.v", [0.1, 1.0],
+            trace={"kind": trace_kind})
+
+    def _specs(self, n_seeds: int = 3):
+        return grid_specs(self._template(), "controller.v", [0.1, 1.0],
                           seeds=range(n_seeds))
 
     @pytest.mark.fleet
@@ -183,6 +191,47 @@ class TestFleetGapColumn:
             trimmed.pop("offline_gap")
             assert trimmed == without["metrics"]
 
+    @staticmethod
+    def _assert_twins_shared(specs, n_distinct):
+        """One shard over ``specs``: every record equals that spec run
+        alone, and the shard solves one LP per distinct realization."""
+        runner = FleetRunner(specs, offline_gap=True, robustness=0.2,
+                             telemetry=True)
+        records = runner.run()
+        assert runner.last_run_stats["shards"] == 1
+        for spec, record in zip(specs, records):
+            alone = FleetRunner([spec], offline_gap=True,
+                                robustness=0.2).run()
+            assert record == alone[0], spec.name
+        manifest = runner.last_manifest
+        assert manifest.stages["lp_solve"]["count"] == n_distinct
+        assert manifest.counters["trace_twins"] == len(specs) - n_distinct
+
+    @pytest.mark.fleet
+    def test_trace_twins_share_work_on_streamed_shards(self):
+        template = self._template()
+        specs = [
+            # Exact twins: one seed, three controller.v values.
+            *grid_specs(template, "controller.v", [0.1, 1.0, 3.0],
+                        seeds=[7]),
+            # Same seed, another solar model: another realization.
+            *grid_specs(template, "trace.solar.capacity_mw", [3.0],
+                        seeds=[7]),
+            # Same seed and traces, another system (same group key):
+            # another LP instance.
+            *grid_specs(template, "system.battery_minutes", [30.0],
+                        seeds=[7]),
+            *grid_specs(template, "controller.v", [0.1, 1.0],
+                        seeds=[8]),
+        ]
+        self._assert_twins_shared(specs, n_distinct=4)
+
+    @pytest.mark.fleet
+    def test_trace_twins_share_work_on_in_memory_shards(self):
+        specs = grid_specs(self._template("paper"), "controller.v",
+                           [0.1, 1.0, 3.0], seeds=[3, 4])
+        self._assert_twins_shared(specs, n_distinct=2)
+
     @pytest.mark.fleet
     def test_oracle_fleet_supports_gap(self):
         # Non-streamable (in-memory engine) shards get the column too.
@@ -199,6 +248,36 @@ class TestFleetGapColumn:
             # The clairvoyant baseline never loses to a naive policy
             # by more than replay accounting noise.
             assert record["metrics"]["offline_gap"] > -0.05
+
+
+class TestPublicHighsFallback:
+    """Without scipy's private ``_highspy`` bindings (a scipy release
+    may move them) the compiled LP falls back to public ``linprog``."""
+
+    def test_plans_match_fast_path_objectives(self, monkeypatch):
+        system = _system()
+        _, block = _sets_and_block(system, range(4))
+        assert batch_lp.fast_path_available()
+        assert _get_structure(system, DEFAULT_DEADLINE_SLOTS, True,
+                              0.0).fast
+        fast = solve_offline_plan_batch(system, block)
+        monkeypatch.setattr(batch_lp, "_highs_core", None)
+        assert not batch_lp.fast_path_available()
+        public = solve_offline_plan_batch(system, block)
+        # Plan arrays may differ: the public path can land on another
+        # optimal vertex.
+        for fast_plan, public_plan in zip(fast, public):
+            assert public_plan.lp_objective == pytest.approx(
+                fast_plan.lp_objective, rel=1e-9)
+
+    @pytest.mark.fleet
+    def test_fleet_gap_column_completes(self, monkeypatch):
+        monkeypatch.setattr(batch_lp, "_highs_core", None)
+        runner = FleetRunner(TestFleetGapColumn()._specs(n_seeds=2),
+                             offline_gap=True, telemetry=True)
+        for record in runner.run():
+            assert "offline_cost" in record["metrics"]
+        assert "offline_degraded" not in runner.last_manifest.counters
 
 
 class TestErrorPaths:
