@@ -29,10 +29,9 @@ from repro.core.smartdpss import SmartDPSS
 from repro.experiments.common import (
     Scenario,
     build_scenario,
-    simulate_runs,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec
+from repro.sim.batch import RunSpec, simulate_many
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def run_ablations(seed: int = DEFAULT_SEED, days: int = 31,
     add("baseline", "paper-P2-offline",
         _spec(scenario, PaperP2Offline(scenario.traces)))
 
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
     rows = tuple(
         AblationRow(
             study=study, label=label,

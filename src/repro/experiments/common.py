@@ -3,14 +3,15 @@
 Centralizes scenario construction (system + traces + controllers) so
 every figure runs on the identical setup the paper fixes in Section
 VI-A, and exposes small run helpers returning
-:class:`~repro.sim.results.SimulationResult`.
+:class:`~repro.sim.results.SimulationResult`.  Each ``fig*`` module
+hands its whole (value × seed) fleet to
+:func:`repro.sim.batch.simulate_many` in one call, so compatible runs
+advance in vectorized lockstep.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.baselines import ImpatientController, OfflineOptimal
 from repro.config.control import SmartDPSSConfig
@@ -23,46 +24,6 @@ from repro.sim.results import SimulationResult
 from repro.traces.base import TraceSet
 from repro.traces.library import make_paper_traces
 
-#: Environment variable overriding the experiments' executor choice
-#: (``serial`` | ``batch`` | ``process``).  Experiments default to the
-#: vectorized batch engine; ``process`` additionally shards whole
-#: vectorized batch groups across worker processes (the fleet
-#: subsystem's :func:`~repro.fleet.runner.simulate_many_process`).
-#: All three produce bit-identical results (enforced by
-#: tests/equivalence/).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment variable capping the ``process`` executor's pool size
-#: (defaults to the visible CPU count).
-MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
-
-
-def default_executor() -> str:
-    """Executor the experiment modules use (env-overridable)."""
-    return os.environ.get(EXECUTOR_ENV, "batch")
-
-
-def default_max_workers() -> int | None:
-    """Process-pool cap for the experiments (env-overridable)."""
-    value = os.environ.get(MAX_WORKERS_ENV)
-    return int(value) if value else None
-
-
-def simulate_runs(runs: Sequence[RunSpec],
-                  executor: str | None = None,
-                  max_workers: int | None = None
-                  ) -> list[SimulationResult]:
-    """Run a figure's whole fleet of simulations, in input order.
-
-    The single seam every ``fig*`` module funnels its runs through:
-    one call hands the complete (value × seed) fleet to
-    :func:`repro.sim.batch.simulate_many`, which advances compatible
-    runs in vectorized lockstep (serially, or sharded across a
-    process pool, per ``executor``).
-    """
-    return simulate_many(runs, executor=executor or default_executor(),
-                         max_workers=max_workers
-                         or default_max_workers())
 
 #: V values of the paper's Fig. 6(a,b) sweep.
 PAPER_V_SWEEP = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -141,17 +102,17 @@ def run_smartdpss(scenario: Scenario,
                   system: SystemConfig | None = None,
                   ) -> SimulationResult:
     """Run SmartDPSS on a scenario (optionally with noisy observations)."""
-    return simulate_runs([spec_smartdpss(scenario, config,
+    return simulate_many([spec_smartdpss(scenario, config,
                                          observed, system)])[0]
 
 
 def run_impatient(scenario: Scenario,
                   system: SystemConfig | None = None) -> SimulationResult:
     """Run the Impatient baseline on a scenario."""
-    return simulate_runs([spec_impatient(scenario, system)])[0]
+    return simulate_many([spec_impatient(scenario, system)])[0]
 
 
 def run_offline(scenario: Scenario,
                 system: SystemConfig | None = None) -> SimulationResult:
     """Run the clairvoyant offline benchmark on a scenario."""
-    return simulate_runs([spec_offline(scenario, system)])[0]
+    return simulate_many([spec_offline(scenario, system)])[0]

@@ -22,10 +22,9 @@ from repro.core.smartdpss import SmartDPSS
 from repro.experiments.common import (
     PAPER_BETA_SWEEP,
     build_scenario,
-    simulate_runs,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec
+from repro.sim.batch import RunSpec, simulate_many
 from repro.traces.scaling import expand_system
 
 
@@ -67,7 +66,7 @@ def run_fig10(seed: int = DEFAULT_SEED,
     """
     specs = build_fig10_specs(seed=seed, beta_values=beta_values,
                               days=days)
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
     rows = []
     for spec, beta, result in zip(specs, beta_values, results):
         demand = float(spec.traces.demand_total.sum())

@@ -22,10 +22,10 @@ from repro.experiments.common import (
     PAPER_T_SWEEP,
     PAPER_T_SWEEP_DAYS,
     build_scenario,
-    simulate_runs,
     spec_smartdpss,
 )
 from repro.rng import DEFAULT_SEED
+from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,16 @@ def run_fig6_t(seed: int = DEFAULT_SEED,
     """Run the T sweep (one scenario rebuild per T).
 
     Each ``T`` changes the two-timescale shape, so the runs cannot
-    share one vectorized batch and the default executor falls back to
-    scalar runs; setting ``REPRO_EXECUTOR=process`` shards the
-    per-``T`` groups across cores instead (seed-replicated sweeps
-    additionally keep each group vectorized inside its worker).
+    share one vectorized batch and each runs on the scalar engine.
+    For a multi-core T sweep, express it as ``ScenarioSpec``s over
+    ``system.fine_slots_per_coarse`` and run it through
+    :class:`~repro.fleet.runner.FleetRunner` with ``max_workers``.
     """
     specs = [spec_smartdpss(
         build_scenario(seed=seed, days=days,
                        fine_slots_per_coarse=t_slots),
         paper_controller_config()) for t_slots in t_values]
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
     rows = []
     for t_slots, result in zip(t_values, results):
         rows.append(Fig6TRow(

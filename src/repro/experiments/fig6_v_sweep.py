@@ -21,12 +21,12 @@ from repro.experiments.common import (
     PAPER_V_SWEEP,
     Scenario,
     build_scenario,
-    simulate_runs,
     spec_impatient,
     spec_offline,
     spec_smartdpss,
 )
 from repro.rng import DEFAULT_SEED
+from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def run_fig6_v(seed: int = DEFAULT_SEED,
              for v in v_values]
     specs.append(spec_impatient(scenario))
     specs.append(spec_offline(scenario))
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
     rows = []
     for v, result in zip(v_values, results):
         rows.append(Fig6VRow(

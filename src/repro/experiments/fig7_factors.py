@@ -24,10 +24,10 @@ from repro.experiments.common import (
     PAPER_BATTERY_SWEEP,
     PAPER_EPSILON_SWEEP,
     build_scenario,
-    simulate_runs,
     spec_smartdpss,
 )
 from repro.rng import DEFAULT_SEED
+from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def run_fig7(seed: int = DEFAULT_SEED, days: int = 31,
                 use_long_term_market=use_lt))
             for s in scenarios)
 
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
 
     def averaged(index: int) -> FactorRow:
         chunk = results[index * len(scenarios):

@@ -22,10 +22,9 @@ from repro.experiments.common import (
     PAPER_PENETRATION_SWEEP,
     PAPER_VARIATION_SWEEP,
     build_scenario,
-    simulate_runs,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec
+from repro.sim.batch import RunSpec, simulate_many
 from repro.traces.scaling import (
     rescale_renewable_penetration,
     reshape_demand_variation,
@@ -74,7 +73,7 @@ def run_fig8(seed: int = DEFAULT_SEED, days: int = 31) -> Fig8Result:
     specs = [RunSpec(system=scenario.system,
                      controller=SmartDPSS(config), traces=traces)
              for traces in (*pen_traces, *var_traces)]
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
 
     penetration_rows = [
         SweepRow(x=level,

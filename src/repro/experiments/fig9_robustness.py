@@ -35,11 +35,11 @@ from repro.config.presets import paper_controller_config
 from repro.experiments.common import (
     PAPER_V_SWEEP,
     build_scenario,
-    simulate_runs,
     spec_impatient,
     spec_smartdpss,
 )
 from repro.rng import DEFAULT_SEED, RngFactory
+from repro.sim.batch import simulate_many
 from repro.traces.noise import uniform_observation_noise
 
 
@@ -89,7 +89,7 @@ def run_fig9(seed: int = DEFAULT_SEED,
         config = paper_controller_config(v=v)
         specs.append(spec_smartdpss(scenario, config))
         specs.append(spec_smartdpss(scenario, config, observed=observed))
-    results = simulate_runs(specs)
+    results = simulate_many(specs)
     impatient = results[0]
 
     rows = []

@@ -13,8 +13,8 @@ sweeps.  This package supplies the missing layers:
 * :mod:`repro.fleet.engine` — the chunk-at-a-time
   :class:`StreamingBatchSimulator` with O(B) result aggregation;
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` sharding whole
-  vectorized batches across worker processes (also the engine behind
-  ``simulate_many(..., executor="process")``);
+  vectorized batches across worker processes (the library's one
+  multi-core path);
 * :mod:`repro.fleet.store` — append-only :class:`ResultStore` with
   seed-replicated aggregation back into
   :class:`~repro.sim.sweep.SweepTable`;
@@ -111,16 +111,18 @@ values raise a typed
 series and the ``observed`` view) that quarantines like any trace
 corruption.
 
-The streamed path is gated by ``tests/equivalence/``: for identical
-specs it is bit-identical to the in-memory batch engine (which is
-itself bit-identical to the scalar reference engine).
+Every fleet shard runs the streamed engine: generated traces stream
+chunk by chunk, while ``paper`` recipes, oracle controllers and the
+offline-gap baseline stream over views of horizons materialized once
+per distinct trace realization.  ``tests/equivalence/`` gates it: for
+identical specs it is bit-identical to the in-memory batch engine
+(which is itself bit-identical to the scalar reference engine).
 """
 
 from repro.fleet.engine import (
     ScenarioMetrics,
     StreamingBatchSimulator,
     StreamRunSpec,
-    simulate_stream,
 )
 from repro.fleet.faults import Fault, FaultPlan
 from repro.fleet.observe import (
@@ -136,11 +138,7 @@ from repro.fleet.observe import (
     UniformNoise,
     observation_from_mapping,
 )
-from repro.fleet.runner import (
-    FleetRunner,
-    ShardOutcome,
-    simulate_many_process,
-)
+from repro.fleet.runner import FleetRunner, ShardOutcome
 from repro.fleet.spec import (
     ScenarioSpec,
     grid_specs,
@@ -183,6 +181,4 @@ __all__ = [
     "observation_from_mapping",
     "product_specs",
     "sample_specs",
-    "simulate_many_process",
-    "simulate_stream",
 ]

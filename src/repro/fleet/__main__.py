@@ -160,10 +160,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     def verbose_progress(outcome: ShardOutcome, finished: int,
                          total: int, stats: RunProgress) -> None:
         logger.info(
-            "  shard %d/%d done (%d scenarios, engine=%s, %.2fs; "
+            "  shard %d/%d done (%d scenarios, %.2fs; "
             "cumulative %.0f scenarios/s, eta %s)",
-            finished, total, len(outcome.indices), outcome.engine,
-            outcome.elapsed_s, stats.rate, _eta_text(stats.eta_s))
+            finished, total, len(outcome.indices), outcome.elapsed_s,
+            stats.rate, _eta_text(stats.eta_s))
 
     def quiet_progress(outcome: ShardOutcome, finished: int,
                        total: int, stats: RunProgress) -> None:

@@ -50,7 +50,6 @@ from repro.core.interfaces import Controller
 from repro.exceptions import (
     ConfigurationError,
     HorizonMismatchError,
-    InfeasibleActionError,
     ObservationCorruptionError,
     StateError,
     TraceCorruptionError,
@@ -500,7 +499,7 @@ class StreamingBatchSimulator(BatchSimulator):
             self._faults.fire("observe", slot=start)
             self._corrupt_observed(start, stop)
         self._check_chunk_finite(start, stop)
-        self._check_chunk_prices(start)
+        self._check_prices(start)
         return {
             "demand_ds": self._true_dds[:, -t_slots:],
             "demand_dt": self._true_ddt[:, -t_slots:],
@@ -647,38 +646,6 @@ class StreamingBatchSimulator(BatchSimulator):
                 f"{seed})", scenario=scenario, slot=slot, seed=seed,
                 series=name, view="observed")
 
-    def _check_chunk_prices(self, start: int) -> None:
-        """Chunkwise twin of ``BatchSimulator._check_prices``.
-
-        Same exception on the same offending values; the only
-        difference is *when* it fires (as the bad chunk loads, rather
-        than before slot 0).  Scanned as four batched reductions; the
-        per-scenario loop runs only to format the error.
-        """
-        local = start - self._slot0
-        caps_slack = np.array([system.p_max for system in self.systems
-                               ]) * (1 + 1e-9)
-        ranges = {}
-        bad = {}
-        for name, block in (("real-time", self._true_prt[:, local:]),
-                            ("long-term", self._true_plt)):
-            lows, highs = block.min(axis=1), block.max(axis=1)
-            ranges[name] = (lows, highs)
-            bad[name] = (lows < 0) | (highs > caps_slack)
-        offenders = bad["real-time"] | bad["long-term"]
-        if offenders.any():
-            # Report the same offender the in-memory engine's
-            # scenario-major scan would: first bad scenario, real-time
-            # before long-term within it.
-            index = int(np.argmax(offenders))
-            name = "real-time" if bad["real-time"][index] \
-                else "long-term"
-            lows, highs = ranges[name]
-            raise InfeasibleActionError(
-                f"{name}: price outside "
-                f"[0, {self.systems[index].p_max}] (observed range "
-                f"[{float(lows[index])}, {float(highs[index])}])")
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -806,9 +773,3 @@ class StreamingBatchSimulator(BatchSimulator):
                 seed=self._seeds[index],
             ))
         return metrics
-
-
-def simulate_stream(runs: Sequence[StreamRunSpec],
-                    chunk_coarse: int = 4) -> list[ScenarioMetrics]:
-    """Convenience wrapper mirroring :func:`repro.sim.batch.simulate_many`."""
-    return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run()

@@ -10,17 +10,19 @@ pipeline —
 ======================  ================================================
 site                    where it fires
 ======================  ================================================
-``traces``              chunk loading in the streamed engine (or trace
-                        materialization on the in-memory shard path)
+``traces``              every chunk the engine loads, before its
+                        finiteness scan (``nan`` poisons the true
+                        view, on generated and materialized traces
+                        alike)
 ``observe``             the observation layer deriving what controllers
                         see from each loaded chunk (``nan`` poisons the
                         *observed* view only, so the engine's scan must
                         raise the typed observation error while physics
                         stays on clean truth)
-``plan``                the coarse-boundary planning step of the slot
-                        loop (streamed engine), or just before the
-                        in-memory engine runs
-``slot_loop``           every fine slot of the streamed slot loop
+``plan``                every coarse-boundary planning step of the
+                        engine's slot loop
+``slot_loop``           every fine slot of the slot loop that is not a
+                        planning boundary
 ``lp_solve``            the offline-gap LP solve for a shard
 ``store_append``        parent-side, as a finished shard's records are
                         appended to the :class:`ResultStore`

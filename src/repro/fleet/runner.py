@@ -1,33 +1,20 @@
 """Sharded fleet execution: whole vectorized batches per worker.
 
-Two entry points live here:
-
-* :class:`FleetRunner` — the fleet front door.  Takes declarative
-  :class:`~repro.fleet.spec.ScenarioSpec` fleets, groups
-  batch-compatible specs, splits every group into shards of at most
-  ``batch_size`` scenarios, and runs each shard through one engine
-  invocation — the memory-bounded
-  :class:`~repro.fleet.engine.StreamingBatchSimulator` where the spec
-  allows it, the in-memory :class:`~repro.sim.batch.BatchSimulator`
-  otherwise.  With ``max_workers > 1`` shards ship to a process pool
-  (each worker rebuilds traces locally from the few-hundred-byte spec,
-  so no trace arrays cross the process boundary) and finished shards
-  stream back incrementally into the optional
-  :class:`~repro.fleet.store.ResultStore`.
-
-* :func:`simulate_many_process` — the engine behind
-  ``simulate_many(..., executor="process")``.  It shards *in-memory*
-  :class:`~repro.sim.batch.RunSpec` groups across workers, so the
-  legacy entry point multiplies process fan-out with vectorization
-  instead of silently degrading to per-run scalar simulation.  Results
-  are bit-identical to ``executor="batch"``.
+:class:`FleetRunner` is the fleet front door and the library's one
+multi-core path.  It takes declarative
+:class:`~repro.fleet.spec.ScenarioSpec` fleets, groups batch-compatible
+specs, splits every group into shards of at most ``batch_size``
+scenarios, and runs each shard through one memory-bounded
+:class:`~repro.fleet.engine.StreamingBatchSimulator` invocation.  With
+``max_workers > 1`` shards ship to a process pool (each worker rebuilds
+traces locally from the few-hundred-byte spec, so no trace arrays cross
+the process boundary) and finished shards stream back incrementally
+into the optional :class:`~repro.fleet.store.ResultStore`.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
-import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -56,10 +43,8 @@ from repro.fleet.engine import (
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import observation_from_mapping
-from repro.fleet.spec import ScenarioSpec
+from repro.fleet.spec import ORACLE_CONTROLLERS, ScenarioSpec
 from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
-from repro.sim.batch import RunSpec, run_group_batch
-from repro.sim.results import SimulationResult
 from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -77,13 +62,6 @@ DEFAULT_BATCH_SIZE = 256
 
 #: Default coarse slots of trace data resident per scenario.
 DEFAULT_CHUNK_COARSE = 4
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _split_shards(indices: Sequence[int], shard_size: int) -> list[list[int]]:
@@ -128,7 +106,6 @@ class ShardOutcome:
 
     indices: tuple[int, ...]
     records: tuple[dict, ...]
-    engine: str
     elapsed_s: float
     telemetry: dict | None = None
 
@@ -310,11 +287,12 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     return out
 
 
-def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
-                       runs: "list", traces_list: "list[TraceSet]",
+def _attach_robustness(specs: "list[ScenarioSpec]",
+                       runs: "list[StreamRunSpec]",
+                       traces_list: "list[TraceSet | None]",
                        metrics: "list[ScenarioMetrics]", *,
                        robustness: Mapping[str, object],
-                       chunk_coarse: int, streamable: bool,
+                       chunk_coarse: int,
                        telemetry=None) -> "list[ScenarioMetrics]":
     """Add the paired-noisy columns to one shard's metrics.
 
@@ -324,41 +302,23 @@ def _attach_robustness(specs: "list[ScenarioSpec]", systems: "list",
     clean cost — the fleet-scale twin of the paper's Fig. 9
     clean-vs-noisy comparison, with the same record discipline as the
     offline-gap column.  The noisy replay reuses the shard's trace
-    streams (replayable by contract) on the streamed path, or the
-    already-materialized horizons on the in-memory path, so the column
-    costs one extra engine pass and zero extra trace generation with
-    ``offline_gap`` on.  Like the offline replay, the noisy pass runs
-    uninjected (no fault harness): it is a derived comparison column,
-    not a second chance for chaos faults to fire.
+    streams (replayable by contract), so the column costs one extra
+    engine pass and zero extra trace generation with ``offline_gap``
+    on.  Like the offline replay, the noisy pass runs uninjected (no
+    fault harness): it is a derived comparison column, not a second
+    chance for chaos faults to fire.
     """
     tele = telemetry
     t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    observations = [
-        observation_from_mapping(robustness, default_seed=spec.seed,
-                                 price_cap=system.p_max)
-        for spec, system in zip(specs, systems)]
-    if streamable:
-        noisy_runs = [
-            StreamRunSpec(system=run.system,
-                          controller=spec.build_controller(),
-                          stream=run.stream,
-                          grid_capacity=run.grid_capacity,
-                          observation=observation)
-            for run, spec, observation in zip(runs, specs, observations)]
-        noisy = StreamingBatchSimulator(
-            noisy_runs, chunk_coarse=chunk_coarse).run()
-    else:
-        noisy_specs = [
-            RunSpec(system=systems[i],
-                    controller=specs[i].build_controller(traces_list[i]),
-                    traces=traces_list[i],
-                    observed=observations[i].observed_traces(
-                        traces_list[i]),
-                    grid_capacity=runs[i].grid_capacity)
-            for i in range(len(specs))]
-        results = run_group_batch(noisy_specs)
-        noisy = [ScenarioMetrics.from_result(result, seed=spec.seed)
-                 for spec, result in zip(specs, results)]
+    noisy_runs = [
+        dataclass_replace(
+            run, controller=spec.build_controller(traces),
+            observation=observation_from_mapping(
+                robustness, default_seed=spec.seed,
+                price_cap=run.system.p_max))
+        for spec, run, traces in zip(specs, runs, traces_list)]
+    noisy = StreamingBatchSimulator(
+        noisy_runs, chunk_coarse=chunk_coarse).run()
     if tele is not None and tele.enabled:
         tele.add_time("robustness", tele.clock() - t0)
         tele.count("robustness_scenarios", len(specs))
@@ -377,16 +337,19 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     """Module-level worker: run one shard of serialized specs.
 
     Rebuilds every spec locally (system, controller, trace source) and
-    advances the whole shard through one engine invocation.  Returns
-    JSON-ready records so the parent can append them to the store
-    without touching numpy state.
+    advances the whole shard through one
+    :class:`StreamingBatchSimulator` invocation.  Returns JSON-ready
+    records so the parent can append them to the store without
+    touching numpy state.
 
-    With ``offline_gap`` (and on the in-memory path) the shard's trace
-    horizons are materialized up front, once per distinct trace
-    realization (:func:`_shard_traces`), and shared between the policy
-    run and the offline baseline — the gap column then costs one
-    compiled LP solve plus one vectorized replay per distinct trace
-    realization, not a second trace generation.
+    Where something needs whole horizons up front — the offline-gap
+    baseline, an oracle controller, or a ``paper`` recipe (materialized
+    by construction) — they are built once per distinct trace
+    realization (:func:`_shard_traces`), and the policy streams over
+    :class:`ArrayTraceStream` views of them; the gap column then costs
+    one compiled LP solve plus one vectorized replay per distinct trace
+    realization, not a second trace generation.  Every other shard
+    streams straight from its trace generators.
 
     With ``telemetry`` in the payload the shard owns a fresh
     :class:`~repro.telemetry.Telemetry` collector (explicitly passed
@@ -403,7 +366,6 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     t0 = monotonic()
     specs = [ScenarioSpec.from_dict(data) for data in payload["specs"]]
     chunk_coarse = int(payload["chunk_coarse"])
-    streamable = bool(payload["streamable"])
     offline_gap = bool(payload.get("offline_gap", False))
     robustness = payload.get("robustness")
     tele = Telemetry() if payload.get("telemetry") else None
@@ -418,54 +380,25 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     systems = [spec.build_system() for spec in specs]
     observations = [spec.build_observation(system)
                     for spec, system in zip(specs, systems)]
-    # Whole horizons, once per distinct realization: the in-memory
-    # engine and the offline-gap baseline both need them.
-    traces_list: list[TraceSet] = (
-        _shard_traces(specs, systems, telemetry=tele)
-        if offline_gap or not streamable else [])
-    if streamable:
-        runs = []
-        for index, spec in enumerate(specs):
-            if offline_gap:
-                # The policy streams over array views of the same
-                # window the LP will consume.
-                stream = ArrayTraceStream(traces_list[index])
-            else:
-                stream = spec.open_stream(systems[index])
-            runs.append(StreamRunSpec(
-                system=systems[index],
-                controller=spec.build_controller(),
-                stream=stream,
-                observation=observations[index]))
-        if tele is not None:
-            tele.add_time("build", tele.clock() - build_t0)
-        metrics = StreamingBatchSimulator(
-            runs, chunk_coarse=chunk_coarse, telemetry=tele,
-            faults=faults).run()
-        engine = "stream"
-    else:
-        runs = [RunSpec(system=system,
-                        controller=spec.build_controller(traces),
-                        traces=traces,
-                        observed=(observation.observed_traces(traces)
-                                  if observation is not None else None))
-                for spec, system, traces, observation
-                in zip(specs, systems, traces_list, observations)]
-        if tele is not None:
-            tele.add_time("build", tele.clock() - build_t0)
-        if faults is not None:
-            # The in-memory engine has no chunk loop, so engine-level
-            # fire sites collapse to one pre-run check each (slot
-            # gating is meaningless here; ``nan`` faults need the
-            # streamed path — TraceSet construction above already
-            # validated finiteness).
-            faults.fire("traces")
-            faults.fire("plan")
-            faults.fire("slot_loop")
-        results = run_group_batch(runs, telemetry=tele)
-        metrics = [ScenarioMetrics.from_result(result, seed=spec.seed)
-                   for spec, result in zip(specs, results)]
-        engine = "batch"
+    whole = offline_gap or any(
+        spec.trace_kind == "paper"
+        or spec.controller_kind in ORACLE_CONTROLLERS for spec in specs)
+    traces_list: list[TraceSet | None] = (
+        _shard_traces(specs, systems, telemetry=tele) if whole
+        else [None] * len(specs))
+    runs = [StreamRunSpec(
+                system=system,
+                controller=spec.build_controller(traces),
+                stream=(spec.open_stream(system) if traces is None
+                        else ArrayTraceStream(traces)),
+                observation=observation)
+            for spec, system, traces, observation
+            in zip(specs, systems, traces_list, observations)]
+    if tele is not None:
+        tele.add_time("build", tele.clock() - build_t0)
+    metrics = StreamingBatchSimulator(
+        runs, chunk_coarse=chunk_coarse, telemetry=tele,
+        faults=faults).run()
 
     if offline_gap:
         metrics = _attach_offline_gap(systems, traces_list, metrics,
@@ -473,9 +406,8 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
                                       faults=faults)
     if robustness:
         metrics = _attach_robustness(
-            specs, systems, runs, traces_list, metrics,
-            robustness=robustness, chunk_coarse=chunk_coarse,
-            streamable=streamable, telemetry=tele)
+            specs, runs, traces_list, metrics, robustness=robustness,
+            chunk_coarse=chunk_coarse, telemetry=tele)
     stamped = []
     for metric, observation in zip(metrics, observations):
         rel = observation.rel_error if observation is not None else None
@@ -490,7 +422,7 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             "value": spec.value,
             "seed": spec.seed,
             "controller": spec.controller_kind,
-            "engine": engine,
+            "engine": "stream",
             # A fresh copy, not payload["specs"][i]: records are handed
             # to callers, and aliasing the runner's cached payload would
             # let a mutated record corrupt an in-process re-run.
@@ -504,15 +436,12 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     elapsed = monotonic() - t0
     snapshot = None
     if tele is not None:
-        if engine == "batch":
-            # The streamed engine counts its own scenarios.
-            tele.count("scenarios", len(specs))
         tele.add_time("shard", elapsed)
         tele.count("shards")
         snapshot = tele.snapshot(process=True).as_dict()
     return ShardOutcome(indices=tuple(payload["indices"]),
-                        records=records, engine=engine,
-                        elapsed_s=elapsed, telemetry=snapshot)
+                        records=records, elapsed_s=elapsed,
+                        telemetry=snapshot)
 
 
 class FleetRunner:
@@ -525,8 +454,7 @@ class FleetRunner:
     batch_size:
         Maximum scenarios per engine invocation (and per worker task).
     chunk_coarse:
-        Coarse slots of trace data resident per scenario on the
-        streamed path.
+        Coarse slots of trace data resident per scenario in the engine.
     max_workers:
         ``None`` or ``<= 1`` runs shards in-process; larger values run
         them on a process pool of that size.
@@ -695,13 +623,12 @@ class FleetRunner:
             groups.setdefault(self.specs[index].group_key(),
                               []).append(index)
         payloads = []
-        for key, group in groups.items():
+        for group in groups.values():
             for shard in _split_shards(group, self.batch_size):
                 payloads.append({
                     "indices": shard,
                     "specs": [self.specs[i].to_dict() for i in shard],
                     "chunk_coarse": self.chunk_coarse,
-                    "streamable": bool(key[-1]),
                     "offline_gap": self.offline_gap,
                     "robustness": self.robustness,
                     "telemetry": self.telemetry,
@@ -881,7 +808,6 @@ class FleetRunner:
         arity = _progress_arity(progress) if progress is not None else 0
         parent_tele = Telemetry() if self.telemetry else None
         shard_snapshots: list[TelemetrySnapshot] = []
-        engines: dict[str, int] = {}
         counters = {"retries": 0, "bisections": 0, "quarantined": 0,
                     "pool_respawns": 0}
         scenario_attempts: dict[int, int] = {}
@@ -915,7 +841,6 @@ class FleetRunner:
                         and shard_faults.torn_append())
             finished += 1
             executed += len(outcome.indices)
-            engines[outcome.engine] = engines.get(outcome.engine, 0) + 1
             for index, record in zip(outcome.indices, outcome.records):
                 records[index] = record
             if self.store is not None:
@@ -969,7 +894,7 @@ class FleetRunner:
             for name, value in counters.items():
                 if value:
                     parent_tele.count(name, value)
-            self._finish_manifest(parent_tele, shard_snapshots, engines,
+            self._finish_manifest(parent_tele, shard_snapshots,
                                   workers, executed, len(skipped),
                                   plan["total"], caches_before,
                                   monotonic() - run_t0)
@@ -1109,9 +1034,9 @@ class FleetRunner:
 
     def _finish_manifest(self, parent_tele: Telemetry,
                          shard_snapshots: list[TelemetrySnapshot],
-                         engines: dict[str, int], workers: int,
-                         executed: int, skipped: int, shards: int,
-                         caches_before, elapsed_s: float) -> None:
+                         workers: int, executed: int, skipped: int,
+                         shards: int, caches_before,
+                         elapsed_s: float) -> None:
         """Merge shard snapshots into the run manifest and persist it."""
         from repro.caches import cache_stats
 
@@ -1123,7 +1048,6 @@ class FleetRunner:
             executed=executed,
             skipped=skipped,
             shards=shards,
-            engines=engines,
             workers=workers,
             batch_size=self.batch_size,
             chunk_coarse=self.chunk_coarse,
@@ -1136,57 +1060,3 @@ class FleetRunner:
         self.last_manifest = manifest
         if self.store is not None:
             self.store.append_manifest(manifest.as_dict())
-
-
-# ----------------------------------------------------------------------
-# Process-sharded execution of in-memory RunSpec lists
-# ----------------------------------------------------------------------
-
-
-def simulate_many_process(runs: Sequence[RunSpec],
-                          max_workers: int | None = None
-                          ) -> list[SimulationResult]:
-    """Shard batch groups of in-memory runs across a process pool.
-
-    The grouping is exactly ``simulate_many(..., executor="batch")``'s;
-    each group is split into roughly per-worker shards and every shard
-    advances through one vectorized :class:`BatchSimulator` in its
-    worker (singleton shards run the scalar engine, as the batch
-    executor does) — so results are bit-identical to the ``"batch"``
-    and ``"serial"`` executors while using every core.
-    """
-    from repro.sim.batch import _group_key  # late: avoid import cycle
-
-    runs = list(runs)
-    if not runs:
-        return []
-    workers = max_workers or _cpu_count()
-
-    groups: dict[object, list[int]] = {}
-    for index, run in enumerate(runs):
-        groups.setdefault(_group_key(run), []).append(index)
-
-    # Split each group proportionally so ~``workers`` shards exist in
-    # total and every shard still amortizes vectorization.
-    shards: list[list[int]] = []
-    for indices in groups.values():
-        share = max(1, round(len(indices) * workers / len(runs)))
-        shard_size = math.ceil(len(indices) / share)
-        shards.extend(_split_shards(indices, shard_size))
-
-    results: list[SimulationResult | None] = [None] * len(runs)
-    if workers <= 1 or len(shards) <= 1:
-        for shard in shards:
-            for index, result in zip(
-                    shard, run_group_batch([runs[i] for i in shard])):
-                results[index] = result
-        return results  # type: ignore[return-value]
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-        futures = {
-            pool.submit(run_group_batch, [runs[i] for i in shard]): shard
-            for shard in shards}
-        for future, shard in futures.items():
-            for index, result in zip(shard, future.result()):
-                results[index] = result
-    return results  # type: ignore[return-value]

@@ -19,7 +19,8 @@ Spec layout
     ``impatient``, ``myopic``, ``lookahead``, ``offline``.  Options for
     ``smartdpss`` are :class:`~repro.config.control.SmartDPSSConfig`
     fields.  ``lookahead`` / ``offline`` are oracle policies that need
-    the whole horizon up front, so they force the in-memory engine.
+    the whole horizon up front: their shards materialize it once per
+    distinct trace realization and stream over views of it.
     ``offline`` options mirror
     :class:`~repro.baselines.offline.OfflineOptimal` — notably
     ``deadline_slots`` is ``int >= 1`` or ``None`` (unconstrained),
@@ -29,9 +30,10 @@ Spec layout
     chunked :class:`~repro.fleet.stream.StreamingPaperTraces` (the
     memory-bounded path); ``paper`` materializes
     :func:`~repro.traces.library.make_paper_traces` (the exact trace
-    family of the repo's figures).  Optional ``demand`` / ``solar`` /
-    ``price`` sub-dicts override the component model fields; an
-    explicit ``seed`` overrides the spec seed.
+    family of the repo's figures) behind an
+    :class:`~repro.fleet.stream.ArrayTraceStream`.  Optional
+    ``demand`` / ``solar`` / ``price`` sub-dicts override the component
+    model fields; an explicit ``seed`` overrides the spec seed.
 ``observation``
     Optional: ``{"kind": <model>, **params}`` describing what the
     controller *observes* (physics always runs on the truth) — see
@@ -84,9 +86,8 @@ from repro.traces.solar import SolarModel
 CONTROLLER_KINDS = ("smartdpss", "impatient", "myopic", "lookahead",
                     "offline")
 
-#: Kinds that decide online, without the full horizon in hand — the
-#: ones eligible for the memory-bounded streamed engine.
-STREAMABLE_CONTROLLERS = frozenset({"smartdpss", "impatient", "myopic"})
+#: Oracle kinds: built from the materialized horizon they plan over.
+ORACLE_CONTROLLERS = ("lookahead", "offline")
 
 #: Trace recipe kinds.
 TRACE_KINDS = ("stream", "paper")
@@ -212,12 +213,6 @@ class ScenarioSpec:
     def trace_seed(self) -> int:
         return int(self.trace.get("seed", self.seed))
 
-    @property
-    def streamable(self) -> bool:
-        """Whether the memory-bounded streamed engine can run this."""
-        return (self.trace_kind == "stream"
-                and self.controller_kind in STREAMABLE_CONTROLLERS)
-
     def spec_hash(self) -> str:
         """Content hash identifying this exact scenario (see
         :func:`spec_content_hash`).
@@ -237,8 +232,9 @@ class ScenarioSpec:
         """Batch-compatibility key (see ``BatchSimulator`` shape rule).
 
         Specs sharing a key advance in one vectorized batch: same
-        two-timescale shape and the same controller family (SmartDPSS
-        additionally needs one P5 objective mode per batch).
+        two-timescale shape, the same controller family (SmartDPSS
+        additionally needs one P5 objective mode per batch) and the
+        same trace recipe kind.
         """
         system = self.build_system()
         shape = (system.fine_slots_per_coarse, system.num_coarse_slots,
@@ -247,7 +243,7 @@ class ScenarioSpec:
         mode = None
         if kind == "smartdpss":
             mode = str(self.controller.get("objective_mode", "derived"))
-        return (*shape, kind, mode, self.streamable)
+        return (*shape, kind, mode, self.trace_kind)
 
     # ------------------------------------------------------------------
     # Builders
@@ -340,7 +336,7 @@ class ScenarioSpec:
         """Instantiate the controller (oracles receive ``traces``)."""
         options = dict(self.controller)
         kind = str(options.pop("kind", "smartdpss"))
-        if kind in ("lookahead", "offline") and traces is None:
+        if kind in ORACLE_CONTROLLERS and traces is None:
             raise ConfigurationError(
                 f"{kind!r} is an oracle controller and needs the "
                 f"materialized traces")

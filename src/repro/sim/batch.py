@@ -67,7 +67,7 @@ from repro.telemetry.core import TELEMETRY_OFF
 from repro.traces.base import TraceSet
 
 #: Executor names accepted by :func:`simulate_many` / ``Sweep.run``.
-EXECUTORS = ("serial", "batch", "process")
+EXECUTORS = ("serial", "batch")
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,8 @@ class BatchSimulator:
     """
 
     def __init__(self, runs: Sequence[RunSpec],
-                 controller: BatchController | None = None,
-                 *, telemetry=None):
-        self._init_group(runs, controller, telemetry=telemetry)
+                 controller: BatchController | None = None):
+        self._init_group(runs, controller)
         n_slots = self._n_slots
         t_slots = self._t_slots
         systems = self.systems
@@ -315,7 +314,7 @@ class BatchSimulator:
              for run in self.runs])
 
         self._capacity = self._stack_capacity()
-        self._check_prices()
+        self._check_prices(0)
 
     def _init_group(self, runs: Sequence, controller,
                     telemetry=None) -> None:
@@ -323,8 +322,8 @@ class BatchSimulator:
 
         Shared with the streaming subclass, so it only relies on each
         run's ``system`` and ``controller`` attributes — never on
-        resident trace arrays.  ``telemetry`` (``None`` = off) is an
-        explicitly-passed :class:`~repro.telemetry.Telemetry`;
+        resident trace arrays.  ``telemetry`` (``None`` = off) is the
+        streamed subclass's :class:`~repro.telemetry.Telemetry`;
         instrumentation only reads clocks, so records are bit-identical
         either way.
         """
@@ -381,24 +380,36 @@ class BatchSimulator:
             rows.append(capacity[:self._n_slots])
         return np.stack(rows)
 
-    def _check_prices(self) -> None:
-        """Upfront twin of the markets' per-purchase price validation.
+    def _check_prices(self, start: int) -> None:
+        """Vector twin of the markets' per-purchase price validation.
 
         The scalar markets raise on the first slot whose price falls
-        outside ``[0, Pmax]``; the batch engine validates the whole
-        horizon before starting (same exception, deterministic either
-        way).  The inverted comparison also rejects NaN, exactly as
-        the scalar ``0 <= price <= cap`` check does.
+        outside ``[0, Pmax]``; the batch engines validate the resident
+        window from slot ``start`` instead — the in-memory engine its
+        whole horizon before slot 0, the streamed engine each chunk as
+        it loads (same exception either way).  The offender reported is
+        the first bad scenario, real-time before long-term within it.
+        The inverted comparison also rejects NaN, exactly as the scalar
+        ``0 <= price <= cap`` check does.
         """
-        for index, system in enumerate(self.systems):
-            cap = system.p_max * (1 + 1e-9)
-            for name, series in (("real-time", self._true_prt[index]),
-                                 ("long-term", self._true_plt[index])):
-                lo, hi = float(series.min()), float(series.max())
-                if not (0 <= lo and hi <= cap):
-                    raise InfeasibleActionError(
-                        f"{name}: price outside [0, {system.p_max}] "
-                        f"(observed range [{lo}, {hi}])")
+        caps = np.array([system.p_max for system in self.systems])
+        ranges = {}
+        bad = {}
+        for name, block in (
+                ("real-time", self._true_prt[:, start - self._slot0:]),
+                ("long-term", self._true_plt)):
+            lows, highs = block.min(axis=1), block.max(axis=1)
+            ranges[name] = (lows, highs)
+            bad[name] = ~((lows >= 0) & (highs <= caps * (1 + 1e-9)))
+        offenders = bad["real-time"] | bad["long-term"]
+        if offenders.any():
+            index = int(np.argmax(offenders))
+            name = "real-time" if bad["real-time"][index] else "long-term"
+            lows, highs = ranges[name]
+            raise InfeasibleActionError(
+                f"{name}: price outside [0, {self.systems[index].p_max}] "
+                f"(observed range [{float(lows[index])}, "
+                f"{float(highs[index])}])")
 
     # ------------------------------------------------------------------
     # Main loop
@@ -807,54 +818,28 @@ def _group_key(run: RunSpec):
 
 
 def _run_spec_scalar(spec: RunSpec) -> SimulationResult:
-    """Module-level worker (process executor needs a picklable callable)."""
+    """One run on the scalar reference engine."""
     return Simulator(spec.system, spec.controller, spec.traces,
                      observed=spec.observed,
                      grid_capacity=spec.grid_capacity).run()
 
 
-def run_group_batch(group_runs: Sequence[RunSpec],
-                    telemetry=None) -> list[SimulationResult]:
-    """Drive one compatible group through the vectorized engine.
-
-    Deduplicates shared controller objects first (scalar sweeps may
-    legally reuse one instance across runs) and falls back to the
-    scalar engine for singleton groups, exactly as the ``"batch"``
-    executor does — the process-sharded path reuses this so both
-    executors stay bit-identical.  ``telemetry`` is the shard's
-    collector (``None`` = off).
-    """
-    if len(group_runs) == 1:
-        return [_run_spec_scalar(group_runs[0])]
-    specs = [RunSpec(system=r.system, controller=c, traces=r.traces,
-                     observed=r.observed, grid_capacity=r.grid_capacity)
-             for r, c in zip(group_runs, _distinct_controllers(group_runs))]
-    return BatchSimulator(specs, telemetry=telemetry).run()
-
-
-def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",
-                  max_workers: int | None = None
+def simulate_many(runs: Sequence[RunSpec], executor: str = "batch"
                   ) -> list[SimulationResult]:
     """Run many simulations, returning results in input order.
 
     ``executor`` picks the strategy:
 
-    * ``"serial"`` — the scalar :class:`Simulator`, one run at a time
-      (the reference path);
     * ``"batch"`` — group runs sharing a two-timescale shape and drive
       each group through :class:`BatchSimulator` (vectorized SmartDPSS
       where the whole group is SmartDPSS with one objective mode, the
       scalar-controller adapter otherwise; singleton groups just run
       scalar);
-    * ``"process"`` — shard whole *vectorized batch groups* across a
-      process pool (``max_workers`` caps the pool size): runs are
-      grouped exactly as ``"batch"`` groups them, each group is split
-      into per-worker shards, and every worker advances its shard
-      through :class:`BatchSimulator` — so multi-core fan-out and
-      vectorization multiply instead of falling back to scalar runs.
-      Results are bit-identical to ``"batch"`` (and hence to
-      ``"serial"``).  Implemented by
-      :func:`repro.fleet.runner.simulate_many_process`.
+    * ``"serial"`` — the scalar :class:`Simulator`, one run at a time
+      (the reference path the batch engine is tested against).
+
+    Both are bit-identical.  For multi-core or beyond-RAM sweeps, see
+    :class:`repro.fleet.FleetRunner`.
     """
     if executor not in EXECUTORS:
         raise ConfigurationError(
@@ -866,19 +851,15 @@ def simulate_many(runs: Sequence[RunSpec], executor: str = "batch",
     if executor == "serial":
         return [_run_spec_scalar(run) for run in runs]
 
-    if executor == "process":
-        # Late import: the fleet subsystem builds on this module.
-        from repro.fleet.runner import simulate_many_process
-
-        return simulate_many_process(runs, max_workers=max_workers)
-
     groups: dict[object, list[int]] = {}
     for index, run in enumerate(runs):
         groups.setdefault(_group_key(run), []).append(index)
 
     results: list[SimulationResult | None] = [None] * len(runs)
     for indices in groups.values():
-        group_results = run_group_batch([runs[i] for i in indices])
+        group = [runs[i] for i in indices]
+        group_results = (BatchSimulator(group).run() if len(group) > 1
+                         else [_run_spec_scalar(group[0])])
         for index, result in zip(indices, group_results):
             results[index] = result
     return results  # type: ignore[return-value]

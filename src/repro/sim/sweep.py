@@ -100,8 +100,7 @@ class Sweep:
         default_factory=lambda: dict(DEFAULT_METRICS))
 
     def run(self, seeds: Sequence[int] = (0,),
-            executor: str = "serial",
-            max_workers: int | None = None) -> SweepTable:
+            executor: str = "serial") -> SweepTable:
         """Execute every (value, seed) pair and average per value.
 
         ``executor`` selects the engine strategy (see
@@ -109,11 +108,8 @@ class Sweep:
         scalar simulator one run at a time, ``"batch"`` advances
         compatible runs in lockstep through the vectorized engine
         (identical results, one NumPy dispatch for the whole fleet per
-        slot), ``"process"`` shards those same vectorized batch groups
-        across a process pool (``max_workers`` caps its size) so
-        multi-core fan-out and vectorization multiply.  All three are
-        bit-identical.  For sweeps beyond ~10⁴ runs, see the
-        memory-bounded fleet pipeline in :mod:`repro.fleet`.
+        slot).  For multi-core sweeps, or sweeps beyond ~10⁴ runs, see
+        the memory-bounded fleet pipeline in :mod:`repro.fleet`.
         """
         if not self.values:
             raise ConfigurationError("sweep has no values")
@@ -134,8 +130,7 @@ class Sweep:
                         "traces[, observed])")
                 runs.append(RunSpec(system=system, controller=controller,
                                     traces=traces, observed=observed))
-        results = simulate_many(runs, executor=executor,
-                                max_workers=max_workers)
+        results = simulate_many(runs, executor=executor)
 
         points = []
         per_value = len(seeds)

@@ -119,8 +119,7 @@ def _utc_now_iso() -> str:
 
 def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
                    executed: int, skipped: int, shards: int,
-                   engines: Mapping[str, int], workers: int,
-                   batch_size: int, chunk_coarse: int,
+                   workers: int, batch_size: int, chunk_coarse: int,
                    offline_gap: bool, elapsed_s: float,
                    snapshot: TelemetrySnapshot,
                    caches: Mapping | None = None,
@@ -142,7 +141,6 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
             "resumed": int(skipped),
             "shards": int(shards),
             "fleet_hash": fleet_content_hash(spec_hashes),
-            "engines": dict(engines),
         },
         config={
             "workers": int(workers),

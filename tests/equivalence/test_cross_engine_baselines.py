@@ -17,7 +17,11 @@ generated-scenario treatment to them:
 Each scenario runs through the scalar :class:`Simulator` with a fresh
 controller instance and through ``simulate_many(executor="batch")``
 (which batches the mixed pack via ``ScalarControllerBatch``), and the
-two are compared slot for slot with the shared 1e-9 bar.
+two are compared slot for slot with the shared 1e-9 bar.  A third,
+streamed leg — the engine every fleet shard runs, oracles included —
+replays the pack over :class:`~repro.fleet.stream.ArrayTraceStream`
+views at a drawn chunk size, and its metrics must equal
+``ScenarioMetrics.from_result`` of the batch leg exactly.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ from repro.baselines import (
     OfflineOptimal,
     PaperP2Offline,
 )
+from repro.fleet.engine import (
+    ScenarioMetrics,
+    StreamingBatchSimulator,
+    StreamRunSpec,
+)
+from repro.fleet.stream import ArrayTraceStream
 from repro.sim.batch import RunSpec, simulate_many
 from repro.sim.engine import Simulator
 from repro.traces.base import TraceSet
@@ -99,34 +109,50 @@ def baseline_packs(draw):
 
 
 @settings(max_examples=12, deadline=None)
-@given(baseline_packs())
-def test_baselines_batch_matches_scalar(packs):
-    """Generated baseline scenarios: batch == scalar within 1e-9."""
+@given(baseline_packs(), st.integers(1, 3))
+def test_baselines_batch_matches_scalar(packs, chunk_coarse):
+    """Generated baseline scenarios: batch == scalar within 1e-9, and
+    streamed == batch exactly."""
     from repro.exceptions import InfeasibleProblemError
 
     runs = []
+    stream_runs = []
     scalar_results = []
     for kind, system, traces, factory, draw in packs:
-        # Two independently built, identically configured instances:
-        # the oracle controllers are deterministic in (traces, params),
-        # so scalar and batch runs see the same policy.
+        # Independently built, identically configured instances: the
+        # oracle controllers are deterministic in (traces, params), so
+        # every leg sees the same policy.
         batch_controller = factory(traces, draw)
-        scalar_controller = type(batch_controller)(**_ctor_args(
-            batch_controller, traces))
+
+        def twin():
+            return type(batch_controller)(**_ctor_args(
+                batch_controller, traces))
+
         try:
             scalar_results.append(
-                Simulator(system, scalar_controller, traces).run())
+                Simulator(system, twin(), traces).run())
         except InfeasibleProblemError:
             # Rare residual infeasibility (e.g. a tight deadline on a
             # tiny battery) — not a cross-engine property; skip.
             assume(False)
         runs.append(RunSpec(system=system, controller=batch_controller,
                             traces=traces))
+        stream_runs.append(StreamRunSpec(
+            system=system, controller=twin(),
+            stream=ArrayTraceStream(traces)))
     batch_results = simulate_many(runs, executor="batch")
     for index, (scalar, batch) in enumerate(
             zip(scalar_results, batch_results)):
         assert_equivalent(scalar, batch,
                           context=f"baseline scenario {index}: ")
+    streamed = StreamingBatchSimulator(
+        stream_runs, chunk_coarse=chunk_coarse).run()
+    for index, (metrics, batch) in enumerate(
+            zip(streamed, batch_results)):
+        assert metrics.as_dict() == \
+            ScenarioMetrics.from_result(batch).as_dict(), (
+                f"baseline scenario {index}, chunk_coarse "
+                f"{chunk_coarse}")
 
 
 def _ctor_args(controller, traces) -> dict:

@@ -12,8 +12,7 @@ Three layers, mirroring the contract in :mod:`repro.fleet.engine`:
    ``BatchSimulator`` run on the materialized traces, across chunk
    sizes, controller families and hypothesis-generated configurations.
 3. **Runner equivalence** — ``FleetRunner`` returns identical records
-   whether shards run in-process or on a process pool, and
-   ``executor="process"`` stays bit-identical to ``"batch"``.
+   whether shards run in-process or on a process pool.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from repro.fleet.engine import (
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.stream import StreamingPaperTraces
-from repro.sim.batch import BatchSimulator, RunSpec, simulate_many
-from repro.sim.recorder import SERIES_NAMES
+from repro.sim.batch import BatchSimulator, RunSpec
 
 pytestmark = [pytest.mark.equivalence, pytest.mark.fleet]
 
@@ -220,26 +218,3 @@ def test_fleet_runner_process_pool_matches_in_process():
     serial = _fleet_records(max_workers=None)
     pooled = _fleet_records(max_workers=2)
     assert serial == pooled
-
-
-def test_process_executor_matches_batch_executor():
-    """The rewired ``executor="process"`` stays bit-identical."""
-    runs = []
-    for t_slots in (6, 12):  # two shapes -> two batch groups
-        system = paper_system_config(days=2,
-                                     fine_slots_per_coarse=t_slots)
-        stream = StreamingPaperTraces(system.horizon_slots, seed=1,
-                                      clip_p_grid=system.p_grid)
-        traces = stream.materialize()
-        for config in (paper_controller_config(),
-                       paper_controller_config().replace(v=5.0)):
-            runs.append(RunSpec(system=system,
-                                controller=SmartDPSS(config),
-                                traces=traces))
-    batch = simulate_many(runs, executor="batch")
-    process = simulate_many(runs, executor="process", max_workers=2)
-    for a, b in zip(batch, process):
-        for name in SERIES_NAMES:
-            assert np.array_equal(a.series[name], b.series[name]), name
-        assert a.delay_stats.histogram == b.delay_stats.histogram
-        assert a.battery_operations == b.battery_operations

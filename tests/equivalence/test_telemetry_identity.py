@@ -4,10 +4,10 @@ The telemetry contract (see :mod:`repro.telemetry.core`) is that
 instrumentation only ever *reads* the monotonic clock — it never
 touches numeric state — so a run's records are the same bit for bit
 whether telemetry is on or off.  These tests pin that contract through
-every execution path the runner offers: the streamed engine
-in-process, the in-memory batch engine, a process pool, and the
-offline-gap LP path (which threads the collector all the way into the
-compiled LP solves).
+every execution path the runner offers: generated traces streamed
+in-process, materialized ``paper`` traces streamed from resident
+horizons, a process pool, and the offline-gap LP path (which threads
+the collector all the way into the compiled LP solves).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def stream_fleet() -> list[ScenarioSpec]:
                       seeds=(0, 1, 2))
 
 
-def batch_fleet() -> list[ScenarioSpec]:
-    # trace kind "paper" is not streamable, so these route to the
-    # in-memory batch engine.
+def paper_fleet() -> list[ScenarioSpec]:
+    # Trace kind "paper" materializes each realization once per shard
+    # and streams over views of it.
     template = ScenarioSpec(
         system={"preset": "paper", "days": 1,
                 "fine_slots_per_coarse": 6},
@@ -61,12 +61,12 @@ class TestBitIdentity:
         on = run_records(specs, telemetry=True)
         assert canonical(on) == canonical(off)
 
-    def test_batch_engine(self):
-        specs = batch_fleet()
+    def test_paper_trace_fleet(self):
+        specs = paper_fleet()
         off = run_records(specs, telemetry=False)
         on = run_records(specs, telemetry=True)
         assert canonical(on) == canonical(off)
-        assert all(r["engine"] == "batch" for r in on)
+        assert all(r["engine"] == "stream" for r in on)
 
     @pytest.mark.slow
     def test_process_pool(self):

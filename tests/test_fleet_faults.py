@@ -28,16 +28,16 @@ from repro.fleet.__main__ import build_demo_fleet, main
 pytestmark = [pytest.mark.fleet, pytest.mark.faults]
 
 
-def tiny_template() -> ScenarioSpec:
+def tiny_template(trace_kind: str = "stream") -> ScenarioSpec:
     return ScenarioSpec(
         system={"preset": "paper", "days": 1,
                 "fine_slots_per_coarse": 6},
         controller={"kind": "smartdpss"},
-        trace={"kind": "stream"})
+        trace={"kind": trace_kind})
 
 
-def tiny_fleet() -> list[ScenarioSpec]:
-    return grid_specs(tiny_template(), "controller.v",
+def tiny_fleet(trace_kind: str = "stream") -> list[ScenarioSpec]:
+    return grid_specs(tiny_template(trace_kind), "controller.v",
                       [0.2, 1.0], seeds=(0, 1, 2))
 
 
@@ -185,9 +185,14 @@ class TestSerialRecovery:
         with pytest.raises(FaultInjectionError):
             run_chaos(fleet, plan, fail_fast=True)
 
-    def test_nan_corruption_quarantines_without_bisection(self, fleet,
-                                                          reference,
+    @pytest.mark.parametrize("trace_kind", ["stream", "paper"])
+    def test_nan_corruption_quarantines_without_bisection(self, trace_kind,
                                                           tmp_path):
+        """Generated and materialized (``paper``) traces alike: the
+        poisoned chunk raises before its scenario advances."""
+        fleet = tiny_fleet(trace_kind)
+        reference = FleetRunner(fleet, batch_size=4,
+                                fault_plan=FaultPlan()).run()
         store = ResultStore(tmp_path / "s")
         poisoned = fleet[2].name
         plan = FaultPlan(faults=(

@@ -40,7 +40,6 @@ class TestSharding:
         runner = FleetRunner(tiny_fleet(), batch_size=64)
         payloads = runner.shards()
         assert len(payloads) == 1
-        assert payloads[0]["streamable"] is True
         assert len(payloads[0]["specs"]) == 6
 
     def test_batch_size_splits_groups(self):
@@ -56,13 +55,15 @@ class TestSharding:
         specs.append(ScenarioSpec.from_dict(data))
         assert len(FleetRunner(specs).shards()) == 2
 
-    def test_oracle_specs_route_to_in_memory_engine(self):
-        data = tiny_template().to_dict()
-        data["controller"] = {"kind": "offline"}
-        data["trace"] = {"kind": "paper"}
-        runner = FleetRunner([ScenarioSpec.from_dict(data)])
-        (payload,) = runner.shards()
-        assert payload["streamable"] is False
+    def test_oracle_specs_split_by_trace_kind(self):
+        specs = []
+        for trace_kind in ("stream", "paper", "stream"):
+            data = tiny_template().to_dict()
+            data["controller"] = {"kind": "offline"}
+            data["trace"] = {"kind": trace_kind}
+            specs.append(ScenarioSpec.from_dict(data))
+        payloads = FleetRunner(specs).shards()
+        assert [p["indices"] for p in payloads] == [[0, 2], [1]]
 
 
 class TestRun:
@@ -94,16 +95,22 @@ class TestRun:
         assert len(store) == 6
 
     def test_mixed_engine_fleet(self):
-        """Streamed SmartDPSS + in-memory oracle in one fleet."""
+        """Generated and materialized traces, online and oracle
+        policies: every shard streams, and ``metrics.seed`` records the
+        trace seed whatever the recipe."""
         specs = tiny_fleet()[:2]
-        data = tiny_template().to_dict()
-        data["controller"] = {"kind": "impatient"}
-        data["trace"] = {"kind": "paper"}
-        specs.append(ScenarioSpec.from_dict(data))
+        for kind in ("impatient", "lookahead"):
+            data = tiny_template().to_dict()
+            data["seed"] = 3
+            data["controller"] = {"kind": kind}
+            data["trace"] = {"kind": "paper", "seed": 7}
+            specs.append(ScenarioSpec.from_dict(data))
         records = FleetRunner(specs).run()
-        assert [r["engine"] for r in records] == ["stream", "stream",
-                                                  "batch"]
-        assert records[2]["controller"] == "impatient"
+        assert [r["engine"] for r in records] == ["stream"] * 4
+        assert [r["controller"] for r in records[2:]] == ["impatient",
+                                                          "lookahead"]
+        assert [r["seed"] for r in records[2:]] == [3, 3]
+        assert [r["metrics"]["seed"] for r in records] == [0, 1, 7, 7]
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigurationError, match="no scenarios"):
@@ -131,7 +138,7 @@ class TestCli:
         fleet = build_demo_fleet("random", 10, days=1, t_slots=6,
                                  sample_seed=0)
         assert len(fleet) == 10
-        assert all(spec.streamable for spec in fleet)
+        assert all(spec.trace_kind == "stream" for spec in fleet)
 
     def test_run_and_report(self, tmp_path, capsys):
         out = tmp_path / "store"

@@ -81,15 +81,6 @@ class TestScenarioSpec:
         assert isinstance(spec.build_controller(traces),
                           LookaheadController)
 
-    def test_streamable_flag(self):
-        assert small_template().streamable
-        data = small_template().to_dict()
-        data["controller"] = {"kind": "offline"}
-        assert not ScenarioSpec.from_dict(data).streamable
-        data = small_template().to_dict()
-        data["trace"] = {"kind": "paper"}
-        assert not ScenarioSpec.from_dict(data).streamable
-
     def test_open_stream_kinds(self):
         spec = small_template()
         assert isinstance(spec.open_stream(), StreamingPaperTraces)
@@ -116,9 +107,12 @@ class TestScenarioSpec:
         data = base.to_dict()
         data["controller"] = {"kind": "impatient"}
         other_kind = ScenarioSpec.from_dict(data)
+        data = base.to_dict()
+        data["trace"] = {"kind": "paper"}
+        other_trace = ScenarioSpec.from_dict(data)
         keys = {base.group_key(), other_shape.group_key(),
-                other_kind.group_key()}
-        assert len(keys) == 3
+                other_kind.group_key(), other_trace.group_key()}
+        assert len(keys) == 4
 
     def test_trace_seed_defaults_to_spec_seed(self):
         data = small_template().to_dict()

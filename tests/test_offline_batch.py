@@ -228,13 +228,15 @@ class TestFleetGapColumn:
 
     @pytest.mark.fleet
     def test_trace_twins_share_work_on_in_memory_shards(self):
+        """``paper`` shards hold whole horizons in memory; twins still
+        share one."""
         specs = grid_specs(self._template("paper"), "controller.v",
                            [0.1, 1.0, 3.0], seeds=[3, 4])
         self._assert_twins_shared(specs, n_distinct=2)
 
     @pytest.mark.fleet
     def test_oracle_fleet_supports_gap(self):
-        # Non-streamable (in-memory engine) shards get the column too.
+        # Materialized ``paper``-trace shards get the column too.
         template = ScenarioSpec(
             system={"preset": "paper", "days": 1,
                     "fine_slots_per_coarse": 6},

@@ -15,6 +15,8 @@ from repro.exceptions import (
     HorizonMismatchError,
     InfeasibleActionError,
 )
+from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
+from repro.fleet.stream import ArrayTraceStream
 from repro.sim.batch import (
     BatchSimulator,
     PhysicsWorkspace,
@@ -32,6 +34,23 @@ def _spec(seed=1, days=2, system=None, **config):
     return RunSpec(system=system,
                    controller=SmartDPSS(paper_controller_config(**config)),
                    traces=make_paper_traces(system, seed=seed))
+
+
+def _price_errors(system, traces, chunk_coarse=1) -> tuple[str, str]:
+    """Rejection texts of the in-memory and the streamed engine for
+    one group of SmartDPSS runs over ``traces``."""
+    with pytest.raises(InfeasibleActionError) as in_memory:
+        BatchSimulator([RunSpec(system=system,
+                                controller=SmartDPSS(
+                                    paper_controller_config()),
+                                traces=t) for t in traces])
+    with pytest.raises(InfeasibleActionError) as streamed:
+        StreamingBatchSimulator(
+            [StreamRunSpec(system=system,
+                           controller=SmartDPSS(paper_controller_config()),
+                           stream=ArrayTraceStream(t)) for t in traces],
+            chunk_coarse=chunk_coarse).run()
+    return str(in_memory.value), str(streamed.value)
 
 
 class TestValidation:
@@ -74,13 +93,60 @@ class TestValidation:
 
     def test_over_cap_price_rejected(self):
         spec = _spec(days=2)
+        n_slots, p_max = spec.traces.n_slots, spec.system.p_max
         traces = spec.traces.replace(
-            price_rt=np.full(spec.traces.n_slots,
-                             spec.system.p_max * 2))
-        with pytest.raises(InfeasibleActionError):
-            BatchSimulator([RunSpec(system=spec.system,
-                                    controller=spec.controller,
-                                    traces=traces)])
+            price_rt=np.full(n_slots, p_max * 2))
+        assert _price_errors(spec.system, [traces]) == (
+            f"real-time: price outside [0, {p_max}] (observed range "
+            f"[{p_max * 2}, {p_max * 2}])",) * 2
+
+    def test_over_cap_offender_order(self):
+        """Both engines name the same offender: the first bad scenario,
+        real-time before long-term within it."""
+        spec = _spec(days=2)
+        n_slots, p_max = spec.traces.n_slots, spec.system.p_max
+        long_term = spec.traces.replace(
+            price_lt_hourly=np.full(n_slots, p_max * 3))
+        both = spec.traces.replace(
+            price_rt=np.full(n_slots, p_max * 2),
+            price_lt_hourly=np.full(n_slots, p_max * 4))
+        assert _price_errors(
+            spec.system, [spec.traces, long_term, both]) == (
+            f"long-term: price outside [0, {p_max}] (observed range "
+            f"[{p_max * 3}, {p_max * 3}])",) * 2
+        assert _price_errors(spec.system, [both, long_term]) == (
+            f"real-time: price outside [0, {p_max}] (observed range "
+            f"[{p_max * 2}, {p_max * 2}])",) * 2
+
+    def test_late_over_cap_price_rejected_in_its_chunk(self):
+        """An over-cap real-time price in the last coarse slot only:
+        the streamed engine rejects it as that chunk loads, reporting
+        the range of the chunk's own slots, not of the planning tail
+        it carries over from the previous chunk."""
+        spec = _spec(days=4)
+        system, p_max = spec.system, spec.system.p_max
+        n_slots, t_slots = system.horizon_slots, system.fine_slots_per_coarse
+        assert n_slots >= 3 * t_slots
+        price_rt = np.array(spec.traces.price_rt[:n_slots], dtype=float)
+        price_rt[n_slots - t_slots:] = p_max * 2
+        late = spec.traces.replace(price_rt=price_rt)
+        in_memory, streamed = _price_errors(
+            system, [spec.traces, late], chunk_coarse=1)
+        assert in_memory == (
+            f"real-time: price outside [0, {p_max}] (observed range "
+            f"[{float(price_rt.min())}, {p_max * 2}])")
+        assert streamed == (
+            f"real-time: price outside [0, {p_max}] (observed range "
+            f"[{p_max * 2}, {p_max * 2}])")
+
+    def test_nan_price_rejected(self):
+        """The inverted comparison rejects NaN, as the scalar markets'
+        ``0 <= price <= cap`` check does."""
+        simulator = BatchSimulator([_spec(seed, days=2) for seed in (1, 2)])
+        simulator._true_plt[1, 1] = np.nan
+        with pytest.raises(InfeasibleActionError,
+                           match=r"^long-term: .* \[nan, nan\]"):
+            simulator._check_prices(0)
 
     def test_negative_purchase_rejected(self):
         class NegativeBuyer:

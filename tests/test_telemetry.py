@@ -151,7 +151,7 @@ class TestManifest:
     def build(snapshot=None, **overrides):
         kwargs = dict(
             spec_hashes=["aa", "bb"], scenarios=2, executed=2,
-            skipped=0, shards=1, engines={"stream": 1}, workers=1,
+            skipped=0, shards=1, workers=1,
             batch_size=4, chunk_coarse=4, offline_gap=False,
             elapsed_s=2.0,
             snapshot=snapshot or TelemetrySnapshot(),
@@ -237,8 +237,10 @@ class TestStoreManifests:
     def test_retired_config_keys_still_load_and_render(self, tmp_path,
                                                        capsys):
         # Manifests written before the batch path was reduced to plain
-        # NumPy carry config.backend / workspace / batch_traces; stores
-        # holding such lines must keep loading and rendering.
+        # NumPy carry config.backend / workspace / batch_traces, and
+        # those written before every shard streamed a fleet.engines
+        # tally; stores holding such lines must keep loading and
+        # rendering.
         from repro.fleet.__main__ import main
 
         data = TestManifest.build(snapshot=TelemetrySnapshot(spans={
@@ -246,8 +248,10 @@ class TestStoreManifests:
         )).as_dict()
         data["config"].update(backend="numpy", workspace=None,
                               batch_traces=True)
+        data["fleet"]["engines"] = {"batch": 1, "stream": 2}
         manifest = RunManifest.from_dict(data)
         assert manifest.config["backend"] == "numpy"
+        assert manifest.fleet["engines"] == {"batch": 1, "stream": 2}
         assert manifest.as_dict() == data
         assert "slot_loop" in manifest.render()
 
