@@ -4,9 +4,9 @@
 PY := PYTHONPATH=src python
 
 .PHONY: test test-fast test-equivalence test-telemetry test-faults \
-	test-lint test-noise test-offline lint typecheck bench-smoke \
-	bench-batch bench-fleet bench-traces bench-offline bench-telemetry \
-	bench-faults bench-noise benchmarks
+	test-lint test-noise test-offline lint typecheck bench bench-layers \
+	test-perfbench bench-smoke bench-batch bench-fleet bench-traces \
+	bench-offline bench-telemetry bench-faults bench-noise benchmarks
 
 # Tier-1 verify: the full suite, fail-fast.
 test:
@@ -63,6 +63,21 @@ typecheck:
 	@$(PY) -c "import mypy" 2>/dev/null \
 		&& $(PY) -m mypy --config-file mypy.ini \
 		|| echo "mypy not installed; skipping (pip install repro[dev])"
+
+# The performance benchmark (BENCHMARK.json): both fleet workloads,
+# end-to-end throughput, CPU, set-up, memory and store size, with the
+# pinned record digests checked at seed 0.
+bench:
+	python3 perfbench/run.py --workload all --seed 0 --trace 0
+
+# The same plus traced runs: per-layer stage times from the run
+# manifests and the start-up import split.
+bench-layers:
+	python3 perfbench/run.py --workload all --seed 0 --trace 1
+
+# The benchmark harness's own self-tests.
+test-perfbench:
+	python3 -m pytest perfbench -q
 
 # Tiny batch-vs-serial canary: fails if the batch engine errors,
 # diverges from the scalar engine, or regresses past 2x serial.

@@ -34,7 +34,9 @@ physical systems.  Every constant is then evaluated elementwise with
 the exact arithmetic of the scalar call — the batch planning stage
 (:meth:`repro.core.smartdpss_vec.VecSmartDPSS.prepare_plan_batch`)
 relies on this to select paper-mode shift points for a whole batch in
-one pass, bit-identical to ``B`` scalar calls.
+one pass, bit-identical to ``B`` scalar calls, before it stacks the P4
+inputs straight from the same arrays
+(:meth:`repro.core.p4.StackedWindows.stack`).
 """
 
 from __future__ import annotations

@@ -38,19 +38,24 @@ Two variants, matching the P5 objective modes:
   (:func:`_base_grids`) plus the deferred-pool / waterfall /
   battery-tier crossings located on that grid
   (:func:`_deferred_breakpoints`) — evaluating every scenario's whole
-  candidate set in one tensor pass (:func:`solve_p4_many` batches the
-  scenarios of a coarse boundary; :func:`solve_p4` is its
-  single-scenario case).  Because
-  the whole window is priced, the plan buys more on cheap contract
-  days and less on expensive ones — the cross-day arbitrage the
-  two-timescale market structure exists for — with no future
-  statistics beyond the just-observed window.
+  candidate set in one tensor pass.  Because the whole window is
+  priced, the plan buys more on cheap contract days and less on
+  expensive ones — the cross-day arbitrage the two-timescale market
+  structure exists for — with no future statistics beyond the
+  just-observed window.
+
+Both modes solve on arrays: :meth:`StackedWindows.stack` takes ``(B,)``
+fields and ``(B, W)`` profiles — the batch planner
+(:meth:`repro.core.smartdpss_vec.VecSmartDPSS.prepare_plan_batch`)
+feeds it observation arrays directly — and :func:`solve_windows`
+returns ``(B,)`` rates.  :func:`solve_p4` is the one-row case, built
+from a :class:`P4State` by :meth:`StackedWindows.from_state`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,21 +115,6 @@ class P4Solution:
     floor_rate: float
 
 
-def _floor_rate(state: P4State) -> float:
-    """Feasibility floor: cover ``dds`` net of renewables and battery."""
-    return max(0.0, state.demand_ds - state.renewable
-               - state.discharge_avail)
-
-
-def _deferrable_pool(state: P4State, scale: float) -> float:
-    """Deferred energy the plan sizes for (backlog, plus arrivals if on)."""
-    arrivals = 0.0
-    if state.plan_deferrable_arrivals and state.profile_demand_dt:
-        arrivals = sum(state.profile_demand_dt) * scale
-    return min(state.q_hat + arrivals,
-               state.s_dt_max * state.t_slots)
-
-
 #: Cache of step vectors ``[0, 1, …, count−1]`` keyed by length (P4
 #: solves run once per scenario per coarse boundary; the windows reuse
 #: a handful of lengths).  Bounded: a long mixed-``T`` sweep evicts
@@ -145,13 +135,41 @@ def _steps(count: int) -> np.ndarray:
     return steps
 
 
-class _StackedWindows(NamedTuple):
-    """Derived-mode inputs for a group of same-length windows.
+def _sequential_sum(rows: np.ndarray) -> np.ndarray:
+    """Row sums rounded exactly like Python's ``sum`` of each row.
+
+    ``sum`` adds left to right starting from ``0``; ``np.sum`` uses
+    pairwise summation, which rounds differently from eight elements
+    on.  ``np.cumsum`` accumulates strictly in order, so a leading zero
+    column reproduces ``sum`` bit for bit (empty rows give ``0.0``).
+    """
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    padded[:, 1:] = rows
+    return np.cumsum(padded, axis=1)[:, -1]
+
+
+def _python_min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``min(a, b)`` with Python's tie and NaN choices."""
+    return np.where(b < a, b, a)
+
+
+#: The :class:`P4State` fields :meth:`StackedWindows.stack` takes as
+#: ``(count,)`` arrays.
+_SCALAR_FIELDS = ("v", "price_lt", "q_hat", "y_hat", "x_hat", "t_slots",
+                  "demand_ds", "renewable", "p_grid", "discharge_avail",
+                  "charge_headroom_total", "eta_c", "s_dt_max",
+                  "waste_penalty")
+
+
+class StackedWindows(NamedTuple):
+    """P4 inputs for ``count`` scenarios sharing one window width.
 
     Every field is stacked over the scenario axis so one tensor pass
-    evaluates all scenarios of a coarse boundary at once; a single
-    scenario is simply the ``count == 1`` case of the same code path,
-    which is what keeps the scalar and batch engines bit-identical.
+    solves all scenarios of a coarse boundary at once.  Every instance
+    comes from :meth:`stack`: the batch planner feeds it observation
+    arrays directly, and :func:`solve_p4` one row built from a
+    :class:`P4State` (:meth:`from_state`) — so the scalar and batch
+    engines share every operation bit for bit.
     """
 
     count: int
@@ -171,62 +189,83 @@ class _StackedWindows(NamedTuple):
     pools: np.ndarray
     floors: np.ndarray
 
+    @classmethod
+    def stack(cls, *, v, price_lt, q_hat, y_hat, x_hat, t_slots,
+              demand_ds, renewable, p_grid, discharge_avail,
+              charge_headroom_total, eta_c, s_dt_max, waste_penalty,
+              plan_deferrable_arrivals, profile_demand_ds,
+              profile_demand_dt, profile_renewable, profile_price_rt
+              ) -> "StackedWindows":
+        """Stack ``(count,)`` fields and ``(count, n)`` profiles.
 
-def _window_length(state: P4State) -> int:
-    """``len(state.net_profile)`` without materializing the tuple."""
-    if state.profile_demand_ds and state.profile_renewable:
-        return len(state.profile_demand_ds)
-    return 1
+        Arguments are named after the :class:`P4State` fields they
+        stack; ``profile_price_rt`` is already normalized and
+        ``profile_demand_dt`` may have any width (it only sizes the
+        deferrable pool).  Each derived field is the array form of the
+        scalar rule, with Python's rounding:
 
+        * ``floors = min(max(0, dds − r − avail), Pgrid)`` — the
+          feasibility floor;
+        * ``pools = min(Q̂ + sum(profile_dt)·T/n, s_dt_max·T)`` with
+          the arrivals term only where ``plan_deferrable_arrivals``.
+        """
+        count, n = profile_demand_ds.shape
+        scale = t_slots / n
+        arrivals = 0.0
+        if np.any(plan_deferrable_arrivals):
+            arrivals = np.where(plan_deferrable_arrivals,
+                                _sequential_sum(profile_demand_dt) * scale,
+                                0.0)
+        floor = demand_ds - renewable - discharge_avail
+        floor = np.where(floor > 0.0, floor, 0.0)
+        return cls(
+            count=count,
+            n=n,
+            nets=profile_demand_ds - profile_renewable,
+            prices=profile_price_rt,
+            scale=scale,
+            t_slots=t_slots,
+            v=v,
+            price_lt=price_lt,
+            p_grid=p_grid,
+            q_hat=q_hat,
+            y_hat=y_hat,
+            battery_value=-x_hat * eta_c,
+            headroom_total=charge_headroom_total,
+            waste_penalty=waste_penalty,
+            pools=_python_min(q_hat + arrivals, s_dt_max * t_slots),
+            floors=_python_min(floor, p_grid),
+        )
 
-def _stack_windows(states: Sequence[P4State]) -> _StackedWindows:
-    n = _window_length(states[0])
-    count = len(states)
-    nets = np.empty((count, n))
-    prices = np.empty((count, n))
-    for index, state in enumerate(states):
-        # The row is ``net_profile`` computed in array form: same
-        # elementwise IEEE-754 subtraction, no per-element Python.
+    @classmethod
+    def from_state(cls, state: P4State) -> "StackedWindows":
+        """One row for ``state``, with the short-profile fallbacks.
+
+        Without both demand and renewable profiles the window is the
+        single slot of the observed means; a price profile of another
+        width falls back to the contract price in every slot.
+        """
         if state.profile_demand_ds and state.profile_renewable:
-            np.subtract(state.profile_demand_ds,
-                        state.profile_renewable, out=nets[index])
+            ds, r = state.profile_demand_ds, state.profile_renewable
         else:
-            nets[index] = state.demand_ds - state.renewable
-        if len(state.profile_price_rt) == n:
-            prices[index] = state.profile_price_rt
-        else:
-            prices[index] = state.price_lt
-
-    # One pass over the states gathers every scalar field (the values
-    # are identical to ten separate per-field pulls, just batched).
-    scalars = np.array([
-        (float(s.t_slots), s.v, s.price_lt, s.p_grid, s.q_hat, s.y_hat,
-         -s.x_hat * s.eta_c, s.charge_headroom_total, s.waste_penalty,
-         _deferrable_pool(s, s.t_slots / n),
-         min(_floor_rate(s), s.p_grid))
-        for s in states])
-    t_slots = scalars[:, 0]
-    return _StackedWindows(
-        count=count,
-        n=n,
-        nets=nets,
-        prices=prices,
-        scale=t_slots / n,
-        t_slots=t_slots,
-        v=scalars[:, 1],
-        price_lt=scalars[:, 2],
-        p_grid=scalars[:, 3],
-        q_hat=scalars[:, 4],
-        y_hat=scalars[:, 5],
-        battery_value=scalars[:, 6],
-        headroom_total=scalars[:, 7],
-        waste_penalty=scalars[:, 8],
-        pools=scalars[:, 9],
-        floors=scalars[:, 10],
-    )
+            ds, r = (state.demand_ds,), (state.renewable,)
+        n = len(ds)
+        prices = (state.profile_price_rt
+                  if len(state.profile_price_rt) == n
+                  else (state.price_lt,) * n)
+        return cls.stack(
+            **{name: np.array([getattr(state, name)], dtype=float)
+               for name in _SCALAR_FIELDS},
+            plan_deferrable_arrivals=np.array(
+                [state.plan_deferrable_arrivals]),
+            profile_demand_ds=np.array([ds], dtype=float),
+            profile_demand_dt=np.array(
+                [state.profile_demand_dt], dtype=float).reshape(1, -1),
+            profile_renewable=np.array([r], dtype=float),
+            profile_price_rt=np.array([prices], dtype=float))
 
 
-def _window_values(w: _StackedWindows, rates: np.ndarray) -> np.ndarray:
+def _window_values(w: StackedWindows, rates: np.ndarray) -> np.ndarray:
     """Certainty-equivalent window cost at every ``(scenario, rate)``.
 
     ``rates`` is ``(count, C)``; the cost components are the array form
@@ -283,7 +322,7 @@ def _window_values(w: _StackedWindows, rates: np.ndarray) -> np.ndarray:
     return cost + (w.v * w.waste_penalty)[:, None] * leftover
 
 
-def _base_grids(w: _StackedWindows) -> np.ndarray:
+def _base_grids(w: StackedWindows) -> np.ndarray:
     """Sorted, deduplicated base candidate grids, one row per scenario.
 
     Each row is ``{floor, Pgrid} ∪ (net profile ∩ [floor, Pgrid])``
@@ -304,7 +343,7 @@ def _base_grids(w: _StackedWindows) -> np.ndarray:
     return np.where(np.isinf(grid), w.p_grid[:, None], grid)
 
 
-def _deferred_breakpoints(w: _StackedWindows,
+def _deferred_breakpoints(w: StackedWindows,
                           grids: np.ndarray) -> np.ndarray:
     """Candidate rates where the deferred-service cost changes slope.
 
@@ -361,7 +400,7 @@ def _deferred_breakpoints(w: _StackedWindows,
     return padded
 
 
-def _scan(w: _StackedWindows, candidates: np.ndarray,
+def _scan(w: StackedWindows, candidates: np.ndarray,
           values: np.ndarray) -> np.ndarray:
     """Per-scenario selection with the scalar scan's tie-breaking.
 
@@ -386,9 +425,19 @@ def _scan(w: _StackedWindows, candidates: np.ndarray,
     return candidates[np.arange(w.count), rows]
 
 
-def _solve_derived(states: Sequence[P4State]) -> list[P4Solution]:
-    """Exact derived-mode minimization for same-window-length states."""
-    w = _stack_windows(states)
+def solve_windows(w: StackedWindows,
+                  mode: ObjectiveMode = ObjectiveMode.DERIVED
+                  ) -> np.ndarray:
+    """Solve P4 for every stacked scenario; returns ``(count,)`` rates.
+
+    The advance purchase is ``rate · T`` and the floor ``w.floors``.
+    """
+    if mode is ObjectiveMode.PAPER:
+        coefficient = w.v * w.price_lt - w.q_hat - w.y_hat
+        return np.where(coefficient < 0, w.p_grid, w.floors)
+
+    # Derived mode: exact 1-D piecewise-linear minimization over the
+    # delivery rate, every scenario's candidate set in one pass.
     grids = _base_grids(w)
     extra = _deferred_breakpoints(w, grids)
     if extra.shape[1]:
@@ -396,57 +445,23 @@ def _solve_derived(states: Sequence[P4State]) -> list[P4Solution]:
                              axis=1)
     else:
         candidates = grids
-    rates = _scan(w, candidates, _window_values(w, candidates))
-    return [P4Solution(gbef=float(rate) * state.t_slots,
-                       rate=float(rate),
-                       floor_rate=float(floor))
-            for state, rate, floor in zip(states, rates.tolist(),
-                                          w.floors.tolist())]
+    return _scan(w, candidates, _window_values(w, candidates))
 
 
 def _window_cost(state: P4State, rate: float) -> float:
     """Window cost of a single rate (tests and candidate probing)."""
-    w = _stack_windows([state])
-    return float(_window_values(
-        w, np.array([[float(rate)]]))[0, 0])
+    return float(_window_values(StackedWindows.from_state(state),
+                                np.array([[float(rate)]]))[0, 0])
 
 
 def solve_p4(state: P4State,
              mode: ObjectiveMode = ObjectiveMode.DERIVED) -> P4Solution:
-    """Solve the long-term-ahead purchasing subproblem."""
-    if mode is ObjectiveMode.PAPER:
-        floor = min(_floor_rate(state), state.p_grid)
-        coefficient = (state.v * state.price_lt
-                       - state.q_hat - state.y_hat)
-        rate = state.p_grid if coefficient < 0 else floor
-        return P4Solution(gbef=rate * state.t_slots, rate=rate,
-                          floor_rate=floor)
+    """Solve the long-term-ahead purchasing subproblem.
 
-    # Derived mode: exact 1-D piecewise-linear minimization over the
-    # delivery rate — the single-scenario case of the batched solver,
-    # so scalar and batch engines share every operation bit-for-bit.
-    return _solve_derived([state])[0]
-
-
-def solve_p4_many(states: Sequence[P4State],
-                  mode: ObjectiveMode = ObjectiveMode.DERIVED,
-                  ) -> list[P4Solution]:
-    """Solve P4 for many scenarios at once, in input order.
-
-    Scenarios are grouped by window length (scenarios advancing in
-    lockstep share it) and each group is evaluated as one tensor pass
-    — this is what keeps a batch simulation's planning stage off the
-    per-scenario Python path.  Results are identical to per-scenario
-    :func:`solve_p4` calls.
+    The one-row case of :func:`solve_windows`, so the scalar and batch
+    engines plan bit-identically by construction.
     """
-    if mode is ObjectiveMode.PAPER:
-        return [solve_p4(state, mode) for state in states]
-    groups: dict[int, list[int]] = {}
-    for index, state in enumerate(states):
-        groups.setdefault(_window_length(state), []).append(index)
-    solutions: list[P4Solution | None] = [None] * len(states)
-    for indices in groups.values():
-        solved = _solve_derived([states[i] for i in indices])
-        for index, solution in zip(indices, solved):
-            solutions[index] = solution
-    return solutions  # type: ignore[return-value]
+    w = StackedWindows.from_state(state)
+    rate = float(solve_windows(w, mode)[0])
+    return P4Solution(gbef=rate * state.t_slots, rate=rate,
+                      floor_rate=float(w.floors[0]))

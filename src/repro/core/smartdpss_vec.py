@@ -18,11 +18,11 @@ structure now run in array form:
   rule, shift-point selection (``paper``/``operational`` modes mixed
   freely in one batch, via the array-capable
   :func:`~repro.core.bounds.compute_bounds`), weight freezing and the
-  battery feasibility terms are all ``(B,)`` array expressions;
-  per-scenario Python only assembles the
-  :class:`~repro.core.p4.P4State` records fed to the
-  :func:`~repro.core.p4.solve_p4_many` tensor pass (still the only P4
-  solver, whose single-scenario case is exactly ``solve_p4``).
+  battery feasibility terms are all ``(B,)`` array expressions, and
+  the observation arrays feed :meth:`~repro.core.p4.StackedWindows.stack`
+  directly — no per-scenario Python — for one
+  :func:`~repro.core.p4.solve_windows` tensor pass (the only P4
+  solver; the scalar ``solve_p4`` is its one-row case).
 
 The scalar instances remain inspectable: :meth:`finalize` rebuilds
 every instance's post-run state from the arrays (through the queues'
@@ -53,7 +53,7 @@ import numpy as np
 from repro.config.control import SmartDPSSConfig
 from repro.core.bounds import BoundVariant, SystemArrays, compute_bounds
 from repro.core.interfaces import BatchCoarseObservation
-from repro.core.p4 import P4State, solve_p4_many
+from repro.core.p4 import StackedWindows, solve_windows
 from repro.core.p5_vec import BatchSlotState, P5Workspace, solve_p5_batch
 from repro.core.smartdpss import SmartDPSS
 from repro.core.virtual_queues import operational_shift, paper_shift
@@ -148,8 +148,8 @@ class VecSmartDPSS:
             [bool(configs[i].use_long_term_market) for i in range(n)])
         self._shift_paper = np.array(
             [configs[i].battery_shift_mode == "paper" for i in range(n)])
-        self._plan_deferrable = [
-            bool(configs[i].plan_deferrable_arrivals) for i in range(n)]
+        self._plan_deferrable = np.array(
+            [bool(configs[i].plan_deferrable_arrivals) for i in range(n)])
         # Normalized controller-unit prices, as the scalar code computes
         # them per observation (here hoisted: the factors are constant).
         self._margin_n = pull(
@@ -170,7 +170,6 @@ class VecSmartDPSS:
         self._s_dt_max = pull(lambda i: systems[i].s_dt_max)
         self._p_grid = pull(lambda i: systems[i].p_grid)
         self._t_arr = pull(lambda i: systems[i].fine_slots_per_coarse)
-        self._t_list = [int(s.fine_slots_per_coarse) for s in systems]
         self._bounds_system = SystemArrays.stack(systems)
 
         # Vectorized live state (mirrors the scalar instances').
@@ -207,17 +206,20 @@ class VecSmartDPSS:
         return self._rt_sum / self._rt_count
 
     def prepare_plan_batch(self, obs: BatchCoarseObservation
-                           ) -> tuple[list[P4State], list[int]]:
+                           ) -> tuple[StackedWindows | None, np.ndarray]:
         """Array twin of ``B`` scalar ``prepare_plan`` calls.
 
         Freezes the interval weights, selects shift points for both
         shift modes in one pass, applies the first-boundary
-        ``_RunningMean`` seeding rule, and assembles the P4 subproblems
-        for the scenarios whose long-term market is enabled.  Returns
-        ``(states, indices)`` ready for
-        :func:`~repro.core.p4.solve_p4_many`; every array expression
-        mirrors the scalar code elementwise, so the frozen weights and
-        P4 inputs are bit-identical to the per-scenario path.
+        ``_RunningMean`` seeding rule, and stacks the P4 inputs of the
+        scenarios whose long-term market is enabled straight from the
+        observation arrays.  Returns ``(windows, rows)``: the
+        :class:`~repro.core.p4.StackedWindows` for
+        :func:`~repro.core.p4.solve_windows` (``None`` when no scenario
+        plans) and the scenario rows they cover.  Every array
+        expression mirrors the scalar code elementwise, so the frozen
+        weights and P4 inputs are bit-identical to the per-scenario
+        path.
         """
         price_lt = obs.price_lt / self._price_scale
         if self._rt_count == 0:
@@ -267,59 +269,31 @@ class VecSmartDPSS:
 
         # Scenarios without the long-term market plan a zero purchase.
         np.copyto(self._planned_rate, 0.0, where=~self._use_lt)
-        pending = np.nonzero(self._use_lt)[0]
-        if pending.size == 0:
-            return [], []
-
-        # P4State assembly for the pending scenarios only: one C-level
-        # slice + .tolist() pass per field, then plain-Python record
-        # building (normalization on the sliced rows is the identical
-        # elementwise operation, so bit-identity is unaffected).
-        rows_ds = obs.profile_demand_ds[pending].tolist()
-        rows_dt = obs.profile_demand_dt[pending].tolist()
-        rows_r = obs.profile_renewable[pending].tolist()
-        rows_p = (obs.profile_price_rt[pending]
-                  / self._price_scale[pending][:, None]).tolist()
-        v = self._v[pending].tolist()
-        plt = price_lt[pending].tolist()
-        q_hat = self._q_hat[pending].tolist()
-        y_hat = self._y_hat[pending].tolist()
-        x_hat = self._x_hat[pending].tolist()
-        mean_ds = obs.demand_ds[pending].tolist()
-        mean_r = obs.renewable[pending].tolist()
-        level = obs.battery_level[pending].tolist()
-        p_grid = self._p_grid[pending].tolist()
-        avail = discharge_avail[pending].tolist()
-        headroom = charge_headroom[pending].tolist()
-        eta_c = self._eta_c[pending].tolist()
-        s_dt_max = self._s_dt_max[pending].tolist()
-        waste = self._waste_n[pending].tolist()
-
-        states = []
-        for row, i in enumerate(pending.tolist()):
-            states.append(P4State(
-                v=v[row],
-                price_lt=plt[row],
-                q_hat=q_hat[row],
-                y_hat=y_hat[row],
-                x_hat=x_hat[row],
-                t_slots=self._t_list[i],
-                demand_ds=mean_ds[row],
-                renewable=mean_r[row],
-                battery_level=level[row],
-                p_grid=p_grid[row],
-                discharge_avail=avail[row],
-                charge_headroom_total=headroom[row],
-                eta_c=eta_c[row],
-                s_dt_max=s_dt_max[row],
-                waste_penalty=waste[row],
-                profile_demand_ds=tuple(rows_ds[row]),
-                profile_demand_dt=tuple(rows_dt[row]),
-                profile_renewable=tuple(rows_r[row]),
-                profile_price_rt=tuple(rows_p[row]),
-                plan_deferrable_arrivals=self._plan_deferrable[i],
-            ))
-        return states, pending.tolist()
+        rows = np.nonzero(self._use_lt)[0]
+        if rows.size == 0:
+            return None, rows
+        return StackedWindows.stack(
+            v=self._v[rows],
+            price_lt=price_lt[rows],
+            q_hat=self._q_hat[rows],
+            y_hat=self._y_hat[rows],
+            x_hat=self._x_hat[rows],
+            t_slots=self._t_arr[rows],
+            demand_ds=obs.demand_ds[rows],
+            renewable=obs.renewable[rows],
+            p_grid=self._p_grid[rows],
+            discharge_avail=discharge_avail[rows],
+            charge_headroom_total=charge_headroom[rows],
+            eta_c=self._eta_c[rows],
+            s_dt_max=self._s_dt_max[rows],
+            waste_penalty=self._waste_n[rows],
+            plan_deferrable_arrivals=self._plan_deferrable[rows],
+            profile_demand_ds=obs.profile_demand_ds[rows],
+            profile_demand_dt=obs.profile_demand_dt[rows],
+            profile_renewable=obs.profile_renewable[rows],
+            profile_price_rt=(obs.profile_price_rt[rows]
+                              / self._price_scale[rows][:, None]),
+        ), rows
 
     def _mean_state(self, index: int) -> dict:
         """One scenario's ``_RunningMean`` state, seed included."""
@@ -355,19 +329,18 @@ class VecSmartDPSS:
     def plan_long_term(self, obs: BatchCoarseObservation) -> np.ndarray:
         """Plan every scenario's advance purchase ``gbef(t)``.
 
-        Preparation (weight freezing, shift selection, P4 subproblem
-        construction) runs through :meth:`prepare_plan_batch`; the P4
-        solves themselves — the expensive part — are pooled into one
-        :func:`~repro.core.p4.solve_p4_many` tensor pass.
+        Preparation (weight freezing, shift selection, P4 input
+        stacking) runs through :meth:`prepare_plan_batch`; the P4
+        solves themselves — the expensive part — are one
+        :func:`~repro.core.p4.solve_windows` tensor pass.
         """
-        states, pending = self.prepare_plan_batch(obs)
+        windows, rows = self.prepare_plan_batch(obs)
         gbef = np.zeros(self._n)
-        if states:
+        if windows is not None:
             with self._telemetry.span("p4"):
-                solutions = solve_p4_many(states, self.mode)
-            for index, solution in zip(pending, solutions):
-                self._planned_rate[index] = solution.rate
-                gbef[index] = solution.gbef
+                rates = solve_windows(windows, self.mode)
+            self._planned_rate[rows] = rates
+            gbef[rows] = rates * windows.t_slots
         return gbef
 
     # -- real-time balancing (per fine slot; fully vectorized) ---------

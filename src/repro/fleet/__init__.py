@@ -147,6 +147,7 @@ from repro.fleet.spec import (
 )
 from repro.fleet.store import ResultStore
 from repro.fleet.stream import (
+    ArrayBatchStream,
     ArrayTraceStream,
     BatchTraceStream,
     StreamingPaperTraces,
@@ -154,6 +155,7 @@ from repro.fleet.stream import (
 )
 
 __all__ = [
+    "ArrayBatchStream",
     "ArrayTraceStream",
     "BatchObserver",
     "BatchTraceStream",

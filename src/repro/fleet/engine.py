@@ -29,13 +29,16 @@ sliced straight out of the resident window by
 arrives without the tail (a silent negative-index wrap would read the
 wrong profile otherwise).
 
-The trace source is picked from the input: when every stream is
-kernel-backed, chunks load through one
-:class:`~repro.fleet.stream.BatchTraceStream` cursor (one vectorized
-kernel pass per window for the whole batch); any other stream (e.g. a
-materialized :class:`~repro.fleet.stream.ArrayTraceStream`) loads
-through ``B`` per-scenario cursors.  Both produce bit-identical
-windows.
+Every chunk arrives as one :class:`~repro.traces.base.TraceBlock` from
+one batch cursor, picked from the input: a
+:class:`~repro.fleet.stream.BatchTraceStream` when every stream is
+kernel-backed (one vectorized kernel pass per window for the whole
+batch), else an :class:`~repro.fleet.stream.ArrayBatchStream` (each
+source materialized once — whole horizons resident, as an
+:class:`~repro.fleet.stream.ArrayTraceStream`'s already are — and
+every window a gather of resident rows).
+Both serve trace twins — runs sharing one stream object — from one
+lane, and both produce windows bit-identical to the runs' own cursors.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from repro.exceptions import (
     TraceCorruptionError,
 )
 from repro.fleet.observe import BatchObserver, ObservationSpec
-from repro.fleet.stream import BatchTraceStream, TraceStream
+from repro.fleet.stream import ArrayBatchStream, BatchTraceStream, TraceStream
 from repro.sim.batch import BatchController, BatchSimulator, _RunState
 from repro.sim.results import SimulationResult
 from repro.sim.vecstate import DelayReplay
@@ -355,11 +358,14 @@ class StreamingBatchSimulator(BatchSimulator):
     resident per scenario at any time (plus a ``T``-slot planning
     tail).  Returns one :class:`ScenarioMetrics` per spec, in order.
 
-    When every run's trace source is kernel-backed
-    (:class:`~repro.fleet.stream.StreamingPaperTraces`), chunks load
-    through one :class:`~repro.fleet.stream.BatchTraceStream` cursor —
-    a single vectorized kernel pass per window for the whole batch,
-    bit-identical to the per-scenario cursors every other source uses.
+    Chunks load through one batch cursor: a
+    :class:`~repro.fleet.stream.BatchTraceStream` when every run's
+    trace source is kernel-backed
+    (:class:`~repro.fleet.stream.StreamingPaperTraces`) — a single
+    vectorized kernel pass per window for the whole batch — and an
+    :class:`~repro.fleet.stream.ArrayBatchStream` over the materialized
+    sources otherwise.  Runs sharing one stream object share one lane
+    of either; every window is bit-identical to the run's own cursor.
     """
 
     def __init__(self, runs: Sequence[StreamRunSpec],
@@ -404,8 +410,9 @@ class StreamingBatchSimulator(BatchSimulator):
         self._chunk_slots = chunk_coarse * self._t_slots
         self._seeds: list[int | None] = [
             getattr(run.stream, "seed", None) for run in self.runs]
-        self._batch_source = BatchTraceStream.for_streams(
-            [run.stream for run in self.runs])
+        streams = [run.stream for run in self.runs]
+        self._trace_source = (BatchTraceStream.for_streams(streams)
+                              or ArrayBatchStream(streams))
 
     def _make_recorder(self) -> StreamingAggregator:
         return StreamingAggregator(self._batch)
@@ -507,30 +514,10 @@ class StreamingBatchSimulator(BatchSimulator):
             "price_rt": self._true_prt[:, -t_slots:],
         }
 
-    def _load_chunk(self, start: int, stop: int, cursors,
+    def _load_chunk(self, start: int, stop: int, cursor,
                     tail: dict[str, np.ndarray] | None
                     ) -> dict[str, np.ndarray]:
-        """Per-scenario cursor path: read and stack ``B`` windows."""
-        windows = [cursor.read(stop - start) for cursor in cursors]
-        columns = {
-            name: np.stack([np.asarray(getattr(w, name), dtype=float)
-                            for w in windows])
-            for name in ("demand_ds", "demand_dt", "renewable",
-                         "price_rt")}
-        price_lt = np.stack(
-            [w.coarse_prices(self._t_slots) for w in windows])
-        price_lt_fine = None
-        if self._observer is not None:
-            price_lt_fine = np.stack(
-                [np.asarray(w.price_lt_hourly, dtype=float)
-                 for w in windows])
-        return self._install_chunk(columns, price_lt, start, stop, tail,
-                                   price_lt_fine=price_lt_fine)
-
-    def _load_chunk_batch(self, start: int, stop: int, cursor,
-                          tail: dict[str, np.ndarray] | None
-                          ) -> dict[str, np.ndarray]:
-        """Batch kernel path: one ``TraceBlock`` covers every scenario."""
+        """Read one ``TraceBlock`` covering every scenario and install it."""
         block = cursor.read(stop - start)
         columns = {
             "demand_ds": block.demand_ds,
@@ -672,23 +659,16 @@ class StreamingBatchSimulator(BatchSimulator):
             self._observer = None
         self._obs_tail = None
         state = self._begin_run()
-        if self._batch_source is not None:
-            batch_cursor = self._batch_source.open()
-
-            def load(start, stop, tail):
-                return self._load_chunk_batch(start, stop, batch_cursor,
-                                              tail)
-        else:
-            cursors = [run.stream.open() for run in self.runs]
-
-            def load(start, stop, tail):
-                return self._load_chunk(start, stop, cursors, tail)
-
+        # Opening the cursor (the kernel lanes' RNG minting, or the
+        # array lanes' materialization) counts under the first chunk's
+        # ``traces``; every later chunk's span starts where the previous
+        # chunk's delay replay ended.
+        t0 = tele.clock() if tele.enabled else 0.0
+        cursor = self._trace_source.open()
         tail: dict[str, np.ndarray] | None = None
         for start in range(0, self._n_slots, self._chunk_slots):
             stop = min(start + self._chunk_slots, self._n_slots)
-            t0 = tele.clock() if tele.enabled else 0.0
-            tail = load(start, stop, tail)
+            tail = self._load_chunk(start, stop, cursor, tail)
             if tele.enabled:
                 tele.add_time("traces", tele.clock() - t0)
                 tele.count("chunks")
@@ -706,7 +686,7 @@ class StreamingBatchSimulator(BatchSimulator):
                 start, self._true_ddt[:, start - self._slot0:])
             if tele.enabled:
                 tele.add_time("delay_replay", tele.clock() - t0)
-        t0 = tele.clock() if tele.enabled else 0.0
+                t0 = tele.clock()
         metrics = self._finish_run(state)
         if tele.enabled:
             tele.add_time("collect", tele.clock() - t0)

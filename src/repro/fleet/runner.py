@@ -146,37 +146,37 @@ def _progress_arity(progress: Callable) -> int:
     return 4 if len(positional) >= 4 else 3
 
 
-def _shard_traces(specs: "list[ScenarioSpec]", systems: "list",
-                  telemetry=None) -> "list[TraceSet]":
-    """One shard's materialized traces, built once per realization.
+def _twin_lanes(specs: "list[ScenarioSpec]", systems: "list"
+                ) -> "tuple[list[int], list[int]]":
+    """Each spec's trace lane, and the first spec of every lane.
 
-    Trace twins (equal :meth:`ScenarioSpec.trace_key`) share one
-    read-only :class:`TraceSet`.  When every distinct realization is a
-    ``stream`` recipe, all of them come from one full-horizon
-    :class:`BatchTraceStream` read — bit-identical to each stream's
-    scalar ``materialize()`` by the kernel contract; any other recipe
-    (``paper``, or a mix) materializes each distinct realization on
-    its own.  ``telemetry`` counts the shared scenarios under
-    ``trace_twins``.
+    Trace twins (equal :meth:`ScenarioSpec.trace_key`: system, trace
+    seed, trace recipe) share one lane.
     """
-    distinct: dict[tuple, int] = {}  # trace key -> realization slot
-    streams = []
-    which = []
-    for spec, system in zip(specs, systems):
-        key = spec.trace_key(system)
-        if key not in distinct:
-            distinct[key] = len(streams)
-            streams.append(spec.open_stream(system))
-        which.append(distinct[key])
+    lanes: dict[tuple, int] = {}
+    which: list[int] = []
+    firsts: list[int] = []
+    for index, (spec, system) in enumerate(zip(specs, systems)):
+        lane = lanes.setdefault(spec.trace_key(system), len(firsts))
+        if lane == len(firsts):
+            firsts.append(index)
+        which.append(lane)
+    return which, firsts
+
+
+def _materialize(streams: "list") -> "list[TraceSet]":
+    """Whole horizons of distinct trace sources.
+
+    When every source is a ``stream`` recipe, all of them come from one
+    full-horizon :class:`BatchTraceStream` read — bit-identical to each
+    stream's scalar ``materialize()`` by the kernel contract; any other
+    recipe (``paper``, or a mix) materializes each source on its own.
+    """
     batch = BatchTraceStream.for_streams(streams)
-    if batch is not None:
-        block = batch.open().read(batch.n_slots)
-        realizations = [block.scenario(b) for b in range(len(streams))]
-    else:
-        realizations = [stream.materialize() for stream in streams]
-    if telemetry is not None and len(streams) < len(specs):
-        telemetry.count("trace_twins", len(specs) - len(streams))
-    return [realizations[slot] for slot in which]
+    if batch is None:
+        return [stream.materialize() for stream in streams]
+    block = batch.open().read(batch.n_slots)
+    return [block.scenario(b) for b in range(len(streams))]
 
 
 def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
@@ -189,7 +189,7 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     Solves the clairvoyant LP once per distinct trace realization —
     one representative per distinct ``(system, traces)`` pair, where
     trace twins share one :class:`TraceSet` object (see
-    :func:`_shard_traces`) — through the batched structure-stamping
+    :func:`_run_spec_shard`) — through the batched structure-stamping
     path (one compiled structure per distinct system), replays each
     distinct plan once through the vectorized engine, and reports the
     replayed offline cost plus each scenario's relative gap against
@@ -342,10 +342,14 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     records so the parent can append them to the store without
     touching numpy state.
 
-    Where something needs whole horizons up front — the offline-gap
+    Trace twins (equal :meth:`ScenarioSpec.trace_key`) share one trace
+    source object, so the engine generates or loads their traces once
+    (one lane) and copies the rows out per scenario; the telemetry
+    counter ``trace_twins`` counts the shared scenarios.  Where
+    something needs whole horizons up front — the offline-gap
     baseline, an oracle controller, or a ``paper`` recipe (materialized
     by construction) — they are built once per distinct trace
-    realization (:func:`_shard_traces`), and the policy streams over
+    realization (:func:`_materialize`), and the policy streams over
     :class:`ArrayTraceStream` views of them; the gap column then costs
     one compiled LP solve plus one vectorized replay per distinct trace
     realization, not a second trace generation.  Every other shard
@@ -380,20 +384,25 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     systems = [spec.build_system() for spec in specs]
     observations = [spec.build_observation(system)
                     for spec, system in zip(specs, systems)]
-    whole = offline_gap or any(
-        spec.trace_kind == "paper"
-        or spec.controller_kind in ORACLE_CONTROLLERS for spec in specs)
-    traces_list: list[TraceSet | None] = (
-        _shard_traces(specs, systems, telemetry=tele) if whole
-        else [None] * len(specs))
+    which, firsts = _twin_lanes(specs, systems)
+    if tele is not None and len(firsts) < len(specs):
+        tele.count("trace_twins", len(specs) - len(firsts))
+    streams = [specs[i].open_stream(systems[i]) for i in firsts]
+    traces_list: list[TraceSet | None] = [None] * len(specs)
+    if offline_gap or any(
+            spec.trace_kind == "paper"
+            or spec.controller_kind in ORACLE_CONTROLLERS
+            for spec in specs):
+        realizations = _materialize(streams)
+        streams = [ArrayTraceStream(traces) for traces in realizations]
+        traces_list = [realizations[lane] for lane in which]
     runs = [StreamRunSpec(
                 system=system,
                 controller=spec.build_controller(traces),
-                stream=(spec.open_stream(system) if traces is None
-                        else ArrayTraceStream(traces)),
+                stream=streams[lane],
                 observation=observation)
-            for spec, system, traces, observation
-            in zip(specs, systems, traces_list, observations)]
+            for spec, system, traces, observation, lane
+            in zip(specs, systems, traces_list, observations, which)]
     if tele is not None:
         tele.add_time("build", tele.clock() - build_t0)
     metrics = StreamingBatchSimulator(

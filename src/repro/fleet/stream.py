@@ -6,7 +6,7 @@ materializes :class:`~repro.traces.base.TraceSet` *windows* on demand:
 the streaming batch engine (:mod:`repro.fleet.engine`) consumes one
 chunk of columns at a time and peak memory scales with the chunk size.
 
-Two sources are provided:
+The single-scenario sources:
 
 * :class:`StreamingPaperTraces` — the paper's synthetic trace family
   regenerated chunk by chunk.  Each stochastic sub-process (demand
@@ -29,21 +29,32 @@ Two sources are provided:
   per substream per window, every transcendental via NumPy), designed
   so the vectorized kernels below reproduce them bit for bit.
 
-* :class:`BatchTraceStream` — all ``B`` scenarios of a fleet shard
-  behind **one** cursor.  Each ``read`` emits a whole
-  :class:`~repro.traces.base.TraceBlock` of ``(B, chunk)`` columns
-  through the vectorized kernels
-  (:class:`~repro.traces.demand.DemandTraceKernel`,
-  :class:`~repro.traces.solar.SolarTraceKernel`,
-  :class:`~repro.traces.prices.PriceTraceKernel`) — one kernel pass
-  per window instead of ``B × chunk`` Python loop iterations, and
-  bit-identical to ``B`` independent :class:`StreamingPaperTraces`
-  cursors (the scalar reference path the equivalence harness runs).
-
 * :class:`ArrayTraceStream` — wraps an already-materialized
   :class:`TraceSet` so in-memory recipes flow through the same cursor
   protocol (no memory savings; used for oracle controllers and the
   ``"paper"`` recipe).
+
+The streaming fleet engine reads all ``B`` scenarios of a shard
+through **one** batch cursor whose ``read`` emits a whole
+:class:`~repro.traces.base.TraceBlock` of ``(B, chunk)`` columns:
+
+* :class:`BatchTraceStream`, when every source is a
+  :class:`StreamingPaperTraces` — one pass of the vectorized kernels
+  (:class:`~repro.traces.demand.DemandTraceKernel`,
+  :class:`~repro.traces.solar.SolarTraceKernel`,
+  :class:`~repro.traces.prices.PriceTraceKernel`) per window instead
+  of ``B × chunk`` Python loop iterations, bit-identical to ``B``
+  independent :class:`StreamingPaperTraces` cursors (the scalar
+  reference path the equivalence harness runs);
+* :class:`ArrayBatchStream` for any other sources — each materialized
+  once and stacked, every window a gather of resident rows,
+  bit-identical to the sources' own cursors.
+
+Both run one *lane* per distinct stream object: trace twins (scenarios
+handed the same stream object, as the fleet runner does for equal
+:meth:`~repro.fleet.spec.ScenarioSpec.trace_key`) are generated or
+materialized once, and every read copies the lane's rows out to each
+twin, so a twin's row can be modified without touching the others.
 
 Windows are served strictly in order — the simulation consumes slots
 sequentially, and sequential generation is what makes carry state
@@ -62,7 +73,7 @@ import numpy as np
 from repro import rng as rng_mod
 from repro.exceptions import ConfigurationError, TraceError
 from repro.rng import RngFactory
-from repro.traces.base import TraceBlock, TraceSet
+from repro.traces.base import SERIES_FIELDS, TraceBlock, TraceSet
 from repro.traces.demand import (
     DemandChunkState,
     DemandModel,
@@ -363,24 +374,46 @@ class StreamingPaperTraces(TraceStream):
         return _PaperStreamCursor(self)
 
 
+def _trace_lanes(streams: Sequence[TraceStream]
+                 ) -> tuple[tuple[TraceStream, ...], np.ndarray | None]:
+    """The distinct stream objects, and each scenario's lane among them.
+
+    Trace twins share one stream object and so one lane.  The lane
+    index is ``None`` when every scenario has its own lane, so windows
+    need no gather.
+    """
+    lanes: dict[int, int] = {}
+    distinct: list[TraceStream] = []
+    rows = []
+    for source in streams:
+        lane = lanes.setdefault(id(source), len(distinct))
+        if lane == len(distinct):
+            distinct.append(source)
+        rows.append(lane)
+    if len(distinct) == len(rows):
+        return tuple(distinct), None
+    return tuple(distinct), np.array(rows)
+
+
 class _BatchPaperCursor:
     """One cursor serving all ``B`` scenarios of a batch stream.
 
-    Structured exactly like ``B`` :class:`_PaperStreamCursor` objects —
-    the same named substreams per scenario, the same carry state — but
-    the state lives in ``(B,)`` arrays and every ``read`` is one
-    vectorized kernel pass per component instead of ``B × chunk``
-    Python iterations.
+    Structured exactly like one :class:`_PaperStreamCursor` per
+    distinct stream object (a *lane*) — the same named substreams, the
+    same carry state — but the state lives in ``(D,)`` arrays and every
+    ``read`` is one vectorized kernel pass per component instead of
+    ``D × chunk`` Python iterations.  Trace twins share a lane; each
+    read gathers the ``D`` lane rows back to the ``B`` scenarios.
     """
 
     def __init__(self, stream: "BatchTraceStream"):
         self._stream = stream
-        batch = stream.n_scenarios
-        # One vectorized seed-hashing pass for all B x 9 substream
+        batch = len(stream.lanes)
+        # One vectorized seed-hashing pass for all D x 9 substream
         # generators — streams bit-identical to the per-scenario
         # cursors' (see repro.rng.substream_rngs_batch).
         self._rngs = rng_mod.substream_rngs_batch(
-            [source.seed for source in stream.streams], _SUBSTREAMS)
+            [source.seed for source in stream.lanes], _SUBSTREAMS)
         self._demand_level = np.zeros(batch)
         self._cloud_state = np.full(batch, -1, dtype=np.int64)
         self._solar_level = np.zeros(batch)
@@ -436,6 +469,14 @@ class _BatchPaperCursor:
             demand_ds = demand_ds * scale
             demand_dt = demand_dt * scale
             meta["peak_clip_slots"] = over.sum(axis=1)
+        rows = stream.rows
+        if rows is not None:
+            demand_ds, demand_dt, renewable, price_rt, price_lt = (
+                series[rows] for series in (demand_ds, demand_dt,
+                                            renewable, price_rt,
+                                            price_lt))
+            if clip is not None:
+                meta["peak_clip_slots"] = meta["peak_clip_slots"][rows]
         return TraceBlock(
             demand_ds=demand_ds,
             demand_dt=demand_dt,
@@ -456,10 +497,15 @@ class BatchTraceStream:
     reference path), which is what the streamed fleet engine's
     equivalence gate relies on.
 
+    The kernels run one lane per *distinct* stream object (``lanes``):
+    scenarios handed the same object — trace twins — share its RNG
+    minting, kernel set-up and generation, and each read copies the
+    lane's rows out to every twin.
+
     Use :meth:`for_streams` to build one when a shard's trace sources
     allow it (every source must be a :class:`StreamingPaperTraces`);
     heterogeneous models and per-source ``clip_p_grid`` values are
-    fine — parameters stack into per-scenario vectors.
+    fine — parameters stack into per-lane vectors.
     """
 
     def __init__(self, streams: Sequence[StreamingPaperTraces]):
@@ -472,13 +518,14 @@ class BatchTraceStream:
                     f"sources, got {type(source).__name__}")
         self.streams = tuple(streams)
         self.seeds = tuple(source.seed for source in self.streams)
+        self.lanes, self.rows = _trace_lanes(self.streams)
         self.demand_kernel = DemandTraceKernel(
-            [source.demand_model for source in self.streams])
+            [source.demand_model for source in self.lanes])
         self.solar_kernel = SolarTraceKernel(
-            [source.solar_model for source in self.streams])
+            [source.solar_model for source in self.lanes])
         self.price_kernel = PriceTraceKernel(
-            [source.price_model for source in self.streams])
-        clips = [source.clip_p_grid for source in self.streams]
+            [source.price_model for source in self.lanes])
+        clips = [source.clip_p_grid for source in self.lanes]
         if any(clip is not None and clip > 0 for clip in clips):
             self.clip_p_grid = np.array(
                 [clip if (clip is not None and clip > 0) else np.inf
@@ -490,8 +537,8 @@ class BatchTraceStream:
     def for_streams(cls, streams: Sequence[TraceStream]
                     ) -> "BatchTraceStream | None":
         """A batch stream over ``streams``, or ``None`` if any source
-        is not kernel-backed (the caller falls back to per-scenario
-        cursors)."""
+        is not kernel-backed (the caller falls back to
+        :class:`ArrayBatchStream`)."""
         if not streams or not all(
                 isinstance(source, StreamingPaperTraces)
                 for source in streams):
@@ -509,3 +556,66 @@ class BatchTraceStream:
 
     def open(self) -> _BatchPaperCursor:
         return _BatchPaperCursor(self)
+
+
+class _ArrayBatchCursor:
+    """Sequential ``(B, chunk)`` windows gathered from resident lanes."""
+
+    def __init__(self, stream: "ArrayBatchStream"):
+        n_slots = stream.n_slots
+        sets = [lane.materialize() for lane in stream.lanes]
+        self._series = {
+            name: np.stack([getattr(traces, name)[:n_slots]
+                            for traces in sets])
+            for name in SERIES_FIELDS}
+        self._rows = stream.rows
+        self._n_slots = n_slots
+        self._position = 0
+
+    def read(self, n_slots: int) -> TraceBlock:
+        start = self._position
+        stop = start + n_slots
+        if n_slots < 1:
+            raise ConfigurationError(f"n_slots must be >= 1, got {n_slots}")
+        if stop > self._n_slots:
+            raise TraceError(
+                f"read past end of stream: [{start}, {stop}) of "
+                f"{self._n_slots} slots")
+        self._position = stop
+        rows = self._rows
+        return TraceBlock(
+            **{name: (lanes[:, start:stop] if rows is None
+                      else lanes[rows, start:stop])
+               for name, lanes in self._series.items()},
+            meta={"source": "ArrayBatchStream", "window_start": start})
+
+
+class ArrayBatchStream:
+    """Any trace sources behind one batch cursor over resident arrays.
+
+    The source the streamed engine uses when
+    :meth:`BatchTraceStream.for_streams` declines (a materialized
+    :class:`ArrayTraceStream`, a mix of kinds, a custom stream).
+    Opening a cursor materializes each distinct stream object once —
+    free for an :class:`ArrayTraceStream`, which holds its
+    :class:`TraceSet` — and stacks the lanes ``(D, n_slots)``; every
+    ``read`` then gathers one ``(B, chunk)``
+    :class:`~repro.traces.base.TraceBlock`, copying a shared lane's
+    rows out to each trace twin.  Windows equal each source's own
+    cursor windows bit for bit, because ``materialize`` is by contract
+    the concatenation of those windows.
+    """
+
+    def __init__(self, streams: Sequence[TraceStream]):
+        if not streams:
+            raise ConfigurationError("batch stream needs at least one scenario")
+        self.streams = tuple(streams)
+        self.lanes, self.rows = _trace_lanes(self.streams)
+
+    @property
+    def n_slots(self) -> int:
+        """Slots every scenario can serve (the shortest horizon)."""
+        return min(source.n_slots for source in self.streams)
+
+    def open(self) -> _ArrayBatchCursor:
+        return _ArrayBatchCursor(self)

@@ -1,11 +1,20 @@
 """Property-based tests: P4 planning invariants."""
 
+import struct
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
 from repro.config.control import ObjectiveMode
-from repro.core.p4 import P4State, _window_cost, solve_p4
+from repro.core.p4 import (
+    _SCALAR_FIELDS,
+    P4State,
+    StackedWindows,
+    _window_cost,
+    solve_p4,
+    solve_windows,
+)
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=2.0),
                     min_size=4, max_size=24)
@@ -14,8 +23,12 @@ price_profiles = st.lists(st.floats(min_value=0.5, max_value=20.0),
 
 
 @st.composite
-def p4_states(draw):
-    ds = draw(profiles)
+def p4_states(draw, width=None):
+    if width is None:
+        ds = draw(profiles)
+    else:
+        ds = draw(st.lists(st.floats(min_value=0.0, max_value=2.0),
+                           min_size=width, max_size=width))
     n = len(ds)
     renewable = draw(st.lists(
         st.floats(min_value=0.0, max_value=1.0),
@@ -99,3 +112,76 @@ def test_deterministic(state):
     a = solve_p4(state, ObjectiveMode.DERIVED)
     b = solve_p4(state, ObjectiveMode.DERIVED)
     assert a.rate == b.rate
+
+
+@st.composite
+def same_width_states(draw):
+    """2-6 states sharing one window width ``W`` in [4, 24]."""
+    width = draw(st.integers(min_value=4, max_value=24))
+    return [draw(p4_states(width))
+            for _ in range(draw(st.integers(min_value=2, max_value=6)))]
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+_PROFILES = ("profile_demand_ds", "profile_demand_dt", "profile_renewable",
+             "profile_price_rt")
+
+
+def _stack(states):
+    """The states stacked the way the batch planner stacks arrays."""
+    def column(name):
+        return np.array([getattr(state, name) for state in states],
+                        dtype=float)
+
+    return StackedWindows.stack(
+        **{name: column(name) for name in _SCALAR_FIELDS + _PROFILES},
+        plan_deferrable_arrivals=np.array(
+            [state.plan_deferrable_arrivals for state in states]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(states=same_width_states())
+def test_stacked_windows_match_scalar_formulas(states):
+    """Every stacked field equals the plain-Python scalar rule bit for
+    bit — including Python's left-to-right ``sum`` of the deferrable
+    arrivals, which NumPy's pairwise ``sum`` misses from W = 8 on."""
+    w = _stack(states)
+    width = len(states[0].profile_demand_ds)
+    assert (w.count, w.n) == (len(states), width)
+    for row, s in enumerate(states):
+        t = s.t_slots
+        arrivals = 0.0
+        if s.plan_deferrable_arrivals and s.profile_demand_dt:
+            arrivals = sum(s.profile_demand_dt) * (t / width)
+        expected = {
+            "pools": min(s.q_hat + arrivals, s.s_dt_max * t),
+            "floors": min(max(0.0, s.demand_ds - s.renewable
+                              - s.discharge_avail), s.p_grid),
+            "battery_value": -s.x_hat * s.eta_c,
+            "scale": t / width,
+        }
+        for name, value in expected.items():
+            assert _bits(getattr(w, name)[row]) == _bits(value), name
+        nets = [d - r for d, r in zip(s.profile_demand_ds,
+                                      s.profile_renewable)]
+        assert list(map(_bits, w.nets[row])) == list(map(_bits, nets))
+        assert list(map(_bits, w.prices[row])) \
+            == list(map(_bits, s.profile_price_rt))
+
+
+@settings(max_examples=100, deadline=None)
+@given(states=same_width_states(),
+       mode=st.sampled_from([ObjectiveMode.DERIVED,
+                             ObjectiveMode.PAPER]))
+def test_batched_solve_matches_scalar_solves(states, mode):
+    w = _stack(states)
+    rates = solve_windows(w, mode)
+    gbef = rates * w.t_slots
+    for row, state in enumerate(states):
+        solution = solve_p4(state, mode)
+        assert _bits(rates[row]) == _bits(solution.rate)
+        assert _bits(gbef[row]) == _bits(solution.gbef)
+        assert _bits(w.floors[row]) == _bits(solution.floor_rate)

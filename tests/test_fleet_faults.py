@@ -280,6 +280,10 @@ class TestTraceTwinFaults:
         return FleetRunner(twins, offline_gap=True,
                            fault_plan=FaultPlan()).run()
 
+    @pytest.fixture(scope="class")
+    def streamed_twin_reference(self, twins) -> list[dict]:
+        return FleetRunner(twins, fault_plan=FaultPlan()).run()
+
     @pytest.mark.parametrize("faulty", [0, 1])
     def test_lp_failure_degrades_only_its_twin(self, twins,
                                                twin_reference, faulty):
@@ -299,16 +303,23 @@ class TestTraceTwinFaults:
             if k not in ("offline_cost", "offline_gap")}
         assert records[1 - faulty] == twin_reference[1 - faulty]
 
-    def test_nan_corruption_quarantines_only_its_twin(self, twins,
-                                                      twin_reference):
+    @pytest.mark.parametrize("offline_gap", [True, False])
+    def test_nan_corruption_quarantines_only_its_twin(
+            self, twins, twin_reference, streamed_twin_reference,
+            offline_gap):
+        # With the gap off the twins share one streamed kernel lane;
+        # the poisoned value lands in twin 0's own row copy.
         plan = FaultPlan(faults=(
             Fault(site="traces", action="nan", scenario=twins[0].name,
                   slot=2, series="demand_ds"),))
-        runner, records = run_chaos(twins, plan, offline_gap=True)
+        runner, records = run_chaos(twins, plan, offline_gap=offline_gap)
+        assert runner.last_run_stats["shards"] == 1
         assert runner.last_run_stats["quarantined"] == 1
         assert records[0]["quarantined"] is True
         assert records[0]["error"]["type"] == "TraceCorruptionError"
-        assert records[1] == twin_reference[1]
+        reference = (twin_reference if offline_gap
+                     else streamed_twin_reference)
+        assert records[1] == reference[1]
 
 
 class TestObserveSite:

@@ -194,7 +194,12 @@ class TestFleetGapColumn:
     @staticmethod
     def _assert_twins_shared(specs, n_distinct):
         """One shard over ``specs``: every record equals that spec run
-        alone, and the shard solves one LP per distinct realization."""
+        alone, and the shard solves one LP per distinct realization.
+
+        With the offline gap off the twins still share one trace lane
+        of the streamed engine (counted the same way), and every
+        record still equals that spec run alone.
+        """
         runner = FleetRunner(specs, offline_gap=True, robustness=0.2,
                              telemetry=True)
         records = runner.run()
@@ -206,6 +211,15 @@ class TestFleetGapColumn:
         manifest = runner.last_manifest
         assert manifest.stages["lp_solve"]["count"] == n_distinct
         assert manifest.counters["trace_twins"] == len(specs) - n_distinct
+
+        streamed = FleetRunner(specs, telemetry=True)
+        records = streamed.run()
+        assert streamed.last_run_stats["shards"] == 1
+        assert "lp_solve" not in streamed.last_manifest.stages
+        assert streamed.last_manifest.counters["trace_twins"] \
+            == len(specs) - n_distinct
+        for spec, record in zip(specs, records):
+            assert record == FleetRunner([spec]).run()[0], spec.name
 
     @pytest.mark.fleet
     def test_trace_twins_share_work_on_streamed_shards(self):
