@@ -3,10 +3,16 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test test-fast test-equivalence test-telemetry test-faults \
+.PHONY: check test test-fast test-equivalence test-telemetry test-faults \
 	test-lint test-noise test-offline lint typecheck bench bench-layers \
 	test-perfbench bench-smoke bench-batch bench-fleet bench-traces \
 	bench-offline bench-telemetry bench-faults bench-noise benchmarks
+
+# Everything a change must pass, in order: the linter, the tier-1
+# suite, then perfbench's self-tests.  perfbench wraps library names
+# (e.g. ScenarioMetrics.as_dict) at import time, so renaming one fails
+# test-perfbench while the tier-1 suite stays green.
+check: lint test test-perfbench
 
 # Tier-1 verify: the full suite, fail-fast.
 test:

@@ -86,10 +86,9 @@ def _replay_batch(system, sets, plans) -> list[dict]:
                           controller=OfflineOptimal(None, plan=plan),
                           stream=ArrayTraceStream(traces))
             for traces, plan in zip(sets, plans)]
-    metrics = StreamingBatchSimulator(
+    return ScenarioMetrics.rows(StreamingBatchSimulator(
         runs, controller=OfflinePlanBatch(plans),
-        chunk_coarse=system.num_coarse_slots).run()
-    return [metric.as_dict() for metric in metrics]
+        chunk_coarse=system.num_coarse_slots).run())
 
 
 def check_equivalence(system, sets, plans, batch_records

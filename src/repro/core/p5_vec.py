@@ -94,7 +94,7 @@ class P5Workspace:
         "graw", "hclip", "vraw", "vclip", "ha", "hb", "va", "vb",
         "gamma_hi", "grt_hi", "safe_slope", "base",
         "b1", "b2", "b3", "b4", "b5",
-        "minimum", "threshold", "out_grt", "out_gamma",
+        "minimum", "out_grt", "out_gamma",
         "lane_ok", "lane_bad", "backlog_pos",
         "rows", "flat_index",
     )
@@ -132,7 +132,7 @@ class P5Workspace:
         # Per-lane scratch.
         for name in ("gamma_hi", "grt_hi", "safe_slope", "base",
                      "b1", "b2", "b3", "b4", "b5",
-                     "minimum", "threshold", "out_grt", "out_gamma"):
+                     "minimum", "out_grt", "out_gamma"):
             setattr(self, name, np.empty(n))
         for name in ("lane_ok", "lane_bad", "backlog_pos"):
             setattr(self, name, np.empty(n, dtype=bool))
@@ -352,16 +352,18 @@ def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
     _objective(state, mode, w)
     values = w.values
 
-    # The scalar scan accepts a candidate only when it improves the
-    # incumbent by more than 1e-12 (earlier candidates keep ties).
-    # When no candidate value lies strictly between the minimum m and
-    # m + 1e-12, that scan provably selects the *first* minimizer —
-    # argmin's convention — so the common case needs no loop.  Lanes
-    # with a value in that gap zone replay the exact scalar cascade.
+    # The scalar scan accepts a value v only when v < fl(best − 1e-12)
+    # (earlier candidates keep ties).  When the minimum m passes that
+    # same test against every other value (m < fl(v − 1e-12)), the scan
+    # provably selects the *first* minimizer — argmin's convention — so
+    # the common case needs no loop.  Lanes where some v ≠ m fails it
+    # replay the exact scalar cascade.  The test must be the scan's own
+    # rounded comparison: ``v <= m + 1e-12`` rounds differently.
     values.min(axis=0, out=w.minimum)
     values.argmin(axis=0, out=w.rows)
-    np.add(w.minimum, 1e-12, out=w.threshold)
-    np.less_equal(values, w.threshold, out=w.ma)
+    np.subtract(values, 1e-12, out=w.ta)
+    np.less(w.minimum, w.ta, out=w.ma)
+    np.logical_not(w.ma, out=w.ma)
     np.not_equal(values, w.minimum, out=w.mb)
     np.logical_and(w.ma, w.mb, out=w.ma)
     # Row 2 is exactly the emergency fallback action (grt_hi, 0) the

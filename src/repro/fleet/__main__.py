@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.fleet.engine import ScenarioMetrics
 from repro.fleet.runner import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_CHUNK_COARSE,
@@ -216,11 +217,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         # Offline-gap and robustness columns are optional per run; show
         # them whenever every stored record carries them.
         present = store.metric_columns()
-        metrics += tuple(
-            name for name in ("offline_cost", "offline_gap",
-                              "noisy_cost", "robustness_gap",
-                              "observation_rel_error")
-            if name in present)
+        metrics += tuple(name for name in ScenarioMetrics._OPTIONAL
+                         if name in present)
     table = store.sweep_table(name=f"fleet report ({store.root})",
                               metrics=metrics)
     print(table.render())

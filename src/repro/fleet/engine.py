@@ -9,12 +9,21 @@ O(B) :class:`StreamingAggregator`.  Peak memory is therefore
 ``O(B · chunk)`` for traces plus ``O(B)`` for results, instead of the
 in-memory engine's ``O(B · horizon)`` for both.
 
+A run returns one *metrics block*: a dict holding one length-``B``
+column per :class:`ScenarioMetrics` field.  :class:`ScenarioMetrics`
+is the record schema — its field order is the record key order and
+its ``_OPTIONAL`` columns are left out of a record where they are
+``None`` — and :meth:`ScenarioMetrics.rows` encodes a block into
+record dicts.
+
 Exactness contract: per-slot physics outputs are bit-identical to the
-in-memory engine (same code runs), and every aggregate in
-:class:`ScenarioMetrics` is accumulated slot-by-slot in slot order —
-the same IEEE-754 additions :meth:`ScenarioMetrics.from_result`
-applies to an in-memory result's series — so streamed metrics equal
-in-memory metrics *exactly*, not just within tolerance.  Enforced by
+in-memory engine (same code runs), the aggregator accumulates every
+sum slot by slot in slot order, and one fold (:func:`_fold`) turns the
+aggregates and delay ledgers into the block.
+:meth:`ScenarioMetrics.from_result` feeds an in-memory result's series
+through the same aggregator and the same fold, passing in the result's
+delay ledger, so streamed metrics equal in-memory metrics *exactly*,
+not just within tolerance.  Enforced by
 ``tests/equivalence/test_fleet_stream.py``.
 
 Chunks must cover whole coarse slots (``chunk_coarse`` many), because
@@ -43,8 +52,8 @@ lane, and both produce windows bit-identical to the runs' own cursors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclass_replace
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +63,6 @@ from repro.exceptions import (
     ConfigurationError,
     HorizonMismatchError,
     ObservationCorruptionError,
-    StateError,
     TraceCorruptionError,
 )
 from repro.fleet.observe import BatchObserver, ObservationSpec
@@ -98,9 +106,12 @@ class StreamingAggregator:
 
     Implements the recorder interface ``_step_physics`` writes to
     (``record(**values)``), accumulating totals and extrema instead of
-    full series.  Sums advance with elementwise ``+=`` in slot order so
-    the accumulation arithmetic is reproducible from any bit-identical
-    series (see :meth:`ScenarioMetrics.from_result`).
+    full series, and keeps one FIFO delay ledger per scenario, fed a
+    chunk at a time by :meth:`flush_delays`.  Sums advance with
+    elementwise ``+=`` in slot order; :func:`_fold` turns the
+    aggregates into a metrics block.  The same aggregator fed an
+    in-memory result's series (:meth:`ScenarioMetrics.from_result`)
+    reproduces every sum bit for bit.
     """
 
     #: Initial column capacity of the buffered service block.
@@ -122,12 +133,6 @@ class StreamingAggregator:
         # per slot, zero allocations at steady state).
         self._served_dt_block: np.ndarray | None = None
         self._buffered = 0
-        self._slots_recorded = 0
-
-    @property
-    def cursor(self) -> int:
-        """Slots recorded so far (recorder-interface compatibility)."""
-        return self._slots_recorded
 
     def record(self, **values: np.ndarray) -> None:
         sums = self._sums
@@ -144,7 +149,6 @@ class StreamingAggregator:
             block = self._grow_block()
         block[:, self._buffered] = values["served_dt"]
         self._buffered += 1
-        self._slots_recorded += 1
 
     def _grow_block(self) -> np.ndarray:
         """Double the buffered-service capacity, keeping buffered data."""
@@ -177,80 +181,71 @@ class StreamingAggregator:
                           arrivals_dt[index])
         self._buffered = 0
 
-    def sum(self, name: str, index: int) -> float:
-        return float(self._sums[name][index])
 
-    def delay_stats(self, index: int) -> DelayStats:
-        if self._buffered:
-            raise StateError("flush_delays() not called for the "
-                               "final chunk")
-        return self._replays[index].stats()
+def _fold(aggregator: StreamingAggregator, delays: Sequence[DelayStats],
+          *, controller_name: Sequence[str], n_slots: int,
+          battery_ops: np.ndarray, lt_energy: np.ndarray,
+          rt_energy: np.ndarray, seed: Sequence[int | None]
+          ) -> dict[str, np.ndarray | list]:
+    """Fold a run's aggregates into its metrics block.
 
-    def scenario_metrics(self, index: int, *, controller_name: str,
-                         n_slots: int, battery_operations: int,
-                         lt_energy: float, rt_energy: float,
-                         seed: int | None = None) -> "ScenarioMetrics":
-        """Fold one scenario's aggregates into a metrics record.
-
-        ``StreamingBatchSimulator._collect`` applies these same
-        formulas vectorized over the batch; any change to a derived
-        quantity here must be mirrored there (the equivalence harness
-        compares the two paths exactly and will trip on a desync).
-        """
-        stats = self.delay_stats(index)
-        get = self.sum
-        cost_lt = get("cost_lt", index)
-        cost_rt = get("cost_rt", index)
-        cost_battery = get("cost_battery", index)
-        cost_waste = get("cost_waste", index)
-        total = cost_lt + cost_rt + cost_battery + cost_waste
-        served_ds = get("served_ds", index)
-        unserved_ds = get("unserved_ds", index)
-        demand_ds = served_ds + unserved_ds
-        produced = (get("renewable_used", index)
-                    + get("renewable_curtailed", index))
-        if produced == 0:
-            utilization = 1.0
-        else:
-            lost = get("renewable_curtailed", index)
-            lost += min(get("waste", index), get("renewable_used", index))
-            utilization = max(0.0, 1.0 - lost / produced)
-        return ScenarioMetrics(
-            controller_name=controller_name,
-            n_slots=n_slots,
-            cost_lt=cost_lt,
-            cost_rt=cost_rt,
-            cost_battery=cost_battery,
-            cost_waste=cost_waste,
-            total_cost=total,
-            time_avg_cost=total / n_slots,
-            avg_delay_slots=stats.average_delay,
-            worst_delay_slots=stats.max_delay,
-            served_dt_energy=stats.served_energy,
-            availability=1.0 if demand_ds == 0 else served_ds / demand_ds,
-            unserved_ds_total=unserved_ds,
-            renewable_utilization=utilization,
-            waste_mwh=get("waste", index),
-            battery_ops=battery_operations,
-            battery_throughput=(get("charge", index)
-                                + get("discharge", index)),
-            peak_backlog=float(self._peak_backlog[index]),
-            final_backlog=float(self._final_backlog[index]),
-            battery_min=float(self._battery_min[index]),
-            battery_max=float(self._battery_max[index]),
-            lt_energy=lt_energy,
-            rt_energy=rt_energy,
-            seed=seed,
-        )
+    The one definition of every derived metric: each column is an
+    elementwise array expression over the aggregator's ``(B,)`` sums,
+    and ``delays`` holds one delay ledger per scenario.  Columns come
+    in :class:`ScenarioMetrics` field order.
+    """
+    batch = aggregator.batch
+    sums = aggregator._sums
+    cost_lt, cost_rt = sums["cost_lt"], sums["cost_rt"]
+    cost_battery, cost_waste = sums["cost_battery"], sums["cost_waste"]
+    total = cost_lt + cost_rt + cost_battery + cost_waste
+    served_ds, unserved_ds = sums["served_ds"], sums["unserved_ds"]
+    demand_ds = served_ds + unserved_ds
+    used, curtailed = sums["renewable_used"], sums["renewable_curtailed"]
+    produced = used + curtailed
+    lost = curtailed + np.minimum(sums["waste"], used)
+    ratio = np.zeros(batch)
+    np.divide(lost, produced, out=ratio, where=produced != 0)
+    ds_ratio = np.zeros(batch)
+    np.divide(served_ds, demand_ds, out=ds_ratio, where=demand_ds != 0)
+    return {
+        "controller_name": list(controller_name),
+        "n_slots": np.full(batch, n_slots),
+        "cost_lt": cost_lt,
+        "cost_rt": cost_rt,
+        "cost_battery": cost_battery,
+        "cost_waste": cost_waste,
+        "total_cost": total,
+        "time_avg_cost": total / n_slots,
+        "avg_delay_slots": np.array([s.average_delay for s in delays]),
+        "worst_delay_slots": np.array([s.max_delay for s in delays]),
+        "served_dt_energy": np.array([s.served_energy for s in delays]),
+        "availability": np.where(demand_ds == 0, 1.0, ds_ratio),
+        "unserved_ds_total": unserved_ds,
+        "renewable_utilization": np.where(
+            produced == 0, 1.0, np.maximum(0.0, 1.0 - ratio)),
+        "waste_mwh": sums["waste"],
+        "battery_ops": battery_ops,
+        "battery_throughput": sums["charge"] + sums["discharge"],
+        "peak_backlog": aggregator._peak_backlog,
+        "final_backlog": aggregator._final_backlog,
+        "battery_min": aggregator._battery_min,
+        "battery_max": aggregator._battery_max,
+        "lt_energy": lt_energy,
+        "rt_energy": rt_energy,
+        "seed": list(seed),
+    }
 
 
 @dataclass(frozen=True)
 class ScenarioMetrics:
-    """Fleet-level result record for one scenario (O(1) memory).
+    """The fleet record schema: one scenario's metrics (O(1) memory).
 
-    Field definitions mirror :class:`~repro.sim.results.SimulationResult`
-    summaries, with sums accumulated in slot order (see module
-    docstring for why that makes streamed == in-memory exact).
+    Each field is one column of a metrics block (see :func:`_fold`);
+    the field order is the record key order.  Field definitions mirror
+    :class:`~repro.sim.results.SimulationResult` summaries, with sums
+    accumulated in slot order (see the module docstring for why that
+    makes streamed == in-memory exact).
     """
 
     controller_name: str
@@ -279,9 +274,7 @@ class ScenarioMetrics:
     seed: int | None = None
     #: Replayed cost of the clairvoyant offline plan on this scenario's
     #: traces, and the policy's relative gap against it.  ``None``
-    #: unless the fleet run asked for the offline-gap column; omitted
-    #: from :meth:`as_dict` when absent so existing records keep their
-    #: shape.
+    #: unless the fleet run asked for the offline-gap column.
     offline_cost: float | None = None
     offline_gap: float | None = None
     #: Cost of the same scenario re-run under the robustness
@@ -295,25 +288,32 @@ class ScenarioMetrics:
     #: or under a non-uniform sensor-fault model).
     observation_rel_error: float | None = None
 
-    #: Optional columns omitted from :meth:`as_dict` when unset, so
-    #: existing records keep their shape.
+    #: Optional columns: left out of a record where they are ``None``
+    #: (and everywhere when a block lacks them), so records without
+    #: them keep their shape.
     _OPTIONAL = ("offline_cost", "offline_gap", "noisy_cost",
                  "robustness_gap", "observation_rel_error")
 
-    def as_dict(self) -> dict:
-        """JSON-ready form (what the result store persists)."""
-        out = {}
-        for name, value in self.__dict__.items():
-            if name in self._OPTIONAL and value is None:
-                continue
-            if isinstance(value, (np.floating, np.integer)):
-                value = value.item()
-            out[name] = value
-        return out
-
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioMetrics":
-        return cls(**data)
+    def rows(cls, block: Mapping[str, np.ndarray | list]) -> list[dict]:
+        """Encode a metrics block as JSON-ready dicts, one per scenario.
+
+        Keys follow the field order, values are plain Python scalars,
+        and an optional column's ``None`` entries are left out.
+        """
+        names = [f.name for f in fields(cls) if f.name in block]
+        columns = [block[name].tolist() if isinstance(block[name], np.ndarray)
+                   else block[name] for name in names]
+        optional = cls._OPTIONAL
+        return [{name: value for name, value in zip(names, values)
+                 if value is not None or name not in optional}
+                for values in zip(*columns)]
+
+    def as_dict(self) -> dict:
+        """JSON-ready form: this record as a one-row :meth:`rows` block."""
+        return self.rows({
+            name: [value.item() if isinstance(value, np.generic) else value]
+            for name, value in self.__dict__.items()})[0]
 
     @classmethod
     def from_result(cls, result: SimulationResult,
@@ -321,34 +321,27 @@ class ScenarioMetrics:
         """The same metrics computed from an in-memory result.
 
         Feeds the recorded series through a batch-of-one
-        :class:`StreamingAggregator` slot by slot, so every sum uses
-        the identical accumulation order as the streamed engine —
-        bit-identical series therefore produce bit-identical metrics.
-        Delay statistics are copied from the result's ledger (already
-        exact across engines by the PR-1 contract).
+        :class:`StreamingAggregator` slot by slot and then through the
+        streamed engine's fold (:func:`_fold`) with the result's delay
+        ledger, so every sum uses the identical accumulation order as
+        the streamed engine — bit-identical series therefore produce
+        bit-identical metrics.
         """
         series = result.series
-        n_slots = result.n_slots
         aggregator = StreamingAggregator(1)
-        needed = (*_SUMMED, "backlog", "battery_level")
-        columns = {name: series[name] for name in needed}
-        for slot in range(n_slots):
+        columns = {name: series[name]
+                   for name in (*_SUMMED, "backlog", "battery_level")}
+        for slot in range(result.n_slots):
             aggregator.record(**{name: column[slot:slot + 1]
                                  for name, column in columns.items()})
-        # The result's delay ledger is authoritative; skip the replay.
-        aggregator._buffered = 0
-        metrics = aggregator.scenario_metrics(
-            0, controller_name=result.controller_name, n_slots=n_slots,
-            battery_operations=int(result.battery_operations),
-            lt_energy=float(result.lt_energy),
-            rt_energy=float(result.rt_energy), seed=seed)
-        stats = result.delay_stats
-        return dataclass_replace(
-            metrics,
-            avg_delay_slots=stats.average_delay,
-            worst_delay_slots=stats.max_delay,
-            served_dt_energy=stats.served_energy,
-        )
+        block = _fold(
+            aggregator, [result.delay_stats],
+            controller_name=[result.controller_name],
+            n_slots=result.n_slots,
+            battery_ops=np.array([result.battery_operations]),
+            lt_energy=np.array([result.lt_energy]),
+            rt_energy=np.array([result.rt_energy]), seed=[seed])
+        return cls(**cls.rows(block)[0])
 
 
 class StreamingBatchSimulator(BatchSimulator):
@@ -356,7 +349,8 @@ class StreamingBatchSimulator(BatchSimulator):
 
     ``chunk_coarse`` sets how many coarse slots of trace data are
     resident per scenario at any time (plus a ``T``-slot planning
-    tail).  Returns one :class:`ScenarioMetrics` per spec, in order.
+    tail).  :meth:`run` returns the fleet's metrics block: one
+    column per :class:`ScenarioMetrics` field, rows in spec order.
 
     Chunks load through one batch cursor: a
     :class:`~repro.fleet.stream.BatchTraceStream` when every run's
@@ -611,13 +605,15 @@ class StreamingBatchSimulator(BatchSimulator):
                 f"non-finite value in trace series {name!r} at slot "
                 f"{slot} (scenario position {scenario}, seed {seed})",
                 scenario=scenario, slot=slot, seed=seed)
+        # (name, observed, true, first column, fine slots per column):
+        # the long-term prices hold one column per coarse slot.
         observed_blocks = [
             (name, getattr(self, attr.replace("_true_", "_obs_")),
-             getattr(self, attr), local)
+             getattr(self, attr), local, 1)
             for name, attr in self._SERIES_ATTRS]
         observed_blocks.append(
-            ("price_lt", self._obs_plt, self._true_plt, 0))
-        for name, observed, true, offset0 in observed_blocks:
+            ("price_lt", self._obs_plt, self._true_plt, 0, self._t_slots))
+        for name, observed, true, offset0, stride in observed_blocks:
             if observed is true:
                 continue
             window = observed[:, offset0:]
@@ -625,7 +621,7 @@ class StreamingBatchSimulator(BatchSimulator):
             if finite.all():
                 continue
             scenario, offset = np.argwhere(~finite)[0]
-            scenario, slot = int(scenario), start + int(offset)
+            scenario, slot = int(scenario), start + int(offset) * stride
             seed = self._seeds[scenario]
             raise ObservationCorruptionError(
                 f"non-finite value in observed trace series {name!r} "
@@ -637,8 +633,11 @@ class StreamingBatchSimulator(BatchSimulator):
     # Main loop
     # ------------------------------------------------------------------
 
-    def run(self) -> list[ScenarioMetrics]:
+    def run(self) -> dict[str, np.ndarray | list]:
         """Stream every scenario over the horizon, chunk by chunk.
+
+        Returns the metrics block (see :func:`_fold`); encode it into
+        record dicts with :meth:`ScenarioMetrics.rows`.
 
         Stage timings (chunk generation, observation derivation, the
         slot loop, delay replay, metric collection) are guarded on
@@ -687,69 +686,17 @@ class StreamingBatchSimulator(BatchSimulator):
             if tele.enabled:
                 tele.add_time("delay_replay", tele.clock() - t0)
                 t0 = tele.clock()
-        metrics = self._finish_run(state)
+        block = self._finish_run(state)
         if tele.enabled:
             tele.add_time("collect", tele.clock() - t0)
             tele.count("scenarios", self._batch)
-        return metrics
+        return block
 
     def _collect(self, recorder: StreamingAggregator, cycles, lt_ledger,
-                 rt_ledger) -> list[ScenarioMetrics]:
-        """Fold the aggregator into metrics, one array pass per field.
-
-        Every derived quantity uses the same elementwise IEEE-754
-        operations :meth:`StreamingAggregator.scenario_metrics` applies
-        per scenario, so the records are bit-identical to the
-        per-index path (which :meth:`ScenarioMetrics.from_result`, the
-        in-memory reference, still runs through).
-        """
-        names = self.controller.names
-        get = recorder._sums
-        cost_lt, cost_rt = get["cost_lt"], get["cost_rt"]
-        cost_battery, cost_waste = get["cost_battery"], get["cost_waste"]
-        total = cost_lt + cost_rt + cost_battery + cost_waste
-        served_ds, unserved_ds = get["served_ds"], get["unserved_ds"]
-        demand_ds = served_ds + unserved_ds
-        used, curtailed = (get["renewable_used"],
-                           get["renewable_curtailed"])
-        produced = used + curtailed
-        lost = curtailed + np.minimum(get["waste"], used)
-        ratio = np.zeros(self._batch)
-        np.divide(lost, produced, out=ratio, where=produced != 0)
-        utilization = np.where(produced == 0, 1.0,
-                               np.maximum(0.0, 1.0 - ratio))
-        ds_ratio = np.zeros(self._batch)
-        np.divide(served_ds, demand_ds, out=ds_ratio,
-                  where=demand_ds != 0)
-        availability = np.where(demand_ds == 0, 1.0, ds_ratio)
-        throughput = get["charge"] + get["discharge"]
-        metrics = []
-        for index in range(self._batch):
-            stats = recorder.delay_stats(index)
-            metrics.append(ScenarioMetrics(
-                controller_name=names[index],
-                n_slots=self._n_slots,
-                cost_lt=float(cost_lt[index]),
-                cost_rt=float(cost_rt[index]),
-                cost_battery=float(cost_battery[index]),
-                cost_waste=float(cost_waste[index]),
-                total_cost=float(total[index]),
-                time_avg_cost=float(total[index]) / self._n_slots,
-                avg_delay_slots=stats.average_delay,
-                worst_delay_slots=stats.max_delay,
-                served_dt_energy=stats.served_energy,
-                availability=float(availability[index]),
-                unserved_ds_total=float(unserved_ds[index]),
-                renewable_utilization=float(utilization[index]),
-                waste_mwh=float(get["waste"][index]),
-                battery_ops=int(cycles.operations[index]),
-                battery_throughput=float(throughput[index]),
-                peak_backlog=float(recorder._peak_backlog[index]),
-                final_backlog=float(recorder._final_backlog[index]),
-                battery_min=float(recorder._battery_min[index]),
-                battery_max=float(recorder._battery_max[index]),
-                lt_energy=float(lt_ledger.energy[index]),
-                rt_energy=float(rt_ledger.energy[index]),
-                seed=self._seeds[index],
-            ))
-        return metrics
+                 rt_ledger) -> dict[str, np.ndarray | list]:
+        """Fold the aggregator and its delay ledgers into the block."""
+        return _fold(
+            recorder, [replay.stats() for replay in recorder._replays],
+            controller_name=self.controller.names, n_slots=self._n_slots,
+            battery_ops=cycles.operations, lt_energy=lt_ledger.energy,
+            rt_energy=rt_ledger.energy, seed=self._seeds)

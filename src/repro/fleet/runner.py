@@ -179,22 +179,27 @@ def _materialize(streams: "list") -> "list[TraceSet]":
     return [block.scenario(b) for b in range(len(streams))]
 
 
+def _relative_gap(cost: float, reference: float) -> float:
+    """``cost``'s relative excess over ``reference`` (0 at a zero one)."""
+    return ((cost - reference) / abs(reference)
+            if abs(reference) > 0 else 0.0)
+
+
 def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
-                        metrics: "list[ScenarioMetrics]",
-                        chunk_coarse: int,
-                        telemetry=None, faults=None
-                        ) -> "list[ScenarioMetrics]":
-    """Add the offline-gap columns to one shard's metrics.
+                        block: dict, chunk_coarse: int,
+                        telemetry=None, faults=None) -> None:
+    """Add the offline-gap columns to one shard's metrics block.
 
     Solves the clairvoyant LP once per distinct trace realization —
     one representative per distinct ``(system, traces)`` pair, where
     trace twins share one :class:`TraceSet` object (see
     :func:`_run_spec_shard`) — through the batched structure-stamping
     path (one compiled structure per distinct system), replays each
-    distinct plan once through the vectorized engine, and reports the
-    replayed offline cost plus each scenario's relative gap against
-    it.  Every instance is cold-solved, so a twin's plan and replay
-    are bit-identical to solving its own.  The replayed cost record is
+    distinct plan once through the vectorized engine, and adds two
+    whole columns: the replayed offline cost (``offline_cost``) and
+    each scenario's relative gap against it (``offline_gap``).  Every
+    instance is cold-solved, so a twin's plan and replay are
+    bit-identical to solving its own.  The replayed cost record is
     bit-identical to replaying each plan through the scalar engine
     (the equivalence tests pin this), so the gap column is an honest
     same-accounting comparison, not an LP-objective shortcut.
@@ -204,9 +209,9 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     infeasible, unbounded) does not fail the shard.  The group falls
     back to per-realization solves, with the ``lp_solve`` fault site
     still firing per scenario, so one bad LP costs only its own
-    scenarios, whose records simply *omit* the ``offline_cost`` /
-    ``offline_gap`` columns (the telemetry counter
-    ``offline_degraded`` counts such scenarios).
+    scenarios: their entries of the ``offline_cost`` / ``offline_gap``
+    columns stay ``None``, so their records omit both (the telemetry
+    counter ``offline_degraded`` counts such scenarios).
     """
     tele = telemetry
     # system -> traces identity -> the scenarios sharing that pair.
@@ -224,10 +229,10 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
             if faults is not None:
                 faults.fire("lp_solve", subset=[
                     i for members in groups for i in members])
-            block = TraceBlock.from_tracesets(
+            instances = TraceBlock.from_tracesets(
                 [traces_list[members[0]] for members in groups])
             solved.extend(zip(groups, solve_offline_plan_batch(
-                system, block, telemetry=tele)))
+                system, instances, telemetry=tele)))
         except SolverError:
             # The batch solve died; retry realization by realization,
             # firing per scenario so a failure is pinned to (and only
@@ -244,10 +249,10 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
                 if not healthy:
                     continue
                 try:
-                    block = TraceBlock.from_tracesets(
+                    instances = TraceBlock.from_tracesets(
                         [traces_list[healthy[0]]])
                     solved.append((healthy, solve_offline_plan_batch(
-                        system, block, telemetry=tele)[0]))
+                        system, instances, telemetry=tele)[0]))
                 except SolverError:
                     degraded += len(healthy)
     if tele is not None and tele.enabled:
@@ -255,7 +260,7 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
         if degraded:
             tele.count("offline_degraded", degraded)
         t0 = tele.clock()
-    offline_costs: dict[int, float] = {}
+    offline: list[float | None] = [None] * len(systems)
     if solved:
         runs = [StreamRunSpec(
                     system=systems[members[0]],
@@ -268,40 +273,32 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
         replay = StreamingBatchSimulator(
             runs, controller=OfflinePlanBatch([plan for _, plan in solved]),
             chunk_coarse=chunk_coarse).run()
-        for (members, _), offline in zip(solved, replay):
+        for (members, _), cost in zip(
+                solved, replay["time_avg_cost"].tolist()):
             for i in members:
-                offline_costs[i] = float(offline.time_avg_cost)
+                offline[i] = cost
     if tele is not None and tele.enabled:
         tele.add_time("offline_replay", tele.clock() - t0)
-    out = []
-    for index, metric in enumerate(metrics):
-        offline_cost = offline_costs.get(index)
-        if offline_cost is None:
-            out.append(metric)  # degraded: offline columns stay omitted
-            continue
-        policy_cost = float(metric.time_avg_cost)
-        gap = ((policy_cost - offline_cost) / abs(offline_cost)
-               if abs(offline_cost) > 0 else 0.0)
-        out.append(dataclass_replace(metric, offline_cost=offline_cost,
-                                     offline_gap=gap))
-    return out
+    block["offline_cost"] = offline
+    block["offline_gap"] = [
+        None if cost is None else _relative_gap(policy, cost)
+        for policy, cost in zip(block["time_avg_cost"].tolist(), offline)]
 
 
 def _attach_robustness(specs: "list[ScenarioSpec]",
                        runs: "list[StreamRunSpec]",
                        traces_list: "list[TraceSet | None]",
-                       metrics: "list[ScenarioMetrics]", *,
+                       block: dict, *,
                        robustness: Mapping[str, object],
-                       chunk_coarse: int,
-                       telemetry=None) -> "list[ScenarioMetrics]":
-    """Add the paired-noisy columns to one shard's metrics.
+                       chunk_coarse: int, telemetry=None) -> None:
+    """Add the paired-noisy columns to one shard's metrics block.
 
     Re-runs every scenario of the shard under the ``robustness``
     observation model (same traces, same seed, fresh controller) and
-    reports the noisy cost plus the relative degradation against the
-    clean cost — the fleet-scale twin of the paper's Fig. 9
-    clean-vs-noisy comparison, with the same record discipline as the
-    offline-gap column.  The noisy replay reuses the shard's trace
+    adds two whole columns: the noisy cost (``noisy_cost``) and the
+    relative degradation against the clean cost (``robustness_gap``)
+    — the fleet-scale twin of the paper's Fig. 9 clean-vs-noisy
+    comparison.  The noisy replay reuses the shard's trace
     streams (replayable by contract), so the column costs one extra
     engine pass and zero extra trace generation with ``offline_gap``
     on.  Like the offline replay, the noisy pass runs uninjected (no
@@ -322,15 +319,25 @@ def _attach_robustness(specs: "list[ScenarioSpec]",
     if tele is not None and tele.enabled:
         tele.add_time("robustness", tele.clock() - t0)
         tele.count("robustness_scenarios", len(specs))
-    out = []
-    for metric, twin in zip(metrics, noisy):
-        clean_cost = float(metric.time_avg_cost)
-        noisy_cost = float(twin.time_avg_cost)
-        gap = ((noisy_cost - clean_cost) / abs(clean_cost)
-               if abs(clean_cost) > 0 else 0.0)
-        out.append(dataclass_replace(metric, noisy_cost=noisy_cost,
-                                     robustness_gap=gap))
-    return out
+    noisy_cost = noisy["time_avg_cost"]
+    block["noisy_cost"] = noisy_cost
+    block["robustness_gap"] = [
+        _relative_gap(cost, clean) for cost, clean in zip(
+            noisy_cost.tolist(), block["time_avg_cost"].tolist())]
+
+
+def _record_head(spec: ScenarioSpec, **tags) -> dict:
+    """The identifying head of a result or quarantine record.
+
+    ``name``, ``value``, ``seed`` and ``controller``, then ``tags``
+    (a result record's ``engine``), then ``spec`` and ``spec_hash``.
+    ``spec`` is a fresh dict: records are handed to callers, and
+    aliasing the runner's cached payload would let a mutated record
+    corrupt an in-process re-run.
+    """
+    return {"name": spec.name, "value": spec.value, "seed": spec.seed,
+            "controller": spec.controller_kind, **tags,
+            "spec": spec.to_dict(), "spec_hash": spec.spec_hash()}
 
 
 def _run_spec_shard(payload: dict) -> ShardOutcome:
@@ -338,9 +345,12 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
 
     Rebuilds every spec locally (system, controller, trace source) and
     advances the whole shard through one
-    :class:`StreamingBatchSimulator` invocation.  Returns JSON-ready
-    records so the parent can append them to the store without
-    touching numpy state.
+    :class:`StreamingBatchSimulator` invocation, whose metrics block
+    the optional-column steps extend column by column.  Returns
+    JSON-ready records — a :func:`_record_head` plus the scenario's
+    row of the block, encoded once by :meth:`ScenarioMetrics.rows` —
+    so the parent can append them to the store without touching
+    numpy state.
 
     Trace twins (equal :meth:`ScenarioSpec.trace_key`) share one trace
     source object, so the engine generates or loads their traces once
@@ -405,43 +415,29 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             in zip(specs, systems, traces_list, observations, which)]
     if tele is not None:
         tele.add_time("build", tele.clock() - build_t0)
-    metrics = StreamingBatchSimulator(
+    block = StreamingBatchSimulator(
         runs, chunk_coarse=chunk_coarse, telemetry=tele,
         faults=faults).run()
-
     if offline_gap:
-        metrics = _attach_offline_gap(systems, traces_list, metrics,
-                                      chunk_coarse, telemetry=tele,
-                                      faults=faults)
+        _attach_offline_gap(systems, traces_list, block, chunk_coarse,
+                            telemetry=tele, faults=faults)
     if robustness:
-        metrics = _attach_robustness(
-            specs, runs, traces_list, metrics, robustness=robustness,
-            chunk_coarse=chunk_coarse, telemetry=tele)
-    stamped = []
-    for metric, observation in zip(metrics, observations):
-        rel = observation.rel_error if observation is not None else None
-        if rel is not None:
-            metric = dataclass_replace(metric, observation_rel_error=rel)
-        stamped.append(metric)
-    metrics = stamped
+        _attach_robustness(specs, runs, traces_list, block,
+                           robustness=robustness,
+                           chunk_coarse=chunk_coarse, telemetry=tele)
+    block["observation_rel_error"] = [
+        None if observation is None else observation.rel_error
+        for observation in observations]
 
     records = tuple(
         {
-            "name": spec.name,
-            "value": spec.value,
-            "seed": spec.seed,
-            "controller": spec.controller_kind,
-            "engine": "stream",
-            # A fresh copy, not payload["specs"][i]: records are handed
-            # to callers, and aliasing the runner's cached payload would
-            # let a mutated record corrupt an in-process re-run.
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash(),
+            **_record_head(spec, engine="stream"),
             **({"observation": observation.describe()}
                if observation is not None else {}),
-            "metrics": m.as_dict(),
+            "metrics": metrics,
         }
-        for spec, m, observation in zip(specs, metrics, observations))
+        for spec, metrics, observation
+        in zip(specs, ScenarioMetrics.rows(block), observations))
     elapsed = monotonic() - t0
     snapshot = None
     if tele is not None:
@@ -709,14 +705,8 @@ class FleetRunner:
     def _quarantine_record(self, index: int, error: BaseException,
                            attempts: int) -> dict:
         """The typed ``errors.jsonl`` record for one given-up scenario."""
-        spec = self.specs[index]
         return {
-            "name": spec.name,
-            "value": spec.value,
-            "seed": spec.seed,
-            "controller": spec.controller_kind,
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash(),
+            **_record_head(self.specs[index]),
             "quarantined": True,
             "error": {
                 "type": type(error).__name__,

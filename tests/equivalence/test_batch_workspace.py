@@ -114,7 +114,7 @@ def _streamed_specs() -> list[ScenarioSpec]:
     return specs
 
 
-def _streamed_metrics(chunk_coarse: int) -> list[ScenarioMetrics]:
+def _streamed_metrics(chunk_coarse: int) -> list[dict]:
     from repro.fleet.engine import StreamRunSpec
 
     runs = []
@@ -124,7 +124,8 @@ def _streamed_metrics(chunk_coarse: int) -> list[ScenarioMetrics]:
             system=system,
             controller=spec.build_controller(),
             stream=spec.open_stream(system)))
-    return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run()
+    return ScenarioMetrics.rows(
+        StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run())
 
 
 @pytest.mark.fleet

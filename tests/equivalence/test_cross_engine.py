@@ -165,3 +165,36 @@ def test_batch_matches_scalar_slot_for_slot(runs):
     scalar, batch = run_both(runs)
     for index, (a, b) in enumerate(zip(scalar, batch)):
         assert_equivalent(a, b, context=f"scenario {index}: ")
+
+
+def test_p5_fast_path_matches_scalar_tie_zone():
+    """The batch P5 fast path picks the scalar scan's vertex.
+
+    At slot 1 of scenario 0 the candidate values include ``1e-31``
+    (row 2) and ``-1e-12`` (row 3).  The scalar scan keeps row 2,
+    because row 3's ``-1e-12`` is not below
+    ``fl(1e-31 - 1e-12) == -1e-12``; argmin would pick row 3.  The
+    fast path must send this lane to the exact replay, or ``grt``
+    diverges by 1.0 at slot 2.
+    """
+    system = SystemConfig(
+        fine_slots_per_coarse=1, num_coarse_slots=4, p_grid=1, s_max=1,
+        b_max=0, b_min=0, b_charge_max=0, b_discharge_max=0,
+        battery_op_cost=0, d_dt_max=1, s_dt_max=1, waste_penalty=0)
+    config = SmartDPSSConfig(
+        v=1, epsilon=1, objective_mode="derived",
+        use_long_term_market=False, plan_deferrable_arrivals=True)
+    zero = np.zeros(4)
+    traces = [
+        TraceSet(demand_ds=np.array([0.0, 0.5, 0.0, 0.0]),
+                 demand_dt=np.array([1e-6, 0.0, 0.0, 0.0]),
+                 renewable=zero, price_rt=np.array([0.0, 1e-30, 0.0, 0.0]),
+                 price_lt_hourly=zero),
+        TraceSet(demand_ds=zero, demand_dt=zero, renewable=zero,
+                 price_rt=zero, price_lt_hourly=zero),
+    ]
+    runs = [RunSpec(system=system, controller=SmartDPSS(config),
+                    traces=t) for t in traces]
+    scalar, batch = run_both(runs)
+    for index, (a, b) in enumerate(zip(scalar, batch)):
+        assert_equivalent(a, b, context=f"scenario {index}: ")

@@ -148,8 +148,8 @@ def test_baselines_batch_matches_scalar(packs, chunk_coarse):
     streamed = StreamingBatchSimulator(
         stream_runs, chunk_coarse=chunk_coarse).run()
     for index, (metrics, batch) in enumerate(
-            zip(streamed, batch_results)):
-        assert metrics.as_dict() == \
+            zip(ScenarioMetrics.rows(streamed), batch_results)):
+        assert metrics == \
             ScenarioMetrics.from_result(batch).as_dict(), (
                 f"baseline scenario {index}, chunk_coarse "
                 f"{chunk_coarse}")

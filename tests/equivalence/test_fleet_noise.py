@@ -54,7 +54,7 @@ def _spec(observation, seed: int = 7, days: int = 1,
 
 
 def run_streamed(specs: list[ScenarioSpec],
-                 chunk_coarse: int) -> list[ScenarioMetrics]:
+                 chunk_coarse: int) -> list[dict]:
     runs = []
     for spec in specs:
         system = spec.build_system()
@@ -62,10 +62,11 @@ def run_streamed(specs: list[ScenarioSpec],
             system=system, controller=spec.build_controller(),
             stream=spec.open_stream(system),
             observation=spec.build_observation(system)))
-    return StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run()
+    return ScenarioMetrics.rows(
+        StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run())
 
 
-def run_reference(specs: list[ScenarioSpec]) -> list[ScenarioMetrics]:
+def run_reference(specs: list[ScenarioSpec]) -> list[dict]:
     """In-memory reference: materialized traces + NoisyTraceView pair."""
     runs = []
     for spec in specs:
@@ -81,14 +82,14 @@ def run_reference(specs: list[ScenarioSpec]) -> list[ScenarioMetrics]:
             system=system, controller=spec.build_controller(traces),
             traces=traces, observed=observed))
     results = BatchSimulator(runs).run()
-    return [ScenarioMetrics.from_result(r, seed=spec.seed)
+    return [ScenarioMetrics.from_result(r, seed=spec.seed).as_dict()
             for spec, r in zip(specs, results)]
 
 
 def assert_metrics_identical(streamed, reference, context=""):
     for index, (got, want) in enumerate(zip(streamed, reference)):
-        for key, value in want.as_dict().items():
-            actual = got.as_dict()[key]
+        for key, value in want.items():
+            actual = got[key]
             assert actual == value, (
                 f"{context}scenario {index}: metric {key!r} diverged: "
                 f"streamed {actual!r} != in-memory {value!r}")
@@ -114,7 +115,7 @@ def test_mixed_batch_rows_observe_independently(chunk_coarse):
     assert_metrics_identical(streamed, reference, "mixed: ")
     # The clean row really is clean: identical to a fully unarmed run.
     (clean,) = run_streamed([_spec(None, seed=0)], chunk_coarse)
-    assert clean.as_dict() == streamed[1].as_dict()
+    assert clean == streamed[1]
 
 
 @settings(max_examples=15, deadline=None)
@@ -156,7 +157,7 @@ def test_robustness_gap_matches_hand_paired_runs():
     twin = _spec({"kind": "uniform", "rel_error": 0.4}, seed=3)
     (twin_metrics,) = run_streamed([twin], chunk_coarse=4)
     (clean_metrics,) = run_streamed([spec], chunk_coarse=4)
-    assert clean == clean_metrics.time_avg_cost
-    assert noisy == twin_metrics.time_avg_cost
+    assert clean == clean_metrics["time_avg_cost"]
+    assert noisy == twin_metrics["time_avg_cost"]
     expected_gap = (noisy - clean) / abs(clean)
     assert record["metrics"]["robustness_gap"] == expected_gap

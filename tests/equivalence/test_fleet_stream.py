@@ -90,8 +90,8 @@ def run_both_engines(specs: list[ScenarioSpec], chunk_coarse: int):
         memory_runs.append(RunSpec(
             system=system, controller=spec.build_controller(),
             traces=stream.materialize()))
-    streamed = StreamingBatchSimulator(
-        stream_runs, chunk_coarse=chunk_coarse).run()
+    streamed = ScenarioMetrics.rows(StreamingBatchSimulator(
+        stream_runs, chunk_coarse=chunk_coarse).run())
     results = BatchSimulator(memory_runs).run()
     reference = [ScenarioMetrics.from_result(r, seed=spec.seed)
                  for spec, r in zip(specs, results)]
@@ -101,7 +101,7 @@ def run_both_engines(specs: list[ScenarioSpec], chunk_coarse: int):
 def assert_metrics_identical(streamed, reference, context=""):
     for index, (got, want) in enumerate(zip(streamed, reference)):
         for key, value in want.as_dict().items():
-            actual = got.as_dict()[key]
+            actual = got[key]
             assert actual == value, (
                 f"{context}scenario {index}: metric {key!r} diverged: "
                 f"streamed {actual!r} != in-memory {want.as_dict()[key]!r}")
@@ -184,11 +184,11 @@ def test_streamed_respects_cycle_budget_and_grid_capacity():
                                   clip_p_grid=system.p_grid)
     capacity = np.full(system.horizon_slots, system.p_grid)
     capacity[10:14] = 0.0  # a 4-slot outage crossing a chunk boundary
-    streamed = StreamingBatchSimulator(
+    streamed = ScenarioMetrics.rows(StreamingBatchSimulator(
         [StreamRunSpec(system=system,
                        controller=SmartDPSS(paper_controller_config()),
                        stream=stream, grid_capacity=capacity)],
-        chunk_coarse=2).run()
+        chunk_coarse=2).run())
     result = BatchSimulator(
         [RunSpec(system=system,
                  controller=SmartDPSS(paper_controller_config()),

@@ -7,7 +7,11 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro import rng
 from repro.exceptions import ConfigurationError, TraceError
-from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
+from repro.fleet.engine import (
+    ScenarioMetrics,
+    StreamingBatchSimulator,
+    StreamRunSpec,
+)
 from repro.fleet.stream import (
     DEFAULT_MATERIALIZE_CHUNK,
     ArrayBatchStream,
@@ -242,8 +246,8 @@ class TestEngineWiring:
             for run in self._runs()]
         scalar = StreamingBatchSimulator(materialized, chunk_coarse=2)
         assert isinstance(scalar._trace_source, ArrayBatchStream)
-        assert [m.as_dict() for m in batched.run()] \
-            == [m.as_dict() for m in scalar.run()]
+        assert ScenarioMetrics.rows(batched.run()) \
+            == ScenarioMetrics.rows(scalar.run())
 
     def test_batch_source_detection(self):
         engine = StreamingBatchSimulator(self._runs())
@@ -260,7 +264,7 @@ class TestEngineWiring:
             stream=ArrayTraceStream(stream.materialize()))]
         engine = StreamingBatchSimulator(runs)
         assert isinstance(engine._trace_source, ArrayBatchStream)
-        assert len(engine.run()) == 1
+        assert len(ScenarioMetrics.rows(engine.run())) == 1
 
     @pytest.mark.parametrize("materialize", [False, True])
     def test_shared_streams_match_private_streams(self, materialize):
@@ -293,8 +297,8 @@ class TestEngineWiring:
         private = StreamingBatchSimulator(runs(shared=False),
                                           chunk_coarse=3)
         assert len(private._trace_source.lanes) == 4
-        assert [m.as_dict() for m in engine.run()] \
-            == [m.as_dict() for m in private.run()]
+        assert ScenarioMetrics.rows(engine.run()) \
+            == ScenarioMetrics.rows(private.run())
 
 
 @pytest.mark.telemetry
@@ -348,8 +352,8 @@ class TestCursorOpenTiming:
                                    "max_s": opened}
         for stage in ("slot_loop", "delay_replay", "collect"):
             assert spans[stage]["total_s"] == 0.0, stage
-        assert [m.as_dict() for m in traced] \
-            == [m.as_dict() for m in run()]
+        assert ScenarioMetrics.rows(traced) \
+            == ScenarioMetrics.rows(run())
 
 
 class TestPlanningTailGuard:
@@ -386,5 +390,5 @@ class TestPlanningTailGuard:
         for chunk_coarse in (1, 3):
             chunked = StreamingBatchSimulator(
                 self._runs(), chunk_coarse=chunk_coarse).run()
-            assert [m.as_dict() for m in chunked] \
-                == [m.as_dict() for m in reference]
+            assert ScenarioMetrics.rows(chunked) \
+                == ScenarioMetrics.rows(reference)

@@ -27,6 +27,7 @@ from repro.exceptions import (
     ObservationCorruptionError,
     TraceCorruptionError,
 )
+from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
 from repro.fleet.observe import (
     OBSERVATION_KINDS,
     OBSERVE_SERIES,
@@ -280,6 +281,43 @@ class TestCorruptionError:
         assert clone.seed == 42
         assert clone.series == "price_rt"
         assert clone.view == "observed"
+
+    def test_observed_price_lt_reports_its_fine_slot(self, monkeypatch):
+        """A bad observed long-term price names the first fine slot of
+        its coarse slot: the price block has one column per coarse
+        slot, not per fine slot."""
+        calls = []
+        observe = BatchObserver.observe_matrix
+
+        def poisoned(self, name, true):
+            observed = np.array(observe(self, name, true))
+            if name == "price_lt":
+                calls.append(true.shape)
+                if len(calls) == 2:  # chunk 1: fine slots 24..47
+                    observed[1, 6] = np.nan  # fine slot 30, coarse 5
+            return observed
+
+        monkeypatch.setattr(BatchObserver, "observe_matrix", poisoned)
+        runs = []
+        for seed in (0, 1):
+            spec = ScenarioSpec(
+                seed=seed,
+                system={"preset": "paper", "days": 2,
+                        "fine_slots_per_coarse": 6},
+                controller={"kind": "smartdpss"},
+                trace={"kind": "stream"},
+                observation={"kind": "uniform", "rel_error": 0.1})
+            system = spec.build_system()
+            runs.append(StreamRunSpec(
+                system=system, controller=spec.build_controller(),
+                stream=spec.open_stream(system),
+                observation=spec.build_observation(system)))
+        with pytest.raises(ObservationCorruptionError) as caught:
+            StreamingBatchSimulator(runs, chunk_coarse=4).run()
+        assert calls == [(2, 24), (2, 24)]
+        assert caught.value.series == "price_lt"
+        assert caught.value.slot == 30
+        assert caught.value.scenario == 1
 
 
 class TestGracefulDegradation:

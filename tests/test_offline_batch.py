@@ -112,11 +112,9 @@ class TestBatchScalarEquivalence:
                               controller=OfflineOptimal(None, plan=plan),
                               stream=ArrayTraceStream(traces))
                 for traces, plan in zip(sets, plans)]
-        batch_records = [
-            metric.as_dict()
-            for metric in StreamingBatchSimulator(
-                runs, controller=OfflinePlanBatch(plans),
-                chunk_coarse=system.num_coarse_slots).run()]
+        batch_records = ScenarioMetrics.rows(StreamingBatchSimulator(
+            runs, controller=OfflinePlanBatch(plans),
+            chunk_coarse=system.num_coarse_slots).run())
         assert scalar_records == batch_records
 
     def test_block_diagonal_cross_check(self):
