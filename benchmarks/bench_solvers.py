@@ -12,7 +12,7 @@ from repro.config.presets import paper_system_config
 from repro.core.modes import SlotState
 from repro.core.p5 import solve_p5
 from repro.baselines.offline import solve_offline_plan
-from repro.solvers.highs import solve_with_highs
+from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
 from repro.solvers.simplex import solve_with_simplex
 from repro.traces.library import make_paper_traces
@@ -70,5 +70,5 @@ def test_offline_lp_speed(benchmark):
 def test_simplex_matches_highs(benchmark):
     model = _small_lp()
     simplex = benchmark(solve_with_simplex, model)
-    highs = solve_with_highs(model, use_sparse=False)
+    highs = CompiledLp(model).solve()
     assert abs(simplex.objective - highs.objective) < 1e-7

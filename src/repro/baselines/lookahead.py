@@ -27,7 +27,7 @@ from repro.core.interfaces import (
     FineObservation,
     RealTimeDecision,
 )
-from repro.solvers.highs import solve_with_highs
+from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
 from repro.traces.base import TraceSet
 
@@ -130,7 +130,7 @@ class LookaheadController(Controller):
                           sdt[i]: 1.0}, float(ddt[i]))
             model.add_le({sdt[i]: 1.0, queue[i]: -1.0}, 0.0)
 
-        solution = solve_with_highs(model)
+        solution = CompiledLp(model).solve()
         return (solution.value(gbef), solution.values(grt),
                 solution.values(sdt))
 

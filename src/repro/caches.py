@@ -17,6 +17,10 @@ cache                                         bound
 (compiled offline-LP sparsity per system)
 ============================================  =======================
 
+:data:`_REGISTRY` names each once; :func:`clear_caches`,
+:func:`cache_sizes` and :func:`cache_stats` all read it, so a new
+cache is registered by adding one row there.
+
 :func:`clear_caches` empties every one of them — the hook tests (and
 long-lived services between sweeps) use to return the process to a
 cold-cache state.  Entries are pure functions of their keys, so
@@ -25,40 +29,42 @@ clearing is always safe: the next use simply recomputes.
 
 from __future__ import annotations
 
+import importlib
+from typing import Iterator
+
+#: ``(registry name, owning module, attribute)`` of every cache: a
+#: plain dict (entry count only) or an ``lru_cache`` wrapper.
+_REGISTRY = (
+    ("p4.steps", "repro.core.p4", "_STEP_CACHE"),
+    ("fleet.spec.system", "repro.fleet.spec", "_cached_system"),
+    ("fleet.spec.models", "repro.fleet.spec", "_cached_models"),
+    ("fleet.spec.smartdpss", "repro.fleet.spec",
+     "_cached_smartdpss_config"),
+    ("traces.solar.clear_sky", "repro.traces.solar", "_capacity_factors"),
+    ("baselines.offline.structure", "repro.baselines.offline",
+     "_cached_structure"),
+)
+
+
+def _caches() -> Iterator[tuple[str, object]]:
+    """``(name, cache)`` for every registered cache, in table order."""
+    for name, module, attribute in _REGISTRY:
+        yield name, getattr(importlib.import_module(module), attribute)
+
 
 def clear_caches() -> None:
     """Empty every registered module-level cache (see module docs)."""
-    from repro.baselines import offline
-    from repro.core import p4
-    from repro.fleet import spec
-    from repro.traces import solar
-
-    p4._STEP_CACHE.clear()
-    spec._cached_system.cache_clear()
-    spec._cached_models.cache_clear()
-    spec._cached_smartdpss_config.cache_clear()
-    solar._capacity_factors.cache_clear()
-    offline._cached_structure.cache_clear()
+    for _, cache in _caches():
+        if isinstance(cache, dict):
+            cache.clear()
+        else:
+            cache.cache_clear()
 
 
 def cache_sizes() -> dict[str, int]:
     """Current entry counts per cache (introspection for tests)."""
-    from repro.baselines import offline
-    from repro.core import p4
-    from repro.fleet import spec
-    from repro.traces import solar
-
-    return {
-        "p4.steps": len(p4._STEP_CACHE),
-        "fleet.spec.system": spec._cached_system.cache_info().currsize,
-        "fleet.spec.models": spec._cached_models.cache_info().currsize,
-        "fleet.spec.smartdpss":
-            spec._cached_smartdpss_config.cache_info().currsize,
-        "traces.solar.clear_sky":
-            solar._capacity_factors.cache_info().currsize,
-        "baselines.offline.structure":
-            offline._cached_structure.cache_info().currsize,
-    }
+    return {name: stats["entries"]
+            for name, stats in cache_stats().items()}
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
@@ -72,22 +78,12 @@ def cache_stats() -> dict[str, dict[str, int]]:
     or an earlier in-process sweep) and how much the run itself
     reused.
     """
-    from repro.baselines import offline
-    from repro.core import p4
-    from repro.fleet import spec
-    from repro.traces import solar
-
-    stats: dict[str, dict[str, int]] = {
-        "p4.steps": {"entries": len(p4._STEP_CACHE)},
-    }
-    for name, cached in (
-            ("fleet.spec.system", spec._cached_system),
-            ("fleet.spec.models", spec._cached_models),
-            ("fleet.spec.smartdpss", spec._cached_smartdpss_config),
-            ("traces.solar.clear_sky", solar._capacity_factors),
-            ("baselines.offline.structure", offline._cached_structure),
-    ):
-        info = cached.cache_info()
-        stats[name] = {"hits": info.hits, "misses": info.misses,
-                       "entries": info.currsize}
+    stats: dict[str, dict[str, int]] = {}
+    for name, cache in _caches():
+        if isinstance(cache, dict):
+            stats[name] = {"entries": len(cache)}
+        else:
+            info = cache.cache_info()
+            stats[name] = {"hits": info.hits, "misses": info.misses,
+                           "entries": info.currsize}
     return stats

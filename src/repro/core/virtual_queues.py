@@ -26,19 +26,11 @@ Two auxiliary state variables steer SmartDPSS:
 
 from __future__ import annotations
 
-import enum
 from repro.exceptions import (
     ConfigurationError,
     InfeasibleActionError,
     StateError,
 )
-
-
-class ShiftMode(str, enum.Enum):
-    """How the battery virtual queue's shift point is chosen."""
-
-    PAPER = "paper"          # Umax + Bmin + Bdmax·ηd  (eq. 14, Thm 2)
-    OPERATIONAL = "operational"  # (Bmin + Bmax)/2 + V·reference price
 
 
 class DelayAwareQueue:

@@ -84,14 +84,16 @@ class HorizonMismatchError(TraceError):
 
 
 class TraceCorruptionError(TraceError):
-    """A NaN/Inf trace value was detected at a chunk boundary.
+    """A NaN/Inf (or negative) trace value was detected as it loaded.
 
-    Raised by the streamed engine's per-chunk finiteness scan, naming
-    the offending scenario (batch position and seed, when known) and
-    the absolute slot so the fleet runner can quarantine exactly that
-    scenario instead of bisecting the whole shard.  Fleet errors cross
-    the worker process boundary, so :meth:`__reduce__` preserves the
-    structured fields through pickling.
+    Raised by :class:`~repro.traces.base.TraceBlock` validation (a
+    generated window) and by the streamed engine's per-chunk
+    finiteness scan, naming the offending scenario (batch position and
+    seed, when known) and the absolute slot so the fleet runner can
+    quarantine exactly that scenario instead of bisecting the whole
+    shard.  Fleet errors cross the worker process boundary, so
+    :meth:`__reduce__` preserves the structured fields through
+    pickling.
     """
 
     def __init__(self, message: str, scenario: int | None = None,

@@ -2,9 +2,8 @@
 
 Centralizes scenario construction (system + traces + controllers) so
 every figure runs on the identical setup the paper fixes in Section
-VI-A, and exposes small run helpers returning
-:class:`~repro.sim.results.SimulationResult`.  Each ``fig*`` module
-hands its whole (value × seed) fleet to
+VI-A.  Each ``fig*`` module builds its run specs here and hands its
+whole (value × seed) fleet to
 :func:`repro.sim.batch.simulate_many` in one call, so compatible runs
 advance in vectorized lockstep.
 """
@@ -19,8 +18,7 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.config.system import SystemConfig
 from repro.core.smartdpss import SmartDPSS
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec, simulate_many
-from repro.sim.results import SimulationResult
+from repro.sim.batch import RunSpec
 from repro.traces.base import TraceSet
 from repro.traces.library import make_paper_traces
 
@@ -94,25 +92,3 @@ def spec_offline(scenario: Scenario,
     return RunSpec(system=system or scenario.system,
                    controller=OfflineOptimal(scenario.traces),
                    traces=scenario.traces)
-
-
-def run_smartdpss(scenario: Scenario,
-                  config: SmartDPSSConfig | None = None,
-                  observed: TraceSet | None = None,
-                  system: SystemConfig | None = None,
-                  ) -> SimulationResult:
-    """Run SmartDPSS on a scenario (optionally with noisy observations)."""
-    return simulate_many([spec_smartdpss(scenario, config,
-                                         observed, system)])[0]
-
-
-def run_impatient(scenario: Scenario,
-                  system: SystemConfig | None = None) -> SimulationResult:
-    """Run the Impatient baseline on a scenario."""
-    return simulate_many([spec_impatient(scenario, system)])[0]
-
-
-def run_offline(scenario: Scenario,
-                system: SystemConfig | None = None) -> SimulationResult:
-    """Run the clairvoyant offline benchmark on a scenario."""
-    return simulate_many([spec_offline(scenario, system)])[0]

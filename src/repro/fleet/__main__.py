@@ -59,7 +59,7 @@ from repro.fleet.spec import (
 )
 from repro.fleet.store import DEFAULT_TABLE_METRICS, ResultStore
 from repro.telemetry import RunManifest, monotonic, stage_split
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, StateError
 
 DEMOS = ("v-sweep", "t-sweep", "random")
 
@@ -208,8 +208,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_store(root: str) -> ResultStore | None:
+    """The store at ``root`` for a read command, or ``None`` (logged)
+    when there is no such directory — reading never creates one."""
+    if not Path(root).is_dir():
+        logger.error("no result store at %s", root)
+        return None
+    return ResultStore(root)
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    store = ResultStore(args.out)
+    store = _existing_store(args.out)
+    if store is None:
+        return 1
     if args.metrics:
         metrics = tuple(args.metrics.split(","))
     else:
@@ -219,8 +230,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         present = store.metric_columns()
         metrics += tuple(name for name in ScenarioMetrics._OPTIONAL
                          if name in present)
-    table = store.sweep_table(name=f"fleet report ({store.root})",
-                              metrics=metrics)
+    try:
+        table = store.sweep_table(name=f"fleet report ({store.root})",
+                                  metrics=metrics)
+    except StateError as error:
+        logger.error("%s", error)
+        return 1
     print(table.render())
     print(f"{len(store)} records, {len(table.points)} distinct values")
     return 0
@@ -254,7 +269,9 @@ def _render_quarantine(store: ResultStore) -> bool:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Render run manifests (and quarantined scenarios) of a store."""
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
+    if store is None:
+        return 1
     manifests = store.manifests()
     shown = 0
     if manifests:

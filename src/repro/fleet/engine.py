@@ -576,10 +576,11 @@ class StreamingBatchSimulator(BatchSimulator):
     def _check_chunk_finite(self, start: int, stop: int) -> None:
         """Reject NaN/Inf trace values as each chunk loads.
 
-        Kernel-generated chunks bypass the :class:`TraceSet`
-        constructor validation the in-memory path gets for free, so
-        the streamed engine scans every loaded window (four batched
-        ``isfinite`` reductions) and raises a typed
+        A generated window is already rejected by its
+        :class:`~repro.traces.base.TraceBlock` validation; this scan
+        (four batched ``isfinite`` reductions) also catches values
+        poisoned after the block loaded, such as the fault harness's
+        ``nan`` injections.  Either raises a typed
         :class:`TraceCorruptionError` naming the scenario position,
         seed and absolute slot — precise enough for the fleet runner
         to quarantine exactly that scenario without bisection.

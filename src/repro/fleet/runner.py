@@ -45,6 +45,7 @@ from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import observation_from_mapping
 from repro.fleet.spec import ORACLE_CONTROLLERS, ScenarioSpec
 from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
+from repro.solvers import batch_lp
 from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
@@ -164,8 +165,17 @@ def _twin_lanes(specs: "list[ScenarioSpec]", systems: "list"
     return which, firsts
 
 
-def _materialize(streams: "list") -> "list[TraceSet]":
-    """Whole horizons of distinct trace sources.
+def _at_position(error: TraceCorruptionError, position: int,
+                 seed) -> TraceCorruptionError:
+    """``error`` restated for the scenario at shard ``position``."""
+    return TraceCorruptionError(
+        f"{error} (scenario position {position}, seed {seed})",
+        scenario=position, slot=error.slot, seed=seed)
+
+
+def _materialize(streams: "list", firsts: "list[int]"
+                 ) -> "list[TraceSet]":
+    """Whole horizons of distinct trace sources (one per lane).
 
     When every source is a ``stream`` recipe, all of them come from one
     full-horizon :class:`BatchTraceStream` read — bit-identical to each
@@ -175,7 +185,11 @@ def _materialize(streams: "list") -> "list[TraceSet]":
     batch = BatchTraceStream.for_streams(streams)
     if batch is None:
         return [stream.materialize() for stream in streams]
-    block = batch.open().read(batch.n_slots)
+    try:
+        block = batch.open().read(batch.n_slots)
+    except TraceCorruptionError as error:  # the block's rows are lanes
+        raise _at_position(error, firsts[error.scenario],
+                           error.seed) from None
     return [block.scenario(b) for b in range(len(streams))]
 
 
@@ -397,13 +411,18 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     which, firsts = _twin_lanes(specs, systems)
     if tele is not None and len(firsts) < len(specs):
         tele.count("trace_twins", len(specs) - len(firsts))
-    streams = [specs[i].open_stream(systems[i]) for i in firsts]
+    streams = []
+    for i in firsts:
+        try:  # a ``paper`` recipe materializes, and validates, here
+            streams.append(specs[i].open_stream(systems[i]))
+        except TraceCorruptionError as error:
+            raise _at_position(error, i, specs[i].trace_seed) from None
     traces_list: list[TraceSet | None] = [None] * len(specs)
     if offline_gap or any(
             spec.trace_kind == "paper"
             or spec.controller_kind in ORACLE_CONTROLLERS
             for spec in specs):
-        realizations = _materialize(streams)
+        realizations = _materialize(streams, firsts)
         streams = [ArrayTraceStream(traces) for traces in realizations]
         traces_list = [realizations[lane] for lane in which]
     runs = [StreamRunSpec(
@@ -879,6 +898,12 @@ class FleetRunner:
                     queue.extendleft(reversed(followup))
         else:
             workers = min(workers, plan["total"]) or 1
+            if self.offline_gap or any(
+                    spec.controller_kind in ORACLE_CONTROLLERS
+                    for spec in self.specs):
+                # Forked workers inherit scipy instead of each
+                # importing it on its first LP, on every run.
+                batch_lp.load_scipy()
             self._run_pool(payloads, workers, sink, plan,
                            scenario_attempts, payload_attempts,
                            counters, quarantine)

@@ -1,12 +1,15 @@
 """Optimization substrate.
 
-Three layers:
+Import the submodules directly; this package imports nothing, so
+loading a NumPy-only solver does not load scipy.
 
 * :mod:`repro.solvers.linear_program` — a small named-variable LP model
   builder (objective, bounds, inequality/equality rows) that compiles
   to the arrays solvers consume;
-* :mod:`repro.solvers.highs` — the production backend
-  (scipy ``linprog`` / HiGHS), used by the offline-optimal baseline;
+* :mod:`repro.solvers.batch_lp` — the one LP entry point
+  (:class:`~repro.solvers.batch_lp.CompiledLp`: scipy ``linprog`` /
+  HiGHS, loaded on the first solve), used by the offline-optimal and
+  lookahead baselines;
 * :mod:`repro.solvers.simplex` — a from-scratch two-phase dense simplex
   with Bland's rule; small and slow, it exists to cross-check HiGHS on
   random instances (a solver bug would silently corrupt every
@@ -16,21 +19,3 @@ Three layers:
   piecewise linear because of the battery-operation indicator
   ``n(τ)·Cb``; vertex enumeration solves it exactly).
 """
-
-from repro.solvers.highs import solve_with_highs
-from repro.solvers.linear_program import LpModel, LpSolution
-from repro.solvers.piecewise import (
-    minimize_over_candidates,
-    piecewise_candidates_1d,
-)
-from repro.solvers.simplex import SimplexResult, solve_with_simplex
-
-__all__ = [
-    "LpModel",
-    "LpSolution",
-    "solve_with_highs",
-    "solve_with_simplex",
-    "SimplexResult",
-    "minimize_over_candidates",
-    "piecewise_candidates_1d",
-]

@@ -1,4 +1,9 @@
-"""Multi-instance LP solving over one compiled constraint structure.
+"""The LP entry point: one compiled constraint structure, many solves.
+
+Every LP in the library (the offline-optimal and lookahead baselines')
+is an :class:`~repro.solvers.linear_program.LpModel` solved through
+:class:`CompiledLp`, whose status codes map to typed errors in
+:func:`raise_for_status`.
 
 The offline-optimal baseline solves the *same* LP for every scenario
 of a fleet: the constraint pattern, variable bounds and structural
@@ -12,10 +17,9 @@ model construction, no per-call argument re-validation.
 Two solve configurations exist, chosen by the caller per instance:
 
 ``fast=False`` (default)
-    The public ``scipy.optimize.linprog(method="highs")`` call,
-    byte-for-byte the same arguments :func:`~repro.solvers.highs.
-    solve_with_highs` would pass.  This is the reference path; pinned
-    figure metrics (golden fixtures) are produced through it.
+    The public ``scipy.optimize.linprog`` call (``method="highs"``).
+    This is the reference path; pinned figure metrics (golden
+    fixtures) are produced through it.
 
 ``fast=True``
     An in-process HiGHS session via scipy's private ``_highspy``
@@ -35,49 +39,109 @@ into one literal block-diagonal LP and solves it in a single call —
 slower than the stamped loop (HiGHS cannot exploit the separability),
 but an independent cross-check of the stamping logic used by the
 equivalence tests.
+
+Importing this module loads no scipy: ``scipy.optimize`` and
+``scipy.sparse`` load on the first solve, and the private bindings
+are probed once, on first use (:func:`fast_path_available`).  A
+process pool forked after :func:`load_scipy` inherits both.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
-from repro.exceptions import SolverError
-from repro.solvers.highs import (
-    STATUS_INFEASIBLE,
-    STATUS_ITERATION_LIMIT,
-    STATUS_OK,
-    STATUS_UNBOUNDED,
-    raise_for_status,
+from repro.exceptions import (
+    InfeasibleProblemError,
+    IterationLimitError,
+    SolverError,
+    UnboundedProblemError,
 )
 from repro.solvers.linear_program import LpModel, LpSolution
 
-try:  # scipy-private HiGHS bindings; guarded — versions move these.
-    from scipy.optimize._highspy import _core as _highs_core
-    from scipy.optimize._linprog_highs import _replace_inf
-except ImportError:  # pragma: no cover - depends on scipy build
-    _highs_core = None
-    _replace_inf = None
+#: scipy linprog status codes.
+STATUS_OK = 0
+STATUS_ITERATION_LIMIT = 1
+STATUS_INFEASIBLE = 2
+STATUS_UNBOUNDED = 3
 
-#: HighsModelStatus -> scipy linprog status code (the subset that maps
-#: onto a typed outcome; anything else raises the generic SolverError).
-_HIGHS_STATUS_MAP = {}
-if _highs_core is not None:
-    _HIGHS_STATUS_MAP = {
-        int(_highs_core.HighsModelStatus.kOptimal): STATUS_OK,
-        int(_highs_core.HighsModelStatus.kInfeasible): STATUS_INFEASIBLE,
-        int(_highs_core.HighsModelStatus.kUnbounded): STATUS_UNBOUNDED,
-        int(_highs_core.HighsModelStatus.kIterationLimit):
-            STATUS_ITERATION_LIMIT,
+
+def raise_for_status(status: int, model_name: str,
+                     message: str = "") -> None:
+    """Map a scipy-linprog status code onto the typed error hierarchy.
+
+    Returns silently for ``STATUS_OK``; every other code raises.  Both
+    solve paths of :class:`CompiledLp` (and
+    :func:`solve_block_diagonal`) route through here, so a given
+    failure mode produces one exception type everywhere.
+    """
+    if status == STATUS_OK:
+        return
+    if status == STATUS_INFEASIBLE:
+        raise InfeasibleProblemError(
+            f"{model_name}: LP infeasible ({message})",
+            status="infeasible")
+    if status == STATUS_UNBOUNDED:
+        raise UnboundedProblemError(
+            f"{model_name}: LP unbounded ({message})",
+            status="unbounded")
+    if status == STATUS_ITERATION_LIMIT:
+        raise IterationLimitError(
+            f"{model_name}: simplex iteration limit reached before "
+            f"optimality ({message}); raise linprog's "
+            f"maxiter/simplex_iteration_limit or shrink the horizon",
+            status="iteration_limit")
+    raise SolverError(
+        f"{model_name}: HiGHS failed ({message})", status=str(status))
+
+
+def _linprog_solution(result, model_name: str) -> LpSolution:
+    """A public ``linprog`` result as an :class:`LpSolution` (or raise)."""
+    raise_for_status(result.status, model_name, result.message)
+    if result.x is None:
+        raise SolverError(
+            f"{model_name}: HiGHS returned no solution "
+            f"({result.message})", status=str(result.status))
+    return LpSolution(objective=float(result.fun), x=result.x,
+                      status="optimal")
+
+
+@lru_cache(maxsize=None)
+def _highs_bindings():
+    """``(core, replace_inf, status_map)`` of scipy's private HiGHS
+    bindings, or ``None`` where they are gone; probed once per process.
+
+    ``status_map`` takes a HighsModelStatus to a linprog status code
+    (anything unmapped raises the generic :class:`SolverError`).
+    """
+    try:  # scipy-private; guarded — versions move these.
+        from scipy.optimize._highspy import _core
+        from scipy.optimize._linprog_highs import _replace_inf
+    except ImportError:  # pragma: no cover - depends on scipy build
+        return None
+    status = _core.HighsModelStatus
+    return _core, _replace_inf, {
+        int(status.kOptimal): STATUS_OK,
+        int(status.kInfeasible): STATUS_INFEASIBLE,
+        int(status.kUnbounded): STATUS_UNBOUNDED,
+        int(status.kIterationLimit): STATUS_ITERATION_LIMIT,
     }
 
 
 def fast_path_available() -> bool:
     """Whether the in-process HiGHS fast path can be used."""
-    return _highs_core is not None
+    return _highs_bindings() is not None
+
+
+def load_scipy() -> None:
+    """Import what a solve needs now, not on the first solve: a process
+    pool forked afterwards inherits it instead of importing per worker."""
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+    _highs_bindings()
 
 
 class CompiledLp:
@@ -111,6 +175,8 @@ class CompiledLp:
     # ------------------------------------------------------------------
 
     def _solve_linprog(self, c, b_ub, b_eq) -> LpSolution:
+        from scipy.optimize import linprog
+
         result = linprog(
             c=c,
             A_ub=self._A_ub,
@@ -120,13 +186,7 @@ class CompiledLp:
             bounds=self._bounds,
             method="highs",
         )
-        raise_for_status(result.status, self.name, result.message)
-        if result.x is None:
-            raise SolverError(
-                f"{self.name}: HiGHS returned no solution "
-                f"({result.message})", status=str(result.status))
-        return LpSolution(objective=float(result.fun), x=result.x,
-                          status="optimal")
+        return _linprog_solution(result, self.name)
 
     # ------------------------------------------------------------------
     # Fast path: in-process HiGHS, fixed deterministic options
@@ -139,34 +199,36 @@ class CompiledLp:
         exactly as scipy's wrapper stacks it, so row indices (and the
         solver's pivoting) match the public path's layout.
         """
+        from scipy import sparse
+
+        core, replace_inf, _ = _highs_bindings()
         blocks = [m for m in (self._A_ub, self._A_eq) if m is not None]
         stacked = sparse.vstack(blocks) if len(blocks) > 1 else blocks[0]
         matrix = sparse.csc_array(stacked)
         n_rows = self.n_ub_rows + self.n_eq_rows
 
         bounds = np.asarray(self._bounds, dtype=float)
-        col_lower = _replace_inf(bounds[:, 0].copy())
-        col_upper = _replace_inf(bounds[:, 1].copy())
+        col_lower = replace_inf(bounds[:, 0].copy())
+        col_upper = replace_inf(bounds[:, 1].copy())
 
-        options = _highs_core.HighsOptions()
+        options = core.HighsOptions()
         options.output_flag = False
         options.log_to_console = False
         # Dual simplex matches the public wrapper's choice; presolve
         # off is the small-instance speedup this path exists for.
         options.simplex_strategy = int(
-            _highs_core.simplex_constants.SimplexStrategy
-            .kSimplexStrategyDual)
+            core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
         options.presolve = "off"
 
-        highs = _highs_core._Highs()
+        highs = core._Highs()
         highs.passOptions(options)
 
-        lp = _highs_core.HighsLp()
+        lp = core.HighsLp()
         lp.num_col_ = self.n_cols
         lp.num_row_ = n_rows
         lp.col_lower_ = col_lower
         lp.col_upper_ = col_upper
-        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = core.MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = self.n_cols
         lp.a_matrix_.num_row_ = n_rows
         lp.a_matrix_.start_ = matrix.indptr
@@ -180,6 +242,7 @@ class CompiledLp:
         return self._session
 
     def _solve_fast(self, c, b_ub, b_eq) -> LpSolution:
+        _, replace_inf, status_map = _highs_bindings()
         highs, lp, lhs_template, rhs_template = (
             self._session or self._fast_session())
         lhs = lhs_template.copy()
@@ -188,15 +251,15 @@ class CompiledLp:
         rhs[:self.n_ub_rows] = b_ub
         rhs[self.n_ub_rows:] = b_eq
         lp.col_cost_ = c
-        lp.row_lower_ = _replace_inf(lhs)
-        lp.row_upper_ = _replace_inf(rhs)
+        lp.row_lower_ = replace_inf(lhs)
+        lp.row_upper_ = replace_inf(rhs)
         highs.passModel(lp)
         # Cold solve per instance: no basis/state carries over, so the
         # result is independent of what was solved before it.
         highs.clearSolver()
         highs.run()
         status = int(highs.getModelStatus())
-        code = _HIGHS_STATUS_MAP.get(status)
+        code = status_map.get(status)
         if code is None:
             raise SolverError(
                 f"{self.name}: HiGHS failed (model status {status})",
@@ -269,6 +332,9 @@ def solve_block_diagonal(compiled: CompiledLp,
     """
     if not instances:
         return []
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n_b = len(instances)
 
     def stacked(name, default):
@@ -289,15 +355,11 @@ def solve_block_diagonal(compiled: CompiledLp,
     result = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                      bounds=list(compiled._bounds) * n_b,
                      method="highs")
-    raise_for_status(result.status, compiled.name, result.message)
-    if result.x is None:
-        raise SolverError(
-            f"{compiled.name}: HiGHS returned no solution "
-            f"({result.message})", status=str(result.status))
+    x_all = _linprog_solution(result, compiled.name).x
     solutions = []
     width = compiled.n_cols
     for index in range(n_b):
-        x = result.x[index * width:(index + 1) * width]
+        x = x_all[index * width:(index + 1) * width]
         objective = float(np.dot(
             c[index * width:(index + 1) * width], x))
         solutions.append(LpSolution(objective=objective, x=x,

@@ -10,8 +10,10 @@ lets callers build the program with names::
          for k in range(K)]
     model.add_eq({g[0]: 1.0, b[1]: -1.0}, rhs=...)
 
-and compiles to the dense/sparse arrays that both backends consume.
-Solutions map back to names (:meth:`LpSolution.value`, or vectorized
+and compiles to the sparse arrays HiGHS consumes
+(:class:`~repro.solvers.batch_lp.CompiledLp`) or the dense ones of the
+reference simplex (:mod:`repro.solvers.simplex`); only the sparse
+compile imports scipy.  Solutions map back to names (:meth:`LpSolution.value`, or vectorized
 :meth:`LpSolution.values`).
 """
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import SolverError
 
@@ -127,6 +128,8 @@ class LpModel:
         if not rows:
             return None
         if use_sparse:
+            from scipy import sparse
+
             data, row_idx, col_idx = [], [], []
             for i, row in enumerate(rows):
                 for j, coeff in row.items():

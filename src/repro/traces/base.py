@@ -25,6 +25,7 @@ import numpy as np
 from repro.exceptions import (
     ConfigurationError,
     HorizonMismatchError,
+    TraceCorruptionError,
     TraceError,
 )
 
@@ -51,18 +52,25 @@ def slot_time_indices(start_slot: int, n_slots: int, slot_hours: float,
 
 def _validated_array(name: str, values: object, *,
                      lower: float | None = 0.0) -> np.ndarray:
-    """Convert to a read-only float array, checking finiteness/bounds."""
+    """Convert to a read-only float array, checking finiteness/bounds
+    (a bad value raises :class:`TraceCorruptionError` naming its slot)."""
     array = np.asarray(values, dtype=float)
     if array.ndim != 1:
         raise TraceError(f"{name} must be one-dimensional, got shape "
                          f"{array.shape}")
     if array.size == 0:
         raise TraceError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(array)):
-        raise TraceError(f"{name} contains NaN or infinite values")
+    finite = np.isfinite(array)
+    if not finite.all():
+        slot = int(np.argmin(finite))
+        raise TraceCorruptionError(
+            f"{name} contains NaN or infinite values (slot {slot})",
+            slot=slot)
     if lower is not None and np.any(array < lower):
-        worst = float(array.min())
-        raise TraceError(f"{name} must be >= {lower}, found {worst}")
+        slot = int(np.argmax(array < lower))
+        raise TraceCorruptionError(
+            f"{name} must be >= {lower}, found {float(array.min())} "
+            f"(slot {slot})", slot=slot)
     array = array.copy()
     array.setflags(write=False)
     return array
@@ -278,7 +286,9 @@ class TraceBlock:
     ``b``'s window.  Validation (finiteness, non-negativity, matched
     shapes) runs once over the whole block instead of ``B`` times, and
     the arrays are frozen in place rather than copied — the kernels
-    hand over ownership.
+    hand over ownership.  A NaN, infinite or negative value raises
+    :class:`~repro.exceptions.TraceCorruptionError` naming its row,
+    slot and seed.
     """
 
     demand_ds: np.ndarray
@@ -299,17 +309,28 @@ class TraceBlock:
             if array.size == 0:
                 raise TraceError(f"{name} must be non-empty")
             if not np.all(np.isfinite(array)):
-                raise TraceError(f"{name} contains NaN or infinite "
-                                 f"values")
+                self._reject(~np.isfinite(array),
+                             f"{name} contains NaN or infinite values")
             if np.any(array < 0):
-                raise TraceError(f"{name} must be >= 0, found "
-                                 f"{float(array.min())}")
+                self._reject(array < 0, f"{name} must be >= 0, found "
+                                        f"{float(array.min())}")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
             shapes.add(array.shape)
         if len(shapes) != 1:
             raise HorizonMismatchError(
                 f"trace block series have mismatched shapes: {shapes}")
+
+    def _reject(self, bad: np.ndarray, message: str) -> None:
+        """Raise a :class:`TraceCorruptionError` naming the first bad
+        value's row (scenario position), absolute slot and seed."""
+        row, column = (int(i) for i in np.argwhere(bad)[0])
+        seeds = self.meta.get("seeds")
+        seed = None if seeds is None else seeds[row]
+        slot = int(self.meta.get("window_start", 0)) + column
+        raise TraceCorruptionError(
+            f"{message} (row {row}, slot {slot}, seed {seed})",
+            scenario=row, slot=slot, seed=seed)
 
     @property
     def n_scenarios(self) -> int:

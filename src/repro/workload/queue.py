@@ -99,18 +99,6 @@ class BacklogQueue:
         """The indicator ``1{Q(τ) > 0}`` used by the Y-queue (eq. 12)."""
         return self._backlog > _TOLERANCE
 
-    @property
-    def oldest_age(self) -> int | None:
-        """Age in slots of the oldest queued parcel, given ``now``.
-
-        Returns ``None`` when empty.  Note: callers must subtract the
-        stored arrival slot from *their* notion of now; see
-        :meth:`oldest_arrival_slot`.
-        """
-        if not self._parcels:
-            return None
-        return int(self._parcels[0][0])
-
     def oldest_arrival_slot(self) -> int | None:
         """Arrival slot of the oldest queued parcel (None if empty)."""
         if not self._parcels:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.solvers.highs import solve_with_highs
+from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
 from repro.solvers.simplex import solve_with_simplex
 
@@ -38,7 +38,7 @@ def feasible_lp(draw):
 @given(model=feasible_lp())
 def test_simplex_matches_highs_on_random_lps(model):
     simplex = solve_with_simplex(model)
-    highs = solve_with_highs(model, use_sparse=False)
+    highs = CompiledLp(model).solve()
     assert simplex.objective == pytest.approx(highs.objective,
                                               abs=1e-6)
 

@@ -10,6 +10,7 @@ fault-free run throughout.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -320,6 +321,35 @@ class TestTraceTwinFaults:
         reference = (twin_reference if offline_gap
                      else streamed_twin_reference)
         assert records[1] == reference[1]
+
+
+class TestGeneratedCorruption:
+    """A non-finite value from trace generation itself — not the fault
+    harness — is typed where it loads and quarantines its scenario at
+    once: streamed or materialized (``paper``) recipes, on the
+    streamed read and the offline gap's full-horizon read alike."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("trace_kind", ["stream", "paper"])
+    @pytest.mark.parametrize("offline_gap", [False, True])
+    def test_generated_inf_quarantines_without_retry(self, offline_gap,
+                                                     trace_kind):
+        fleet = grid_specs(tiny_template(trace_kind), "controller.v",
+                           [0.5, 1.0, 2.0, 4.0], seeds=(0, 1))
+        poisoned = dataclasses.replace(
+            fleet[5], trace={**fleet[5].trace,
+                             "demand": {"search_peak_mw": float("inf")}})
+        healthy = fleet[:5] + fleet[6:]
+        reference = FleetRunner(healthy, offline_gap=offline_gap).run()
+        runner = FleetRunner(fleet[:5] + [poisoned] + fleet[6:],
+                             offline_gap=offline_gap, retry_backoff_s=0)
+        records = runner.run()
+        assert runner.last_run_stats["retries"] == 0
+        assert runner.last_run_stats["bisections"] == 0
+        assert [r["spec_hash"] for r in records
+                if r.get("quarantined")] == [poisoned.spec_hash()]
+        assert records[5]["error"]["type"] == "TraceCorruptionError"
+        assert records[:5] + records[6:] == reference
 
 
 class TestObserveSite:

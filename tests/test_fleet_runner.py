@@ -170,6 +170,19 @@ class TestCli:
         assert main(["stats", str(out)]) == 1
         assert "no run manifests" in capsys.readouterr().err
 
+    def test_read_commands_on_store_without_records(self, tmp_path,
+                                                    capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["report", "--out", str(empty)]) == 1
+        assert "is empty" in capsys.readouterr().err
+        missing = tmp_path / "missing"
+        assert main(["report", "--out", str(missing)]) == 1
+        assert "no result store" in capsys.readouterr().err
+        assert main(["stats", str(missing)]) == 1
+        assert "no result store" in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_run_spec_file(self, tmp_path):
         fleet = [spec.to_dict() for spec in tiny_fleet()[:3]]
         spec_file = tmp_path / "fleet.json"

@@ -275,7 +275,7 @@ class TestPublicHighsFallback:
         assert _get_structure(system, DEFAULT_DEADLINE_SLOTS, True,
                               0.0).fast
         fast = solve_offline_plan_batch(system, block)
-        monkeypatch.setattr(batch_lp, "_highs_core", None)
+        monkeypatch.setattr(batch_lp, "_highs_bindings", lambda: None)
         assert not batch_lp.fast_path_available()
         public = solve_offline_plan_batch(system, block)
         # Plan arrays may differ: the public path can land on another
@@ -286,7 +286,7 @@ class TestPublicHighsFallback:
 
     @pytest.mark.fleet
     def test_fleet_gap_column_completes(self, monkeypatch):
-        monkeypatch.setattr(batch_lp, "_highs_core", None)
+        monkeypatch.setattr(batch_lp, "_highs_bindings", lambda: None)
         runner = FleetRunner(TestFleetGapColumn()._specs(n_seeds=2),
                              offline_gap=True, telemetry=True)
         for record in runner.run():

@@ -1,4 +1,4 @@
-"""LP model builder and HiGHS backend."""
+"""LP model builder and the HiGHS entry point (``CompiledLp``)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.exceptions import (
     SolverError,
     UnboundedProblemError,
 )
-from repro.solvers.highs import solve_with_highs
+from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
 
 
@@ -72,7 +72,7 @@ class TestHighsBackend:
         x = model.add_var("x", lb=0.0, cost=2.0)
         y = model.add_var("y", lb=0.0, cost=3.0)
         model.add_ge({x: 1.0, y: 1.0}, 4.0)
-        solution = solve_with_highs(model)
+        solution = CompiledLp(model).solve()
         # Cheaper variable takes the whole constraint.
         assert solution.objective == pytest.approx(8.0)
         assert solution.value(x) == pytest.approx(4.0)
@@ -82,7 +82,7 @@ class TestHighsBackend:
         model = LpModel()
         xs = [model.add_var(f"x{i}", lb=float(i), ub=float(i))
               for i in range(4)]
-        solution = solve_with_highs(model)
+        solution = CompiledLp(model).solve()
         assert np.allclose(solution.values(xs), [0, 1, 2, 3])
 
     def test_infeasible_raises(self):
@@ -90,13 +90,13 @@ class TestHighsBackend:
         x = model.add_var("x", lb=0.0, ub=1.0)
         model.add_ge({x: 1.0}, 2.0)
         with pytest.raises(InfeasibleProblemError):
-            solve_with_highs(model)
+            CompiledLp(model).solve()
 
     def test_unbounded_raises(self):
         model = LpModel()
         model.add_var("x", lb=-np.inf, ub=np.inf, cost=1.0)
         with pytest.raises(UnboundedProblemError):
-            solve_with_highs(model)
+            CompiledLp(model).solve()
 
     def test_equality_constraints(self):
         model = LpModel()
@@ -104,14 +104,14 @@ class TestHighsBackend:
         y = model.add_var("y", lb=0.0, cost=1.0)
         model.add_eq({x: 1.0, y: 1.0}, 3.0)
         model.add_eq({x: 1.0, y: -1.0}, 1.0)
-        solution = solve_with_highs(model)
+        solution = CompiledLp(model).solve()
         assert solution.value(x) == pytest.approx(2.0)
         assert solution.value(y) == pytest.approx(1.0)
 
-    def test_dense_path(self):
+    def test_upper_bound_binds(self):
         model = LpModel()
         x = model.add_var("x", lb=0.0, ub=2.0, cost=-1.0)
-        solution = solve_with_highs(model, use_sparse=False)
+        solution = CompiledLp(model).solve()
         assert solution.value(x) == pytest.approx(2.0)
 
 
@@ -130,17 +130,17 @@ class TestStatusPaths:
     The real solver cannot be coaxed into an iteration-limit
     termination on a toy model, so ``linprog`` is monkeypatched to
     return each status code verbatim — what's under test is the
-    mapping, which both :func:`solve_with_highs` and the compiled
-    multi-instance path route through :func:`raise_for_status`.
+    mapping, which every public-``linprog`` solve of
+    :class:`CompiledLp` routes through :func:`raise_for_status`.
     """
 
     @staticmethod
     def _solve(monkeypatch, result):
         model = LpModel("status-probe")
         model.add_var("x", lb=0.0, ub=1.0, cost=1.0)
-        monkeypatch.setattr("repro.solvers.highs.linprog",
+        monkeypatch.setattr("scipy.optimize.linprog",
                             lambda **kwargs: result)
-        return solve_with_highs(model)
+        return CompiledLp(model).solve()
 
     def test_ok_returns_solution(self, monkeypatch):
         result = _FakeLinprogResult(0, x=np.array([0.25]), fun=0.25)
@@ -182,6 +182,6 @@ class TestStatusPaths:
                         _FakeLinprogResult(0, x=None, fun=None))
 
     def test_raise_for_status_ok_is_silent(self):
-        from repro.solvers.highs import STATUS_OK, raise_for_status
+        from repro.solvers.batch_lp import STATUS_OK, raise_for_status
 
         raise_for_status(STATUS_OK, "any-model")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleProblemError, UnboundedProblemError
-from repro.solvers.highs import solve_with_highs
+from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
 from repro.solvers.simplex import solve_with_simplex
 
 
 def assert_matches_highs(model: LpModel):
     simplex = solve_with_simplex(model)
-    highs = solve_with_highs(model, use_sparse=False)
+    highs = CompiledLp(model).solve()
     assert simplex.objective == pytest.approx(highs.objective,
                                               abs=1e-7)
     return simplex
