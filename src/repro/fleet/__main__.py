@@ -188,10 +188,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     runner.run(progress=verbose_progress if args.verbose
                else quiet_progress)
     elapsed = monotonic() - t0
-    summary = (f"completed {len(specs)} scenarios in {elapsed:.2f}s "
-               f"({len(specs) / elapsed:.0f} scenarios/s); results in "
-               f"{store.path}")
     stats = runner.last_run_stats or {}
+    # The rate counts executed scenarios only: resumed ones cost a
+    # store scan, not a run.
+    executed = stats.get("executed", 0)
+    summary = (f"completed {executed} scenarios in {elapsed:.2f}s "
+               f"({executed / elapsed:.0f} scenarios/s), "
+               f"{stats.get('skipped', 0)} resumed from the store; "
+               f"results in {store.path}")
     if stats.get("quarantined"):
         logger.warning(
             "%d scenario(s) quarantined (%d retries, %d pool respawns) "

@@ -58,7 +58,9 @@ from repro.traces.base import TraceBlock, TraceSet
 #: 256 amortizes per-op ufunc dispatch ~4x better than the previous 64
 #: while keeping shard memory trivial (O(B * chunk)); records are
 #: independent of the shard size (every lane's arithmetic is
-#: scenario-local), so this is purely a throughput knob.
+#: scenario-local), so this is purely a throughput knob.  Shards are
+#: cut in trace-seed order, so a shard of a 20-value ``V`` sweep holds
+#: ~13 seeds and builds one trace lane per seed.
 DEFAULT_BATCH_SIZE = 256
 
 #: Default coarse slots of trace data resident per scenario.
@@ -501,10 +503,12 @@ class FleetRunner:
         structure-stamping path and replays the plans through the
         vectorized engine, so the column costs roughly one small LP
         solve (plus one replay) per distinct trace realization on top
-        of the policy run: trace twins — scenarios of one shard with
-        the same system, trace seed and trace recipe, such as a
-        ``controller.v`` sweep over shared seeds — share one trace
-        build, plan and replay (telemetry counter ``trace_twins``).
+        of the policy run: trace twins — scenarios with the same
+        system, trace seed and trace recipe, such as a ``controller.v``
+        sweep over shared seeds — share one trace build, plan and
+        replay per shard (telemetry counter ``trace_twins``).  Shards
+        are planned in trace-seed order, so twins share a shard, and
+        each realization is solved about once per fleet.
     telemetry:
         ``True`` instruments the run: every shard owns a
         :class:`~repro.telemetry.Telemetry` collector whose snapshot
@@ -641,13 +645,29 @@ class FleetRunner:
     # ------------------------------------------------------------------
 
     def _build_payloads(self, indices: Sequence[int]) -> list[dict]:
-        """Group the given spec positions, split groups into payloads."""
-        groups: dict[tuple, list[int]] = {}
+        """Group the given spec positions, split groups into payloads.
+
+        Each group is ordered by trace seed before it is cut: positions
+        sharing ``spec.trace_seed`` become adjacent, seeds in order of
+        first appearance and positions in given order within a seed.
+        Trace twins share a seed, so a ``controller.v`` sweep over
+        shared seeds keeps each realization's twins together, split
+        only where a shard boundary falls among them, and a shard
+        builds, solves and replays each realization once.  The order is
+        only a heuristic: the worker still decides lanes by the full
+        :meth:`ScenarioSpec.trace_key` (:func:`_twin_lanes`), so equal
+        seeds with different systems or recipes never merge.  The
+        planner reads the seed, not the key, which costs a canonical
+        JSON dump per spec.
+        """
+        groups: dict[tuple, dict[int, list[int]]] = {}
         for index in indices:
-            groups.setdefault(self.specs[index].group_key(),
-                              []).append(index)
+            spec = self.specs[index]
+            groups.setdefault(spec.group_key(), {}).setdefault(
+                spec.trace_seed, []).append(index)
         payloads = []
-        for group in groups.values():
+        for by_seed in groups.values():
+            group = [i for bucket in by_seed.values() for i in bucket]
             for shard in _split_shards(group, self.batch_size):
                 payloads.append({
                     "indices": shard,
@@ -663,10 +683,14 @@ class FleetRunner:
         """Group compatible specs, then split groups into payloads.
 
         The full plan (resumption skips are applied at :meth:`run`
-        time, against the store's state *then*).  Deterministic in the
-        immutable spec list, so it is computed once and cached —
-        callers can inspect it before :meth:`run` without paying the
-        planning pass twice.
+        time, against the store's state *then*), in trace-seed order
+        within each group (see :meth:`_build_payloads`).  The store
+        receives each payload's records as it finishes, so
+        ``results.jsonl`` follows shard order, not spec order;
+        :meth:`run` still returns spec order, and resume keys on
+        ``spec_hash``.  Deterministic in the immutable spec list, so it
+        is computed once and cached — callers can inspect it before
+        :meth:`run` without paying the planning pass twice.
         """
         if self._payloads is None:
             self._payloads = self._build_payloads(
@@ -783,11 +807,14 @@ class FleetRunner:
     def run(self, progress: Callable | None = None) -> list[dict]:
         """Execute the fleet; returns records in spec order.
 
-        With a store and ``resume`` (the default), specs whose hash is
-        already stored are *not* re-executed: their stored records are
-        returned in place, and only the remaining specs are sharded
-        and run — an interrupted sweep picks up where it stopped at
-        the cost of one store scan.
+        The store receives them shard by shard, in shard order (see
+        :meth:`shards`).  With a store and ``resume`` (the default),
+        specs whose hash is already stored are *not* re-executed: their
+        stored records are returned in place, and only the remaining
+        specs are sharded and run, in trace-seed order again — an
+        interrupted sweep picks up where it stopped at the cost of one
+        store scan.  When nothing remains, the run starts no process
+        pool and loads no LP solver.
 
         Failure semantics (unless ``fail_fast``): a shard exception,
         worker crash or shard timeout never aborts the run.  The shard
@@ -882,7 +909,8 @@ class FleetRunner:
                     progress(outcome, finished, plan["total"])
 
         workers = self.max_workers
-        if workers is None or workers <= 1:
+        # A fully resumed run has nothing to ship: no pool, no scipy.
+        if workers is None or workers <= 1 or not payloads:
             workers = 1
             queue = deque(payloads)
             while queue:
@@ -897,7 +925,7 @@ class FleetRunner:
                     plan["total"] += len(followup)
                     queue.extendleft(reversed(followup))
         else:
-            workers = min(workers, plan["total"]) or 1
+            workers = min(workers, plan["total"])
             if self.offline_gap or any(
                     spec.controller_kind in ORACLE_CONTROLLERS
                     for spec in self.specs):

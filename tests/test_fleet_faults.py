@@ -152,9 +152,10 @@ class TestSerialRecovery:
             Fault(site="slot_loop", scenario=poisoned, times=None,
                   slot=3, message="poisoned"),))
         runner, records = run_chaos(fleet, plan, store=store)
-        # shard[0..3] retries twice, bisects; [0,1] retries twice,
-        # bisects; [1] alone retries twice and is quarantined —
-        # leaving 3 successful shards: [0], [2,3] and [4,5].
+        # Shards follow trace-seed order: [0,3,1,4] retries twice,
+        # bisects; [1,4] retries twice, bisects; [1] alone retries
+        # twice and is quarantined — leaving 3 successful shards:
+        # [0,3], [4] and [2,5].
         assert runner.last_run_stats == {
             "executed": 5, "skipped": 0, "shards": 3, "retries": 6,
             "bisections": 2, "quarantined": 1, "pool_respawns": 0}
@@ -251,14 +252,18 @@ class TestSerialRecovery:
         plan = FaultPlan(faults=(
             Fault(site="store_append", action="torn", times=1),))
         runner, records = run_chaos(fleet, plan, store=store)
-        # Both shard appends ([0..3] and [4,5]) lose their final line.
+        # Both shard appends lose their final line: the last scenario
+        # of each payload in the plan.
+        torn = sorted(payload["indices"][-1]
+                      for payload in runner.shards())
+        assert len(torn) == 2
         assert records == reference  # in-memory results are unharmed
         assert len(store) == 4
         executed: list[int] = []
         resumed = FleetRunner(
             fleet, batch_size=4, store=store, fault_plan=FaultPlan(),
         ).run(progress=lambda o, f, t: executed.extend(o.indices))
-        assert sorted(executed) == [3, 5]  # exactly the torn rows
+        assert sorted(executed) == torn  # exactly the torn rows
         assert [r["metrics"] for r in resumed] == \
             [r["metrics"] for r in reference]
         assert set(store.latest_by_hash()) == \

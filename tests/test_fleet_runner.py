@@ -65,6 +65,50 @@ class TestSharding:
         payloads = FleetRunner(specs).shards()
         assert [p["indices"] for p in payloads] == [[0, 2], [1]]
 
+    def test_shards_follow_trace_seed_order(self):
+        # Seeds 0, 1, 2 sit at positions (0, 3), (1, 4), (2, 5).
+        runner = FleetRunner(tiny_fleet(), batch_size=4)
+        assert [p["indices"] for p in runner.shards()] == [[0, 3, 1, 4],
+                                                           [2, 5]]
+
+    def test_v_sweep_builds_each_realization_about_once(self):
+        # The benchmark's shape: 20 V values x 200 seeds, default
+        # batch size.
+        specs = build_demo_fleet("v-sweep", 4000, days=1, t_slots=6,
+                                 sample_seed=0)
+        payloads = FleetRunner(specs).shards()
+        lanes = sum(len({specs[i].trace_key() for i in p["indices"]})
+                    for p in payloads)
+        # One lane per seed, plus at most one split seed per boundary.
+        assert len(payloads) == 16
+        assert lanes <= 200 + len(payloads) - 1
+
+    def test_resume_keeps_twins_together(self, tmp_path):
+        specs = tiny_fleet()
+        store = ResultStore(tmp_path / "s")
+        FleetRunner(specs[:2], store=store).run()
+        shards: list[list[int]] = []
+        runner = FleetRunner(specs, batch_size=2, store=store)
+        runner.run(progress=lambda outcome, done, total:
+                   shards.append(list(outcome.indices)))
+        # Left: seed 2 at (2, 5), seed 0 at 3, seed 1 at 4.
+        assert shards == [[2, 5], [3, 4]]
+        assert runner.last_run_stats["skipped"] == 2
+        assert len(store) == 6
+
+    @pytest.mark.offline
+    @pytest.mark.telemetry
+    def test_twin_shards_solve_each_realization_once(self):
+        specs = tiny_fleet()
+        runner = FleetRunner(specs, batch_size=4, offline_gap=True,
+                             telemetry=True)
+        records = runner.run()
+        # Shards [0, 3, 1, 4] and [2, 5]: one LP per seed and shard.
+        assert runner.last_manifest.stages["lp_solve"]["count"] == 3
+        assert runner.last_manifest.counters["trace_twins"] == 3
+        assert records == FleetRunner(specs, batch_size=1,
+                                      offline_gap=True).run()
+
 
 class TestRun:
     def test_records_come_back_in_spec_order(self):
@@ -169,6 +213,21 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert main(["stats", str(out)]) == 1
         assert "no run manifests" in capsys.readouterr().err
+
+    def test_rerun_summary_counts_resumed_scenarios(self, tmp_path,
+                                                    capsys):
+        # The CLI logs to stderr through a fresh root handler on every
+        # call, so the summary is read there.
+        argv = ["run", "--demo", "v-sweep", "--scenarios", "4",
+                "--days", "1", "--t-slots", "6",
+                "--out", str(tmp_path / "store")]
+        assert main(argv) == 0
+        assert "completed 4 scenarios in " in capsys.readouterr().err
+        assert main(argv) == 0
+        (summary,) = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("completed ")]
+        assert summary.startswith("completed 0 scenarios in ")
+        assert "(0 scenarios/s), 4 resumed from the store;" in summary
 
     def test_read_commands_on_store_without_records(self, tmp_path,
                                                     capsys):

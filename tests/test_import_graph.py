@@ -79,3 +79,33 @@ def test_pooled_lp_fleet_loads_scipy_before_forking():
         assert all("offline_cost" in r["metrics"] for r in records)
         assert scipy_loaded()
     """)
+
+
+def test_resumed_pooled_lp_fleet_loads_no_scipy(tmp_path):
+    # A finished fleet re-run into its own store executes nothing, so
+    # it neither starts a pool nor pre-loads scipy for one.
+    from repro.fleet import FleetRunner, ResultStore
+    from repro.fleet.spec import ScenarioSpec, grid_specs
+
+    template = ScenarioSpec(
+        system={"preset": "paper", "days": 1,
+                "fine_slots_per_coarse": 6},
+        controller={"kind": "smartdpss"}, trace={"kind": "stream"})
+    specs = grid_specs(template, "controller.v", [0.5, 2.0],
+                       seeds=(0, 1))
+    FleetRunner(specs, offline_gap=True,
+                store=ResultStore(tmp_path)).run()
+    run_fresh(f"""
+        from repro.fleet import FleetRunner, ResultStore
+        from repro.fleet.spec import ScenarioSpec
+
+        specs = [ScenarioSpec.from_dict(data) for data in {
+            [spec.to_dict() for spec in specs]!r}]
+        runner = FleetRunner(specs, max_workers=2, offline_gap=True,
+                             store=ResultStore({str(tmp_path)!r}))
+        records = runner.run()
+        assert all("offline_cost" in r["metrics"] for r in records)
+        assert runner.last_run_stats["executed"] == 0
+        assert runner.last_run_stats["shards"] == 0
+        assert not scipy_loaded()
+    """)
