@@ -5,8 +5,7 @@ PY := PYTHONPATH=src python
 
 .PHONY: check test test-fast test-equivalence test-telemetry test-faults \
 	test-lint test-noise test-offline lint typecheck bench bench-layers \
-	test-perfbench bench-smoke bench-batch bench-fleet bench-traces \
-	bench-offline bench-telemetry bench-faults bench-noise benchmarks
+	test-perfbench
 
 # Everything a change must pass, in order: the linter, the tier-1
 # suite, then perfbench's self-tests.  perfbench wraps library names
@@ -84,53 +83,3 @@ bench-layers:
 # The benchmark harness's own self-tests.
 test-perfbench:
 	python3 -m pytest perfbench -q
-
-# Tiny batch-vs-serial canary: fails if the batch engine errors,
-# diverges from the scalar engine, or regresses past 2x serial.
-bench-smoke:
-	$(PY) benchmarks/smoke.py
-
-# Full measurement on the fig10 scaling workload; writes BENCH_batch.json.
-bench-batch:
-	$(PY) benchmarks/bench_batch.py
-
-# Fleet subsystem: streamed peak-memory + shard-count scaling on a
-# 10^4-scenario sweep; writes BENCH_fleet.json.
-bench-fleet:
-	$(PY) benchmarks/bench_fleet.py
-
-# Trace kernels: scalar loops vs vectorized batch kernels, per
-# component, plus the streamed sweep's throughput; writes
-# BENCH_traces.json.
-bench-traces:
-	$(PY) benchmarks/bench_traces.py
-
-# Offline baseline at fleet scale: batched structure-stamped LP
-# solves + one vectorized plan replay, gated on batched == scalar;
-# writes BENCH_offline.json.
-bench-offline:
-	$(PY) benchmarks/bench_offline.py
-
-# Telemetry overhead: instrumented vs uninstrumented 10^4-scenario
-# streamed sweep, paired per shard, gated on bit-identical records and
-# <= 2% CPU overhead; writes BENCH_telemetry.json.
-bench-telemetry:
-	$(PY) benchmarks/bench_telemetry.py
-
-# Fault-harness overhead: disarmed vs armed-but-never-firing plan on
-# the 10^4-scenario streamed sweep, paired per shard, gated on
-# bit-identical records and <= 2% CPU overhead; writes
-# BENCH_faults.json.
-bench-faults:
-	$(PY) benchmarks/bench_faults.py
-
-# Observation-layer overhead: noise-off vs armed-but-quiet uniform
-# model (rel_error=0) on the streamed sweep, paired per shard, gated
-# on bit-identical noise-off records and <= 2% CPU overhead; writes
-# BENCH_noise.json.
-bench-noise:
-	$(PY) benchmarks/bench_noise.py
-
-# Figure-regeneration benchmarks (pytest-benchmark suite).
-benchmarks:
-	$(PY) -m pytest benchmarks -q

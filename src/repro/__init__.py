@@ -5,8 +5,8 @@ Power Supply for Datacenters with Arbitrary Demand"* (Deng, Liu, Jin,
 Wu — ICDCS 2013): the two-timescale Lyapunov online controller, every
 substrate it runs on (synthetic trace generators, UPS battery, grid
 markets, backlog queue, LP solvers, simulation engine), the paper's
-baselines, and a benchmark harness regenerating every evaluation
-figure.
+baselines, and an experiments CLI (``python -m repro.experiments``)
+regenerating every evaluation figure.
 
 Quickstart::
 

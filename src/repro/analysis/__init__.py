@@ -6,7 +6,7 @@
 * :mod:`repro.analysis.comparison` — cost-reduction and gap metrics
   between policies;
 * :mod:`repro.analysis.tables` — plain-text table/series rendering used
-  by the benchmark harness (the repo's stand-in for the paper's
+  by the experiments CLI (the repo's stand-in for the paper's
   figures).
 """
 

@@ -1,8 +1,8 @@
-"""Plain-text tables and series for the benchmark harness.
+"""Plain-text tables and series for the experiments CLI.
 
-The benchmarks regenerate the paper's figures as printed series (this
+The experiments regenerate the paper's figures as printed series (this
 repo ships no plotting dependency); these helpers keep that output
-aligned and machine-greppable, and EXPERIMENTS.md quotes it directly.
+aligned and machine-greppable.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ only when the current price falls below a configurable quantile (or
 when renewable surplus is available for free).  Long-term purchasing
 covers only the delay-sensitive forecast.
 
-Comparing SmartDPSS against this heuristic (benchmarks/bench_ablations)
-separates how much of the paper's gain comes from the *two-timescale
-Lyapunov structure* versus from generic price-awareness.
+Comparing SmartDPSS against this heuristic (the ablations experiment,
+``python -m repro.experiments ablations``) separates how much of the
+paper's gain comes from the *two-timescale Lyapunov structure* versus
+from generic price-awareness.
 """
 
 from __future__ import annotations

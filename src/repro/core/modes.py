@@ -11,7 +11,7 @@ action:
   queue-drift reduction to *buying* energy whether or not the energy
   serves the queue, and its service term ``γ·[Q² − QY]`` carries a sign
   inconsistent with the drift of ``Y``.  It is retained verbatim as an
-  ablation (benchmarks/bench_ablations.py quantifies the damage).
+  ablation (the ablations experiment quantifies the damage).
 
 * :func:`objective_derived` — the textbook drift-plus-penalty expansion
   of the same Lyapunov function: each queue's drift is credited to the

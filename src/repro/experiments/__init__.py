@@ -2,7 +2,7 @@
 
 Every module exposes a ``run_*`` function returning a plain result
 object and a ``render(result) -> str`` producing the printed series the
-benchmark harness emits (this repo's stand-in for the paper's plots).
+CLI emits (this repo's stand-in for the paper's plots).
 The :mod:`repro.experiments.registry` maps experiment ids
 (``fig5`` ... ``fig10``, ``ablations``) to their runners.
 """

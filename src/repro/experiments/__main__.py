@@ -7,8 +7,9 @@ Usage::
     python -m repro.experiments all        # run everything
     python -m repro.experiments fig9 --seed 7 --days 14
 
-Each experiment prints the same series its benchmark writes to
-``benchmarks/out/``.
+Each experiment prints its figure as plain-text tables; the paper's
+claimed shape for every figure is asserted by
+``tests/integration/test_paper_figures.py``.
 """
 
 from __future__ import annotations

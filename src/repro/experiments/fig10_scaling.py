@@ -61,7 +61,7 @@ def run_fig10(seed: int = DEFAULT_SEED,
 
     Every β shares the two-timescale shape, so the whole sweep is one
     vectorized batch; :func:`build_fig10_specs` also feeds the batch
-    engine's scaling benchmark (``benchmarks/bench_batch.py``), which
+    engine's batch-vs-serial canary (``tests/test_sim_batch.py``), which
     replicates this fleet across seeds.
     """
     specs = build_fig10_specs(seed=seed, beta_values=beta_values,

@@ -1,8 +1,8 @@
 """Experiment registry: one entry per paper figure plus ablations.
 
 Maps stable experiment ids to ``(runner, renderer)`` pairs so the
-benchmark harness, the examples and ad-hoc scripts all regenerate
-figures through one call:
+CLI, the examples and ad-hoc scripts all regenerate figures through
+one call:
 
     >>> from repro.experiments import run_experiment
     >>> print(run_experiment("fig6_v"))            # doctest: +SKIP

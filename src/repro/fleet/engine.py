@@ -393,14 +393,6 @@ class StreamingBatchSimulator(BatchSimulator):
                 raise HorizonMismatchError(
                     f"stream covers {run.stream.n_slots} slots but the "
                     f"system horizon needs {self._n_slots}")
-            if run.grid_capacity is not None:
-                capacity = np.asarray(run.grid_capacity, dtype=float)
-                if capacity.size < self._n_slots:
-                    raise HorizonMismatchError(
-                        f"grid capacity covers {capacity.size} slots "
-                        f"but the horizon needs {self._n_slots}")
-                if np.any(capacity < 0):
-                    raise ConfigurationError("grid capacity must be >= 0")
         self._chunk_slots = chunk_coarse * self._t_slots
         self._seeds: list[int | None] = [
             getattr(run.stream, "seed", None) for run in self.runs]
@@ -484,15 +476,7 @@ class StreamingBatchSimulator(BatchSimulator):
             if tele.enabled:
                 tele.add_time("observe", tele.clock() - t0)
 
-        rows = []
-        for index, run in enumerate(self.runs):
-            if run.grid_capacity is None:
-                rows.append(np.full(stop - self._slot0,
-                                    self.systems[index].p_grid))
-            else:
-                capacity = np.asarray(run.grid_capacity, dtype=float)
-                rows.append(capacity[self._slot0:stop])
-        self._capacity = np.stack(rows)
+        self._capacity = self._capacity_rows(self._slot0, stop)
 
         if self._faults is not None:
             self._faults.fire("traces", slot=start)

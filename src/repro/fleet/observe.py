@@ -53,6 +53,7 @@ corruption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -72,6 +73,16 @@ OBSERVE_SERIES = ("demand_ds", "demand_dt", "renewable", "price_rt",
 
 #: Series that get the market-cap clip as a second step.
 _PRICE_SERIES = ("price_rt", "price_lt")
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether ``value`` is a whole number ``>= low``.  NaN, infinities
+    and non-numbers are not (``int()`` would raise on them)."""
+    try:
+        return math.isfinite(value) and value >= low \
+            and int(value) == value
+    except TypeError:
+        return False
 
 
 class ObservationModel:
@@ -182,7 +193,7 @@ class StuckSensor(ObservationModel):
         if not 0 <= self.rate < 1:
             raise ConfigurationError(
                 f"stick rate must be in [0, 1), got {self.rate}")
-        if int(self.duration) != self.duration or self.duration < 1:
+        if not _is_count(self.duration, 1):
             raise ConfigurationError(
                 f"stick duration must be an integer >= 1, "
                 f"got {self.duration}")
@@ -231,9 +242,9 @@ class BiasDrift(ObservationModel):
     kind = "bias_drift"
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not 0 <= self.sigma < math.inf:
             raise ConfigurationError(
-                f"drift sigma must be >= 0, got {self.sigma}")
+                f"drift sigma must be finite and >= 0, got {self.sigma}")
 
     def init_state(self) -> dict:
         return {"bias": 0.0}
@@ -261,7 +272,7 @@ class DelayedReport(ObservationModel):
     kind = "delay"
 
     def __post_init__(self) -> None:
-        if int(self.slots) != self.slots or self.slots < 0:
+        if not _is_count(self.slots, 0):
             raise ConfigurationError(
                 f"reporting delay must be an integer >= 0, "
                 f"got {self.slots}")

@@ -1,8 +1,10 @@
 """R006 telemetry-guard: disabled-path instrumentation costs nothing.
 
-The telemetry overhead gate (BENCH_telemetry.json: ≤2% CPU, records
-bit-identical on/off) survives because instrumented hot sites follow
-one of two shapes:
+Telemetry stays cheap (perfbench's ``tracing.overhead`` metric
+measures the traced-over-untraced wall-clock) and never changes a
+record (``tests/equivalence/test_telemetry_identity.py`` pins records
+bit-identical on/off) because instrumented hot sites follow one of
+two shapes:
 
 * call through the collector with a **literal** span/counter name —
   disabled calls hit :data:`repro.telemetry.TELEMETRY_OFF`'s

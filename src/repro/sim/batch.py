@@ -53,7 +53,7 @@ from repro.exceptions import (
     HorizonMismatchError,
     InfeasibleActionError,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, checked_grid_capacity
 from repro.sim.results import SimulationResult
 from repro.sim.vecstate import (
     BatchRecorder,
@@ -313,19 +313,20 @@ class BatchSimulator:
             [self._observed(run).coarse_prices(t_slots)[:k_slots]
              for run in self.runs])
 
-        self._capacity = self._stack_capacity()
+        self._capacity = self._capacity_rows(0, self._n_slots)
         self._check_prices(0)
 
     def _init_group(self, runs: Sequence, controller,
                     telemetry=None) -> None:
-        """Shape checks, controller selection and parameter stacking.
+        """Shape checks, controller selection, parameter stacking and
+        outage-schedule validation.
 
         Shared with the streaming subclass, so it only relies on each
-        run's ``system`` and ``controller`` attributes — never on
-        resident trace arrays.  ``telemetry`` (``None`` = off) is the
-        streamed subclass's :class:`~repro.telemetry.Telemetry`;
-        instrumentation only reads clocks, so records are bit-identical
-        either way.
+        run's ``system``, ``controller`` and ``grid_capacity``
+        attributes — never on resident trace arrays.  ``telemetry``
+        (``None`` = off) is the streamed subclass's
+        :class:`~repro.telemetry.Telemetry`; instrumentation only reads
+        clocks, so records are bit-identical either way.
         """
         if not runs:
             raise ConfigurationError("need at least one run")
@@ -355,30 +356,24 @@ class BatchSimulator:
         self._waste_penalty = np.array([s.waste_penalty for s in systems])
         # Hoisted boundary constant: the advance-block cap Pgrid * T.
         self._block_cap = self._p_grid * self._t_slots
+        #: Validated outage schedules (``None``: static ``Pgrid``).
+        self._capacities = [
+            None if run.grid_capacity is None
+            else checked_grid_capacity(run.grid_capacity, self._n_slots)
+            for run in self.runs]
 
     @staticmethod
     def _observed(run: RunSpec) -> TraceSet:
         return run.observed if run.observed is not None else run.traces
 
-    def _stack_capacity(self) -> np.ndarray:
-        """Per-slot feeder capacity matrix (static ``Pgrid`` rows where
-        no outage schedule is given), validated as the scalar engine
-        validates ``grid_capacity``."""
-        rows = []
-        for index, run in enumerate(self.runs):
-            if run.grid_capacity is None:
-                rows.append(np.full(self._n_slots,
-                                    self.systems[index].p_grid))
-                continue
-            capacity = np.asarray(run.grid_capacity, dtype=float)
-            if capacity.size < self._n_slots:
-                raise HorizonMismatchError(
-                    f"grid capacity covers {capacity.size} slots but "
-                    f"the horizon needs {self._n_slots}")
-            if np.any(capacity < 0):
-                raise ConfigurationError("grid capacity must be >= 0")
-            rows.append(capacity[:self._n_slots])
-        return np.stack(rows)
+    def _capacity_rows(self, start: int, stop: int) -> np.ndarray:
+        """Per-slot feeder capacity for slots ``[start, stop)``: each
+        run's outage schedule, or a static ``Pgrid`` row where it has
+        none."""
+        return np.stack([
+            np.full(stop - start, system.p_grid) if capacity is None
+            else capacity[start:stop]
+            for capacity, system in zip(self._capacities, self.systems)])
 
     def _check_prices(self, start: int) -> None:
         """Vector twin of the markets' per-purchase price validation.

@@ -46,6 +46,24 @@ from repro.traces.base import TraceSet
 from repro.workload.queue import BacklogQueue
 
 
+def checked_grid_capacity(grid_capacity, n_slots: int) -> np.ndarray:
+    """``grid_capacity`` as a float array, checked for an ``n_slots``
+    horizon: it must cover the horizon and be ``>= 0`` in every slot.
+
+    Every engine validates an outage schedule through this one check.
+    The inverted comparison also rejects NaN, as the batch engines'
+    price check does.
+    """
+    capacity = np.asarray(grid_capacity, dtype=float)
+    if capacity.size < n_slots:
+        raise HorizonMismatchError(
+            f"grid capacity covers {capacity.size} slots but the "
+            f"horizon needs {n_slots}")
+    if np.any(~(capacity >= 0)):
+        raise ConfigurationError("grid capacity must be >= 0")
+    return capacity
+
+
 class Simulator:
     """Drives one controller over one horizon of traces.
 
@@ -71,17 +89,8 @@ class Simulator:
             raise HorizonMismatchError(
                 f"observed traces cover {self.observed.n_slots} slots, "
                 f"true traces {traces.n_slots}")
-        if grid_capacity is None:
-            self.grid_capacity = None
-        else:
-            capacity = np.asarray(grid_capacity, dtype=float)
-            if capacity.size < system.horizon_slots:
-                raise HorizonMismatchError(
-                    f"grid capacity covers {capacity.size} slots but "
-                    f"the horizon needs {system.horizon_slots}")
-            if np.any(capacity < 0):
-                raise ConfigurationError("grid capacity must be >= 0")
-            self.grid_capacity = capacity
+        self.grid_capacity = None if grid_capacity is None \
+            else checked_grid_capacity(grid_capacity, system.horizon_slots)
 
     # ------------------------------------------------------------------
     # Main loop

@@ -125,7 +125,7 @@ class SimulationResult:
     # ------------------------------------------------------------------
 
     def summary(self) -> dict[str, float]:
-        """One-row summary used by the benchmark tables."""
+        """One-row summary of the headline metrics."""
         return {
             "time_avg_cost": self.time_average_cost,
             "total_cost": self.total_cost,

@@ -16,6 +16,45 @@ Stage totals come from overlapping spans (``plan`` contains ``p4``;
 multi-worker runs, sum *worker* wall-time — so shares are reported
 against the summed per-shard time (the ``shard`` span), not the
 run's elapsed wall-clock.
+
+The record's fields (``python -m repro.fleet run --telemetry`` appends
+one per run):
+
+* ``fleet`` — scenario, executed and resumed counts, the shard count,
+  and ``fleet_hash`` (order-independent digest of the per-spec content
+  hashes: two runs over the same scenarios share it);
+* ``config`` — workers, batch size, chunk size and the ``offline_gap``
+  knob.  Manifests of older runs may also carry retired backend and
+  reference-path keys; they still load and render;
+* ``timing`` — elapsed wall-clock and scenarios/s over the executed
+  scenarios only;
+* ``stages`` — per-stage ``total_s`` / ``count`` / ``max_s`` merged
+  across shards: ``traces`` (chunk loads), ``slot_loop`` with its
+  nested ``plan → p4``, ``real_time → p5`` and ``physics``,
+  ``delay_replay``, ``collect``, ``build``, ``store_append``, and
+  where armed ``observe``, ``robustness``, ``offline_lp → lp_solve``
+  and ``offline_replay``;
+* ``counters`` / ``gauges`` / ``process`` / ``caches`` — slots, chunks,
+  boundaries, scenarios, trace twins and the fault-tolerance counters;
+  peak RSS (the maximum across processes); warm-vs-cold cache
+  statistics sampled before and after the run.
+
+``python -m repro.fleet stats <store>`` renders the latest manifest
+(``--all``: every stored run) as a fixed-width table, top-level stages
+by descending total with nested spans indented below their parent::
+
+    run 2026-08-08T05:51:25+00:00 — 8 scenarios (0 resumed), ...
+      stage                    total_s   share    count    avg_ms ...
+      slot_loop                  0.024   65.7%        2    11.751
+        real_time                0.010   28.7%       48     0.214
+          p5                     0.009   25.1%       48     0.187
+      ...
+
+The shares answer "where did the time go" per run, durably: compare
+manifests across commits to catch a regression without re-running a
+benchmark.  If ``slot_loop``'s share drops while ``traces`` grows,
+chunk generation regressed (the ``BatchTraceStream`` kernels); if
+``p4``/``p5`` grow, the solvers; if ``store_append`` grows, the sink.
 """
 
 from __future__ import annotations

@@ -261,7 +261,7 @@ class TraceSet:
         )
 
     def summary(self) -> dict[str, dict[str, float]]:
-        """Per-series stats (drives the Fig. 5 benchmark output)."""
+        """Per-series stats (drives the Fig. 5 experiment output)."""
         return {
             "demand_ds": Trace("demand_ds", self.demand_ds).summary(),
             "demand_dt": Trace("demand_dt", self.demand_dt).summary(),

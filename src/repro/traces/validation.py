@@ -12,9 +12,9 @@ module makes those features explicit and checkable:
   spikes.
 
 :func:`validate_paper_traces` runs every check and returns structured
-results; the Fig. 5 benchmark prints them, and the test suite pins
-them, so a regression in any generator is caught as a statistics
-change rather than as a mysterious shift in every experiment.
+results; the test suite pins them, so a regression in any generator
+is caught as a statistics change rather than as a mysterious shift in
+every experiment.
 """
 
 from __future__ import annotations

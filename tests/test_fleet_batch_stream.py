@@ -1,5 +1,8 @@
 """BatchTraceStream / TraceBlock: the vectorized fleet trace path."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,3 +395,41 @@ class TestPlanningTailGuard:
                 self._runs(), chunk_coarse=chunk_coarse).run()
             assert ScenarioMetrics.rows(chunked) \
                 == ScenarioMetrics.rows(reference)
+
+
+class TestStreamedMemory:
+    """The streamed engine's central claim: its peak memory follows the
+    chunk size, not the horizon.  It keeps one chunk of trace columns
+    (plus the T-slot planning tail) and O(B) aggregates resident, so a
+    4x longer horizon at the same chunk size barely moves the peak."""
+
+    @staticmethod
+    def _peak_mib(days, chunk_coarse, batch=16):
+        """tracemalloc peak of building and running ``batch`` streamed
+        SmartDPSS scenarios on a ``days``-day T=6 paper system."""
+        def run():
+            system = paper_system_config(days=days,
+                                         fine_slots_per_coarse=6)
+            runs = [StreamRunSpec(
+                        system=system,
+                        controller=SmartDPSS(paper_controller_config()),
+                        stream=StreamingPaperTraces(
+                            system.horizon_slots, seed=seed,
+                            clip_p_grid=system.p_grid))
+                    for seed in range(batch)]
+            StreamingBatchSimulator(runs, chunk_coarse=chunk_coarse).run()
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 2 ** 20
+
+    def test_peak_follows_chunk_not_horizon(self):
+        short = self._peak_mib(days=4, chunk_coarse=4)
+        long = self._peak_mib(days=16, chunk_coarse=4)
+        assert long <= 1.25 * short, (
+            f"16-day peak {long:.3f} MiB vs 4-day {short:.3f} MiB")

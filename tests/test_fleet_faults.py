@@ -187,6 +187,26 @@ class TestSerialRecovery:
         with pytest.raises(FaultInjectionError):
             run_chaos(fleet, plan, fail_fast=True)
 
+    def test_plan_naming_no_scenario_is_quiet(self, monkeypatch):
+        """An armed plan whose every fault names a scenario outside the
+        fleet — what every unmatched shard sees when a plan pins one
+        scenario of a large sweep — leaves records identical to a
+        disarmed run and never enters a recovery path."""
+        monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
+        specs = build_demo_fleet("v-sweep", 200, days=1, t_slots=6,
+                                 sample_seed=0)
+        disarmed = FleetRunner(specs, batch_size=64)
+        assert disarmed.fault_plan is None
+        absent = "__no_such_scenario__"
+        quiet = FaultPlan(faults=tuple(
+            Fault(site=site, scenario=absent, times=None)
+            for site in ("slot_loop", "traces", "plan")))
+        runner, records = run_chaos(specs, quiet, batch_size=64)
+        assert records == disarmed.run()
+        assert runner.last_run_stats == {
+            "executed": 200, "skipped": 0, "shards": 4, "retries": 0,
+            "bisections": 0, "quarantined": 0, "pool_respawns": 0}
+
     @pytest.mark.parametrize("trace_kind", ["stream", "paper"])
     def test_nan_corruption_quarantines_without_bisection(self, trace_kind,
                                                           tmp_path):

@@ -169,10 +169,28 @@ class TestModelSemantics:
         lambda: StuckSensor(rate=2.0, duration=2),
         lambda: BiasDrift(sigma=-1.0),
         lambda: DelayedReport(slots=-1),
+        lambda: BiasDrift(sigma=np.nan),
+        lambda: BiasDrift(sigma=np.inf),
+        lambda: StuckSensor(rate=0.2, duration=np.nan),
+        lambda: StuckSensor(rate=0.2, duration=np.inf),
+        lambda: DelayedReport(slots=np.nan),
+        lambda: DelayedReport(slots=np.inf),
     ])
     def test_model_parameter_validation(self, build):
         with pytest.raises(ConfigurationError):
             build()
+
+    def test_runner_rejects_bad_robustness_model_at_construction(self):
+        """A bad robustness model fails the runner up front, not as a
+        failing attempt of every shard that quarantines the fleet."""
+        specs = [ScenarioSpec(
+            system={"preset": "paper", "days": 1,
+                    "fine_slots_per_coarse": 6},
+            controller={"kind": "smartdpss"},
+            trace={"kind": "stream"})]
+        with pytest.raises(ConfigurationError, match="sigma"):
+            FleetRunner(specs, robustness={"kind": "bias_drift",
+                                           "sigma": np.nan})
 
 
 class TestObservationSpec:

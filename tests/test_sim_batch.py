@@ -15,6 +15,7 @@ from repro.exceptions import (
     HorizonMismatchError,
     InfeasibleActionError,
 )
+from repro.experiments.fig10_scaling import build_fig10_specs
 from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
 from repro.fleet.stream import ArrayTraceStream
 from repro.sim.batch import (
@@ -24,9 +25,10 @@ from repro.sim.batch import (
     ScalarControllerBatch,
     simulate_many,
 )
+from repro.sim.recorder import SERIES_NAMES
 from repro.sim.vecstate import BatchRecorder, VecCycleLedger
+from repro.telemetry import monotonic
 from repro.traces.library import make_paper_traces
-from repro.exceptions import ConfigurationError
 
 
 def _spec(seed=1, days=2, system=None, **config):
@@ -51,6 +53,14 @@ def _price_errors(system, traces, chunk_coarse=1) -> tuple[str, str]:
                            stream=ArrayTraceStream(t)) for t in traces],
             chunk_coarse=chunk_coarse).run()
     return str(in_memory.value), str(streamed.value)
+
+
+def _bad_capacities(n_slots) -> list[np.ndarray]:
+    """Feeder capacities every engine must reject: all negative, and
+    one NaN slot (which a plain ``capacity < 0`` check lets through)."""
+    nan_slot = np.ones(n_slots)
+    nan_slot[5] = np.nan
+    return [np.full(n_slots, -1.0), nan_slot]
 
 
 class TestValidation:
@@ -85,11 +95,28 @@ class TestValidation:
 
     def test_negative_grid_capacity_rejected(self):
         spec = _spec(days=2)
-        capacity = np.full(spec.system.horizon_slots, -1.0)
-        with pytest.raises(ConfigurationError):
-            BatchSimulator([RunSpec(
+        for capacity in _bad_capacities(spec.system.horizon_slots):
+            with pytest.raises(ConfigurationError):
+                BatchSimulator([RunSpec(
+                    system=spec.system, controller=spec.controller,
+                    traces=spec.traces, grid_capacity=capacity)])
+
+    def test_streamed_engine_validates_grid_capacity(self):
+        spec = _spec(days=2)
+        n_slots = spec.system.horizon_slots
+
+        def build(capacity):
+            return StreamingBatchSimulator([StreamRunSpec(
                 system=spec.system, controller=spec.controller,
-                traces=spec.traces, grid_capacity=capacity)])
+                stream=ArrayTraceStream(spec.traces),
+                grid_capacity=capacity)])
+
+        with pytest.raises(HorizonMismatchError):
+            build(np.ones(3))
+        for capacity in _bad_capacities(n_slots):
+            with pytest.raises(ConfigurationError):
+                build(capacity)
+        build(np.full(n_slots, spec.system.p_grid))
 
     def test_over_cap_price_rejected(self):
         spec = _spec(days=2)
@@ -212,6 +239,31 @@ class TestSimulateMany:
         for a, b in zip(serial, batch):
             assert np.array_equal(a.series["cost_total"],
                                   b.series["cost_total"])
+
+    def test_batch_smoke_runs_and_does_not_regress(self):
+        """Canary on a tiny Fig. 10 fleet (2 seeds x 4 β, 4 days): the
+        batch engine matches the serial engine bitwise on every series
+        and delay histogram, and takes at most 2x its wall-clock.  The
+        2x gate is loose on purpose, so machine noise cannot flake it;
+        a per-scenario Python loop back on the hot path overshoots it
+        by far."""
+        runs = [spec for seed in range(2)
+                for spec in build_fig10_specs(seed=seed, days=4)]
+        assert len(runs) == 8
+        start = monotonic()
+        serial = simulate_many(runs, executor="serial")
+        serial_s = monotonic() - start
+        start = monotonic()
+        batch = simulate_many(runs, executor="batch")
+        batch_s = monotonic() - start
+        for index, (a, b) in enumerate(zip(serial, batch)):
+            for name in SERIES_NAMES:
+                assert np.array_equal(a.series[name], b.series[name]), (
+                    f"run {index}: series {name!r} diverged")
+            assert a.delay_stats.histogram == b.delay_stats.histogram, (
+                f"run {index}: delay histogram diverged")
+        assert batch_s <= 2.0 * serial_s, (
+            f"batch path took {batch_s / serial_s:.2f}x serial (gate: 2x)")
 
 
 class TestScalarAdapter:

@@ -133,6 +133,9 @@ class TestEngineUnderOutage:
     def test_negative_capacity_rejected(self):
         system = paper_system_config(days=2)
         traces = constant_traces(48)
-        with pytest.raises(ConfigurationError):
-            Simulator(system, ImpatientController(), traces,
-                      grid_capacity=-np.ones(48))
+        nan_slot = np.ones(48)
+        nan_slot[5] = np.nan
+        for capacity in (-np.ones(48), nan_slot):
+            with pytest.raises(ConfigurationError):
+                Simulator(system, ImpatientController(), traces,
+                          grid_capacity=capacity)
