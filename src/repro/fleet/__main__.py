@@ -138,23 +138,29 @@ def _eta_text(eta_s: float) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.spec_file is not None:
-        specs = load_spec_file(Path(args.spec_file))
-    else:
-        specs = build_demo_fleet(args.demo, args.scenarios, args.days,
-                                 args.t_slots, args.sample_seed)
-    store = ResultStore(args.out)
-    runner = FleetRunner(specs, batch_size=args.batch_size,
-                         chunk_coarse=args.chunk_coarse,
-                         max_workers=args.workers, store=store,
-                         resume=not args.no_resume,
-                         offline_gap=args.offline_gap,
-                         robustness=args.robustness,
-                         telemetry=args.telemetry,
-                         max_retries=args.max_retries,
-                         shard_timeout=args.shard_timeout,
-                         fail_fast=args.fail_fast,
-                         retry_quarantined=args.retry_quarantined)
+    try:
+        if args.spec_file is not None:
+            specs = load_spec_file(Path(args.spec_file))
+        else:
+            specs = build_demo_fleet(args.demo, args.scenarios, args.days,
+                                     args.t_slots, args.sample_seed)
+        runner = FleetRunner(specs, batch_size=args.batch_size,
+                             chunk_coarse=args.chunk_coarse,
+                             max_workers=args.workers,
+                             resume=not args.no_resume,
+                             offline_gap=args.offline_gap,
+                             robustness=args.robustness,
+                             telemetry=args.telemetry,
+                             max_retries=args.max_retries,
+                             shard_timeout=args.shard_timeout,
+                             fail_fast=args.fail_fast,
+                             retry_quarantined=args.retry_quarantined)
+    except ConfigurationError as error:
+        logger.error("%s", error)
+        return 2
+    # The store directory is created only once the fleet and the
+    # runner validate, so bad arguments leave nothing behind.
+    store = runner.store = ResultStore(args.out)
 
     t0 = monotonic()
 

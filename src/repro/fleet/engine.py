@@ -16,6 +16,15 @@ its ``_OPTIONAL`` columns are left out of a record where they are
 ``None`` — and :meth:`ScenarioMetrics.rows` encodes a block into
 record dicts.
 
+Derived passes that read only the cost column — the fleet's offline
+replay and robustness re-run — call the cost-only entry
+:meth:`StreamingBatchSimulator.time_avg_cost` instead.  It runs the
+same chunk and slot loop but records only the four cost sums
+(:class:`_CostSums`): no delay ledger, extrema or service buffer, no
+controller ``finalize()`` and no fold.  Its column comes from the one
+cost expression the fold uses (:func:`_costs`), so it equals
+``run()["time_avg_cost"]`` bit for bit.
+
 Exactness contract: per-slot physics outputs are bit-identical to the
 in-memory engine (same code runs), the aggregator accumulates every
 sum slot by slot in slot order, and one fold (:func:`_fold`) turns the
@@ -48,6 +57,9 @@ source materialized once — whole horizons resident, as an
 every window a gather of resident rows).
 Both serve trace twins — runs sharing one stream object — from one
 lane, and both produce windows bit-identical to the runs' own cursors.
+The observation layer follows the lanes: runs on one lane with equal
+observation specs share one noise lane of the
+:class:`~repro.fleet.observe.BatchObserver`.
 """
 
 from __future__ import annotations
@@ -72,10 +84,13 @@ from repro.sim.results import SimulationResult
 from repro.sim.vecstate import DelayReplay
 from repro.workload.queue import DelayStats
 
+#: The four per-slot cost series: all a cost-only pass sums.
+_COSTS = ("cost_lt", "cost_rt", "cost_battery", "cost_waste")
+
 #: Per-slot series summed into scenario totals by the aggregator.
-_SUMMED = ("cost_lt", "cost_rt", "cost_battery", "cost_waste",
-           "served_ds", "served_dt", "unserved_ds", "renewable_used",
-           "renewable_curtailed", "charge", "discharge", "waste")
+_SUMMED = (*_COSTS, "served_ds", "served_dt", "unserved_ds",
+           "renewable_used", "renewable_curtailed", "charge", "discharge",
+           "waste")
 
 
 @dataclass(frozen=True)
@@ -182,6 +197,41 @@ class StreamingAggregator:
         self._buffered = 0
 
 
+class _CostSums:
+    """The cost-only recorder: the four per-slot cost sums, nothing else.
+
+    Fed by :meth:`StreamingBatchSimulator.time_avg_cost` in place of a
+    :class:`StreamingAggregator`.  Its sums advance with the same
+    elementwise ``+=`` in slot order, so they are bit-identical to the
+    aggregator's; it keeps no extrema, no service buffer and no delay
+    ledger.
+    """
+
+    def __init__(self, batch: int):
+        self._sums = {name: np.zeros(batch) for name in _COSTS}
+
+    def record(self, **values: np.ndarray) -> None:
+        sums = self._sums
+        for name in _COSTS:
+            sums[name] += values[name]
+
+    def flush_delays(self, start_slot: int,
+                     arrivals_dt: np.ndarray) -> None:
+        """Nothing to replay: a cost-only pass keeps no delay ledger."""
+
+
+def _costs(sums: Mapping[str, np.ndarray], n_slots: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``total_cost`` and ``time_avg_cost`` columns of cost sums.
+
+    Their one definition, shared by :func:`_fold` and the cost-only
+    :meth:`StreamingBatchSimulator.time_avg_cost`.
+    """
+    total = (sums["cost_lt"] + sums["cost_rt"] + sums["cost_battery"]
+             + sums["cost_waste"])
+    return total, total / n_slots
+
+
 def _fold(aggregator: StreamingAggregator, delays: Sequence[DelayStats],
           *, controller_name: Sequence[str], n_slots: int,
           battery_ops: np.ndarray, lt_energy: np.ndarray,
@@ -196,9 +246,7 @@ def _fold(aggregator: StreamingAggregator, delays: Sequence[DelayStats],
     """
     batch = aggregator.batch
     sums = aggregator._sums
-    cost_lt, cost_rt = sums["cost_lt"], sums["cost_rt"]
-    cost_battery, cost_waste = sums["cost_battery"], sums["cost_waste"]
-    total = cost_lt + cost_rt + cost_battery + cost_waste
+    total, time_avg = _costs(sums, n_slots)
     served_ds, unserved_ds = sums["served_ds"], sums["unserved_ds"]
     demand_ds = served_ds + unserved_ds
     used, curtailed = sums["renewable_used"], sums["renewable_curtailed"]
@@ -211,12 +259,12 @@ def _fold(aggregator: StreamingAggregator, delays: Sequence[DelayStats],
     return {
         "controller_name": list(controller_name),
         "n_slots": np.full(batch, n_slots),
-        "cost_lt": cost_lt,
-        "cost_rt": cost_rt,
-        "cost_battery": cost_battery,
-        "cost_waste": cost_waste,
+        "cost_lt": sums["cost_lt"],
+        "cost_rt": sums["cost_rt"],
+        "cost_battery": sums["cost_battery"],
+        "cost_waste": sums["cost_waste"],
         "total_cost": total,
-        "time_avg_cost": total / n_slots,
+        "time_avg_cost": time_avg,
         "avg_delay_slots": np.array([s.average_delay for s in delays]),
         "worst_delay_slots": np.array([s.max_delay for s in delays]),
         "served_dt_energy": np.array([s.served_energy for s in delays]),
@@ -631,6 +679,31 @@ class StreamingBatchSimulator(BatchSimulator):
         bit-identical with telemetry on or off.
         """
         tele = self._telemetry
+        state = self._stream(self._make_recorder())
+        t0 = tele.clock() if tele.enabled else 0.0
+        block = self._finish_run(state)
+        if tele.enabled:
+            tele.add_time("collect", tele.clock() - t0)
+            tele.count("scenarios", self._batch)
+        return block
+
+    def time_avg_cost(self) -> np.ndarray:
+        """Only :meth:`run`'s ``time_avg_cost`` column, bit for bit.
+
+        The cost-only entry of the derived passes (the fleet's offline
+        replay and robustness re-run), which read nothing else.  It
+        runs :meth:`run`'s chunk and slot loop unchanged but records
+        only the four cost sums: no delay ledger, no extrema, no
+        service buffer, no controller ``finalize()`` and no
+        :func:`_fold` — the column comes from the expression the fold
+        uses (:func:`_costs`).
+        """
+        state = self._stream(_CostSums(self._batch))
+        return _costs(state.recorder._sums, self._n_slots)[1]
+
+    def _stream(self, recorder) -> _RunState:
+        """Advance the batch over the horizon, feeding ``recorder``."""
+        tele = self._telemetry
         faults = self._faults
         fire_slots = faults is not None and (
             faults.active("slot_loop") or faults.active("plan"))
@@ -638,11 +711,12 @@ class StreamingBatchSimulator(BatchSimulator):
         # holds, drift walks, delay buffers) restarts at the horizon,
         # so replaying the simulator is deterministic.
         if any(spec is not None for spec in self._observations):
-            self._observer = BatchObserver(self._observations)
+            self._observer = BatchObserver(self._observations,
+                                           self._trace_source.rows)
         else:
             self._observer = None
         self._obs_tail = None
-        state = self._begin_run()
+        state = self._begin_run(recorder)
         # Opening the cursor (the kernel lanes' RNG minting, or the
         # array lanes' materialization) counts under the first chunk's
         # ``traces``; every later chunk's span starts where the previous
@@ -671,11 +745,7 @@ class StreamingBatchSimulator(BatchSimulator):
             if tele.enabled:
                 tele.add_time("delay_replay", tele.clock() - t0)
                 t0 = tele.clock()
-        block = self._finish_run(state)
-        if tele.enabled:
-            tele.add_time("collect", tele.clock() - t0)
-            tele.count("scenarios", self._batch)
-        return block
+        return state
 
     def _collect(self, recorder: StreamingAggregator, cycles, lt_ledger,
                  rt_ledger) -> dict[str, np.ndarray | list]:

@@ -425,55 +425,87 @@ class ScenarioObserver:
 
 
 class BatchObserver:
-    """Per-scenario observers over one streamed batch.
+    """Observation over one streamed batch: one noise lane per twin set.
 
-    Rows without an observation model pass the truth through by
-    *aliasing* (no copy, no draws), so a batch with observation
-    disabled everywhere is bit-identical to — and as cheap as — the
+    *Observation twins* are rows on one trace lane (``lanes``: each
+    row's lane in the batch trace source, its ``rows``; ``None`` when
+    every row has its own) with equal :class:`ObservationSpec`\\ s —
+    model, seed and price cap compare by value.  Twins perturb
+    identical true rows with identical substreams, so their observed
+    windows are bit-identical.  The observer therefore keeps one *noise
+    lane* per distinct (trace lane, spec): it mints that lane's
+    substreams once, perturbs one representative row, and gathers the
+    result back to every twin.  A robustness pass over a ``V`` sweep
+    thus draws noise once per seed, not once per ``V`` value.  The
+    gathered rows are fresh, writable copies, so poisoning one row
+    (the ``observe`` fault site) never reaches its twins.
+
+    Rows without an observation model pass the truth through; when no
+    row has one, :meth:`observe_matrix` returns the true block itself
+    (alias: no copy, no draws), so a batch with observation disabled
+    everywhere is bit-identical to — and as cheap as — the
     pre-observation engine.
     """
 
-    def __init__(self, observations: Sequence[ObservationSpec | None]):
-        active = [(row, spec) for row, spec in enumerate(observations)
-                  if spec is not None]
-        # One vectorized seeding pass over every (scenario, series)
+    def __init__(self, observations: Sequence[ObservationSpec | None],
+                 lanes: Sequence[int] | None = None):
+        keys: dict[tuple, int] = {}
+        specs: list[ObservationSpec] = []  # one per noise lane
+        members: list[list[int]] = []      # each noise lane's rows
+        for row, spec in enumerate(observations):
+            if spec is None:
+                continue
+            lane = row if lanes is None else int(lanes[row])
+            index = keys.setdefault((lane, spec), len(specs))
+            if index == len(specs):
+                specs.append(spec)
+                members.append([])
+            members[index].append(row)
+        # One vectorized seeding pass over every (noise lane, series)
         # substream instead of per-generator hashing.
         batched = substream_rngs_batch(
-            [spec.seed for _, spec in active],
+            [spec.seed for spec in specs],
             [f"observe:{name}" for name in OBSERVE_SERIES])
-        self.any_active = bool(active)
-        self._observers: list[ScenarioObserver | None] = \
-            [None] * len(observations)
+        self.any_active = bool(specs)
         # Homogeneous-uniform fast path: robustness sweeps (and the
         # armed-but-quiet overhead bench) wear the uniform model on
         # *every* row, where per-row python dispatch dominates the
         # layer's cost.  When the whole batch qualifies, keep one draw
-        # per (row, series, chunk) — the stream contract — but fill a
-        # factor matrix in place (``Generator.random(out=row)``) and
-        # run the perturb arithmetic as vectorized passes.  numpy's
+        # per (noise lane, series, chunk) — the stream contract — but
+        # fill a factor matrix in place (``Generator.random(out=row)``)
+        # and run the perturb arithmetic as vectorized passes.  numpy's
         # ``uniform(low, high)`` computes ``low + (high-low)·u`` per
         # element; the staged ``u·range + low`` below performs the
         # same IEEE ops in the same order, so output stays
         # bit-identical to the row-at-a-time reference (pinned by the
         # equivalence suite).
         self._uniform = None
-        if active and len(active) == len(observations) and all(
-                isinstance(spec.model, UniformNoise)
-                for _, spec in active):
+        self._observers: list[tuple[int, list[int], ScenarioObserver]] = []
+        active = sum(len(rows) for rows in members)
+        if active and active == len(observations) and all(
+                isinstance(spec.model, UniformNoise) for spec in specs):
             self._uniform = {name: batched[f"observe:{name}"]
                              for name in OBSERVE_SERIES}
-            error = np.array([[spec.model.rel_error]
-                              for _, spec in active])
+            # Each noise lane's first row, and each row's noise lane;
+            # both ``None`` when no row has a twin.
+            self._firsts = self._gather = None
+            if len(specs) < active:
+                self._firsts = np.array([rows[0] for rows in members])
+                self._gather = np.empty(active, dtype=np.intp)
+                for index, rows in enumerate(members):
+                    self._gather[rows] = index
+            error = np.array([[spec.model.rel_error] for spec in specs])
             self._low = 1.0 - error
             self._range = (1.0 + error) - self._low
             self._caps = np.array(
                 [[np.inf if spec.price_cap is None else spec.price_cap]
-                 for _, spec in active])
+                 for spec in specs])
             return
-        for position, (row, spec) in enumerate(active):
-            rngs = {name: batched[f"observe:{name}"][position]
+        for index, (spec, rows) in enumerate(zip(specs, members)):
+            rngs = {name: batched[f"observe:{name}"][index]
                     for name in OBSERVE_SERIES}
-            self._observers[row] = ScenarioObserver(spec, rngs=rngs)
+            self._observers.append(
+                (rows[0], rows, ScenarioObserver(spec, rngs=rngs)))
 
     def observe_matrix(self, name: str, true: np.ndarray) -> np.ndarray:
         """Observed ``(B, n)`` block for one series' true block.
@@ -481,12 +513,14 @@ class BatchObserver:
         Returns ``true`` itself (alias) when no row has a model.
         """
         if self._uniform is not None:
-            factors = np.empty_like(true)
-            for row, rng in enumerate(self._uniform[name]):
-                rng.random(out=factors[row])
+            rngs = self._uniform[name]
+            factors = np.empty((len(rngs), true.shape[1]))
+            for lane, rng in enumerate(rngs):
+                rng.random(out=factors[lane])
             factors *= self._range
             factors += self._low
-            np.multiply(true, factors, out=factors)
+            np.multiply(true if self._firsts is None
+                        else true[self._firsts], factors, out=factors)
             observed = np.clip(factors, 0.0, None, out=factors)
             if name in _PRICE_SERIES:
                 # Rows with no market cap clip against +inf, which the
@@ -494,12 +528,11 @@ class BatchObserver:
                 # (values are >= 0 after the floor, so the repeated
                 # lower clip is bitwise idempotent).
                 np.clip(observed, 0.0, self._caps, out=observed)
-            return observed
-        observed = None
-        for row, observer in enumerate(self._observers):
-            if observer is None:
-                continue
-            if observed is None:
-                observed = true.copy()
-            observed[row] = observer.observe_series(name, true[row])
-        return true if observed is None else observed
+            return observed if self._gather is None \
+                else observed[self._gather]
+        if not self._observers:
+            return true
+        observed = true.copy()
+        for first, rows, observer in self._observers:
+            observed[rows] = observer.observe_series(name, true[first])
+        return observed

@@ -42,7 +42,7 @@ from repro.fleet.engine import (
     StreamRunSpec,
 )
 from repro.fleet.faults import FaultPlan
-from repro.fleet.observe import observation_from_mapping
+from repro.fleet.observe import ObservationSpec, observation_from_mapping
 from repro.fleet.spec import ORACLE_CONTROLLERS, ScenarioSpec
 from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
 from repro.solvers import batch_lp
@@ -210,15 +210,18 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     one representative per distinct ``(system, traces)`` pair, where
     trace twins share one :class:`TraceSet` object (see
     :func:`_run_spec_shard`) — through the batched structure-stamping
-    path (one compiled structure per distinct system), replays each
-    distinct plan once through the vectorized engine, and adds two
-    whole columns: the replayed offline cost (``offline_cost``) and
-    each scenario's relative gap against it (``offline_gap``).  Every
-    instance is cold-solved, so a twin's plan and replay are
-    bit-identical to solving its own.  The replayed cost record is
-    bit-identical to replaying each plan through the scalar engine
-    (the equivalence tests pin this), so the gap column is an honest
-    same-accounting comparison, not an LP-objective shortcut.
+    path (one compiled structure per distinct system), and replays
+    each distinct plan once through the engine's cost-only entry
+    (:meth:`StreamingBatchSimulator.time_avg_cost`): the replay reads
+    only the cost column, so it keeps no delay ledger, extrema or
+    metrics fold.  Adds two whole columns: the replayed offline cost
+    (``offline_cost``) and each scenario's relative gap against it
+    (``offline_gap``).  Every instance is cold-solved, so a twin's
+    plan and replay are bit-identical to solving its own.  The
+    replayed cost is bit-identical to replaying each plan through the
+    scalar engine (the equivalence tests pin this), so the gap column
+    is an honest same-accounting comparison, not an LP-objective
+    shortcut.
 
     Graceful degradation: an LP failure
     (:class:`~repro.exceptions.SolverError` — iteration limit,
@@ -286,11 +289,10 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
         # The replay engine is deliberately *not* instrumented: its
         # slot-loop time belongs to the single ``offline_replay`` stage,
         # not to the policy run's plan/real_time/physics breakdown.
-        replay = StreamingBatchSimulator(
+        replayed = StreamingBatchSimulator(
             runs, controller=OfflinePlanBatch([plan for _, plan in solved]),
-            chunk_coarse=chunk_coarse).run()
-        for (members, _), cost in zip(
-                solved, replay["time_avg_cost"].tolist()):
+            chunk_coarse=chunk_coarse).time_avg_cost()
+        for (members, _), cost in zip(solved, replayed.tolist()):
             for i in members:
                 offline[i] = cost
     if tele is not None and tele.enabled:
@@ -314,28 +316,42 @@ def _attach_robustness(specs: "list[ScenarioSpec]",
     adds two whole columns: the noisy cost (``noisy_cost``) and the
     relative degradation against the clean cost (``robustness_gap``)
     — the fleet-scale twin of the paper's Fig. 9 clean-vs-noisy
-    comparison.  The noisy replay reuses the shard's trace
-    streams (replayable by contract), so the column costs one extra
-    engine pass and zero extra trace generation with ``offline_gap``
-    on.  Like the offline replay, the noisy pass runs uninjected (no
-    fault harness): it is a derived comparison column, not a second
-    chance for chaos faults to fire.
+    comparison.  The re-run pays only for its column:
+
+    * it reuses the shard's trace streams (replayable by contract), so
+      it generates no traces with ``offline_gap`` on;
+    * one :class:`ObservationSpec` serves every scenario with the same
+      seed and price cap, so the ``V`` twins of a seed are observation
+      twins on one trace lane and share one noise lane
+      (:class:`~repro.fleet.observe.BatchObserver`): noise is drawn
+      once per seed, not once per scenario;
+    * it runs the engine's cost-only entry
+      (:meth:`StreamingBatchSimulator.time_avg_cost`): no delay
+      ledger, extrema, ``finalize()`` or metrics fold.
+
+    Like the offline replay, the noisy pass runs uninjected (no fault
+    harness): it is a derived comparison column, not a second chance
+    for chaos faults to fire.
     """
     tele = telemetry
     t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    noisy_runs = [
-        dataclass_replace(
-            run, controller=spec.build_controller(traces),
-            observation=observation_from_mapping(
+    observations: dict[tuple, ObservationSpec] = {}
+    noisy_runs = []
+    for spec, run, traces in zip(specs, runs, traces_list):
+        key = (spec.seed, run.system.p_max)
+        observation = observations.get(key)
+        if observation is None:
+            observation = observations[key] = observation_from_mapping(
                 robustness, default_seed=spec.seed,
-                price_cap=run.system.p_max))
-        for spec, run, traces in zip(specs, runs, traces_list)]
-    noisy = StreamingBatchSimulator(
-        noisy_runs, chunk_coarse=chunk_coarse).run()
+                price_cap=run.system.p_max)
+        noisy_runs.append(dataclass_replace(
+            run, controller=spec.build_controller(traces),
+            observation=observation))
+    noisy_cost = StreamingBatchSimulator(
+        noisy_runs, chunk_coarse=chunk_coarse).time_avg_cost()
     if tele is not None and tele.enabled:
         tele.add_time("robustness", tele.clock() - t0)
         tele.count("robustness_scenarios", len(specs))
-    noisy_cost = noisy["time_avg_cost"]
     block["noisy_cost"] = noisy_cost
     block["robustness_gap"] = [
         _relative_gap(cost, clean) for cost, clean in zip(
@@ -546,7 +562,10 @@ class FleetRunner:
         the scenario seed) and its record gains ``noisy_cost`` and
         ``robustness_gap`` columns — the fleet-scale twin of the
         paper's Fig. 9 comparison, with the same optional-column
-        discipline as ``offline_gap``.
+        discipline as ``offline_gap``.  The re-run is a cost-only
+        engine pass per shard, and trace twins with one seed share one
+        noise lane, so a ``controller.v`` sweep draws its noise once
+        per seed.
     retry_quarantined:
         With a store and ``resume``, re-offer scenarios whose hash
         appears only in ``errors.jsonl`` (normally a quarantined

@@ -50,9 +50,6 @@ class Finding:
     message: str   #: human-readable statement of the violation
     snippet: str = ""  #: the stripped offending source line
 
-    def location(self) -> str:
-        return f"{self.path}:{self.line}"
-
     def as_dict(self) -> dict:
         return {"rule": self.rule, "path": self.path, "line": self.line,
                 "message": self.message, "snippet": self.snippet}

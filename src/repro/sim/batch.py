@@ -417,8 +417,12 @@ class BatchSimulator:
             self._advance_slot(slot, state)
         return self._finish_run(state)
 
-    def _begin_run(self) -> _RunState:
-        """Allocate the physical state and open the horizon."""
+    def _begin_run(self, recorder=None) -> _RunState:
+        """Allocate the physical state and open the horizon.
+
+        ``recorder`` is the per-slot sink; ``None`` makes the engine's
+        own (:meth:`_make_recorder`).
+        """
         systems = self.systems
         batch = self._batch
         state = _RunState(
@@ -437,7 +441,8 @@ class BatchSimulator:
                 budgets=[s.cycle_budget for s in systems], n=batch),
             lt_ledger=VecMarketLedger(batch),
             rt_ledger=VecMarketLedger(batch),
-            recorder=self._make_recorder(),
+            recorder=(self._make_recorder() if recorder is None
+                      else recorder),
             block=np.zeros(batch))
         # One slot workspace per run (per shard): the physics hot path
         # reuses these buffers every fine slot instead of allocating.

@@ -242,6 +242,22 @@ class TestCli:
         assert "no result store" in capsys.readouterr().err
         assert not missing.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+        (["--workers", "0"], "max_workers must be >= 1"),
+        (["--chunk-coarse", "0"], "chunk_coarse must be >= 1, got 0"),
+        (["--robustness", "1.5"], "relative error must be in [0, 1)"),
+        (["--scenarios", "0"], "need >= 1 scenario, got 0"),
+    ])
+    def test_bad_run_arguments_create_no_store(self, tmp_path, capsys,
+                                               argv, message):
+        out = tmp_path / "store"
+        assert main(["run", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_run_spec_file(self, tmp_path):
         fleet = [spec.to_dict() for spec in tiny_fleet()[:3]]
         spec_file = tmp_path / "fleet.json"
