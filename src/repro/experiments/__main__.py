@@ -18,6 +18,7 @@ import argparse
 import logging
 import sys
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.telemetry import monotonic
 
@@ -83,7 +84,12 @@ def main(argv: list[str] | None = None) -> int:
             print(list_experiments(), file=sys.stderr)
             return 2
         started = monotonic()
-        print(run_experiment(experiment_id, **kwargs))
+        try:
+            text = run_experiment(experiment_id, **kwargs)
+        except ConfigurationError as error:
+            logger.error("%s: %s", experiment_id, error)
+            return 2
+        print(text)
         elapsed = monotonic() - started
         logger.info("[%s finished in %.1fs]", experiment_id, elapsed)
         print()

@@ -21,17 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.baselines.lookahead import LookaheadController, PaperP2Offline
-from repro.baselines.myopic import MyopicPriceThreshold
 from repro.config.control import ObjectiveMode
-from repro.config.presets import paper_controller_config, paper_system_config
-from repro.core.smartdpss import SmartDPSS
-from repro.experiments.common import (
-    Scenario,
-    build_scenario,
-)
+from repro.experiments.common import paper_spec, run_fleet
+from repro.fleet.spec import ScenarioSpec
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec, simulate_many
 
 
 @dataclass(frozen=True)
@@ -57,74 +50,60 @@ class AblationResult:
         return [r for r in self.rows if r.study == name]
 
 
-def _spec(scenario: Scenario, controller, system=None) -> RunSpec:
-    return RunSpec(system=system or scenario.system,
-                   controller=controller, traces=scenario.traces)
-
-
 def run_ablations(seed: int = DEFAULT_SEED, days: int = 31,
                   ) -> AblationResult:
     """Run every ablation study on the shared scenario.
 
     All settings are declared up front and executed as one fleet; the
-    batch executor groups the compatible SmartDPSS runs per objective
-    mode and drives the heterodox baselines through the scalar
-    adapter.
+    runner batches the SmartDPSS settings per objective mode and runs
+    each baseline (the two oracles over the materialized horizon) as
+    its own batch.
     """
-    scenario = build_scenario(seed=seed, days=days)
     labels: list[tuple[str, str]] = []
-    specs: list[RunSpec] = []
+    specs: list[ScenarioSpec] = []
 
-    def add(study: str, label: str, spec: RunSpec) -> None:
+    def add(study: str, label: str, controller: dict | None = None,
+            **system: object) -> None:
         labels.append((study, label))
-        specs.append(spec)
+        specs.append(paper_spec(seed, days, controller, **system))
 
     # Abl-1: objective mode.
     for mode in (ObjectiveMode.DERIVED, ObjectiveMode.PAPER):
-        config = paper_controller_config(objective_mode=mode)
-        add("objective", mode.value, _spec(scenario, SmartDPSS(config)))
+        add("objective", mode.value,
+            {"kind": "smartdpss", "objective_mode": mode.value})
 
     # Abl-2: cycle budget Nmax.
     for budget in (None, 310, 106, 31):
-        system = paper_system_config(days=days, cycle_budget=budget)
         add("cycle_budget",
             "unbounded" if budget is None else str(budget),
-            _spec(scenario, SmartDPSS(paper_controller_config()),
-                  system=system))
+            cycle_budget=budget)
 
     # Abl-3: battery trade margin.
     for margin in (0.0, 3.0, 10.0):
-        config = paper_controller_config().replace(
-            battery_price_margin=margin)
         add("battery_margin", f"{margin:g} $/MWh",
-            _spec(scenario, SmartDPSS(config)))
+            {"kind": "smartdpss", "battery_price_margin": margin})
 
     # Abl-4: P4 deferrable-arrivals planning.
     for plan_arrivals in (False, True):
-        config = paper_controller_config().replace(
-            plan_deferrable_arrivals=plan_arrivals)
         add("p4_arrivals", "plan" if plan_arrivals else "defer",
-            _spec(scenario, SmartDPSS(config)))
+            {"kind": "smartdpss",
+             "plan_deferrable_arrivals": plan_arrivals})
 
     # Abl-5: extra baselines — generic price-awareness (myopic) and
     # forecast-oracle MPC variants (what a perfect short-term
     # forecast would buy; paper Section VII's comparison axis).
-    add("baseline", "myopic-threshold",
-        _spec(scenario, MyopicPriceThreshold()))
-    add("baseline", "lookahead-oracle",
-        _spec(scenario, LookaheadController(scenario.traces)))
-    add("baseline", "paper-P2-offline",
-        _spec(scenario, PaperP2Offline(scenario.traces)))
+    add("baseline", "myopic-threshold", {"kind": "myopic"})
+    add("baseline", "lookahead-oracle", {"kind": "lookahead"})
+    add("baseline", "paper-P2-offline", {"kind": "p2_offline"})
 
-    results = simulate_many(specs)
     rows = tuple(
         AblationRow(
             study=study, label=label,
-            time_avg_cost=result.time_average_cost,
-            avg_delay_slots=result.average_delay_slots,
-            availability=result.availability,
-            battery_ops=result.battery_operations)
-        for (study, label), result in zip(labels, results))
+            time_avg_cost=m["time_avg_cost"],
+            avg_delay_slots=m["avg_delay_slots"],
+            availability=m["availability"],
+            battery_ops=m["battery_ops"])
+        for (study, label), m in zip(labels, run_fleet(specs)))
     return AblationResult(rows=rows)
 
 

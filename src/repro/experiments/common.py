@@ -1,24 +1,26 @@
 """Shared plumbing for the per-figure experiment modules.
 
-Centralizes scenario construction (system + traces + controllers) so
-every figure runs on the identical setup the paper fixes in Section
-VI-A.  Each ``fig*`` module builds its run specs here and hands its
-whole (value × seed) fleet to
-:func:`repro.sim.batch.simulate_many` in one call, so compatible runs
-advance in vectorized lockstep.
+Every figure is a fleet on the setting the paper fixes in Section
+VI-A: each ``fig*`` module builds :class:`~repro.fleet.spec.ScenarioSpec`
+rows with :func:`paper_spec` (the paper system, ``paper`` traces from
+one root seed, one controller each) and runs them in-process through
+:func:`run_fleet`, the :class:`~repro.fleet.runner.FleetRunner` front
+door.  Figures read only record columns.  :func:`build_scenario`
+builds the same system and traces in memory, for the x-axis values
+that are trace statistics rather than record columns (Fig. 8's demand
+std, Fig. 10's demand total).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
-from repro.baselines import ImpatientController, OfflineOptimal
-from repro.config.control import SmartDPSSConfig
-from repro.config.presets import paper_controller_config, paper_system_config
+from repro.config.presets import paper_system_config
 from repro.config.system import SystemConfig
-from repro.core.smartdpss import SmartDPSS
+from repro.fleet.runner import FleetRunner
+from repro.fleet.spec import ScenarioSpec
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec
 from repro.traces.base import TraceSet
 from repro.traces.library import make_paper_traces
 
@@ -68,27 +70,31 @@ def build_scenario(seed: int = DEFAULT_SEED,
     return Scenario(system=system, traces=traces, seed=seed)
 
 
-def spec_smartdpss(scenario: Scenario,
-                   config: SmartDPSSConfig | None = None,
-                   observed: TraceSet | None = None,
-                   system: SystemConfig | None = None) -> RunSpec:
-    """A SmartDPSS run spec (optionally with noisy observations)."""
-    return RunSpec(system=system or scenario.system,
-                   controller=SmartDPSS(config or paper_controller_config()),
-                   traces=scenario.traces, observed=observed)
+def paper_spec(seed: int, days: int,
+               controller: Mapping[str, object] | None = None, *,
+               trace: Mapping[str, object] | None = None,
+               **system: object) -> ScenarioSpec:
+    """One figure scenario: the paper system (``system`` overrides
+    :func:`~repro.config.presets.paper_system_config` keywords, or sets
+    ``expansion``), ``paper`` traces (``trace`` adds recipe options)
+    and ``controller`` (SmartDPSS with the paper's defaults if
+    omitted)."""
+    return ScenarioSpec(
+        seed=seed,
+        system={"preset": "paper", "days": days, **system},
+        controller=dict(controller or {"kind": "smartdpss"}),
+        trace={"kind": "paper", **(trace or {})})
 
 
-def spec_impatient(scenario: Scenario,
-                   system: SystemConfig | None = None) -> RunSpec:
-    """An Impatient-baseline run spec."""
-    return RunSpec(system=system or scenario.system,
-                   controller=ImpatientController(),
-                   traces=scenario.traces)
+def run_fleet(specs: Sequence[ScenarioSpec],
+              robustness: Mapping[str, object] | None = None
+              ) -> list[dict]:
+    """Each scenario's metrics record, in spec order.
 
-
-def spec_offline(scenario: Scenario,
-                 system: SystemConfig | None = None) -> RunSpec:
-    """A clairvoyant offline-benchmark run spec."""
-    return RunSpec(system=system or scenario.system,
-                   controller=OfflineOptimal(scenario.traces),
-                   traces=scenario.traces)
+    Runs in-process with ``fail_fast``: a figure missing a row means
+    nothing, so the first failure propagates instead of being retried
+    and quarantined.  ``robustness`` arms the runner's paired noisy
+    re-run (Fig. 9).
+    """
+    runner = FleetRunner(specs, fail_fast=True, robustness=robustness)
+    return [record["metrics"] for record in runner.run()]

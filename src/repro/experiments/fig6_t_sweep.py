@@ -17,15 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.config.presets import paper_controller_config
 from repro.experiments.common import (
     PAPER_T_SWEEP,
     PAPER_T_SWEEP_DAYS,
-    build_scenario,
-    spec_smartdpss,
+    paper_spec,
+    run_fleet,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -58,28 +56,22 @@ class Fig6TResult:
 def run_fig6_t(seed: int = DEFAULT_SEED,
                t_values: tuple[int, ...] = PAPER_T_SWEEP,
                days: int = PAPER_T_SWEEP_DAYS) -> Fig6TResult:
-    """Run the T sweep (one scenario rebuild per T).
+    """Run the T sweep: one SmartDPSS scenario per ``T``, one fleet.
 
-    Each ``T`` changes the two-timescale shape, so the runs cannot
-    share one vectorized batch and each runs on the scalar engine.
-    For a multi-core T sweep, express it as ``ScenarioSpec``s over
-    ``system.fine_slots_per_coarse`` and run it through
-    :class:`~repro.fleet.runner.FleetRunner` with ``max_workers``.
+    Each ``T`` changes the two-timescale shape, so every scenario is
+    its own batch group and shard (a batch of one).  ``days · 24`` must
+    divide by every ``T``; otherwise the system build raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
-    specs = [spec_smartdpss(
-        build_scenario(seed=seed, days=days,
-                       fine_slots_per_coarse=t_slots),
-        paper_controller_config()) for t_slots in t_values]
-    results = simulate_many(specs)
-    rows = []
-    for t_slots, result in zip(t_values, results):
-        rows.append(Fig6TRow(
-            t_slots=t_slots,
-            time_avg_cost=result.time_average_cost,
-            avg_delay_slots=result.average_delay_slots,
-            worst_delay_slots=result.worst_delay_slots,
-            peak_backlog=result.peak_backlog,
-        ))
+    specs = [paper_spec(seed, days, fine_slots_per_coarse=t_slots)
+             for t_slots in t_values]
+    rows = [Fig6TRow(
+                t_slots=t_slots,
+                time_avg_cost=m["time_avg_cost"],
+                avg_delay_slots=m["avg_delay_slots"],
+                worst_delay_slots=m["worst_delay_slots"],
+                peak_backlog=m["peak_backlog"],
+            ) for t_slots, m in zip(t_values, run_fleet(specs))]
     return Fig6TResult(rows=tuple(rows))
 
 

@@ -16,17 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.config.presets import paper_controller_config
-from repro.experiments.common import (
-    PAPER_V_SWEEP,
-    Scenario,
-    build_scenario,
-    spec_impatient,
-    spec_offline,
-    spec_smartdpss,
-)
+from repro.experiments.common import PAPER_V_SWEEP, paper_spec, run_fleet
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -69,30 +60,27 @@ class Fig6VResult:
 def run_fig6_v(seed: int = DEFAULT_SEED,
                v_values: tuple[float, ...] = PAPER_V_SWEEP,
                days: int = 31) -> Fig6VResult:
-    """Run the V sweep plus both baselines (one batched fleet)."""
-    scenario: Scenario = build_scenario(seed=seed, days=days)
-    specs = [spec_smartdpss(scenario, paper_controller_config(v=v))
+    """Run the V sweep plus both baselines (one fleet)."""
+    specs = [paper_spec(seed, days, {"kind": "smartdpss", "v": v})
              for v in v_values]
-    specs.append(spec_impatient(scenario))
-    specs.append(spec_offline(scenario))
-    results = simulate_many(specs)
-    rows = []
-    for v, result in zip(v_values, results):
-        rows.append(Fig6VRow(
-            v=v,
-            time_avg_cost=result.time_average_cost,
-            avg_delay_slots=result.average_delay_slots,
-            worst_delay_slots=result.worst_delay_slots,
-            peak_backlog=result.peak_backlog,
-            availability=result.availability,
-        ))
-    impatient, offline = results[-2], results[-1]
+    specs.append(paper_spec(seed, days, {"kind": "impatient"}))
+    specs.append(paper_spec(seed, days, {"kind": "offline"}))
+    metrics = run_fleet(specs)
+    rows = [Fig6VRow(
+                v=v,
+                time_avg_cost=m["time_avg_cost"],
+                avg_delay_slots=m["avg_delay_slots"],
+                worst_delay_slots=m["worst_delay_slots"],
+                peak_backlog=m["peak_backlog"],
+                availability=m["availability"],
+            ) for v, m in zip(v_values, metrics)]
+    impatient, offline = metrics[-2], metrics[-1]
     return Fig6VResult(
         rows=tuple(rows),
-        impatient_cost=impatient.time_average_cost,
-        impatient_delay=impatient.average_delay_slots,
-        offline_cost=offline.time_average_cost,
-        offline_delay=offline.average_delay_slots,
+        impatient_cost=impatient["time_avg_cost"],
+        impatient_delay=impatient["avg_delay_slots"],
+        offline_cost=offline["time_avg_cost"],
+        offline_delay=offline["avg_delay_slots"],
     )
 
 

@@ -19,15 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.config.presets import paper_controller_config, paper_system_config
 from repro.experiments.common import (
     PAPER_BATTERY_SWEEP,
     PAPER_EPSILON_SWEEP,
-    build_scenario,
-    spec_smartdpss,
+    paper_spec,
+    run_fleet,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import simulate_many
 
 
 @dataclass(frozen=True)
@@ -77,44 +75,39 @@ def run_fig7(seed: int = DEFAULT_SEED, days: int = 31,
     studies average a few independent trace realizations (the paper
     replays one fixed trace; our synthetic traces let us do better).
     """
-    scenarios = [build_scenario(seed=seed + offset, days=days)
-                 for offset in range(max(1, n_seeds))]
+    seeds = [seed + offset for offset in range(max(1, n_seeds))]
 
-    # Every factor setting replicated across every seed scenario is one
-    # flat fleet; a single batched call runs them all in lockstep.
+    # Every factor setting replicated across every seed is one flat
+    # fleet.
     factors: list[tuple[str, str]] = []
     specs = []
 
     for epsilon in PAPER_EPSILON_SWEEP:
         factors.append(("epsilon", f"eps={epsilon:g}"))
-        specs.extend(
-            spec_smartdpss(s, paper_controller_config(epsilon=epsilon))
-            for s in scenarios)
+        specs.extend(paper_spec(s, days, {"kind": "smartdpss",
+                                          "epsilon": epsilon})
+                     for s in seeds)
 
     for minutes in PAPER_BATTERY_SWEEP:
-        system = paper_system_config(battery_minutes=minutes, days=days)
         factors.append(("battery", f"Bmax={minutes:g}min"))
-        specs.extend(
-            spec_smartdpss(s, paper_controller_config(), system=system)
-            for s in scenarios)
+        specs.extend(paper_spec(s, days, battery_minutes=minutes)
+                     for s in seeds)
 
     for label, use_lt in (("TM", True), ("RTM", False)):
         factors.append(("market", label))
-        specs.extend(
-            spec_smartdpss(s, paper_controller_config(
-                use_long_term_market=use_lt))
-            for s in scenarios)
+        specs.extend(paper_spec(s, days, {"kind": "smartdpss",
+                                          "use_long_term_market": use_lt})
+                     for s in seeds)
 
-    results = simulate_many(specs)
+    metrics = run_fleet(specs)
 
     def averaged(index: int) -> FactorRow:
-        chunk = results[index * len(scenarios):
-                        (index + 1) * len(scenarios)]
+        chunk = metrics[index * len(seeds):(index + 1) * len(seeds)]
         return FactorRow(
             label=factors[index][1],
-            time_avg_cost=sum(r.time_average_cost for r in chunk)
+            time_avg_cost=sum(m["time_avg_cost"] for m in chunk)
             / len(chunk),
-            avg_delay_slots=sum(r.average_delay_slots for r in chunk)
+            avg_delay_slots=sum(m["avg_delay_slots"] for m in chunk)
             / len(chunk))
 
     rows = [averaged(index) for index in range(len(factors))]

@@ -16,19 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.tables import format_table
-from repro.config.presets import paper_controller_config
-from repro.core.smartdpss import SmartDPSS
 from repro.experiments.common import (
     PAPER_PENETRATION_SWEEP,
     PAPER_VARIATION_SWEEP,
     build_scenario,
+    paper_spec,
+    run_fleet,
 )
 from repro.rng import DEFAULT_SEED
-from repro.sim.batch import RunSpec, simulate_many
-from repro.traces.scaling import (
-    rescale_renewable_penetration,
-    reshape_demand_variation,
-)
+from repro.traces.scaling import reshape_demand_variation
 
 
 @dataclass(frozen=True)
@@ -62,33 +58,37 @@ class Fig8Result:
 
 
 def run_fig8(seed: int = DEFAULT_SEED, days: int = 31) -> Fig8Result:
-    """Run the penetration and variation sweeps as one batched fleet."""
-    scenario = build_scenario(seed=seed, days=days)
-    config = paper_controller_config()
+    """Run the penetration and variation sweeps as one fleet.
 
-    pen_traces = [rescale_renewable_penetration(scenario.traces, level)
-                  for level in PAPER_PENETRATION_SWEEP]
-    var_traces = [reshape_demand_variation(scenario.traces, scale)
+    Each sweep point is a ``paper`` trace recipe carrying its reshape
+    (``renewable_penetration`` / ``demand_variation``).  The variation
+    sweep's x-axis, the reshaped demand's standard deviation, is a
+    trace statistic, so it comes from the same transform applied to
+    the in-memory base traces.
+    """
+    specs = [paper_spec(seed, days, trace={"renewable_penetration": level})
+             for level in PAPER_PENETRATION_SWEEP]
+    specs.extend(paper_spec(seed, days, trace={"demand_variation": scale})
+                 for scale in PAPER_VARIATION_SWEEP)
+    metrics = run_fleet(specs)
+    base = build_scenario(seed=seed, days=days).traces
+    demand_std = [reshape_demand_variation(base, scale).demand_std
                   for scale in PAPER_VARIATION_SWEEP]
-    specs = [RunSpec(system=scenario.system,
-                     controller=SmartDPSS(config), traces=traces)
-             for traces in (*pen_traces, *var_traces)]
-    results = simulate_many(specs)
+    n_pen = len(PAPER_PENETRATION_SWEEP)
 
     penetration_rows = [
         SweepRow(x=level,
-                 time_avg_cost=result.time_average_cost,
-                 avg_delay_slots=result.average_delay_slots,
-                 waste_mwh=result.waste_total)
-        for level, result in zip(PAPER_PENETRATION_SWEEP, results)]
+                 time_avg_cost=m["time_avg_cost"],
+                 avg_delay_slots=m["avg_delay_slots"],
+                 waste_mwh=m["waste_mwh"])
+        for level, m in zip(PAPER_PENETRATION_SWEEP, metrics)]
 
     variation_rows = [
-        SweepRow(x=traces.demand_std,
-                 time_avg_cost=result.time_average_cost,
-                 avg_delay_slots=result.average_delay_slots,
-                 waste_mwh=result.waste_total)
-        for traces, result in zip(var_traces,
-                                  results[len(pen_traces):])]
+        SweepRow(x=std,
+                 time_avg_cost=m["time_avg_cost"],
+                 avg_delay_slots=m["avg_delay_slots"],
+                 waste_mwh=m["waste_mwh"])
+        for std, m in zip(demand_std, metrics[n_pen:])]
 
     return Fig8Result(penetration_rows=tuple(penetration_rows),
                       variation_rows=tuple(variation_rows))

@@ -11,36 +11,25 @@ Here the cost-reduction is measured against the Impatient baseline (the
 paper's reference online policy), and the difference is
 ``reduction_with_noise − reduction_without``.
 
-Two routes produce the figure:
-
-* :func:`run_fig9` — the in-memory route: one shared noisy
-  :class:`~repro.traces.base.TraceSet` via
-  :func:`~repro.traces.noise.uniform_observation_noise`, all runs
-  through the batched executors.
-* :func:`run_fig9_fleet` — the fleet route: declarative
-  :class:`~repro.fleet.spec.ScenarioSpec` rows through
-  :class:`~repro.fleet.runner.FleetRunner` with
-  ``robustness={"kind": "uniform", ...}``, so the noisy twin streams
-  its observations chunk-by-chunk.  Both reproduce the paper's small
-  difference band; the fleet route is pinned by the golden table.
+The figure is one fleet: an Impatient baseline plus one SmartDPSS
+scenario per ``V``, all on one ``stream`` trace seed, run by
+:class:`~repro.fleet.runner.FleetRunner` with the paired clean-vs-noisy
+robustness sweep armed (``robustness={"kind": "uniform", ...}``).  The
+noisy twin of every scenario, the baseline included, observes traces
+perturbed chunk by chunk through the fleet observation layer (one noise
+substream per series), while physics and billing stay on the truth, so
+reductions compare like against like.  The golden
+``fleet_fig9_robustness`` fixture pins this route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.comparison import cost_reduction
 from repro.analysis.tables import format_table
-from repro.config.presets import paper_controller_config
-from repro.experiments.common import (
-    PAPER_V_SWEEP,
-    build_scenario,
-    spec_impatient,
-    spec_smartdpss,
-)
-from repro.rng import DEFAULT_SEED, RngFactory
-from repro.sim.batch import simulate_many
-from repro.traces.noise import uniform_observation_noise
+from repro.experiments.common import PAPER_V_SWEEP, run_fleet
+from repro.fleet.spec import ScenarioSpec
+from repro.rng import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -76,54 +65,10 @@ class Fig9Result:
 def run_fig9(seed: int = DEFAULT_SEED,
              rel_error: float = 0.5,
              v_values: tuple[float, ...] = PAPER_V_SWEEP,
-             days: int = 31) -> Fig9Result:
-    """Run the noise-robustness sweep as one batched fleet."""
-    scenario = build_scenario(seed=seed, days=days)
-    noise_rng = RngFactory(seed).stream("fig9-observation-noise")
-    observed = uniform_observation_noise(
-        scenario.traces, rel_error, noise_rng,
-        price_cap=scenario.system.p_max)
-
-    specs = [spec_impatient(scenario)]
-    for v in v_values:
-        config = paper_controller_config(v=v)
-        specs.append(spec_smartdpss(scenario, config))
-        specs.append(spec_smartdpss(scenario, config, observed=observed))
-    results = simulate_many(specs)
-    impatient = results[0]
-
-    rows = []
-    for index, v in enumerate(v_values):
-        clean = results[1 + 2 * index]
-        noisy = results[2 + 2 * index]
-        rows.append(Fig9Row(
-            v=v,
-            clean_cost=clean.time_average_cost,
-            noisy_cost=noisy.time_average_cost,
-            clean_reduction=cost_reduction(clean, impatient),
-            noisy_reduction=cost_reduction(noisy, impatient),
-        ))
-    return Fig9Result(rows=tuple(rows), rel_error=rel_error)
-
-
-def run_fig9_fleet(seed: int = DEFAULT_SEED,
-                   rel_error: float = 0.5,
-                   v_values: tuple[float, ...] = PAPER_V_SWEEP,
-                   days: int = 31,
-                   fine_slots_per_coarse: int = 24,
-                   **runner_kwargs) -> Fig9Result:
-    """Run the noise-robustness sweep through the fleet path.
-
-    One Impatient baseline plus one SmartDPSS scenario per ``V``, all
-    on the same trace seed, executed by
-    :class:`~repro.fleet.runner.FleetRunner` with the paired
-    clean-vs-noisy robustness sweep armed — the noisy arm streams
-    uniformly perturbed observations to every controller (baseline
-    included), so reductions compare like against like.
-    """
-    from repro.fleet.runner import FleetRunner
-    from repro.fleet.spec import ScenarioSpec
-
+             days: int = 31,
+             fine_slots_per_coarse: int = 24) -> Fig9Result:
+    """Run the noise-robustness sweep as one fleet (see the module
+    docstring)."""
     system = {"preset": "paper", "days": days,
               "fine_slots_per_coarse": fine_slots_per_coarse}
     specs = [ScenarioSpec(name="fig9-impatient", value=0.0, seed=seed,
@@ -136,20 +81,16 @@ def run_fig9_fleet(seed: int = DEFAULT_SEED,
             system=system,
             controller={"kind": "smartdpss", "v": float(v)},
             trace={"kind": "stream"}))
-    runner = FleetRunner(
-        specs,
-        robustness={"kind": "uniform", "rel_error": float(rel_error)},
-        **runner_kwargs)
-    records = runner.run()
+    metrics = run_fleet(specs, robustness={
+        "kind": "uniform", "rel_error": float(rel_error)})
 
-    imp = records[0]["metrics"]
+    imp = metrics[0]
     imp_clean = float(imp["time_avg_cost"])
     imp_noisy = float(imp["noisy_cost"])
     rows = []
-    for record, v in zip(records[1:], v_values):
-        metrics = record["metrics"]
-        clean = float(metrics["time_avg_cost"])
-        noisy = float(metrics["noisy_cost"])
+    for m, v in zip(metrics[1:], v_values):
+        clean = float(m["time_avg_cost"])
+        noisy = float(m["noisy_cost"])
         rows.append(Fig9Row(
             v=float(v),
             clean_cost=clean,

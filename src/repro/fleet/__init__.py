@@ -1,6 +1,6 @@
 """Fleet subsystem: streamed scenario pipelines at sweep scale.
 
-Everything the in-memory engines assume fits in RAM — full trace
+Everything the scalar engine assumes fits in RAM — full trace
 horizons, per-slot series, one process — stops holding at 10⁴+-scenario
 sweeps.  This package supplies the missing layers:
 
@@ -11,7 +11,8 @@ sweeps.  This package supplies the missing layers:
   :class:`ScenarioSpec` plus grid / product / random-sampling fleet
   generators;
 * :mod:`repro.fleet.engine` — the chunk-at-a-time
-  :class:`StreamingBatchSimulator` with O(B) result aggregation;
+  :class:`StreamingBatchSimulator`, the one batch engine, with O(B)
+  result aggregation;
 * :mod:`repro.fleet.runner` — :class:`FleetRunner` sharding whole
   vectorized batches across worker processes (the library's one
   multi-core path);
@@ -111,12 +112,13 @@ values raise a typed
 series and the ``observed`` view) that quarantines like any trace
 corruption.
 
-Every fleet shard runs the streamed engine: generated traces stream
-chunk by chunk, while ``paper`` recipes, oracle controllers and the
-offline-gap baseline stream over views of horizons materialized once
-per distinct trace realization.  ``tests/equivalence/`` gates it: for
-identical specs it is bit-identical to the in-memory batch engine
-(which is itself bit-identical to the scalar reference engine).
+Every fleet shard — and every paper figure, which runs as a fleet
+(:mod:`repro.experiments`) — runs the streamed engine: generated
+traces stream chunk by chunk, while ``paper`` recipes, oracle
+controllers and the offline-gap baseline stream over views of horizons
+materialized once per distinct trace realization.
+``tests/equivalence/`` gates it: for identical specs it is
+bit-identical to the scalar reference engine, slot by slot.
 """
 
 from repro.fleet.engine import (

@@ -1,13 +1,26 @@
-"""Streaming batch engine: chunked traces, O(B) result state.
+"""The batch engine: ``B`` scenarios in lockstep, chunked traces, O(B)
+result state.
 
-:class:`StreamingBatchSimulator` subclasses the in-memory
-:class:`~repro.sim.batch.BatchSimulator` and reuses its per-slot
-arithmetic verbatim — the only overrides load trace *chunks* into the
-column arrays (advancing the base engine's ``_slot0`` / ``_coarse0``
-window offsets) and replace the ``(B, horizon)`` recorder with the
-O(B) :class:`StreamingAggregator`.  Peak memory is therefore
-``O(B · chunk)`` for traces plus ``O(B)`` for results, instead of the
-in-memory engine's ``O(B · horizon)`` for both.
+:class:`StreamingBatchSimulator` advances ``B`` independent scenarios
+through the DPSS physics per slot in ``(B,)`` array form — eq.-4
+supply-demand balance, battery SOC dynamics, backlog queue and billing
+— with controllers plugged in through the batch protocol of
+:mod:`repro.sim.batch` (the vectorized
+:class:`~repro.core.smartdpss_vec.VecSmartDPSS` when every run is
+SmartDPSS, :class:`~repro.sim.batch.ScalarControllerBatch` otherwise).
+It is the one batch engine: every :class:`~repro.fleet.runner.FleetRunner`
+shard, every paper figure and the fleet's derived passes run on it.
+The scalar :class:`~repro.sim.engine.Simulator` is its reference
+oracle and the source of per-slot series.
+
+Traces arrive a *chunk* at a time: the engine loads ``(B, chunk)``
+trace columns and reads them through the window offsets ``_slot0`` /
+``_coarse0``.  Each slot's physics runs in a :class:`PhysicsWorkspace`
+built once per run (every temporary a preallocated ``(B,)`` buffer
+written with ``out=`` / ``copyto`` ufunc calls), so the slot loop
+allocates nothing, and results accumulate in the O(B)
+:class:`StreamingAggregator`.  Peak memory is ``O(B · chunk)`` for
+traces plus ``O(B)`` for results.
 
 A run returns one *metrics block*: a dict holding one length-``B``
 column per :class:`ScenarioMetrics` field.  :class:`ScenarioMetrics`
@@ -23,17 +36,19 @@ same chunk and slot loop but records only the four cost sums
 (:class:`_CostSums`): no delay ledger, extrema or service buffer, no
 controller ``finalize()`` and no fold.  Its column comes from the one
 cost expression the fold uses (:func:`_costs`), so it equals
-``run()["time_avg_cost"]`` bit for bit.
+``run()["time_avg_cost"]`` bit for bit.  Tests that compare series
+slot by slot plug a :class:`~repro.sim.vecstate.BatchRecorder` into
+the same loop (``_stream(recorder)``).
 
 Exactness contract: per-slot physics outputs are bit-identical to the
-in-memory engine (same code runs), the aggregator accumulates every
-sum slot by slot in slot order, and one fold (:func:`_fold`) turns the
+scalar engine's (same IEEE-754 operations in the same order; see
+:mod:`repro.sim.vecstate`), the aggregator accumulates every sum slot
+by slot in slot order, and one fold (:func:`_fold`) turns the
 aggregates and delay ledgers into the block.
-:meth:`ScenarioMetrics.from_result` feeds an in-memory result's series
+:meth:`ScenarioMetrics.from_result` feeds a scalar result's series
 through the same aggregator and the same fold, passing in the result's
-delay ledger, so streamed metrics equal in-memory metrics *exactly*,
-not just within tolerance.  Enforced by
-``tests/equivalence/test_fleet_stream.py``.
+delay ledger, so batch metrics equal scalar metrics *exactly*, not just
+within tolerance.  Enforced by ``tests/equivalence/``.
 
 Chunks must cover whole coarse slots (``chunk_coarse`` many), because
 long-term prices are per-coarse-slot averages and planning happens at
@@ -42,7 +57,7 @@ predecessor so the planner's previous-window profile lookback stays
 resident: planning consumes one
 :class:`~repro.core.interfaces.BatchCoarseObservation` per boundary,
 sliced straight out of the resident window by
-``BatchSimulator._coarse_observations``, which raises
+``StreamingBatchSimulator._coarse_observations``, which raises
 :class:`~repro.exceptions.HorizonMismatchError` if a chunk ever
 arrives without the tail (a silent negative-index wrap would read the
 wrong profile otherwise).
@@ -64,24 +79,41 @@ observation specs share one noise lane of the
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.config.system import SystemConfig
-from repro.core.interfaces import Controller
+from repro.core.interfaces import BatchCoarseObservation, Controller
+from repro.core.smartdpss import SmartDPSS
+from repro.core.smartdpss_vec import VecSmartDPSS
 from repro.exceptions import (
     ConfigurationError,
     HorizonMismatchError,
+    InfeasibleActionError,
     ObservationCorruptionError,
     TraceCorruptionError,
 )
 from repro.fleet.observe import BatchObserver, ObservationSpec
 from repro.fleet.stream import ArrayBatchStream, BatchTraceStream, TraceStream
-from repro.sim.batch import BatchController, BatchSimulator, _RunState
+from repro.sim.batch import (
+    BatchController,
+    BatchFineObservation,
+    BatchSlotFeedback,
+    ScalarControllerBatch,
+)
+from repro.sim.engine import checked_grid_capacity
 from repro.sim.results import SimulationResult
-from repro.sim.vecstate import DelayReplay
+from repro.sim.vecstate import (
+    DelayReplay,
+    VecBacklog,
+    VecBattery,
+    VecCycleLedger,
+    VecMarketLedger,
+)
+from repro.telemetry.core import TELEMETRY_OFF
 from repro.workload.queue import DelayStats
 
 #: The four per-slot cost series: all a cost-only pass sums.
@@ -95,13 +127,14 @@ _SUMMED = (*_COSTS, "served_ds", "served_dt", "unserved_ds",
 
 @dataclass(frozen=True)
 class StreamRunSpec:
-    """One streamed simulation request.
+    """One batch-engine simulation request.
 
-    The duck-typed twin of :class:`~repro.sim.batch.RunSpec` for the
-    streaming engine: traces come as a replayable
-    :class:`~repro.fleet.stream.TraceStream` instead of resident
-    arrays.  ``grid_capacity`` may still be a full per-slot array (it
-    is sliced per chunk).  ``observation`` is an optional
+    Traces come as a replayable
+    :class:`~repro.fleet.stream.TraceStream` (wrap a resident
+    :class:`~repro.traces.base.TraceSet` in an
+    :class:`~repro.fleet.stream.ArrayTraceStream`).  ``grid_capacity``
+    is an optional full per-slot feeder capacity array (sliced per
+    chunk; ``None`` means a static ``Pgrid``).  ``observation`` is an optional
     :class:`~repro.fleet.observe.ObservationSpec`: when set, the
     controller observes a derived noisy stream (perturbed chunk by
     chunk with dedicated substreams and carry state) while physics and
@@ -124,9 +157,9 @@ class StreamingAggregator:
     full series, and keeps one FIFO delay ledger per scenario, fed a
     chunk at a time by :meth:`flush_delays`.  Sums advance with
     elementwise ``+=`` in slot order; :func:`_fold` turns the
-    aggregates into a metrics block.  The same aggregator fed an
-    in-memory result's series (:meth:`ScenarioMetrics.from_result`)
-    reproduces every sum bit for bit.
+    aggregates into a metrics block.  The same aggregator fed a scalar
+    result's series (:meth:`ScenarioMetrics.from_result`) reproduces
+    every sum bit for bit.
     """
 
     #: Initial column capacity of the buffered service block.
@@ -293,7 +326,7 @@ class ScenarioMetrics:
     the field order is the record key order.  Field definitions mirror
     :class:`~repro.sim.results.SimulationResult` summaries, with sums
     accumulated in slot order (see the module docstring for why that
-    makes streamed == in-memory exact).
+    makes batch == scalar exact).
     """
 
     controller_name: str
@@ -366,13 +399,13 @@ class ScenarioMetrics:
     @classmethod
     def from_result(cls, result: SimulationResult,
                     seed: int | None = None) -> "ScenarioMetrics":
-        """The same metrics computed from an in-memory result.
+        """The same metrics computed from a scalar engine's result.
 
         Feeds the recorded series through a batch-of-one
         :class:`StreamingAggregator` slot by slot and then through the
-        streamed engine's fold (:func:`_fold`) with the result's delay
+        batch engine's fold (:func:`_fold`) with the result's delay
         ledger, so every sum uses the identical accumulation order as
-        the streamed engine — bit-identical series therefore produce
+        the batch engine — bit-identical series therefore produce
         bit-identical metrics.
         """
         series = result.series
@@ -392,8 +425,65 @@ class ScenarioMetrics:
         return cls(**cls.rows(block)[0])
 
 
-class StreamingBatchSimulator(BatchSimulator):
-    """Chunk-at-a-time batch engine over :class:`StreamRunSpec` fleets.
+class PhysicsWorkspace:
+    """Buffers for the engine's per-slot physics resolution."""
+
+    __slots__ = (
+        "rate", "grid_headroom", "supply_headroom", "budget_left",
+        "grt", "ta", "tb", "cost_rt", "sdt_request", "desired",
+        "surplus", "need", "discharge_cap", "covered",
+        "discharge_request", "sdt", "unserved", "served_ds",
+        "charge_request", "accepted", "waste", "cost_battery",
+        "cost_lt", "cost_waste", "cost_total", "renewable_used",
+        "curtailed", "supply",
+        "m1", "m2", "had_backlog", "surplus_branch", "full_cover",
+        "served_whole", "covers_ds", "allowed", "not_allowed",
+    )
+
+    def __init__(self, n: int):
+        for name in ("rate", "grid_headroom", "supply_headroom",
+                     "budget_left", "grt", "ta", "tb", "cost_rt",
+                     "sdt_request", "desired", "surplus", "need",
+                     "discharge_cap", "covered", "discharge_request",
+                     "sdt", "unserved", "served_ds", "charge_request",
+                     "accepted", "waste", "cost_battery", "cost_lt",
+                     "cost_waste", "cost_total", "renewable_used",
+                     "curtailed", "supply"):
+            setattr(self, name, np.empty(n))
+        for name in ("m1", "m2", "had_backlog", "surplus_branch",
+                     "full_cover", "served_whole", "covers_ds",
+                     "allowed", "not_allowed"):
+            setattr(self, name, np.empty(n, dtype=bool))
+
+
+class _RunState:
+    """Mutable physical state threaded through one batch run."""
+
+    __slots__ = ("battery", "backlog", "cycles", "lt_ledger", "rt_ledger",
+                 "recorder", "block")
+
+    def __init__(self, battery: VecBattery, backlog: VecBacklog,
+                 cycles: VecCycleLedger, lt_ledger: VecMarketLedger,
+                 rt_ledger: VecMarketLedger, recorder, block: np.ndarray):
+        self.battery = battery
+        self.backlog = backlog
+        self.cycles = cycles
+        self.lt_ledger = lt_ledger
+        self.rt_ledger = rt_ledger
+        self.recorder = recorder
+        self.block = block
+
+
+class StreamingBatchSimulator:
+    """Advances ``B`` scenarios through the DPSS physics in lockstep,
+    chunk by chunk.
+
+    All scenarios must share the two-timescale shape
+    (``fine_slots_per_coarse``, ``num_coarse_slots``, ``slot_hours``);
+    every *numeric* parameter — grid caps, battery, penalties, traces,
+    per-slot feeder capacity — may differ per scenario.  ``controller``
+    is a batch controller over all runs; ``None`` picks one from the
+    runs' own controllers (see :func:`_default_controller`).
 
     ``chunk_coarse`` sets how many coarse slots of trace data are
     resident per scenario at any time (plus a ``T``-slot planning
@@ -413,7 +503,47 @@ class StreamingBatchSimulator(BatchSimulator):
     def __init__(self, runs: Sequence[StreamRunSpec],
                  controller: BatchController | None = None,
                  *, chunk_coarse: int = 4, telemetry=None, faults=None):
-        self._init_group(runs, controller, telemetry=telemetry)
+        """Shape checks, controller selection, parameter stacking,
+        outage-schedule validation and the trace cursor.
+
+        ``telemetry`` (``None`` = off) is a
+        :class:`~repro.telemetry.Telemetry`; instrumentation only reads
+        clocks, so records are bit-identical either way.
+        """
+        if not runs:
+            raise ConfigurationError("need at least one run")
+        self.runs = list(runs)
+        systems = [run.system for run in self.runs]
+        shapes = {(s.fine_slots_per_coarse, s.num_coarse_slots,
+                   s.slot_hours) for s in systems}
+        if len(shapes) > 1:
+            raise HorizonMismatchError(
+                f"batched systems must share (T, K, slot_hours), got "
+                f"{sorted(shapes)}")
+        self.systems = systems
+        self._telemetry = telemetry if telemetry is not None \
+            else TELEMETRY_OFF
+        self.controller = controller if controller is not None \
+            else _default_controller(self.runs, telemetry=self._telemetry)
+
+        self._n_slots = systems[0].horizon_slots
+        self._t_slots = systems[0].fine_slots_per_coarse
+        self._batch = len(self.runs)
+        self._slot0 = 0
+        self._coarse0 = 0
+        self._work: PhysicsWorkspace | None = None
+        self._p_grid = np.array([s.p_grid for s in systems])
+        self._s_max = np.array([s.s_max for s in systems])
+        self._s_dt_max = np.array([s.s_dt_max for s in systems])
+        self._waste_penalty = np.array([s.waste_penalty for s in systems])
+        # Hoisted boundary constant: the advance-block cap Pgrid * T.
+        self._block_cap = self._p_grid * self._t_slots
+        #: Validated outage schedules (``None``: static ``Pgrid``).
+        self._capacities = [
+            None if run.grid_capacity is None
+            else checked_grid_capacity(run.grid_capacity, self._n_slots)
+            for run in self.runs]
+
         if chunk_coarse < 1:
             raise ConfigurationError(
                 f"chunk_coarse must be >= 1, got {chunk_coarse}")
@@ -424,7 +554,7 @@ class StreamingBatchSimulator(BatchSimulator):
         self._faults = faults
         self._observations: list[ObservationSpec | None] = []
         for run in self.runs:
-            observation = getattr(run, "observation", None)
+            observation = run.observation
             if observation is not None and not isinstance(
                     observation, ObservationSpec):
                 raise ConfigurationError(
@@ -448,8 +578,44 @@ class StreamingBatchSimulator(BatchSimulator):
         self._trace_source = (BatchTraceStream.for_streams(streams)
                               or ArrayBatchStream(streams))
 
-    def _make_recorder(self) -> StreamingAggregator:
-        return StreamingAggregator(self._batch)
+    def _capacity_rows(self, start: int, stop: int) -> np.ndarray:
+        """Per-slot feeder capacity for slots ``[start, stop)``: each
+        run's outage schedule, or a static ``Pgrid`` row where it has
+        none."""
+        return np.stack([
+            np.full(stop - start, system.p_grid) if capacity is None
+            else capacity[start:stop]
+            for capacity, system in zip(self._capacities, self.systems)])
+
+    def _check_prices(self, start: int) -> None:
+        """Vector twin of the markets' per-purchase price validation.
+
+        The scalar markets raise on the first slot whose price falls
+        outside ``[0, Pmax]``; the batch engine validates each chunk as
+        it loads, from slot ``start`` on (same exception).  The
+        offender reported is the first bad scenario, real-time before
+        long-term within it.
+        The inverted comparison also rejects NaN, exactly as the scalar
+        ``0 <= price <= cap`` check does.
+        """
+        caps = np.array([system.p_max for system in self.systems])
+        ranges = {}
+        bad = {}
+        for name, block in (
+                ("real-time", self._true_prt[:, start - self._slot0:]),
+                ("long-term", self._true_plt)):
+            lows, highs = block.min(axis=1), block.max(axis=1)
+            ranges[name] = (lows, highs)
+            bad[name] = ~((lows >= 0) & (highs <= caps * (1 + 1e-9)))
+        offenders = bad["real-time"] | bad["long-term"]
+        if offenders.any():
+            index = int(np.argmax(offenders))
+            name = "real-time" if bad["real-time"][index] else "long-term"
+            lows, highs = ranges[name]
+            raise InfeasibleActionError(
+                f"{name}: price outside [0, {self.systems[index].p_max}] "
+                f"(observed range [{float(lows[index])}, "
+                f"{float(highs[index])}])")
 
     # ------------------------------------------------------------------
     # Chunk loading
@@ -517,8 +683,8 @@ class StreamingBatchSimulator(BatchSimulator):
             else:
                 # Same reshape-mean the true coarse prices come from,
                 # applied to the perturbed fine series — matching the
-                # in-memory reference's TraceSet.coarse_prices bit for
-                # bit.
+                # whole-horizon reference's TraceSet.coarse_prices bit
+                # for bit.
                 self._obs_plt = obs_plt_fine.reshape(
                     self._batch, -1, t_slots).mean(axis=2)
             if tele.enabled:
@@ -672,16 +838,26 @@ class StreamingBatchSimulator(BatchSimulator):
         Returns the metrics block (see :func:`_fold`); encode it into
         record dicts with :meth:`ScenarioMetrics.rows`.
 
-        Stage timings (chunk generation, observation derivation, the
-        slot loop, delay replay, metric collection) are guarded on
-        ``tele.enabled``; the
-        instrumentation reads clocks only, so streamed metrics are
-        bit-identical with telemetry on or off.
+        The batch controller is finalized (vectorized controllers sync
+        their scalar instances back) before the fold.  Stage timings
+        (chunk generation, observation derivation, the slot loop,
+        delay replay, metric collection) are guarded on
+        ``tele.enabled``; the instrumentation reads clocks only, so
+        streamed metrics are bit-identical with telemetry on or off.
         """
         tele = self._telemetry
-        state = self._stream(self._make_recorder())
+        state = self._stream(StreamingAggregator(self._batch))
         t0 = tele.clock() if tele.enabled else 0.0
-        block = self._finish_run(state)
+        finalize = getattr(self.controller, "finalize", None)
+        if finalize is not None:
+            finalize()
+        aggregator = state.recorder
+        block = _fold(
+            aggregator, [replay.stats() for replay in aggregator._replays],
+            controller_name=self.controller.names, n_slots=self._n_slots,
+            battery_ops=state.cycles.operations,
+            lt_energy=state.lt_ledger.energy,
+            rt_energy=state.rt_ledger.energy, seed=self._seeds)
         if tele.enabled:
             tele.add_time("collect", tele.clock() - t0)
             tele.count("scenarios", self._batch)
@@ -747,11 +923,353 @@ class StreamingBatchSimulator(BatchSimulator):
                 t0 = tele.clock()
         return state
 
-    def _collect(self, recorder: StreamingAggregator, cycles, lt_ledger,
-                 rt_ledger) -> dict[str, np.ndarray | list]:
-        """Fold the aggregator and its delay ledgers into the block."""
-        return _fold(
-            recorder, [replay.stats() for replay in recorder._replays],
-            controller_name=self.controller.names, n_slots=self._n_slots,
-            battery_ops=cycles.operations, lt_energy=lt_ledger.energy,
-            rt_energy=rt_ledger.energy, seed=self._seeds)
+    def _begin_run(self, recorder) -> _RunState:
+        """Allocate the physical state and open the horizon.
+
+        ``recorder`` is the per-slot sink ``_step_physics`` writes to.
+        """
+        systems = self.systems
+        batch = self._batch
+        state = _RunState(
+            battery=VecBattery(
+                b_min=[s.b_min for s in systems],
+                b_max=[s.b_max for s in systems],
+                b_charge_max=[s.b_charge_max for s in systems],
+                b_discharge_max=[s.b_discharge_max for s in systems],
+                eta_c=[s.eta_c for s in systems],
+                eta_d=[s.eta_d for s in systems],
+                initial=[s.initial_battery for s in systems],
+                n=batch),
+            backlog=VecBacklog(batch),
+            cycles=VecCycleLedger(
+                op_cost=[s.battery_op_cost for s in systems],
+                budgets=[s.cycle_budget for s in systems], n=batch),
+            lt_ledger=VecMarketLedger(batch),
+            rt_ledger=VecMarketLedger(batch),
+            recorder=recorder,
+            block=np.zeros(batch))
+        # One slot workspace per run (per shard): the physics hot path
+        # reuses these buffers every fine slot instead of allocating.
+        self._work = PhysicsWorkspace(batch)
+        self.controller.begin_horizon(systems)
+        return state
+
+    def _advance_slot(self, slot: int, state: _RunState) -> None:
+        """One fine slot for the whole batch: plan, decide, step.
+
+        Timings are guarded on ``tele.enabled`` so the disabled cost
+        is one attribute check per stage; the instrumentation never
+        touches numeric state (records are bit-identical on/off).
+        """
+        t_slots = self._t_slots
+        battery, backlog, cycles = state.battery, state.backlog, state.cycles
+        coarse = slot // t_slots
+        tele = self._telemetry
+        w = self._work
+
+        if slot % t_slots == 0:
+            t0 = tele.clock() if tele.enabled else 0.0
+            gbef = np.asarray(
+                self.controller.plan_long_term(
+                    self._coarse_observations(coarse, slot, battery,
+                                              backlog, cycles)),
+                dtype=float)
+            state.block = np.minimum(np.maximum(0.0, gbef),
+                                     self._block_cap)
+            # cost_lt / m1 are scratch here: this slot's physics rewrites
+            # both before reading them.
+            state.lt_ledger.record(
+                state.block, self._true_plt[:, coarse - self._coarse0],
+                w.cost_lt, w.m1)
+            if tele.enabled:
+                tele.add_time("plan", tele.clock() - t0)
+                tele.count("boundaries")
+
+        cap = self._capacity[:, slot - self._slot0]
+        observed_r = self._obs_ren[:, slot - self._slot0]
+        rate = np.divide(state.block, t_slots, out=w.rate)
+        np.minimum(rate, cap, out=rate)
+        grid_headroom = np.subtract(cap, rate, out=w.grid_headroom)
+        np.maximum(0.0, grid_headroom, out=grid_headroom)
+        supply_headroom = np.subtract(self._s_max, rate,
+                                      out=w.supply_headroom)
+        np.subtract(supply_headroom, observed_r, out=supply_headroom)
+        np.maximum(0.0, supply_headroom, out=supply_headroom)
+        budget_left = cycles.remaining_into(w.budget_left)
+
+        t0 = tele.clock() if tele.enabled else 0.0
+        grt_request, gamma = self.controller.real_time(
+            BatchFineObservation(
+                fine_slot=slot,
+                coarse_index=coarse,
+                price_rt=self._obs_prt[:, slot - self._slot0],
+                demand_ds=self._obs_dds[:, slot - self._slot0],
+                demand_dt=self._obs_ddt[:, slot - self._slot0],
+                renewable=observed_r,
+                battery_level=battery.level,
+                backlog=backlog.backlog,
+                long_term_rate=rate,
+                grid_headroom=grid_headroom,
+                supply_headroom=supply_headroom,
+                cycle_budget_left=budget_left,
+            ))
+        if tele.enabled:
+            tele.add_time("real_time", tele.clock() - t0)
+        grt_request = np.asarray(grt_request, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        np.less(grt_request, 0, out=w.m1)
+        bad_grt = bool(w.m1.any())
+        np.less(gamma, 0, out=w.m1)
+        np.greater(gamma, 1, out=w.m2)
+        np.logical_or(w.m1, w.m2, out=w.m1)
+        bad_gamma = bool(w.m1.any())
+        if bad_grt:
+            worst = float(grt_request.min())
+            raise InfeasibleActionError(
+                f"real-time purchase must be >= 0, got {worst}")
+        if bad_gamma:
+            raise InfeasibleActionError(
+                f"gamma must be in [0, 1], got "
+                f"[{float(gamma.min())}, {float(gamma.max())}]")
+
+        t0 = tele.clock() if tele.enabled else 0.0
+        self._step_physics(slot, coarse, rate, grt_request, gamma,
+                           battery, backlog, cycles, grid_headroom,
+                           state.rt_ledger, state.recorder)
+        if tele.enabled:
+            tele.add_time("physics", tele.clock() - t0)
+
+    # ------------------------------------------------------------------
+    # Stages
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _window_mean(block: np.ndarray) -> np.ndarray:
+        """Column-sequential window means, one per scenario.
+
+        Accumulates in slot order so every scenario's mean applies the
+        exact IEEE-754 additions of the scalar engine's
+        ``sum(profile) / len(profile)``.
+        """
+        total = np.zeros(block.shape[0])
+        for column in range(block.shape[1]):
+            total += block[:, column]
+        return total / block.shape[1]
+
+    def _coarse_observations(self, coarse: int, slot: int,
+                             battery: VecBattery, backlog: VecBacklog,
+                             cycles: VecCycleLedger
+                             ) -> BatchCoarseObservation:
+        """Batch twin of ``Simulator._plan``'s observation, one slice.
+
+        The planner's lookback window is the previous coarse window
+        (the boundary slot itself at the very first boundary).  Past
+        the first window the ``T``-slot tail *must* be resident: the
+        chunk loader prepends it to every chunk, and a window that
+        arrives without it would make ``local - t_slots`` negative —
+        silently wrapping the slice to the wrong profile — so that
+        condition raises instead.
+        """
+        t_slots = self._t_slots
+        local = slot - self._slot0
+        if slot >= t_slots:
+            if local < t_slots:
+                raise HorizonMismatchError(
+                    f"planning at slot {slot} needs a {t_slots}-slot "
+                    f"lookback but the resident trace window starts at "
+                    f"slot {self._slot0} (only {local} slots of "
+                    f"history); the chunk loader must carry the "
+                    f"T-slot planning tail")
+            window = slice(local - t_slots, local)
+        else:
+            window = slice(local, local + 1)
+        profile_ds = self._obs_dds[:, window]
+        profile_dt = self._obs_ddt[:, window]
+        profile_r = self._obs_ren[:, window]
+        profile_p = self._obs_prt[:, window]
+        return BatchCoarseObservation(
+            coarse_index=coarse,
+            fine_slot=slot,
+            price_lt=self._obs_plt[:, coarse - self._coarse0].copy(),
+            demand_ds=self._window_mean(profile_ds),
+            demand_dt=self._window_mean(profile_dt),
+            renewable=self._window_mean(profile_r),
+            battery_level=battery.level.copy(),
+            backlog=backlog.backlog.copy(),
+            cycle_budget_left=cycles.remaining,
+            profile_demand_ds=profile_ds,
+            profile_demand_dt=profile_dt,
+            profile_renewable=profile_r,
+            profile_price_rt=profile_p,
+        )
+
+    def _step_physics(self, slot: int, coarse: int, rate: np.ndarray,
+                      grt_request: np.ndarray, gamma: np.ndarray,
+                      battery: VecBattery, backlog: VecBacklog,
+                      cycles: VecCycleLedger, grid_headroom: np.ndarray,
+                      rt_ledger: VecMarketLedger,
+                      recorder) -> None:
+        """Vector twin of ``Simulator._step_physics`` (one slot).
+
+        Every temporary lands in the run's :class:`PhysicsWorkspace`
+        via the scalar engine's elementwise IEEE-754 operations, in the
+        same order; each scalar ``if``/``else`` becomes a fill plus a
+        masked ``copyto`` of the identical branch values.
+        """
+        w = self._work
+        local = slot - self._slot0
+        dds = self._true_dds[:, local]
+        ddt = self._true_ddt[:, local]
+        renewable = self._true_ren[:, local]
+        prt = self._true_prt[:, local]
+        plt = self._true_plt[:, coarse - self._coarse0]
+
+        # Clamp the real-time purchase to the feeder and supply caps.
+        np.minimum(grt_request, grid_headroom, out=w.grt)
+        np.subtract(self._s_max, rate, out=w.ta)
+        np.subtract(w.ta, renewable, out=w.ta)
+        np.maximum(0.0, w.ta, out=w.ta)
+        np.minimum(w.grt, w.ta, out=w.grt)
+        cost_rt = rt_ledger.record(w.grt, prt, w.cost_rt, w.m1)
+
+        # Renewable curtailment if the bus is over the supply cap.
+        np.subtract(self._s_max, rate, out=w.ta)
+        np.subtract(w.ta, w.grt, out=w.ta)
+        np.maximum(0.0, w.ta, out=w.ta)
+        np.minimum(renewable, w.ta, out=w.renewable_used)
+        np.subtract(renewable, w.renewable_used, out=w.curtailed)
+        np.add(rate, w.grt, out=w.supply)
+        np.add(w.supply, w.renewable_used, out=w.supply)
+
+        # Service resolution: delay-sensitive first.
+        backlog.has_backlog(w.had_backlog)
+        np.multiply(gamma, backlog.backlog, out=w.sdt_request)
+        np.minimum(w.sdt_request, self._s_dt_max, out=w.sdt_request)
+        cycles.remaining_into(w.ta)
+        np.equal(w.ta, 0.0, out=w.m1)
+        np.logical_not(w.m1, out=w.allowed)
+
+        np.add(dds, w.sdt_request, out=w.desired)
+        np.subtract(w.desired, 1e-12, out=w.ta)
+        np.greater_equal(w.supply, w.ta, out=w.surplus_branch)
+
+        np.subtract(w.supply, w.desired, out=w.surplus)
+        np.maximum(0.0, w.surplus, out=w.surplus)
+        np.less(w.surplus, 1e-12, out=w.m1)
+        np.copyto(w.surplus, 0.0, where=w.m1)
+        np.greater(w.surplus, 0.0, out=w.m1)
+        np.logical_and(w.surplus_branch, w.allowed, out=w.m2)
+        np.logical_and(w.m2, w.m1, out=w.m2)
+        np.copyto(w.charge_request, 0.0)
+        np.copyto(w.charge_request, w.surplus, where=w.m2)
+
+        np.subtract(w.desired, w.supply, out=w.need)
+        battery.available(w.discharge_cap)
+        np.logical_not(w.allowed, out=w.not_allowed)
+        np.copyto(w.discharge_cap, 0.0, where=w.not_allowed)
+        np.greater_equal(w.discharge_cap, w.need, out=w.full_cover)
+        np.add(w.supply, w.discharge_cap, out=w.covered)
+        np.copyto(w.discharge_request, w.discharge_cap)
+        np.copyto(w.discharge_request, w.need, where=w.full_cover)
+        np.copyto(w.discharge_request, 0.0, where=w.surplus_branch)
+        np.logical_or(w.surplus_branch, w.full_cover,
+                      out=w.served_whole)
+        np.greater_equal(w.covered, dds, out=w.covers_ds)
+        np.subtract(w.covered, dds, out=w.ta)
+        np.copyto(w.sdt, 0.0)
+        np.copyto(w.sdt, w.ta, where=w.covers_ds)
+        np.copyto(w.sdt, w.sdt_request, where=w.served_whole)
+        np.subtract(dds, w.covered, out=w.ta)
+        np.copyto(w.unserved, 0.0)
+        np.logical_or(w.covers_ds, w.served_whole, out=w.m1)
+        np.logical_not(w.m1, out=w.m1)
+        np.copyto(w.unserved, w.ta, where=w.m1)
+
+        # Battery settlement: the two requests are elementwise disjoint
+        # and zero requests leave levels bit-identical (see VecBattery).
+        charge = battery.settle(w.charge_request, w.discharge_request,
+                                w.accepted, w.tb)
+        discharge = w.discharge_request
+        np.subtract(w.surplus, charge, out=w.ta)
+        np.copyto(w.waste, 0.0)
+        np.copyto(w.waste, w.ta, where=w.surplus_branch)
+
+        cost_battery = cycles.record(charge, discharge, w.cost_battery,
+                                     w.m1, w.m2)
+        backlog.step(w.sdt, ddt, w.ta)
+
+        np.multiply(rate, plt, out=w.cost_lt)
+        np.multiply(w.waste, self._waste_penalty, out=w.cost_waste)
+        np.add(w.cost_lt, cost_rt, out=w.cost_total)
+        np.add(w.cost_total, cost_battery, out=w.cost_total)
+        np.add(w.cost_total, w.cost_waste, out=w.cost_total)
+        np.subtract(dds, w.unserved, out=w.served_ds)
+        recorder.record(
+            cost_lt=w.cost_lt,
+            cost_rt=cost_rt,
+            cost_battery=cost_battery,
+            cost_waste=w.cost_waste,
+            cost_total=w.cost_total,
+            gbef_rate=rate,
+            grt=w.grt,
+            renewable_used=w.renewable_used,
+            renewable_curtailed=w.curtailed,
+            served_ds=w.served_ds,
+            served_dt=w.sdt,
+            unserved_ds=w.unserved,
+            charge=charge,
+            discharge=discharge,
+            battery_level=battery.level,
+            waste=w.waste,
+            backlog=backlog.backlog,
+            gamma=gamma,
+        )
+        self.controller.end_slot(BatchSlotFeedback(
+            fine_slot=slot,
+            served_dt=w.sdt,
+            served_ds=w.served_ds,
+            unserved_ds=w.unserved,
+            charge=charge,
+            discharge=discharge,
+            waste=w.waste,
+            battery_level=battery.level,
+            backlog=backlog.backlog,
+            had_backlog=w.had_backlog,
+        ))
+
+
+# ----------------------------------------------------------------------
+# Controller selection
+# ----------------------------------------------------------------------
+
+
+def _default_controller(runs: Sequence[StreamRunSpec],
+                        telemetry=None) -> BatchController:
+    """Pick the vectorized controller when every run is SmartDPSS.
+
+    ``telemetry`` hands the engine's collector to the vectorized
+    controller so its P4/P5 solves land in the same breakdown.
+    """
+    controllers = _distinct_controllers(runs)
+    if all(type(c) is SmartDPSS for c in controllers):
+        return VecSmartDPSS(controllers, telemetry=telemetry)
+    return ScalarControllerBatch(controllers)
+
+
+def _distinct_controllers(runs: Sequence[StreamRunSpec]
+                          ) -> list[Controller]:
+    """Per-run controller instances, deep-copying shared objects.
+
+    Sequential scalar runs may legally reuse one controller object
+    (``begin_horizon`` resets it each time); in a batch all scenarios
+    are live simultaneously, so duplicates get their own copies.
+    """
+    seen: set[int] = set()
+    controllers = []
+    for run in runs:
+        controller = run.controller
+        if id(controller) in seen:
+            controller = deepcopy(controller)
+        seen.add(id(controller))
+        controllers.append(controller)
+    return controllers

@@ -339,7 +339,7 @@ class ObservationSpec:
         observer's concatenated windows for *any* chunking — it is
         what the equivalence harness feeds
         :class:`~repro.traces.noise.NoisyTraceView` /
-        ``RunSpec(observed=...)`` to pin the streamed path against.
+        ``Simulator(observed=...)`` to pin the streamed path against.
         """
         observer = self.open()
         meta = dict(traces.meta)

@@ -13,18 +13,26 @@ Spec layout
 ``system``
     Either ``{"preset": "paper", **kwargs}`` (forwarded to
     :func:`~repro.config.presets.paper_system_config`) or raw
-    :class:`~repro.config.system.SystemConfig` field overrides.
+    :class:`~repro.config.system.SystemConfig` field overrides.  An
+    optional ``expansion`` ``β >= 1`` (Fig. 10) scales ``p_grid``,
+    ``s_max``, ``d_dt_max`` and ``s_dt_max`` by ``β`` while the battery
+    stays fixed; the traces are generated on the *unexpanded* system
+    (peak clipping reads ``p_grid``, arrivals ``d_dt_max``) and then
+    scaled by :func:`~repro.traces.scaling.expand_system`.
 ``controller``
     ``{"kind": <kind>, **options}`` with kinds ``smartdpss``,
-    ``impatient``, ``myopic``, ``lookahead``, ``offline``.  Options for
-    ``smartdpss`` are :class:`~repro.config.control.SmartDPSSConfig`
-    fields.  ``lookahead`` / ``offline`` are oracle policies that need
-    the whole horizon up front: their shards materialize it once per
-    distinct trace realization and stream over views of it.
+    ``impatient``, ``myopic``, ``lookahead``, ``offline``,
+    ``p2_offline``.  Options for ``smartdpss`` are
+    :class:`~repro.config.control.SmartDPSSConfig` fields.
+    ``lookahead`` / ``offline`` / ``p2_offline`` are oracle policies
+    that need the whole horizon up front: their shards materialize it
+    once per distinct trace realization and stream over views of it.
     ``offline`` options mirror
     :class:`~repro.baselines.offline.OfflineOptimal` — notably
     ``deadline_slots`` is ``int >= 1`` or ``None`` (unconstrained),
-    validated loudly at controller construction.
+    validated loudly at controller construction.  ``p2_offline`` is
+    the paper's per-window P2 construction
+    (:class:`~repro.baselines.lookahead.PaperP2Offline`).
 ``trace``
     ``{"kind": "stream" | "paper", **options}``.  ``stream`` builds a
     chunked :class:`~repro.fleet.stream.StreamingPaperTraces` (the
@@ -34,6 +42,13 @@ Spec layout
     :class:`~repro.fleet.stream.ArrayTraceStream`.  Optional
     ``demand`` / ``solar`` / ``price`` sub-dicts override the component
     model fields; an explicit ``seed`` overrides the spec seed.
+    ``paper`` recipes also take the Fig. 8 reshapes
+    ``renewable_penetration`` (``>= 0``, share of demand) and
+    ``demand_variation`` (``>= 0``, std scale), each applied with its
+    :mod:`repro.traces.scaling` transform whenever the key is present,
+    in that order and before any ``expansion``.  Both need
+    whole-horizon statistics, so a ``stream`` recipe carrying either
+    (or a system ``expansion``) is rejected when the spec is built.
 ``observation``
     Optional: ``{"kind": <model>, **params}`` describing what the
     controller *observes* (physics always runs on the truth) — see
@@ -80,17 +95,28 @@ from repro.traces.base import TraceSet
 from repro.traces.demand import DemandModel
 from repro.traces.library import make_paper_traces
 from repro.traces.prices import PriceModel
+from repro.traces.scaling import (
+    expand_system,
+    rescale_renewable_penetration,
+    reshape_demand_variation,
+)
 from repro.traces.solar import SolarModel
 
 #: Controller kinds buildable from a spec.
 CONTROLLER_KINDS = ("smartdpss", "impatient", "myopic", "lookahead",
-                    "offline")
+                    "offline", "p2_offline")
 
 #: Oracle kinds: built from the materialized horizon they plan over.
-ORACLE_CONTROLLERS = ("lookahead", "offline")
+ORACLE_CONTROLLERS = ("lookahead", "offline", "p2_offline")
 
 #: Trace recipe kinds.
 TRACE_KINDS = ("stream", "paper")
+
+#: ``paper``-recipe reshapes, applied in this order after generation.
+TRACE_RESHAPES = {
+    "renewable_penetration": rescale_renewable_penetration,
+    "demand_variation": reshape_demand_variation,
+}
 
 
 def spec_content_hash(data: Mapping[str, object]) -> str:
@@ -108,9 +134,59 @@ def spec_content_hash(data: Mapping[str, object]) -> str:
 
 def _build_system(preset: str, options: Mapping[str, object]
                   ) -> SystemConfig:
+    options = dict(options)
+    beta = options.pop("expansion", None)
     if preset == "paper":
-        return paper_system_config(**options)
-    return SystemConfig(**options)
+        system = paper_system_config(**options)
+    else:
+        system = SystemConfig(**options)
+    if beta is None:
+        return system
+    return system.replace(
+        p_grid=system.p_grid * beta,
+        s_max=system.s_max * beta,
+        d_dt_max=system.d_dt_max * beta,
+        s_dt_max=system.s_dt_max * beta,
+    )
+
+
+def _system_from(options: Mapping[str, object]) -> SystemConfig:
+    """The system a spec's ``system`` mapping describes."""
+    options = dict(options)
+    preset = options.pop("preset", "paper")
+    if preset not in ("paper", "raw"):
+        raise ConfigurationError(
+            f"unknown system preset {preset!r} (use 'paper' or 'raw')")
+    try:
+        return _cached_system(preset, tuple(sorted(options.items())))
+    except TypeError:
+        # Unhashable option values: build uncached.
+        return _build_system(preset, options)
+
+
+def _check_reshapes(system: Mapping[str, object],
+                    trace: Mapping[str, object]) -> None:
+    """Reject trace reshapes and expansions that cannot apply.
+
+    ``stream`` recipes generate chunk by chunk, while the reshapes need
+    whole-horizon statistics; values must be numbers ``>= 0`` (and the
+    expansion ``β >= 1``).
+    """
+    options = {key: trace[key] for key in TRACE_RESHAPES if key in trace}
+    if "expansion" in system:
+        options["expansion"] = system["expansion"]
+    if not options:
+        return
+    if str(trace.get("kind", "stream")) == "stream":
+        raise ConfigurationError(
+            f"{sorted(options)} need a 'paper' trace recipe: a 'stream' "
+            f"recipe has no whole-horizon statistics to reshape")
+    for key, value in options.items():
+        low = 1.0 if key == "expansion" else 0.0
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not value >= low:
+            raise ConfigurationError(
+                f"{key} must be a number >= {low:g}, got {value!r}")
 
 
 @lru_cache(maxsize=1024)
@@ -178,6 +254,10 @@ def _controller_factory(kind: str) -> Callable:
         from repro.baselines.offline import OfflineOptimal
 
         return lambda options, traces: OfflineOptimal(traces, **options)
+    if kind == "p2_offline":
+        from repro.baselines.lookahead import PaperP2Offline
+
+        return lambda options, traces: PaperP2Offline(traces, **options)
     raise ConfigurationError(
         f"unknown controller kind {kind!r}; expected one of "
         f"{CONTROLLER_KINDS}")
@@ -196,6 +276,9 @@ class ScenarioSpec:
     trace: Mapping[str, object] = field(
         default_factory=lambda: {"kind": "stream"})
     observation: Mapping[str, object] | None = None
+
+    def __post_init__(self) -> None:
+        _check_reshapes(self.system, self.trace)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -229,7 +312,8 @@ class ScenarioSpec:
         return cached
 
     def group_key(self) -> tuple:
-        """Batch-compatibility key (see ``BatchSimulator`` shape rule).
+        """Batch-compatibility key (see ``StreamingBatchSimulator``'s
+        shape rule).
 
         Specs sharing a key advance in one vectorized batch: same
         two-timescale shape, the same controller family (SmartDPSS
@@ -250,23 +334,14 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
 
     def build_system(self) -> SystemConfig:
-        options = dict(self.system)
-        preset = options.pop("preset", "paper")
-        if preset not in ("paper", "raw"):
-            raise ConfigurationError(
-                f"unknown system preset {preset!r} (use 'paper' or "
-                f"'raw')")
-        try:
-            return _cached_system(preset,
-                                  tuple(sorted(options.items())))
-        except TypeError:
-            # Unhashable option values: build uncached.
-            return _build_system(preset, options)
+        return _system_from(self.system)
 
     def _model_overrides(self, system: SystemConfig):
         options = dict(self.trace)
         options.pop("kind", None)
         options.pop("seed", None)
+        for key in TRACE_RESHAPES:
+            options.pop(key, None)
         demand = options.pop("demand", {})
         solar = options.pop("solar", {})
         price = options.pop("price", {})
@@ -300,13 +375,25 @@ class ScenarioSpec:
                 price_model=price_model,
                 clip_p_grid=system.p_grid if system.p_grid > 0 else None)
         if kind == "paper":
+            beta = self.system.get("expansion")
+            if beta is not None:
+                # Generate on the unexpanded system, then expand.
+                system = _system_from({key: value for key, value
+                                       in self.system.items()
+                                       if key != "expansion"})
             demand_model, solar_model, price_model = \
                 self._model_overrides(system)
-            return ArrayTraceStream(make_paper_traces(
+            traces = make_paper_traces(
                 system, seed=self.trace_seed,
                 demand_model=demand_model,
                 solar_model=solar_model,
-                price_model=price_model))
+                price_model=price_model)
+            for key, reshape in TRACE_RESHAPES.items():
+                if key in self.trace:
+                    traces = reshape(traces, self.trace[key])
+            if beta is not None:
+                traces = expand_system(traces, beta)
+            return ArrayTraceStream(traces)
         raise ConfigurationError(
             f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}")
 
@@ -469,8 +556,8 @@ def product_specs(template: ScenarioSpec,
     """Cartesian product over axis values × seed replicas.
 
     Iteration order is deterministic: axes in the given order (the
-    last axis varying fastest), then seeds innermost — matching how
-    ``Sweep`` lays out (value, seed) runs.
+    last axis varying fastest), then seeds innermost, so each value's
+    seed replicas are adjacent.
     """
     if not axes:
         raise ConfigurationError("need at least one axis")

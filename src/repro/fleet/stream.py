@@ -18,7 +18,8 @@ The single-scenario sources:
   chunks, so the concatenation of sequential windows is **bit-identical
   for every chunk size** — including one window covering the whole
   horizon.  That invariance is what lets ``tests/equivalence/`` compare
-  the streamed engine against the in-memory engine exactly.
+  the streamed engine against the scalar engine on the materialized
+  horizon exactly.
 
   Note the draw *interleaving* differs from
   :func:`~repro.traces.library.make_paper_traces` (which shares one
@@ -160,8 +161,8 @@ class TraceStream:
 
         Defined as the concatenation of sequential windows, which by
         the chunk-size invariance equals the output for *any* chunking
-        — this is the in-memory reference the equivalence harness runs
-        through :class:`~repro.sim.batch.BatchSimulator`.
+        — this is the whole-horizon reference the equivalence harness
+        runs through the scalar :class:`~repro.sim.engine.Simulator`.
 
         Window metadata that counts per-window events aggregates over
         the horizon: ``peak_clip_slots`` (written by the ``Pgrid``
@@ -274,7 +275,7 @@ class _PaperStreamCursor(TraceCursor):
     AR(1)/Markov carry state, so successive ``read`` calls continue
     every process exactly where the previous window left it.  This is
     the per-slot reference path: :class:`BatchTraceStream` must match
-    it bit for bit, and ``materialize`` — hence the in-memory engine
+    it bit for bit, and ``materialize`` — hence the scalar reference
     the equivalence harness compares against — runs through it.
     """
 

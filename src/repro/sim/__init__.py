@@ -9,14 +9,18 @@ physical constraint.  Per-slot series land in a
 :class:`~repro.sim.recorder.Recorder`; summaries (cost breakdown, delay
 statistics, availability, battery cycling) in a
 :class:`~repro.sim.results.SimulationResult`.
+
+The scalar engine is the reference oracle and the source of per-slot
+series.  Batches of scenarios — sweeps, figures, fleets — run on the
+one batch engine, :class:`~repro.fleet.engine.StreamingBatchSimulator`,
+through :class:`~repro.fleet.runner.FleetRunner`; this package keeps
+the batch-controller protocol (:mod:`repro.sim.batch`, with the
+:class:`ScalarControllerBatch` adapter for any scalar controller), the
+vectorized physical state (:mod:`repro.sim.vecstate`) and the
+seed-averaged :class:`SweepTable` a result store renders.
 """
 
-from repro.sim.batch import (
-    BatchSimulator,
-    RunSpec,
-    ScalarControllerBatch,
-    simulate_many,
-)
+from repro.sim.batch import ScalarControllerBatch
 from repro.sim.engine import Simulator, run_simulation
 from repro.sim.metrics import CostBreakdown, summarize_costs
 from repro.sim.outages import (
@@ -26,15 +30,12 @@ from repro.sim.outages import (
 )
 from repro.sim.recorder import Recorder
 from repro.sim.results import SimulationResult
-from repro.sim.sweep import Sweep, SweepTable
+from repro.sim.sweep import SweepTable
 
 __all__ = [
     "Simulator",
     "run_simulation",
-    "BatchSimulator",
-    "RunSpec",
     "ScalarControllerBatch",
-    "simulate_many",
     "Recorder",
     "SimulationResult",
     "CostBreakdown",
@@ -42,6 +43,5 @@ __all__ = [
     "OutageSchedule",
     "sample_outages",
     "ride_through_report",
-    "Sweep",
     "SweepTable",
 ]

@@ -8,7 +8,7 @@ and the :class:`~repro.sim.recorder.Recorder` — holding the state of
 ``B`` independent scenarios in ``(B,)`` arrays and advancing all of
 them in place per slot.  Per-slot updates take their outputs and
 scratch as caller-owned buffers (the engine's
-:class:`~repro.sim.batch.PhysicsWorkspace`), so the slot loop
+:class:`~repro.fleet.engine.PhysicsWorkspace`), so the slot loop
 allocates nothing.
 
 Exactness contract: every update below performs the *same arithmetic
@@ -19,11 +19,12 @@ bit-for-bit equal to ``B`` scalar runs.  The equivalence harness under
 engine and this module together or those tests will fail.
 
 The one piece that stays scalar is the FIFO delay ledger: per-parcel
-delay statistics are inherently sequential, so
-:func:`replay_delay_stats` reconstructs them *after* the batch run by
-replaying the recorded service/arrival series through the original
-:class:`~repro.workload.queue.BacklogQueue` — one cheap linear pass per
-scenario, off the per-slot hot path.
+delay statistics are inherently sequential, so :class:`DelayReplay`
+reconstructs them off the per-slot hot path by replaying the realized
+service/arrival series through the exact dynamics of
+:class:`~repro.workload.queue.BacklogQueue` — chunk by chunk in the
+engine's aggregator, or over a whole recorded horizon
+(:func:`replay_delay_stats`).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class VecBacklog:
     """``B`` scalar backlog queues ``Q`` (paper eq. 2) in array form.
 
     Only the scalar dynamics live here; the FIFO delay ledger is
-    reconstructed post-run by :func:`replay_delay_stats`.
+    replayed off the slot loop by :class:`DelayReplay`.
     """
 
     def __init__(self, n: int):
@@ -202,7 +203,15 @@ class VecMarketLedger:
 
 class BatchRecorder:
     """Per-slot series for ``B`` scenarios: one ``(B, n_slots)`` array
-    per quantity in :data:`~repro.sim.recorder.SERIES_NAMES`."""
+    per quantity in :data:`~repro.sim.recorder.SERIES_NAMES`.
+
+    The batch engine's per-slot recorder: plug it into
+    ``StreamingBatchSimulator._stream(recorder)`` to read every series
+    slot by slot, as the scalar :class:`~repro.sim.recorder.Recorder`
+    holds them.  It keeps no delay ledger (:meth:`flush_delays` is a
+    no-op); :func:`replay_delay_stats` rebuilds one from the recorded
+    ``served_dt`` series.
+    """
 
     def __init__(self, n_scenarios: int, n_slots: int):
         if n_scenarios < 1 or n_slots < 1:
@@ -237,6 +246,10 @@ class BatchRecorder:
         array = self._series[name][:, :self._cursor]
         array.setflags(write=False)
         return array
+
+    def flush_delays(self, start_slot: int,
+                     arrivals_dt: np.ndarray) -> None:
+        """Nothing to replay: the full series stay recorded."""
 
     def scenario_dict(self, index: int) -> dict[str, np.ndarray]:
         """All series for one scenario, in scalar-Recorder layout."""

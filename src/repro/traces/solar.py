@@ -30,9 +30,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-#: Cloud regimes: index into the attenuation table below.
-CLEAR, PARTLY, OVERCAST = 0, 1, 2
-
 
 @dataclass
 class SolarChunkState:
@@ -63,7 +60,8 @@ class SolarModel:
     start_day_of_year:
         First simulated day (1 = Jan 1, matching the paper's window).
     cloud_attenuation:
-        Mean capacity-factor multiplier per cloud regime.
+        Mean capacity-factor multiplier per cloud regime, indexed by
+        the regime: 0 clear, 1 partly cloudy, 2 overcast.
     cloud_persistence:
         Probability of staying in the current cloud regime each hour.
     noise_rho / noise_sigma:

@@ -20,9 +20,8 @@ from repro.exceptions import ConfigurationError
 MINUTES_PER_HOUR = 60.0
 HOURS_PER_DAY = 24.0
 
-#: Convenience aliases that make parameter tables self-documenting.
+#: Convenience alias that makes parameter tables self-documenting.
 KW_PER_MW = 1000.0
-WH_PER_MWH = 1e6
 
 
 def battery_minutes_to_mwh(minutes: float, peak_demand_mw: float) -> float:

@@ -69,3 +69,42 @@ def constant_traces(n_slots: int,
         price_lt_hourly=ones * price_lt,
         meta={"source": "constant"},
     )
+
+
+def streamed_results(runs, controller=None, chunk_coarse: int = 4):
+    """Per-slot results of the batch engine, one per run.
+
+    ``runs`` are :class:`~repro.fleet.engine.StreamRunSpec` s.  The
+    engine's slot loop feeds a
+    :class:`~repro.sim.vecstate.BatchRecorder`, so every series is
+    there slot by slot, as a scalar
+    :class:`~repro.sim.engine.Simulator` result holds it; the delay
+    ledger is replayed from the recorded service against the true
+    arrivals, and the batch controller is finalized as
+    ``StreamingBatchSimulator.run`` does.
+    """
+    from repro.fleet.engine import StreamingBatchSimulator
+    from repro.sim.results import SimulationResult
+    from repro.sim.vecstate import BatchRecorder, replay_delay_stats
+
+    simulator = StreamingBatchSimulator(runs, controller,
+                                        chunk_coarse=chunk_coarse)
+    n_slots = simulator._n_slots
+    state = simulator._stream(BatchRecorder(len(simulator.runs), n_slots))
+    finalize = getattr(simulator.controller, "finalize", None)
+    if finalize is not None:
+        finalize()
+    recorder = state.recorder
+    served_dt = recorder.series("served_dt")
+    return [
+        SimulationResult(
+            controller_name=simulator.controller.names[index],
+            system=run.system,
+            series=recorder.scenario_dict(index),
+            delay_stats=replay_delay_stats(
+                served_dt[index],
+                run.stream.materialize().demand_dt[:n_slots]),
+            battery_operations=int(state.cycles.operations[index]),
+            lt_energy=float(state.lt_ledger.energy[index]),
+            rt_energy=float(state.rt_ledger.energy[index]))
+        for index, run in enumerate(simulator.runs)]

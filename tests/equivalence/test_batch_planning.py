@@ -32,11 +32,13 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.config.system import SystemConfig
 from repro.core.smartdpss import SmartDPSS
 from repro.core.smartdpss_vec import VecSmartDPSS
-from repro.sim.batch import BatchSimulator, RunSpec
+from repro.fleet.engine import StreamRunSpec
+from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
 from repro.traces.base import TraceSet
 from repro.traces.library import make_paper_traces
+from tests.conftest import streamed_results
 
 pytestmark = pytest.mark.equivalence
 
@@ -120,8 +122,8 @@ def mixed_packs(draw):
             price_rt=_series(draw, n, 0.0, 200.0),
             price_lt_hourly=_series(draw, n, 0.0, 200.0),
         )
-        runs.append(RunSpec(system=base, controller=SmartDPSS(cfg),
-                            traces=traces))
+        runs.append(StreamRunSpec(system=base, controller=SmartDPSS(cfg),
+                                  stream=ArrayTraceStream(traces)))
     return runs
 
 
@@ -158,15 +160,15 @@ def run_both_ways(runs):
     for run in runs:
         controller = SmartDPSS(run.controller.config)
         scalar_controllers.append(controller)
-        scalar_results.append(
-            Simulator(run.system, controller, run.traces).run())
+        scalar_results.append(Simulator(
+            run.system, controller, run.stream.materialize()).run())
 
     batch_controllers = [SmartDPSS(run.controller.config) for run in runs]
-    specs = [RunSpec(system=run.system, controller=controller,
-                     traces=run.traces)
+    specs = [StreamRunSpec(system=run.system, controller=controller,
+                           stream=run.stream)
              for run, controller in zip(runs, batch_controllers)]
-    batch_results = BatchSimulator(
-        specs, controller=VecSmartDPSS(batch_controllers)).run()
+    batch_results = streamed_results(
+        specs, controller=VecSmartDPSS(batch_controllers))
     return ((scalar_results, scalar_controllers),
             (batch_results, batch_controllers))
 
@@ -200,8 +202,9 @@ def test_finalize_restores_scalar_introspection():
         paper_controller_config(use_battery=False, v=2.5),
         paper_controller_config(v=0.1, epsilon=1.5),
     ]
-    runs = [RunSpec(system=system, controller=SmartDPSS(cfg),
-                    traces=make_paper_traces(system, seed=11 + index))
+    runs = [StreamRunSpec(system=system, controller=SmartDPSS(cfg),
+                          stream=ArrayTraceStream(
+                              make_paper_traces(system, seed=11 + index)))
             for index, cfg in enumerate(configs)]
     (_, scalar_controllers), (_, batch_controllers) = run_both_ways(runs)
     for index, (reference, batched) in enumerate(

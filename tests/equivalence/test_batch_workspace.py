@@ -7,7 +7,7 @@ The contract, pinned exactly (``==`` on every float, no tolerance):
 across SmartDPSS configurations (both objective modes, market/battery
 opt-outs, both shift modes), scalar baseline controllers driven
 through :class:`~repro.sim.batch.ScalarControllerBatch`, and the
-streamed engine's chunk boundaries.  A tracemalloc guard then pins the
+engine's chunk boundaries.  A tracemalloc guard then pins the
 workspace property itself: the slot loop's per-slot allocation
 footprint must stay near zero, so a future edit that quietly
 reintroduces per-slot temporaries fails here rather than in a
@@ -26,12 +26,18 @@ from repro.baselines.impatient import ImpatientController
 from repro.baselines.myopic import MyopicPriceThreshold
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
-from repro.fleet.engine import ScenarioMetrics, StreamingBatchSimulator
+from repro.fleet.engine import (
+    ScenarioMetrics,
+    StreamingBatchSimulator,
+    StreamRunSpec,
+)
 from repro.fleet.spec import ScenarioSpec
-from repro.sim.batch import BatchSimulator, RunSpec
+from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
+from repro.sim.vecstate import BatchRecorder
 from repro.traces.library import make_paper_traces
+from tests.conftest import streamed_results
 
 pytestmark = pytest.mark.equivalence
 
@@ -48,7 +54,7 @@ def _assert_results_identical(lhs, rhs, label: str) -> None:
         assert a.rt_energy == b.rt_energy
 
 
-def _smartdpss_runs(mode: str) -> list[RunSpec]:
+def _smartdpss_runs(mode: str) -> list[StreamRunSpec]:
     """A mixed-config SmartDPSS fleet with every planning branch."""
     system = paper_system_config(days=3)
     runs = []
@@ -61,14 +67,15 @@ def _smartdpss_runs(mode: str) -> list[RunSpec]:
         )
         if index % 2:
             config = config.replace(battery_shift_mode="paper")
-        runs.append(RunSpec(
+        runs.append(StreamRunSpec(
             system=system,
             controller=SmartDPSS(config),
-            traces=make_paper_traces(system, seed=100 + index)))
+            stream=ArrayTraceStream(
+                make_paper_traces(system, seed=100 + index))))
     return runs
 
 
-def _baseline_runs() -> list[RunSpec]:
+def _baseline_runs() -> list[StreamRunSpec]:
     """Scalar controllers exercising the engine's adapter path."""
     system = paper_system_config(days=3)
     runs = []
@@ -78,10 +85,11 @@ def _baseline_runs() -> list[RunSpec]:
         else:
             controller = MyopicPriceThreshold(
                 serve_quantile=0.2 + 0.1 * index)
-        runs.append(RunSpec(
+        runs.append(StreamRunSpec(
             system=system,
             controller=controller,
-            traces=make_paper_traces(system, seed=200 + index)))
+            stream=ArrayTraceStream(
+                make_paper_traces(system, seed=200 + index))))
     return runs
 
 
@@ -93,9 +101,10 @@ def test_batch_bit_exact_to_scalar(family):
             return _baseline_runs()
         return _smartdpss_runs(family)
 
-    scalar = [Simulator(run.system, run.controller, run.traces).run()
+    scalar = [Simulator(run.system, run.controller,
+                        run.stream.materialize()).run()
               for run in build()]
-    batch = BatchSimulator(build()).run()
+    batch = streamed_results(build())
     _assert_results_identical(scalar, batch, f"{family}: scalar/batch")
 
 
@@ -115,8 +124,6 @@ def _streamed_specs() -> list[ScenarioSpec]:
 
 
 def _streamed_metrics(chunk_coarse: int) -> list[dict]:
-    from repro.fleet.engine import StreamRunSpec
-
     runs = []
     for spec in _streamed_specs():
         system = spec.build_system()
@@ -159,11 +166,14 @@ def _slot_loop_footprint() -> tuple[int, int, int]:
     system = paper_system_config(days=3)
     configs = [paper_controller_config(v=float(v))
                for v in np.geomspace(0.1, 2.0, 64)]
-    runs = [RunSpec(system=system, controller=SmartDPSS(config),
-                    traces=make_paper_traces(system, seed=seed))
+    runs = [StreamRunSpec(system=system, controller=SmartDPSS(config),
+                          stream=ArrayTraceStream(
+                              make_paper_traces(system, seed=seed)))
             for seed, config in enumerate(configs)]
-    simulator = BatchSimulator(runs)
-    state = simulator._begin_run()
+    simulator = StreamingBatchSimulator(runs)
+    n_slots = simulator._n_slots
+    state = simulator._begin_run(BatchRecorder(len(runs), n_slots))
+    simulator._load_chunk(0, n_slots, simulator._trace_source.open(), None)
     t_slots = simulator._t_slots
     # Warm through the second coarse boundary so the measured window
     # [t_slots + 1, 2 * t_slots) contains no planning call.

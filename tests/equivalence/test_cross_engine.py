@@ -1,13 +1,18 @@
 """Cross-engine equivalence: the batch engine *is* the scalar engine.
 
-The vectorized :class:`~repro.sim.batch.BatchSimulator` is a physics
-re-implementation of :class:`~repro.sim.engine.Simulator`, so this
-harness is the PR's safeguard: hypothesis generates random systems,
+The vectorized :class:`~repro.fleet.engine.StreamingBatchSimulator` is
+a physics re-implementation of :class:`~repro.sim.engine.Simulator`,
+so this harness is its safeguard: hypothesis generates random systems,
 controller configurations and traces — including grid-outage capacity
-masks, noisy observations, cycle budgets and both P5 objective modes —
-and every generated scenario is run through both engines and compared
-*slot for slot* (cost components, battery SOC, backlog, purchases,
-service, waste) plus the delay ledger and market/cycle accounting.
+masks, observation models (all five kinds), cycle budgets and both P5
+objective modes — and every generated scenario is run through both
+engines and compared *slot for slot* (cost components, battery SOC,
+backlog, purchases, service, waste; the batch side through a
+:class:`~repro.sim.vecstate.BatchRecorder`) plus the delay ledger and
+market/cycle accounting.  The scalar side observes
+:meth:`~repro.fleet.observe.ObservationSpec.observed_traces`, the
+whole-horizon reference of the batch engine's chunked observation
+layer.
 
 Tolerance is the acceptance bar of 1e-9, but the engines are built to
 be bit-identical (same IEEE-754 operations in the same order), and the
@@ -24,10 +29,13 @@ from hypothesis import given, settings
 from repro.config.control import SmartDPSSConfig
 from repro.config.system import SystemConfig
 from repro.core.smartdpss import SmartDPSS
-from repro.sim.batch import RunSpec, simulate_many
+from repro.fleet.engine import StreamRunSpec
+from repro.fleet.observe import observation_from_mapping
+from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
 from repro.traces.base import TraceSet
+from tests.conftest import streamed_results
 
 pytestmark = pytest.mark.equivalence
 
@@ -85,13 +93,33 @@ def controller_configs(draw) -> SmartDPSSConfig:
 
 
 @st.composite
+def observation_models(draw, price_cap: float):
+    """A random observation model of any registered kind, or ``None``."""
+    kind = draw(st.sampled_from(
+        [None, "uniform", "dropout", "stuck", "bias_drift", "delay"]))
+    if kind is None:
+        return None
+    params = {
+        "uniform": lambda: {"rel_error": draw(_floats(0.0, 0.9))},
+        "dropout": lambda: {"rate": draw(_floats(0.0, 0.9))},
+        "stuck": lambda: {"rate": draw(_floats(0.0, 0.9)),
+                          "duration": draw(st.integers(1, 4))},
+        "bias_drift": lambda: {"sigma": draw(_floats(0.0, 0.3))},
+        "delay": lambda: {"slots": draw(st.integers(0, 5))},
+    }[kind]()
+    return observation_from_mapping(
+        {"kind": kind, "seed": draw(st.integers(0, 2**20)), **params},
+        default_seed=0, price_cap=price_cap)
+
+
+@st.composite
 def scenario_packs(draw):
     """2-4 scenarios sharing one two-timescale shape.
 
     Scenarios vary in traces, controller configuration, observation
-    noise and per-slot grid capacity (zero entries model outages), so
-    one pack exercises batching, grouping by objective mode, the
-    emergency/unserved path and the cycle-budget cutoff together.
+    model and per-slot grid capacity (zero entries model outages), so
+    one pack exercises batching, the emergency/unserved path and the
+    cycle-budget cutoff together.
     """
     base = draw(systems())
     n = base.horizon_slots
@@ -104,25 +132,16 @@ def scenario_packs(draw):
             price_rt=_series(draw, n, 0.0, 200.0),
             price_lt_hourly=_series(draw, n, 0.0, 200.0),
         )
-        observed = None
-        if draw(st.booleans()):
-            observed = TraceSet(
-                demand_ds=_series(draw, n, 0.0, 2.5),
-                demand_dt=_series(draw, n, 0.0, 1.5),
-                renewable=_series(draw, n, 0.0, 2.0),
-                price_rt=_series(draw, n, 0.0, 200.0),
-                price_lt_hourly=_series(draw, n, 0.0, 200.0),
-            )
         capacity = None
         if draw(st.booleans()):
             up = _series(draw, n, 0.0, 1.0) < 0.8
             capacity = np.where(up, base.p_grid, 0.0)
-        runs.append(RunSpec(
+        runs.append(StreamRunSpec(
             system=base,
             controller=SmartDPSS(draw(controller_configs())),
-            traces=traces,
-            observed=observed,
+            stream=ArrayTraceStream(traces),
             grid_capacity=capacity,
+            observation=draw(observation_models(base.p_max)),
         ))
     return runs
 
@@ -146,15 +165,31 @@ def assert_equivalent(scalar, batch, context: str = "") -> None:
     assert scalar.controller_name == batch.controller_name, context
 
 
+def _scalar_run(run):
+    """The scalar reference of one run, on a fresh controller."""
+    traces = run.stream.materialize()
+    observed = (None if run.observation is None
+                else run.observation.observed_traces(traces))
+    return Simulator(run.system, SmartDPSS(run.controller.config),
+                     traces, observed=observed,
+                     grid_capacity=run.grid_capacity).run()
+
+
 def run_both(runs):
-    """One scalar reference run per spec, plus the batched fleet."""
-    scalar = [
-        Simulator(run.system, SmartDPSS(run.controller.config),
-                  run.traces, observed=run.observed,
-                  grid_capacity=run.grid_capacity).run()
-        for run in runs
-    ]
-    batch = simulate_many(runs, executor="batch")
+    """One scalar reference run per spec, plus the batched fleet.
+
+    Packs mixing both P5 objective modes run as one batch per mode, as
+    the fleet runner groups them.
+    """
+    scalar = [_scalar_run(run) for run in runs]
+    batch = [None] * len(runs)
+    for mode in ("derived", "paper"):
+        indices = [i for i, run in enumerate(runs)
+                   if run.controller.config.objective_mode == mode]
+        if indices:
+            for i, result in zip(indices, streamed_results(
+                    [runs[i] for i in indices])):
+                batch[i] = result
     return scalar, batch
 
 
@@ -193,8 +228,8 @@ def test_p5_fast_path_matches_scalar_tie_zone():
         TraceSet(demand_ds=zero, demand_dt=zero, renewable=zero,
                  price_rt=zero, price_lt_hourly=zero),
     ]
-    runs = [RunSpec(system=system, controller=SmartDPSS(config),
-                    traces=t) for t in traces]
+    runs = [StreamRunSpec(system=system, controller=SmartDPSS(config),
+                          stream=ArrayTraceStream(t)) for t in traces]
     scalar, batch = run_both(runs)
     for index, (a, b) in enumerate(zip(scalar, batch)):
         assert_equivalent(a, b, context=f"scenario {index}: ")

@@ -15,13 +15,14 @@ generated-scenario treatment to them:
   hypothesis loop stays in seconds.
 
 Each scenario runs through the scalar :class:`Simulator` with a fresh
-controller instance and through ``simulate_many(executor="batch")``
-(which batches the mixed pack via ``ScalarControllerBatch``), and the
-two are compared slot for slot with the shared 1e-9 bar.  A third,
-streamed leg — the engine every fleet shard runs, oracles included —
+controller instance and through the batch engine with a
+:class:`~repro.sim.vecstate.BatchRecorder` plugged in (which batches
+the mixed pack via ``ScalarControllerBatch``), and the two are compared
+slot for slot with the shared 1e-9 bar.  A third leg — the engine's
+own metrics run, as every fleet shard does it, oracles included —
 replays the pack over :class:`~repro.fleet.stream.ArrayTraceStream`
 views at a drawn chunk size, and its metrics must equal
-``ScenarioMetrics.from_result`` of the batch leg exactly.
+``ScenarioMetrics.from_result`` of the recorded leg exactly.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from repro.fleet.engine import (
     StreamRunSpec,
 )
 from repro.fleet.stream import ArrayTraceStream
-from repro.sim.batch import RunSpec, simulate_many
 from repro.sim.engine import Simulator
 from repro.traces.base import TraceSet
 
+from tests.conftest import streamed_results
 from tests.equivalence.test_cross_engine import (
     _floats,
     _series,
@@ -111,8 +112,8 @@ def baseline_packs(draw):
 @settings(max_examples=12, deadline=None)
 @given(baseline_packs(), st.integers(1, 3))
 def test_baselines_batch_matches_scalar(packs, chunk_coarse):
-    """Generated baseline scenarios: batch == scalar within 1e-9, and
-    streamed == batch exactly."""
+    """Generated baseline scenarios: recorded batch == scalar within
+    1e-9, and the metrics run == the recorded batch exactly."""
     from repro.exceptions import InfeasibleProblemError
 
     runs = []
@@ -135,12 +136,13 @@ def test_baselines_batch_matches_scalar(packs, chunk_coarse):
             # Rare residual infeasibility (e.g. a tight deadline on a
             # tiny battery) — not a cross-engine property; skip.
             assume(False)
-        runs.append(RunSpec(system=system, controller=batch_controller,
-                            traces=traces))
+        runs.append(StreamRunSpec(system=system,
+                                  controller=batch_controller,
+                                  stream=ArrayTraceStream(traces)))
         stream_runs.append(StreamRunSpec(
             system=system, controller=twin(),
             stream=ArrayTraceStream(traces)))
-    batch_results = simulate_many(runs, executor="batch")
+    batch_results = streamed_results(runs)
     for index, (scalar, batch) in enumerate(
             zip(scalar_results, batch_results)):
         assert_equivalent(scalar, batch,

@@ -2,10 +2,10 @@
 
 The contract under test: feeding the streamed engine chunked
 observations (``StreamRunSpec.observation``) is **exactly** equal —
-``==`` on every metric float — to the in-memory ``BatchSimulator``
-given ``RunSpec(observed=ObservationSpec.observed_traces(traces))``,
-for every observation model and every chunk size (including chunkings
-that force mid-chunk carry handoff).  And with no model armed, the
+``==`` on every metric float — to the scalar ``Simulator`` given
+``observed=ObservationSpec.observed_traces(traces)`` on the
+materialized horizon, for every observation model and every chunk size
+(including chunkings that force mid-chunk carry handoff).  And with no model armed, the
 observation layer is invisible: records are bit-identical to an
 unarmed run.
 """
@@ -24,7 +24,7 @@ from repro.fleet.engine import (
 )
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec
-from repro.sim.batch import BatchSimulator, RunSpec
+from repro.sim.engine import Simulator
 from repro.traces.noise import NoisyTraceView
 
 pytestmark = [pytest.mark.noise, pytest.mark.equivalence,
@@ -67,8 +67,8 @@ def run_streamed(specs: list[ScenarioSpec],
 
 
 def run_reference(specs: list[ScenarioSpec]) -> list[dict]:
-    """In-memory reference: materialized traces + NoisyTraceView pair."""
-    runs = []
+    """Scalar reference: materialized traces + NoisyTraceView pair."""
+    metrics = []
     for spec in specs:
         system = spec.build_system()
         traces = spec.open_stream(system).materialize()
@@ -78,12 +78,11 @@ def run_reference(specs: list[ScenarioSpec]) -> list[dict]:
             view = NoisyTraceView(
                 true=traces, observed=observation.observed_traces(traces))
             observed = view.observed
-        runs.append(RunSpec(
-            system=system, controller=spec.build_controller(traces),
-            traces=traces, observed=observed))
-    results = BatchSimulator(runs).run()
-    return [ScenarioMetrics.from_result(r, seed=spec.seed).as_dict()
-            for spec, r in zip(specs, results)]
+        result = Simulator(system, spec.build_controller(traces), traces,
+                           observed=observed).run()
+        metrics.append(
+            ScenarioMetrics.from_result(result, seed=spec.seed).as_dict())
+    return metrics
 
 
 def assert_metrics_identical(streamed, reference, context=""):
@@ -92,7 +91,7 @@ def assert_metrics_identical(streamed, reference, context=""):
             actual = got[key]
             assert actual == value, (
                 f"{context}scenario {index}: metric {key!r} diverged: "
-                f"streamed {actual!r} != in-memory {value!r}")
+                f"streamed {actual!r} != scalar {value!r}")
 
 
 @pytest.mark.parametrize("chunk_coarse", [1, 3, 8])

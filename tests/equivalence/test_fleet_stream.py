@@ -8,9 +8,9 @@ Three layers, mirroring the contract in :mod:`repro.fleet.engine`:
    same numbers.
 2. **Engine equivalence** — ``StreamingBatchSimulator`` metrics are
    *exactly* equal (``==`` on every float) to
-   ``ScenarioMetrics.from_result`` of the in-memory
-   ``BatchSimulator`` run on the materialized traces, across chunk
-   sizes, controller families and hypothesis-generated configurations.
+   ``ScenarioMetrics.from_result`` of the scalar ``Simulator`` run on
+   the materialized traces, across chunk sizes, controller families
+   and hypothesis-generated configurations.
 3. **Runner equivalence** — ``FleetRunner`` returns identical records
    whether shards run in-process or on a process pool.
 """
@@ -32,7 +32,7 @@ from repro.fleet.engine import (
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.stream import StreamingPaperTraces
-from repro.sim.batch import BatchSimulator, RunSpec
+from repro.sim.engine import Simulator
 
 pytestmark = [pytest.mark.equivalence, pytest.mark.fleet]
 
@@ -74,27 +74,25 @@ def test_stream_cursor_is_replayable():
 
 
 # ----------------------------------------------------------------------
-# 2. Streamed engine == in-memory engine
+# 2. Streamed engine == scalar engine on the materialized horizon
 # ----------------------------------------------------------------------
 
 
 def run_both_engines(specs: list[ScenarioSpec], chunk_coarse: int):
     """One fleet through both engines; returns (streamed, reference)."""
-    stream_runs, memory_runs = [], []
+    stream_runs, reference = [], []
     for spec in specs:
         system = spec.build_system()
         stream = spec.open_stream(system)
         stream_runs.append(StreamRunSpec(
             system=system, controller=spec.build_controller(),
             stream=stream))
-        memory_runs.append(RunSpec(
-            system=system, controller=spec.build_controller(),
-            traces=stream.materialize()))
+        result = Simulator(system, spec.build_controller(),
+                           stream.materialize()).run()
+        reference.append(ScenarioMetrics.from_result(result,
+                                                     seed=spec.seed))
     streamed = ScenarioMetrics.rows(StreamingBatchSimulator(
         stream_runs, chunk_coarse=chunk_coarse).run())
-    results = BatchSimulator(memory_runs).run()
-    reference = [ScenarioMetrics.from_result(r, seed=spec.seed)
-                 for spec, r in zip(specs, results)]
     return streamed, reference
 
 
@@ -104,7 +102,7 @@ def assert_metrics_identical(streamed, reference, context=""):
             actual = got[key]
             assert actual == value, (
                 f"{context}scenario {index}: metric {key!r} diverged: "
-                f"streamed {actual!r} != in-memory {want.as_dict()[key]!r}")
+                f"streamed {actual!r} != scalar {want.as_dict()[key]!r}")
 
 
 @pytest.mark.parametrize("chunk_coarse", [1, 2, 5])
@@ -154,7 +152,7 @@ def test_streamed_scalar_controllers_match_in_memory():
 def test_streamed_fleet_matches_in_memory_hypothesis(
         t_slots, k_slots, chunk_coarse, v, epsilon, battery_minutes,
         capacity_mw, mean_price, seeds):
-    """Random shapes, knobs and chunkings: streamed == in-memory."""
+    """Random shapes, knobs and chunkings: streamed == scalar."""
     days = max(1, (t_slots * k_slots) // 24 + 1)
     total = days * 24
     if total % t_slots != 0:
@@ -189,11 +187,8 @@ def test_streamed_respects_cycle_budget_and_grid_capacity():
                        controller=SmartDPSS(paper_controller_config()),
                        stream=stream, grid_capacity=capacity)],
         chunk_coarse=2).run())
-    result = BatchSimulator(
-        [RunSpec(system=system,
-                 controller=SmartDPSS(paper_controller_config()),
-                 traces=stream.materialize(),
-                 grid_capacity=capacity)]).run()[0]
+    result = Simulator(system, SmartDPSS(paper_controller_config()),
+                       stream.materialize(), grid_capacity=capacity).run()
     reference = ScenarioMetrics.from_result(result, seed=4)
     assert_metrics_identical(streamed, [reference])
 

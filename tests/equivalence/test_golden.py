@@ -1,10 +1,11 @@
 """Golden regression tests: pinned seed-state figure metrics.
 
 Small JSON fixtures under ``tests/equivalence/golden/`` pin the
-headline metrics of the fig5/fig6 experiments at tiny horizons
-(seconds, not minutes).  Any refactor that silently drifts the physics
-— engine, controller, traces, or the batch backend every experiment
-now routes through — fails these before it reaches a full-size figure.
+headline metrics of the figure experiments (fig5-fig10 and the
+ablations) at tiny horizons (seconds, not minutes).  Any refactor that
+silently drifts the physics — engine, controller, traces, or the fleet
+route every experiment runs through — fails these before it reaches a
+full-size figure.
 
 Regenerate (only when a drift is *intended* and understood)::
 
@@ -75,6 +76,69 @@ def compute_fig6_t() -> dict:
             "avg_delay_slots": row.avg_delay_slots,
             "worst_delay_slots": row.worst_delay_slots,
             "peak_backlog": row.peak_backlog,
+        } for row in result.rows],
+    }
+
+
+def compute_fig7() -> dict:
+    from repro.experiments.fig7_factors import run_fig7
+
+    result = run_fig7(days=2, n_seeds=2)
+    return {
+        study: [{
+            "label": row.label,
+            "time_avg_cost": row.time_avg_cost,
+            "avg_delay_slots": row.avg_delay_slots,
+        } for row in rows]
+        for study, rows in (("epsilon_rows", result.epsilon_rows),
+                            ("battery_rows", result.battery_rows),
+                            ("market_rows", result.market_rows))
+    }
+
+
+def compute_fig8() -> dict:
+    from repro.experiments.fig8_penetration import run_fig8
+
+    result = run_fig8(days=2)
+    return {
+        sweep: [{
+            "x": row.x,
+            "time_avg_cost": row.time_avg_cost,
+            "avg_delay_slots": row.avg_delay_slots,
+            "waste_mwh": row.waste_mwh,
+        } for row in rows]
+        for sweep, rows in (("penetration_rows", result.penetration_rows),
+                            ("variation_rows", result.variation_rows))
+    }
+
+
+def compute_fig10() -> dict:
+    from repro.experiments.fig10_scaling import run_fig10
+
+    result = run_fig10(days=2)
+    return {
+        "rows": [{
+            "beta": row.beta,
+            "time_avg_cost": row.time_avg_cost,
+            "cost_per_unit_demand": row.cost_per_unit_demand,
+            "avg_delay_slots": row.avg_delay_slots,
+            "availability": row.availability,
+        } for row in result.rows],
+    }
+
+
+def compute_ablations() -> dict:
+    from repro.experiments.ablations import run_ablations
+
+    result = run_ablations(days=2)
+    return {
+        "rows": [{
+            "study": row.study,
+            "label": row.label,
+            "time_avg_cost": row.time_avg_cost,
+            "avg_delay_slots": row.avg_delay_slots,
+            "availability": row.availability,
+            "battery_ops": row.battery_ops,
         } for row in result.rows],
     }
 
@@ -162,7 +226,7 @@ def compute_fleet_offline_gap() -> dict:
 def compute_fleet_fig9() -> dict:
     """The Fig. 9 robustness band *through the fleet path*.
 
-    A tiny-horizon :func:`run_fig9_fleet`: Impatient baseline plus a
+    A tiny-horizon :func:`run_fig9`: Impatient baseline plus a
     SmartDPSS V-sweep, each paired with a streamed noisy-observation
     twin by ``FleetRunner(robustness=...)``.  Pins the whole streamed
     observation chain — per-chunk noise substreams, carry state, the
@@ -170,9 +234,9 @@ def compute_fleet_fig9() -> dict:
     in how controllers *see* traces (as opposed to what physics bills)
     fails here first.
     """
-    from repro.experiments.fig9_robustness import run_fig9_fleet
+    from repro.experiments.fig9_robustness import run_fig9
 
-    result = run_fig9_fleet(days=1, fine_slots_per_coarse=6,
+    result = run_fig9(days=1, fine_slots_per_coarse=6,
                             v_values=(0.1, 1.0, 5.0))
     lo, hi = result.difference_band
     return {
@@ -193,6 +257,10 @@ EXPERIMENTS = {
     "fig5_traces": compute_fig5,
     "fig6_v_sweep": compute_fig6_v,
     "fig6_t_sweep": compute_fig6_t,
+    "fig7_factors": compute_fig7,
+    "fig8_penetration": compute_fig8,
+    "fig10_scaling": compute_fig10,
+    "ablations": compute_ablations,
     "fleet_fig6_t_sweep": compute_fleet_fig6_t,
     "fleet_offline_gap": compute_fleet_offline_gap,
     "fleet_fig9_robustness": compute_fleet_fig9,

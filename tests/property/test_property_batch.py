@@ -15,12 +15,14 @@ from hypothesis import given, settings
 
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
+from repro.fleet.engine import StreamRunSpec
+from repro.fleet.stream import ArrayTraceStream
 from repro.rng import RngFactory
-from repro.sim.batch import BatchSimulator, RunSpec, simulate_many
 from repro.sim.engine import Simulator
 from repro.sim.outages import sample_outages
 from repro.sim.recorder import SERIES_NAMES
 from repro.traces.library import make_paper_traces
+from tests.conftest import streamed_results
 
 
 def _assert_bitwise_equal(a, b, context: str = "") -> None:
@@ -34,12 +36,20 @@ def _assert_bitwise_equal(a, b, context: str = "") -> None:
 
 
 def _spec(seed: int, v: float = 1.0, days: int = 3,
-          grid_capacity=None) -> RunSpec:
+          grid_capacity=None) -> StreamRunSpec:
     system = paper_system_config(days=days)
-    return RunSpec(system=system,
-                   controller=SmartDPSS(paper_controller_config(v=v)),
-                   traces=make_paper_traces(system, seed=seed),
-                   grid_capacity=grid_capacity)
+    return StreamRunSpec(
+        system=system,
+        controller=SmartDPSS(paper_controller_config(v=v)),
+        stream=ArrayTraceStream(make_paper_traces(system, seed=seed)),
+        grid_capacity=grid_capacity)
+
+
+def _scalar(spec: StreamRunSpec):
+    """The scalar engine's run of ``spec``, on a fresh controller."""
+    return Simulator(spec.system, SmartDPSS(spec.controller.config),
+                     spec.stream.materialize(),
+                     grid_capacity=spec.grid_capacity).run()
 
 
 class TestBatchOfOne:
@@ -47,10 +57,8 @@ class TestBatchOfOne:
     @given(seed=st.integers(0, 10_000), v=st.floats(0.05, 5.0))
     def test_batch_of_one_is_scalar_bit_for_bit(self, seed, v):
         spec = _spec(seed, v=v)
-        scalar = Simulator(spec.system,
-                           SmartDPSS(spec.controller.config),
-                           spec.traces).run()
-        [batch] = BatchSimulator([spec]).run()
+        scalar = _scalar(spec)
+        [batch] = streamed_results([spec])
         _assert_bitwise_equal(scalar, batch)
 
 
@@ -59,10 +67,9 @@ class TestPermutationInvariance:
         specs = [_spec(seed, v=v)
                  for seed, v in [(1, 0.1), (2, 1.0), (3, 5.0),
                                  (4, 0.5), (5, 2.0)]]
-        forward = simulate_many(specs, executor="batch")
+        forward = streamed_results(specs)
         order = [3, 0, 4, 2, 1]
-        permuted = simulate_many([specs[i] for i in order],
-                                 executor="batch")
+        permuted = streamed_results([specs[i] for i in order])
         for position, original in enumerate(order):
             _assert_bitwise_equal(
                 forward[original], permuted[position],
@@ -80,11 +87,8 @@ class TestOutageMasks:
         assert float(capacity.min()) == 0.0  # outages actually occur
         specs = [_spec(seed, days=4, grid_capacity=capacity)
                  for seed in (7, 8, 9)]
-        scalar = [Simulator(s.system,
-                            SmartDPSS(s.controller.config), s.traces,
-                            grid_capacity=s.grid_capacity).run()
-                  for s in specs]
-        batch = simulate_many(specs, executor="batch")
+        scalar = [_scalar(s) for s in specs]
+        batch = streamed_results(specs)
         for index, (a, b) in enumerate(zip(scalar, batch)):
             _assert_bitwise_equal(a, b, context=f"scenario {index}: ")
             # The mask must actually clamp purchases in outage slots.
@@ -99,7 +103,7 @@ class TestExecutorsAgree:
     def test_serial_and_batch_return_same_results(self):
         specs = [_spec(seed, v=v, days=2)
                  for seed, v in [(1, 0.5), (2, 1.0)]]
-        serial = simulate_many(specs, executor="serial")
-        batch = simulate_many(specs, executor="batch")
+        serial = [_scalar(spec) for spec in specs]
+        batch = streamed_results(specs)
         for a, b in zip(serial, batch):
             _assert_bitwise_equal(a, b)

@@ -104,3 +104,92 @@ def test_idempotent(state):
     assert a.grt == b.grt
     assert a.gamma == b.gamma
     assert a.objective == pytest.approx(b.objective)
+
+
+# ----------------------------------------------------------------------
+# Batch row selection under near ties
+# ----------------------------------------------------------------------
+
+
+def _scalar_scan(column) -> int:
+    """The scalar solver's selection rule in plain Python.
+
+    Start at row 2 (the emergency action); a later candidate wins only
+    when its value is below ``best - 1e-12``, so earlier rows keep
+    ties.
+    """
+    best_value, best_row = float("inf"), 2
+    for row, value in enumerate(column):
+        if value < best_value - 1e-12:
+            best_value, best_row = value, row
+    return best_row
+
+
+def _batch_rows(values):
+    """The rows ``solve_p5_batch`` selects for a crafted value matrix.
+
+    The candidate step writes each row's index into ``grt`` and the
+    objective step copies ``values`` in, so the returned ``grt`` is the
+    selected row per lane.
+    """
+    import numpy as np
+
+    from repro.core import p5_vec
+
+    values = np.asarray(values, dtype=float)
+    work = p5_vec.P5Workspace(batch=values.shape[1])
+
+    def candidates(state, w):
+        w.grt[:] = np.arange(p5_vec.N_CANDIDATES)[:, None]
+        w.gamma[:] = 0.0
+
+    def objective(state, mode, w):
+        np.copyto(w.values, values)
+
+    state = type("State", (), {"backlog": np.zeros(values.shape[1])})()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(p5_vec, "_candidates", candidates)
+        patch.setattr(p5_vec, "_objective", objective)
+        grt, _ = p5_vec.solve_p5_batch(state, ObjectiveMode.DERIVED, work)
+    return [int(row) for row in grt.tolist()]
+
+
+#: Offsets around a lane's base value: ties, sub-1e-12 wiggles, and
+#: gaps between 1e-12 and 1e-9 where a looser scan tolerance would
+#: keep an earlier row.
+_NEAR_TIE_OFFSETS = (0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12,
+                     2e-12, -2e-12, 5e-10, -5e-10, -5e-10 + 1e-13,
+                     1e-9, -1e-9, 1e-6)
+
+
+@st.composite
+def near_tie_columns(draw):
+    import math
+
+    base = draw(st.floats(min_value=-100.0, max_value=100.0))
+    return [draw(st.one_of(
+        st.just(math.inf),
+        st.sampled_from(_NEAR_TIE_OFFSETS).map(lambda d: base + d)))
+        for _ in range(17)]
+
+
+def test_p5_batch_scan_keeps_scalar_rule_on_near_ties():
+    """A lane whose later row beats the incumbent by 5e-10: rows 5, 6
+    and 7 hold 1.0, 1.0 - 5e-10 and 1.0 - 5e-10 + 1e-13.  Row 7 is
+    within 1e-12 of the minimum, so the lane takes the exact replay;
+    the scalar rule picks row 6 (a 1e-9 tolerance would keep row 5)."""
+    inf = float("inf")
+    column = [inf] * 17
+    column[5], column[6], column[7] = 1.0, 1.0 - 5e-10, 1.0 - 5e-10 + 1e-13
+    all_inf = [inf] * 17
+    rows = _batch_rows([[a, b] for a, b in zip(column, all_inf)])
+    assert rows == [_scalar_scan(column), _scalar_scan(all_inf)] == [6, 2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(near_tie_columns(), min_size=1, max_size=6))
+def test_p5_batch_scan_matches_scalar_rule(columns):
+    """Random near-tie matrices: the batch scan's fast path plus exact
+    replay selects the scalar rule's row in every lane."""
+    matrix = [list(row) for row in zip(*columns)]
+    assert _batch_rows(matrix) == [_scalar_scan(c) for c in columns]

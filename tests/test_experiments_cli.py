@@ -36,6 +36,19 @@ class TestMain:
         assert main(["fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fig6_t", "--days", "4"], "fig6_t: horizon of 96 hours is not "
+                                    "divisible into coarse slots"),
+        (["fig10", "--days", "0"], "fig10: K must be >= 1, got 0"),
+    ])
+    def test_bad_input_logs_one_line_and_exits_2(self, capsys, argv,
+                                                 message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err + captured.out
+
     def test_runs_fig5_short(self, capsys):
         assert main(["fig5", "--days", "2", "--seed", "4"]) == 0
         captured = capsys.readouterr()

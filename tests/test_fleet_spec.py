@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -11,9 +12,13 @@ from repro.baselines import (
     LookaheadController,
     MyopicPriceThreshold,
     OfflineOptimal,
+    PaperP2Offline,
 )
+from repro.config.presets import paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro.exceptions import ConfigurationError
+from repro.fleet.engine import ScenarioMetrics
+from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import (
     ScenarioSpec,
     grid_specs,
@@ -21,6 +26,13 @@ from repro.fleet.spec import (
     sample_specs,
 )
 from repro.fleet.stream import ArrayTraceStream, StreamingPaperTraces
+from repro.sim.engine import Simulator
+from repro.traces.library import make_paper_traces
+from repro.traces.scaling import (
+    expand_system,
+    rescale_renewable_penetration,
+    reshape_demand_variation,
+)
 
 pytestmark = pytest.mark.fleet
 
@@ -121,6 +133,119 @@ class TestScenarioSpec:
         assert spec.trace_seed == 9
         data["trace"] = {"kind": "stream", "seed": 4}
         assert ScenarioSpec.from_dict(data).trace_seed == 4
+
+
+TRACE_FIELDS = ("demand_ds", "demand_dt", "renewable", "price_rt",
+                "price_lt_hourly")
+
+
+def paper_spec(days=2, seed=3, controller=None, trace=None, **system):
+    return ScenarioSpec(
+        seed=seed, system={"preset": "paper", "days": days, **system},
+        controller=controller or {"kind": "smartdpss"},
+        trace={"kind": "paper", **(trace or {})})
+
+
+def assert_same_traces(actual, expected):
+    for name in TRACE_FIELDS:
+        assert np.array_equal(getattr(actual, name),
+                              getattr(expected, name)), name
+
+
+class TestFigureVocabulary:
+    """The spec options the paper figures need: Fig. 8's trace
+    reshapes, Fig. 10's expansion and the ablations' P2 oracle."""
+
+    @pytest.mark.parametrize("key, reshape, value", [
+        ("renewable_penetration", rescale_renewable_penetration, 0.0),
+        ("renewable_penetration", rescale_renewable_penetration, 0.6),
+        ("demand_variation", reshape_demand_variation, 0.5),
+        ("demand_variation", reshape_demand_variation, 1.0),
+        ("demand_variation", reshape_demand_variation, 2.0),
+    ])
+    def test_reshape_equals_in_memory_transform(self, key, reshape,
+                                                value):
+        system = paper_system_config(days=2)
+        expected = reshape(make_paper_traces(system, seed=3), value)
+        assert_same_traces(
+            paper_spec(trace={key: value}).build_traces(), expected)
+
+    def test_identity_variation_still_reshapes(self):
+        """``demand_variation: 1.0`` is applied, not skipped: the
+        stretch about the mean changes bits of ``demand_dt``."""
+        raw = make_paper_traces(paper_system_config(days=2), seed=3)
+        reshaped = paper_spec(
+            trace={"demand_variation": 1.0}).build_traces()
+        assert not np.array_equal(raw.demand_dt, reshaped.demand_dt)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.5, 10.0])
+    def test_expansion_scales_system_and_traces(self, beta):
+        base = paper_system_config(days=2)
+        spec = paper_spec(expansion=beta)
+        system = spec.build_system()
+        assert system == base.replace(
+            p_grid=base.p_grid * beta, s_max=base.s_max * beta,
+            d_dt_max=base.d_dt_max * beta,
+            s_dt_max=base.s_dt_max * beta)
+        # Generated on the unexpanded system, then expanded.
+        expected = expand_system(make_paper_traces(base, seed=3), beta)
+        assert_same_traces(spec.build_traces(system), expected)
+
+    def test_reshapes_enter_the_trace_key(self):
+        keys = {paper_spec(trace=trace, **system).trace_key()
+                for trace, system in (
+                    ({}, {}), ({"renewable_penetration": 0.2}, {}),
+                    ({"demand_variation": 0.2}, {}),
+                    ({}, {"expansion": 2.0}))}
+        assert len(keys) == 4
+
+    @pytest.mark.parametrize("trace, system", [
+        ({"kind": "stream", "renewable_penetration": 0.5}, {}),
+        ({"kind": "stream", "demand_variation": 1.0}, {}),
+        ({"kind": "stream"}, {"expansion": 2.0}),
+        ({"kind": "paper", "renewable_penetration": -0.1}, {}),
+        ({"kind": "paper", "demand_variation": -1.0}, {}),
+        ({"kind": "paper", "demand_variation": "wide"}, {}),
+        ({"kind": "paper"}, {"expansion": 0.5}),
+        ({"kind": "paper"}, {"expansion": -2.0}),
+        ({"kind": "paper"}, {"expansion": float("nan")}),
+    ])
+    def test_bad_options_rejected_when_built(self, trace, system):
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec(system={"preset": "paper", "days": 1, **system},
+                         trace=trace)
+        data = {"system": {"preset": "paper", "days": 1, **system},
+                "trace": trace}
+        with pytest.raises(ConfigurationError):
+            ScenarioSpec.from_dict(data)
+
+    def test_p2_offline_runs_as_oracle_shard(self):
+        spec = paper_spec(days=1, controller={"kind": "p2_offline"},
+                          fine_slots_per_coarse=6)
+        with pytest.raises(ConfigurationError, match="oracle"):
+            spec.build_controller()
+        system = spec.build_system()
+        traces = spec.build_traces(system)
+        assert isinstance(spec.build_controller(traces), PaperP2Offline)
+        (record,) = FleetRunner([spec], fail_fast=True).run()
+        scalar = Simulator(system, PaperP2Offline(traces), traces).run()
+        assert record["metrics"] == ScenarioMetrics.from_result(
+            scalar, seed=spec.seed).as_dict()
+
+    def test_existing_spec_keeps_dict_and_hash(self):
+        """Specs without the new keys serialize and hash as before."""
+        spec = ScenarioSpec(
+            seed=5, value=1.5, name="v=1.5/seed=5",
+            system={"preset": "paper", "days": 2},
+            controller={"kind": "smartdpss", "v": 1.5},
+            trace={"kind": "paper", "solar": {"capacity_mw": 3.0}})
+        assert spec.to_json() == (
+            '{"controller": {"kind": "smartdpss", "v": 1.5}, "name": '
+            '"v=1.5/seed=5", "seed": 5, "system": {"days": 2, "preset": '
+            '"paper"}, "trace": {"kind": "paper", "solar": '
+            '{"capacity_mw": 3.0}}, "value": 1.5}')
+        assert spec.spec_hash() == ("b95c6b48aa4610ce2b9a27b053a22710"
+                                    "fd3c4c989e06a526c357925b1a3737db")
 
 
 class TestGenerators:

@@ -16,43 +16,45 @@ from repro.exceptions import (
     InfeasibleActionError,
 )
 from repro.experiments.fig10_scaling import build_fig10_specs
-from repro.fleet.engine import StreamingBatchSimulator, StreamRunSpec
-from repro.fleet.stream import ArrayTraceStream
-from repro.sim.batch import (
-    BatchSimulator,
+from repro.fleet.engine import (
     PhysicsWorkspace,
-    RunSpec,
-    ScalarControllerBatch,
-    simulate_many,
+    StreamingBatchSimulator,
+    StreamRunSpec,
 )
+from repro.fleet.runner import FleetRunner
+from repro.fleet.spec import ScenarioSpec
+from repro.fleet.stream import ArrayTraceStream
+from repro.sim.batch import ScalarControllerBatch
+from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
 from repro.sim.vecstate import BatchRecorder, VecCycleLedger
 from repro.telemetry import monotonic
 from repro.traces.library import make_paper_traces
+from tests.conftest import streamed_results
 
 
 def _spec(seed=1, days=2, system=None, **config):
     system = system or paper_system_config(days=days)
-    return RunSpec(system=system,
-                   controller=SmartDPSS(paper_controller_config(**config)),
-                   traces=make_paper_traces(system, seed=seed))
+    return StreamRunSpec(
+        system=system,
+        controller=SmartDPSS(paper_controller_config(**config)),
+        stream=ArrayTraceStream(make_paper_traces(system, seed=seed)))
 
 
-def _price_errors(system, traces, chunk_coarse=1) -> tuple[str, str]:
-    """Rejection texts of the in-memory and the streamed engine for
-    one group of SmartDPSS runs over ``traces``."""
-    with pytest.raises(InfeasibleActionError) as in_memory:
-        BatchSimulator([RunSpec(system=system,
-                                controller=SmartDPSS(
-                                    paper_controller_config()),
-                                traces=t) for t in traces])
+def _traces(spec):
+    return spec.stream.materialize()
+
+
+def _price_error(system, traces, chunk_coarse=1) -> str:
+    """Rejection text of the batch engine for one group of SmartDPSS
+    runs over ``traces``."""
     with pytest.raises(InfeasibleActionError) as streamed:
         StreamingBatchSimulator(
             [StreamRunSpec(system=system,
                            controller=SmartDPSS(paper_controller_config()),
                            stream=ArrayTraceStream(t)) for t in traces],
             chunk_coarse=chunk_coarse).run()
-    return str(in_memory.value), str(streamed.value)
+    return str(streamed.value)
 
 
 def _bad_capacities(n_slots) -> list[np.ndarray]:
@@ -66,40 +68,38 @@ def _bad_capacities(n_slots) -> list[np.ndarray]:
 class TestValidation:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError):
-            BatchSimulator([])
+            StreamingBatchSimulator([])
 
     def test_mixed_timescale_shapes_rejected(self):
         a = _spec(days=2)
         b_system = paper_system_config(days=2, fine_slots_per_coarse=12)
-        b = RunSpec(system=b_system,
-                    controller=SmartDPSS(paper_controller_config()),
-                    traces=make_paper_traces(b_system, seed=2))
+        b = _spec(seed=2, system=b_system)
         with pytest.raises(HorizonMismatchError):
-            BatchSimulator([a, b])
+            StreamingBatchSimulator([a, b])
 
     def test_short_traces_rejected(self):
         long_system = paper_system_config(days=4)
         short = make_paper_traces(paper_system_config(days=2), seed=1)
         with pytest.raises(HorizonMismatchError):
-            BatchSimulator([RunSpec(
+            StreamingBatchSimulator([StreamRunSpec(
                 system=long_system,
                 controller=SmartDPSS(paper_controller_config()),
-                traces=short)])
+                stream=ArrayTraceStream(short))])
 
     def test_short_grid_capacity_rejected(self):
         spec = _spec(days=2)
         with pytest.raises(HorizonMismatchError):
-            BatchSimulator([RunSpec(
+            StreamingBatchSimulator([StreamRunSpec(
                 system=spec.system, controller=spec.controller,
-                traces=spec.traces, grid_capacity=np.ones(3))])
+                stream=spec.stream, grid_capacity=np.ones(3))])
 
     def test_negative_grid_capacity_rejected(self):
         spec = _spec(days=2)
         for capacity in _bad_capacities(spec.system.horizon_slots):
             with pytest.raises(ConfigurationError):
-                BatchSimulator([RunSpec(
+                StreamingBatchSimulator([StreamRunSpec(
                     system=spec.system, controller=spec.controller,
-                    traces=spec.traces, grid_capacity=capacity)])
+                    stream=spec.stream, grid_capacity=capacity)])
 
     def test_streamed_engine_validates_grid_capacity(self):
         spec = _spec(days=2)
@@ -108,8 +108,7 @@ class TestValidation:
         def build(capacity):
             return StreamingBatchSimulator([StreamRunSpec(
                 system=spec.system, controller=spec.controller,
-                stream=ArrayTraceStream(spec.traces),
-                grid_capacity=capacity)])
+                stream=spec.stream, grid_capacity=capacity)])
 
         with pytest.raises(HorizonMismatchError):
             build(np.ones(3))
@@ -120,56 +119,57 @@ class TestValidation:
 
     def test_over_cap_price_rejected(self):
         spec = _spec(days=2)
-        n_slots, p_max = spec.traces.n_slots, spec.system.p_max
-        traces = spec.traces.replace(
-            price_rt=np.full(n_slots, p_max * 2))
-        assert _price_errors(spec.system, [traces]) == (
+        traces = _traces(spec)
+        n_slots, p_max = traces.n_slots, spec.system.p_max
+        traces = traces.replace(price_rt=np.full(n_slots, p_max * 2))
+        assert _price_error(spec.system, [traces]) == (
             f"real-time: price outside [0, {p_max}] (observed range "
-            f"[{p_max * 2}, {p_max * 2}])",) * 2
+            f"[{p_max * 2}, {p_max * 2}])")
 
     def test_over_cap_offender_order(self):
-        """Both engines name the same offender: the first bad scenario,
-        real-time before long-term within it."""
+        """The engine names the first bad scenario, real-time before
+        long-term within it."""
         spec = _spec(days=2)
-        n_slots, p_max = spec.traces.n_slots, spec.system.p_max
-        long_term = spec.traces.replace(
+        traces = _traces(spec)
+        n_slots, p_max = traces.n_slots, spec.system.p_max
+        long_term = traces.replace(
             price_lt_hourly=np.full(n_slots, p_max * 3))
-        both = spec.traces.replace(
+        both = traces.replace(
             price_rt=np.full(n_slots, p_max * 2),
             price_lt_hourly=np.full(n_slots, p_max * 4))
-        assert _price_errors(
-            spec.system, [spec.traces, long_term, both]) == (
+        assert _price_error(
+            spec.system, [traces, long_term, both]) == (
             f"long-term: price outside [0, {p_max}] (observed range "
-            f"[{p_max * 3}, {p_max * 3}])",) * 2
-        assert _price_errors(spec.system, [both, long_term]) == (
+            f"[{p_max * 3}, {p_max * 3}])")
+        assert _price_error(spec.system, [both, long_term]) == (
             f"real-time: price outside [0, {p_max}] (observed range "
-            f"[{p_max * 2}, {p_max * 2}])",) * 2
+            f"[{p_max * 2}, {p_max * 2}])")
 
     def test_late_over_cap_price_rejected_in_its_chunk(self):
         """An over-cap real-time price in the last coarse slot only:
-        the streamed engine rejects it as that chunk loads, reporting
-        the range of the chunk's own slots, not of the planning tail
-        it carries over from the previous chunk."""
+        the engine rejects it as that chunk loads, reporting the range
+        of the chunk's own slots, not of the planning tail it carries
+        over from the previous chunk."""
         spec = _spec(days=4)
+        traces = _traces(spec)
         system, p_max = spec.system, spec.system.p_max
         n_slots, t_slots = system.horizon_slots, system.fine_slots_per_coarse
         assert n_slots >= 3 * t_slots
-        price_rt = np.array(spec.traces.price_rt[:n_slots], dtype=float)
+        price_rt = np.array(traces.price_rt[:n_slots], dtype=float)
         price_rt[n_slots - t_slots:] = p_max * 2
-        late = spec.traces.replace(price_rt=price_rt)
-        in_memory, streamed = _price_errors(
-            system, [spec.traces, late], chunk_coarse=1)
-        assert in_memory == (
-            f"real-time: price outside [0, {p_max}] (observed range "
-            f"[{float(price_rt.min())}, {p_max * 2}])")
-        assert streamed == (
+        late = traces.replace(price_rt=price_rt)
+        assert _price_error(system, [traces, late], chunk_coarse=1) == (
             f"real-time: price outside [0, {p_max}] (observed range "
             f"[{p_max * 2}, {p_max * 2}])")
 
     def test_nan_price_rejected(self):
         """The inverted comparison rejects NaN, as the scalar markets'
         ``0 <= price <= cap`` check does."""
-        simulator = BatchSimulator([_spec(seed, days=2) for seed in (1, 2)])
+        simulator = StreamingBatchSimulator(
+            [_spec(seed, days=2) for seed in (1, 2)])
+        simulator._load_chunk(0, simulator._n_slots,
+                              simulator._trace_source.open(), None)
+        simulator._true_plt = simulator._true_plt.copy()
         simulator._true_plt[1, 1] = np.nan
         with pytest.raises(InfeasibleActionError,
                            match=r"^long-term: .* \[nan, nan\]"):
@@ -192,7 +192,8 @@ class TestValidation:
                 pass
 
         spec = _spec(days=2)
-        simulator = BatchSimulator([spec], controller=NegativeBuyer())
+        simulator = StreamingBatchSimulator([spec],
+                                            controller=NegativeBuyer())
         with pytest.raises(InfeasibleActionError):
             simulator.run()
 
@@ -213,48 +214,55 @@ class TestVecSmartDPSS:
 
 
 class TestSimulateMany:
-    def test_empty_input_returns_empty(self):
-        assert simulate_many([], executor="batch") == []
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            simulate_many([_spec()], executor="threads")
+    """Many runs at once: grouping by objective mode, shared
+    controller instances and the batch-vs-serial canary."""
 
     def test_mixed_objective_modes_grouped_not_rejected(self):
-        runs = [_spec(seed=1, objective_mode="derived"),
-                _spec(seed=2, objective_mode="paper"),
-                _spec(seed=3, objective_mode="derived")]
-        results = simulate_many(runs, executor="batch")
-        assert [r.controller_name for r in results] \
-            == [r.controller.name for r in runs]
+        specs = [ScenarioSpec(seed=seed, system={"days": 2},
+                              controller={"kind": "smartdpss",
+                                          "objective_mode": mode},
+                              trace={"kind": "paper"})
+                 for seed, mode in ((1, "derived"), (2, "paper"),
+                                    (3, "derived"))]
+        records = FleetRunner(specs, fail_fast=True).run()
+        assert [r["metrics"]["controller_name"] for r in records] \
+            == [spec.build_controller().name for spec in specs]
 
     def test_shared_controller_instance_gets_copies(self):
         shared = SmartDPSS(paper_controller_config())
         system = paper_system_config(days=2)
-        runs = [RunSpec(system=system, controller=shared,
-                        traces=make_paper_traces(system, seed=s))
-                for s in (1, 2)]
-        batch = simulate_many(runs, executor="batch")
-        serial = simulate_many(runs, executor="serial")
+        traces = [make_paper_traces(system, seed=s) for s in (1, 2)]
+        batch = streamed_results([
+            StreamRunSpec(system=system, controller=shared,
+                          stream=ArrayTraceStream(t)) for t in traces])
+        serial = [Simulator(system, shared, t).run() for t in traces]
         for a, b in zip(serial, batch):
             assert np.array_equal(a.series["cost_total"],
                                   b.series["cost_total"])
 
     def test_batch_smoke_runs_and_does_not_regress(self):
         """Canary on a tiny Fig. 10 fleet (2 seeds x 4 β, 4 days): the
-        batch engine matches the serial engine bitwise on every series
-        and delay histogram, and takes at most 2x its wall-clock.  The
-        2x gate is loose on purpose, so machine noise cannot flake it;
-        a per-scenario Python loop back on the hot path overshoots it
-        by far."""
-        runs = [spec for seed in range(2)
-                for spec in build_fig10_specs(seed=seed, days=4)]
-        assert len(runs) == 8
+        batch engine matches the serial scalar engine bitwise on every
+        series and delay histogram, and takes at most 2x its
+        wall-clock.  The 2x gate is loose on purpose, so machine noise
+        cannot flake it; a per-scenario Python loop back on the hot
+        path overshoots it by far."""
+        specs = [spec for seed in range(2)
+                 for spec in build_fig10_specs(seed=seed, days=4)]
+        assert len(specs) == 8
+        systems = [spec.build_system() for spec in specs]
+        traces = [spec.build_traces(system)
+                  for spec, system in zip(specs, systems)]
         start = monotonic()
-        serial = simulate_many(runs, executor="serial")
+        serial = [Simulator(system, spec.build_controller(), t).run()
+                  for spec, system, t in zip(specs, systems, traces)]
         serial_s = monotonic() - start
+        runs = [StreamRunSpec(system=system,
+                              controller=spec.build_controller(),
+                              stream=ArrayTraceStream(t))
+                for spec, system, t in zip(specs, systems, traces)]
         start = monotonic()
-        batch = simulate_many(runs, executor="batch")
+        batch = streamed_results(runs)
         batch_s = monotonic() - start
         for index, (a, b) in enumerate(zip(serial, batch)):
             for name in SERIES_NAMES:
@@ -302,14 +310,15 @@ class TestVecState:
 
 class TestBatchCoarseObservation:
     def _observation(self, runs):
-        simulator = BatchSimulator(runs)
-        state = simulator._begin_run()
+        simulator = StreamingBatchSimulator(runs)
+        state = simulator._begin_run(BatchRecorder(len(runs),
+                                                   simulator._n_slots))
+        simulator._load_chunk(0, simulator._n_slots,
+                              simulator._trace_source.open(), None)
         return simulator._coarse_observations(
             0, 0, state.battery, state.backlog, state.cycles)
 
     def test_scalar_split_matches_engine_reference(self):
-        from repro.sim.engine import Simulator
-
         system = paper_system_config(days=2)
         runs = [_spec(seed=seed, system=system) for seed in (1, 2, 3)]
         obs = self._observation(runs)
@@ -323,19 +332,19 @@ class TestBatchCoarseObservation:
                     return super().plan_long_term(observation)
 
             Simulator(system, Spy(run.controller.config),
-                      run.traces).run()
+                      _traces(run)).run()
             assert obs.scalar(index) == captured["obs"]
 
     def test_window_means_are_slot_order_sums(self):
         block = np.array([[0.1, 0.2, 0.7], [1.5, 2.5, 3.5]])
-        means = BatchSimulator._window_mean(block)
+        means = StreamingBatchSimulator._window_mean(block)
         for row in range(2):
             assert means[row] == sum(block[row].tolist()) / 3
 
     def test_missing_lookback_tail_raises(self):
         system = paper_system_config(days=2)
-        simulator = BatchSimulator([_spec(system=system)])
-        state = simulator._begin_run()
+        simulator = StreamingBatchSimulator([_spec(system=system)])
+        state = simulator._begin_run(BatchRecorder(1, simulator._n_slots))
         t_slots = system.fine_slots_per_coarse
         # Simulate a resident window that lost its planning tail.
         simulator._slot0 = t_slots + 1

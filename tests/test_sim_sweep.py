@@ -1,91 +1,81 @@
-"""Generic sweep runner."""
+"""Seed-averaged sweep tables, as a result store renders them."""
 
 import pytest
 
-from repro.config.presets import paper_controller_config, paper_system_config
-from repro.core.smartdpss import SmartDPSS
-from repro.sim.sweep import DEFAULT_METRICS, Sweep
-from repro.traces.library import make_paper_traces
 from repro.exceptions import ConfigurationError
+from repro.fleet.runner import FleetRunner
+from repro.fleet.spec import ScenarioSpec, grid_specs
+from repro.fleet.store import DEFAULT_TABLE_METRICS, ResultStore
 
 
-def v_sweep(values=(0.1, 5.0)) -> Sweep:
-    system = paper_system_config(days=2)
-
-    def build(v, seed):
-        traces = make_paper_traces(system, seed=seed)
-        controller = SmartDPSS(paper_controller_config(v=v))
-        return system, controller, traces
-
-    return Sweep(name="V sweep", values=list(values), build=build)
+def v_sweep(tmp_path, values=(0.1, 5.0), seeds=(1,), observation=None,
+            name="store"):
+    """A stored V sweep (2-day paper traces) folded into its table."""
+    template = ScenarioSpec(system={"preset": "paper", "days": 2},
+                            controller={"kind": "smartdpss"},
+                            trace={"kind": "paper"},
+                            observation=observation)
+    store = ResultStore(tmp_path / name)
+    FleetRunner(grid_specs(template, "controller.v", list(values),
+                           seeds=seeds), store=store).run()
+    return store.sweep_table(name="V sweep")
 
 
 class TestSweep:
-    def test_runs_all_values(self):
-        table = v_sweep().run(seeds=[1])
+    def test_runs_all_values(self, tmp_path):
+        table = v_sweep(tmp_path)
         assert len(table.points) == 2
         assert table.points[0].value == 0.1
         assert table.points[0].n_seeds == 1
 
-    def test_seed_averaging(self):
-        single = v_sweep((1.0,)).run(seeds=[1])
-        double = v_sweep((1.0,)).run(seeds=[1, 2])
+    def test_seed_averaging(self, tmp_path):
+        single = v_sweep(tmp_path, (1.0,), seeds=(1,), name="one")
+        double = v_sweep(tmp_path, (1.0,), seeds=(1, 2), name="both")
+        other = v_sweep(tmp_path, (1.0,), seeds=(2,), name="two")
         assert double.points[0].n_seeds == 2
         # Averaged value lies between per-seed extremes.
         a = single.points[0].metrics["time_avg_cost"]
-        other = v_sweep((1.0,)).run(seeds=[2]) \
-            .points[0].metrics["time_avg_cost"]
+        b = other.points[0].metrics["time_avg_cost"]
         mean = double.points[0].metrics["time_avg_cost"]
-        assert min(a, other) - 1e-9 <= mean <= max(a, other) + 1e-9
+        assert min(a, b) - 1e-9 <= mean <= max(a, b) + 1e-9
 
-    def test_column_extraction(self):
-        table = v_sweep().run(seeds=[1])
+    def test_column_extraction(self, tmp_path):
+        table = v_sweep(tmp_path)
         costs = table.column("time_avg_cost")
         assert len(costs) == 2
 
-    def test_unknown_metric_rejected(self):
-        table = v_sweep().run(seeds=[1])
+    def test_unknown_metric_rejected(self, tmp_path):
+        table = v_sweep(tmp_path)
         with pytest.raises(KeyError):
             table.column("nope")
 
-    def test_render_contains_values(self):
-        table = v_sweep().run(seeds=[1])
+    def test_render_contains_values(self, tmp_path):
+        table = v_sweep(tmp_path)
         text = table.render()
         assert "V sweep" in text
         assert "time_avg_cost" in text
 
-    def test_monotone_helper(self):
-        table = v_sweep((0.1, 5.0)).run(seeds=[1, 2])
+    def test_monotone_helper(self, tmp_path):
+        table = v_sweep(tmp_path, (0.1, 5.0), seeds=(1, 2))
         # Availability constant at 1 counts as monotone either way.
         assert table.is_monotone("availability", increasing=True)
         assert table.is_monotone("availability", increasing=False)
 
-    def test_empty_values_rejected(self):
+    def test_empty_values_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            v_sweep(()).run(seeds=[1])
+            v_sweep(tmp_path, ())
 
-    def test_empty_seeds_rejected(self):
+    def test_empty_seeds_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            v_sweep().run(seeds=[])
+            v_sweep(tmp_path, seeds=())
 
-    def test_bad_build_shape_rejected(self):
-        sweep = Sweep(name="bad", values=[1],
-                      build=lambda v, s: (1, 2))
-        with pytest.raises(ConfigurationError):
-            sweep.run(seeds=[1])
-
-    def test_observed_traces_variant(self):
-        system = paper_system_config(days=2)
-
-        def build(v, seed):
-            traces = make_paper_traces(system, seed=seed)
-            controller = SmartDPSS(paper_controller_config(v=v))
-            return system, controller, traces, traces
-
-        table = Sweep(name="obs", values=[1.0], build=build) \
-            .run(seeds=[1])
+    def test_observed_traces_variant(self, tmp_path):
+        """A sweep whose controllers observe through an (here quiet)
+        observation model, physics on the truth."""
+        table = v_sweep(tmp_path, (1.0,), observation={
+            "kind": "uniform", "rel_error": 0.0})
         assert table.points[0].metrics["availability"] == 1.0
 
     def test_default_metrics_cover_headlines(self):
         assert {"time_avg_cost", "avg_delay_slots",
-                "availability"} <= set(DEFAULT_METRICS)
+                "availability"} <= set(DEFAULT_TABLE_METRICS)
