@@ -6,10 +6,13 @@ example sweeps the error magnitude from 0 to ±80% and separates the
 damage by *which* feed is corrupted — prices, demand, or renewables —
 so an operator knows which sensor/forecast to invest in first.
 
+The observed traces come from the fleet's observation layer
+(:class:`~repro.fleet.observe.ObservationSpec` with the paper's
+:class:`~repro.fleet.observe.UniformNoise`); the controller sees them
+while the physics runs on the truth.
+
 Run:  python examples/robustness_study.py
 """
-
-import numpy as np
 
 from repro import (
     Simulator,
@@ -17,29 +20,32 @@ from repro import (
     make_paper_traces,
     paper_controller_config,
     paper_system_config,
-    uniform_observation_noise,
 )
+from repro.fleet import ObservationSpec, UniformNoise
+
+#: The trace series behind each data feed.
+FEEDS = {
+    "prices": ("price_rt", "price_lt_hourly"),
+    "demand": ("demand_ds", "demand_dt"),
+    "renewable": ("renewable",),
+}
 
 
-def corrupt_one_feed(traces, feed: str, rel_error: float,
-                     rng: np.random.Generator, price_cap: float):
-    """Perturb a single series, leaving the others exact."""
-    noisy = uniform_observation_noise(traces, rel_error, rng,
-                                      price_cap=price_cap)
-    fields = {
-        "prices": {"price_rt": noisy.price_rt,
-                   "price_lt_hourly": noisy.price_lt_hourly},
-        "demand": {"demand_ds": noisy.demand_ds,
-                   "demand_dt": noisy.demand_dt},
-        "renewable": {"renewable": noisy.renewable},
-    }[feed]
-    return traces.replace(**fields)
+def corrupt_one_feed(traces, noisy, feed: str):
+    """``traces`` with one feed's series taken from ``noisy``."""
+    return traces.replace(
+        **{name: getattr(noisy, name) for name in FEEDS[feed]})
 
 
 def main() -> None:
     system = paper_system_config()
     traces = make_paper_traces(system, seed=31)
     controller_config = paper_controller_config()
+
+    def observe(rel_error: float, seed: int):
+        return ObservationSpec(UniformNoise(rel_error), seed,
+                               price_cap=system.p_max
+                               ).observed_traces(traces)
 
     clean = Simulator(system, SmartDPSS(controller_config),
                       traces).run()
@@ -49,9 +55,7 @@ def main() -> None:
     print("all feeds corrupted together:")
     print(f"{'error':>7s} {'cost/slot':>10s} {'degradation':>12s}")
     for error in (0.1, 0.25, 0.5, 0.8):
-        rng = np.random.default_rng(1000 + int(error * 100))
-        observed = uniform_observation_noise(traces, error, rng,
-                                             price_cap=system.p_max)
+        observed = observe(error, seed=1000 + int(error * 100))
         result = Simulator(system, SmartDPSS(controller_config),
                            traces, observed=observed).run()
         degradation = (result.time_average_cost
@@ -62,10 +66,11 @@ def main() -> None:
     print()
     print("±50% error on one feed at a time:")
     print(f"{'feed':>10s} {'cost/slot':>10s} {'degradation':>12s}")
-    for feed in ("prices", "demand", "renewable"):
-        rng = np.random.default_rng(2000 + hash(feed) % 100)
-        observed = corrupt_one_feed(traces, feed, 0.5, rng,
-                                    system.p_max)
+    # Each series draws from its own noise substream, so one observed
+    # horizon serves every feed.
+    noisy = observe(0.5, seed=2000)
+    for feed in FEEDS:
+        observed = corrupt_one_feed(traces, noisy, feed)
         result = Simulator(system, SmartDPSS(controller_config),
                            traces, observed=observed).run()
         degradation = (result.time_average_cost

@@ -55,7 +55,6 @@ from repro.traces import (
     make_paper_traces,
     rescale_renewable_penetration,
     reshape_demand_variation,
-    uniform_observation_noise,
 )
 
 __version__ = "1.0.0"
@@ -91,5 +90,4 @@ __all__ = [
     "rescale_renewable_penetration",
     "reshape_demand_variation",
     "expand_system",
-    "uniform_observation_noise",
 ]

@@ -31,7 +31,10 @@ Two variants, matching the P5 objective modes:
     deferred load into price dips;
   - leftover surplus charges the battery toward its Lyapunov target
     (credit ``−X̂·ηc``) and beyond that is wasted at the penalty rate;
-  - serving current backlog earns the queue drift credit ``Q̂ + Ŷ``.
+  - the queue drift term for serving current backlog,
+    ``(Q̂ + Ŷ)·min(pool, Q̂)``, is the same for every candidate rate,
+    so it is left out: it could shift every window cost by one
+    constant, not change which rate is cheapest.
 
   The window cost is piecewise linear in ``x``; exact minimization
   sweeps the complete kink set — the per-slot net-demand breakpoints
@@ -307,10 +310,6 @@ def _window_values(w: StackedWindows, rates: np.ndarray) -> np.ndarray:
     waterfall = (np.sort(vprices, axis=1)[:, None, :]
                  * bought).sum(axis=-1)
     cost = np.where(w.pools[:, None] > 0, cost + waterfall, cost)
-
-    # Queue drift credit for clearing the current backlog.
-    drift = (w.q_hat + w.y_hat) * np.minimum(w.pools, w.q_hat)
-    cost = cost - drift[:, None]
 
     # Battery tier, then waste.
     tier = ((w.battery_value > 0)

@@ -7,9 +7,12 @@ subdivision of a box; the structure is identical for every scenario
 (≤ 17 candidate vertices: 4 box corners, 3 breakpoint lines × 4 box
 edges, 1 emergency point), so the batch solver materializes the same
 candidates as ``(B,)`` arrays, evaluates the exact objective on all
-scenarios per candidate, and scans with the scalar's tie-breaking rule
-(a candidate wins only by improving the incumbent by more than 1e-12,
-earlier candidates keeping ties).
+scenarios per candidate, and selects each lane's row with the scalar
+scan itself, run over the 17 rows as ``(B,)`` array steps: start at
+row 2 (the emergency action) with an infinite incumbent, and a row
+wins only when its value is below ``fl(best − 1e-12)``, so earlier
+candidates keep ties.  There is no per-lane Python: every lane follows
+the scalar rule, near ties included.
 
 The solve runs in a :class:`P5Workspace` built once per run: every
 candidate grid, mask and objective temporary is a preallocated buffer
@@ -94,8 +97,8 @@ class P5Workspace:
         "graw", "hclip", "vraw", "vclip", "ha", "hb", "va", "vb",
         "gamma_hi", "grt_hi", "safe_slope", "base",
         "b1", "b2", "b3", "b4", "b5",
-        "minimum", "out_grt", "out_gamma",
-        "lane_ok", "lane_bad", "backlog_pos",
+        "threshold", "out_grt", "out_gamma",
+        "lane_ok", "backlog_pos",
         "rows", "flat_index",
     )
 
@@ -132,9 +135,9 @@ class P5Workspace:
         # Per-lane scratch.
         for name in ("gamma_hi", "grt_hi", "safe_slope", "base",
                      "b1", "b2", "b3", "b4", "b5",
-                     "minimum", "out_grt", "out_gamma"):
+                     "threshold", "out_grt", "out_gamma"):
             setattr(self, name, np.empty(n))
-        for name in ("lane_ok", "lane_bad", "backlog_pos"):
+        for name in ("lane_ok", "backlog_pos"):
             setattr(self, name, np.empty(n, dtype=bool))
         self.rows = np.empty(n, dtype=np.intp)
         self.flat_index = np.empty(n, dtype=np.intp)
@@ -352,34 +355,19 @@ def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
     _objective(state, mode, w)
     values = w.values
 
-    # The scalar scan accepts a value v only when v < fl(best − 1e-12)
-    # (earlier candidates keep ties).  When the minimum m passes that
-    # same test against every other value (m < fl(v − 1e-12)), the scan
-    # provably selects the *first* minimizer — argmin's convention — so
-    # the common case needs no loop.  Lanes where some v ≠ m fails it
-    # replay the exact scalar cascade.  The test must be the scan's own
-    # rounded comparison: ``v <= m + 1e-12`` rounds differently.
-    values.min(axis=0, out=w.minimum)
-    values.argmin(axis=0, out=w.rows)
+    # The scalar scan, one row at a time for every lane: a row wins when
+    # value < fl(best − 1e-12).  Only that threshold matters, so it is
+    # carried instead of ``best``: it starts at fl(inf − 1e-12) = inf
+    # and becomes the winner's own fl(value − 1e-12).  A lane where no
+    # value is finite keeps row 2, which is exactly the emergency
+    # fallback action (grt_hi, 0) of the scalar solver.
     np.subtract(values, 1e-12, out=w.ta)
-    np.less(w.minimum, w.ta, out=w.ma)
-    np.logical_not(w.ma, out=w.ma)
-    np.not_equal(values, w.minimum, out=w.mb)
-    np.logical_and(w.ma, w.mb, out=w.ma)
-    # Row 2 is exactly the emergency fallback action (grt_hi, 0) the
-    # scalar solver returns when every candidate is infeasible.
-    np.isfinite(w.minimum, out=w.lane_ok)
-    np.logical_not(w.lane_ok, out=w.lane_bad)
-    np.copyto(w.rows, 2, where=w.lane_bad)
-    np.logical_or.reduce(w.ma, axis=0, out=w.lane_ok)
-    for lane in np.nonzero(w.lane_ok)[0].tolist():
-        best_value = np.inf
-        best_row = 2
-        for row, value in enumerate(values[:, lane].tolist()):
-            if value < best_value - 1e-12:
-                best_value = value
-                best_row = row
-        w.rows[lane] = best_row
+    w.threshold.fill(np.inf)
+    w.rows.fill(2)
+    for row in range(N_CANDIDATES):
+        np.less(values[row], w.threshold, out=w.lane_ok)
+        np.copyto(w.threshold, w.ta[row], where=w.lane_ok)
+        np.copyto(w.rows, row, where=w.lane_ok)
 
     np.multiply(w.rows, n, out=w.flat_index)
     np.add(w.flat_index, w.lanes, out=w.flat_index)

@@ -42,7 +42,6 @@ from repro.core.virtual_queues import (
     operational_shift,
     paper_shift,
 )
-from repro.exceptions import ConfigurationError
 
 
 class _RunningMean:
@@ -71,22 +70,10 @@ class _RunningMean:
         """Exact snapshot — including the ``initial`` seed.
 
         The seed is part of the state on purpose: before any
-        observation ``value`` *is* the seed, so restoring sum/count
-        without it would silently change the mean (the bug the
-        explicit state API exists to prevent).
+        observation ``value`` *is* the seed.
         """
         return {"sum": self._sum, "count": self._count,
                 "initial": self._initial}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state` snapshot exactly (seed included)."""
-        count = int(state["count"])
-        if count < 0:
-            raise ConfigurationError(f"count must be >= 0, got {count}")
-        self._sum = float(state["sum"])
-        self._count = count
-        self._initial = None if state["initial"] is None \
-            else float(state["initial"])
 
 
 class SmartDPSS(Controller):

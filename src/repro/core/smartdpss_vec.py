@@ -1,9 +1,10 @@
 """Vectorized SmartDPSS — Algorithm 1 over a batch of scenarios.
 
 :class:`VecSmartDPSS` drives ``B`` independent SmartDPSS controllers in
-lockstep for the batch simulation engine
-(:mod:`repro.sim.batch`).  Both halves of the algorithm's two-timescale
-structure now run in array form:
+lockstep for the batch engine
+(:class:`~repro.fleet.engine.StreamingBatchSimulator`), through the
+batch controller protocol of :mod:`repro.sim.batch`.  Both halves of
+the algorithm's two-timescale structure run in array form:
 
 * **Real-time balancing (every fine slot — the hot path)** runs fully
   vectorized: price normalization, the streaming price mean, battery
@@ -24,11 +25,16 @@ structure now run in array form:
   :func:`~repro.core.p4.solve_windows` tensor pass (the only P4
   solver; the scalar ``solve_p4`` is its one-row case).
 
-The scalar instances remain inspectable: :meth:`finalize` rebuilds
-every instance's post-run state from the arrays (through the queues'
-explicit ``load_state()`` APIs — no private-attribute surgery), so
-introspection (virtual-queue peaks, frozen weights, price mean)
-matches a scalar run exactly.
+The batch owns its state: the ``Y`` and ``X`` virtual queues (values,
+the ``Y`` peak and the ``X`` extremes), the real-time price mean with
+its first-boundary seed and the frozen weights are ``(B,)`` arrays.
+The scalar :class:`~repro.core.smartdpss.SmartDPSS` instances it is
+given supply only their ``config`` and ``name``; their
+``begin_horizon`` is never called and nothing is written back, so a
+batch run leaves them as they were.  The scalar
+:class:`~repro.sim.engine.Simulator` stays the reference, and
+``tests/equivalence/test_batch_planning.py`` compares these arrays,
+index by index, with a scalar run's queue and price-mean state.
 
 The per-slot path runs in preallocated buffers — a
 :class:`RealTimeWorkspace` for the controller prep and queue updates
@@ -84,11 +90,9 @@ class VecSmartDPSS:
     Parameters
     ----------
     controllers:
-        One scalar :class:`SmartDPSS` per scenario.  The instances are
-        real — :meth:`finalize` rebuilds their per-scenario planning
-        state so they remain inspectable (frozen weights, virtual
-        queues) after a run — but both their per-slot and planning
-        paths are bypassed by the vectorized twins.
+        One scalar :class:`SmartDPSS` per scenario.  Only their
+        ``config`` and ``name`` are read; the instances are never
+        driven or modified.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` (``None`` = off).
         Times the pooled P4 tensor pass (``p4`` span, one per coarse
@@ -101,15 +105,16 @@ class VecSmartDPSS:
                  telemetry=None):
         if not controllers:
             raise ConfigurationError("need at least one controller")
-        self.controllers = list(controllers)
+        self._configs = [c.config for c in controllers]
+        self.names = [c.name for c in controllers]
         self._telemetry = telemetry if telemetry is not None \
             else TELEMETRY_OFF
-        modes = {c.config.objective_mode for c in self.controllers}
+        modes = {config.objective_mode for config in self._configs}
         if len(modes) > 1:
             raise ConfigurationError(
                 f"batch requires one objective mode, got {sorted(m.value for m in modes)}")
-        self.mode = self.controllers[0].config.objective_mode
-        self._n = len(self.controllers)
+        self.mode = self._configs[0].objective_mode
+        self._n = len(self._configs)
 
     @classmethod
     def from_configs(cls, configs: Sequence[SmartDPSSConfig | None]
@@ -121,11 +126,6 @@ class VecSmartDPSS:
     # Batch controller protocol
     # ------------------------------------------------------------------
 
-    @property
-    def names(self) -> list[str]:
-        """Per-scenario policy names for result records."""
-        return [c.name for c in self.controllers]
-
     def begin_horizon(self, systems: Sequence[SystemConfig]) -> None:
         if len(systems) != self._n:
             raise ConfigurationError(
@@ -135,10 +135,7 @@ class VecSmartDPSS:
         def pull(get) -> np.ndarray:
             return np.array([float(get(i)) for i in range(n)])
 
-        for controller, system in zip(self.controllers, systems):
-            controller.begin_horizon(system)
-
-        configs = [c.config for c in self.controllers]
+        configs = self._configs
         self._v = pull(lambda i: configs[i].v)
         self._epsilon = pull(lambda i: configs[i].epsilon)
         self._price_scale = pull(lambda i: configs[i].price_scale)
@@ -161,24 +158,18 @@ class VecSmartDPSS:
             lambda i: systems[i].waste_penalty / configs[i].price_scale)
         self._cap_n = pull(
             lambda i: systems[i].p_max / configs[i].price_scale)
-        self._b_max = pull(lambda i: systems[i].b_max)
-        self._b_min = pull(lambda i: systems[i].b_min)
-        self._b_charge_max = pull(lambda i: systems[i].b_charge_max)
-        self._b_discharge_max = pull(lambda i: systems[i].b_discharge_max)
-        self._eta_c = pull(lambda i: systems[i].eta_c)
-        self._eta_d = pull(lambda i: systems[i].eta_d)
-        self._s_dt_max = pull(lambda i: systems[i].s_dt_max)
         self._p_grid = pull(lambda i: systems[i].p_grid)
-        self._t_arr = pull(lambda i: systems[i].fine_slots_per_coarse)
-        self._bounds_system = SystemArrays.stack(systems)
+        # The battery, service and window fields, stacked once for both
+        # the bounds and the per-slot arithmetic.
+        self._system = SystemArrays.stack(systems)
 
-        # Vectorized live state (mirrors the scalar instances').
+        # Per-scenario controller state.  ``_x_min`` / ``_x_max`` stay
+        # at ±inf until the battery queue is first observed.
         self._y = np.zeros(n)
         self._y_peak = np.zeros(n)
         self._rt_sum = np.zeros(n)
         self._rt_count = 0
         self._rt_initial = np.zeros(n)
-        self._rt_seeded = False
         self._q_hat = np.zeros(n)
         self._y_hat = np.zeros(n)
         self._x_hat = np.zeros(n)
@@ -186,8 +177,6 @@ class VecSmartDPSS:
         self._x_value = np.zeros(n)
         self._x_min = np.full(n, np.inf)
         self._x_max = np.full(n, -np.inf)
-        self._x_observed = False
-        self._planned_rate = np.zeros(n)
 
         # Preallocated per-slot buffers (one set per horizon; the
         # engine runs one horizon per shard, so this is the per-shard
@@ -198,11 +187,10 @@ class VecSmartDPSS:
     # -- planning (per coarse slot) ------------------------------------
 
     def _mean_value(self) -> np.ndarray:
-        """Vector twin of ``_RunningMean.value`` for every scenario."""
+        """Vector twin of ``_RunningMean.value`` for every scenario
+        (the seed before any observation; zeros until seeded)."""
         if self._rt_count == 0:
-            if self._rt_seeded:
-                return self._rt_initial
-            return np.zeros(self._n)
+            return self._rt_initial
         return self._rt_sum / self._rt_count
 
     def prepare_plan_batch(self, obs: BatchCoarseObservation
@@ -221,24 +209,24 @@ class VecSmartDPSS:
         weights and P4 inputs are bit-identical to the per-scenario
         path.
         """
+        system = self._system
         price_lt = obs.price_lt / self._price_scale
         if self._rt_count == 0:
             # Before any real-time observation, seed the reference with
             # the first contract price (no a-priori statistics needed).
             self._rt_initial = np.array(price_lt, dtype=float)
-            self._rt_seeded = True
 
         # Shift-point selection, both modes evaluated as arrays.
-        shift = operational_shift(self._b_min, self._b_max, self._v,
+        shift = operational_shift(system.b_min, system.b_max, self._v,
                                   self._mean_value())
         if self._shift_paper.any():
-            bounds = compute_bounds(self._bounds_system, self._v,
+            bounds = compute_bounds(system, self._v,
                                     self._epsilon, self._cap_n,
                                     variant=BoundVariant.PAPER)
             shift = np.where(
                 self._shift_paper,
-                paper_shift(bounds.u_max, self._b_min,
-                            self._b_discharge_max, self._eta_d),
+                paper_shift(bounds.u_max, system.b_min,
+                            system.b_discharge_max, system.eta_d),
                 shift)
 
         # Freeze the Lyapunov weights for the coming interval.
@@ -249,7 +237,6 @@ class VecSmartDPSS:
         self._x_value = x_value
         self._x_min = np.minimum(self._x_min, x_value)
         self._x_max = np.maximum(self._x_max, x_value)
-        self._x_observed = True
         self._x_hat = x_value
 
         battery_usable = self._use_battery & (obs.cycle_budget_left != 0)
@@ -257,18 +244,17 @@ class VecSmartDPSS:
         # window, not once per slot: spread it over T slots so the
         # feasibility floor stays honest for small batteries.
         usable_energy = np.maximum(
-            0.0, obs.battery_level - self._b_min) / self._eta_d
+            0.0, obs.battery_level - system.b_min) / system.eta_d
         discharge_avail = np.where(
             battery_usable,
-            np.minimum(self._b_discharge_max,
-                       usable_energy / self._t_arr), 0.0)
+            np.minimum(system.b_discharge_max,
+                       usable_energy / system.fine_slots_per_coarse), 0.0)
         charge_headroom = np.where(
             battery_usable,
-            np.maximum(0.0, self._b_max - obs.battery_level)
-            / self._eta_c, 0.0)
+            np.maximum(0.0, system.b_max - obs.battery_level)
+            / system.eta_c, 0.0)
 
         # Scenarios without the long-term market plan a zero purchase.
-        np.copyto(self._planned_rate, 0.0, where=~self._use_lt)
         rows = np.nonzero(self._use_lt)[0]
         if rows.size == 0:
             return None, rows
@@ -278,14 +264,14 @@ class VecSmartDPSS:
             q_hat=self._q_hat[rows],
             y_hat=self._y_hat[rows],
             x_hat=self._x_hat[rows],
-            t_slots=self._t_arr[rows],
+            t_slots=system.fine_slots_per_coarse[rows],
             demand_ds=obs.demand_ds[rows],
             renewable=obs.renewable[rows],
             p_grid=self._p_grid[rows],
             discharge_avail=discharge_avail[rows],
             charge_headroom_total=charge_headroom[rows],
-            eta_c=self._eta_c[rows],
-            s_dt_max=self._s_dt_max[rows],
+            eta_c=system.eta_c[rows],
+            s_dt_max=system.s_dt_max[rows],
             waste_penalty=self._waste_n[rows],
             plan_deferrable_arrivals=self._plan_deferrable[rows],
             profile_demand_ds=obs.profile_demand_ds[rows],
@@ -294,37 +280,6 @@ class VecSmartDPSS:
             profile_price_rt=(obs.profile_price_rt[rows]
                               / self._price_scale[rows][:, None]),
         ), rows
-
-    def _mean_state(self, index: int) -> dict:
-        """One scenario's ``_RunningMean`` state, seed included."""
-        return {"sum": float(self._rt_sum[index]),
-                "count": self._rt_count,
-                "initial": (float(self._rt_initial[index])
-                            if self._rt_seeded else None)}
-
-    def _sync_into(self, index: int, controller: SmartDPSS) -> None:
-        """Load the vectorized live state into one scalar instance.
-
-        Routed through the explicit ``load_state`` APIs so every field
-        — including the price mean's ``initial`` seed and the battery
-        queue's never-observed condition — is restored by contract,
-        not by poking attributes on whatever object happens to be
-        installed.
-        """
-        controller._rt_price_mean.load_state(self._mean_state(index))
-        controller._y_queue.load_state({
-            "value": float(self._y[index]),
-            "peak": float(self._y_peak[index])})
-        if self._x_observed:
-            controller._x_queue.load_state({
-                "shift": float(self._shift[index]),
-                "value": float(self._x_value[index]),
-                "min_seen": float(self._x_min[index]),
-                "max_seen": float(self._x_max[index])})
-        else:
-            controller._x_queue.load_state({
-                "shift": float(self._shift[index]),
-                "value": None, "min_seen": None, "max_seen": None})
 
     def plan_long_term(self, obs: BatchCoarseObservation) -> np.ndarray:
         """Plan every scenario's advance purchase ``gbef(t)``.
@@ -339,7 +294,6 @@ class VecSmartDPSS:
         if windows is not None:
             with self._telemetry.span("p4"):
                 rates = solve_windows(windows, self.mode)
-            self._planned_rate[rows] = rates
             gbef[rows] = rates * windows.t_slots
         return gbef
 
@@ -353,6 +307,7 @@ class VecSmartDPSS:
         operations, in the same order.
         """
         w = self._work_rt
+        system = self._system
         np.divide(obs.price_rt, self._price_scale, out=w.price_n)
         np.add(self._rt_sum, w.price_n, out=self._rt_sum)
         self._rt_count += 1
@@ -360,15 +315,15 @@ class VecSmartDPSS:
         np.not_equal(obs.cycle_budget_left, 0, out=w.usable)
         np.logical_and(self._use_battery, w.usable, out=w.usable)
         np.logical_not(w.usable, out=w.not_usable)
-        np.subtract(self._b_max, obs.battery_level, out=w.charge_room)
+        np.subtract(system.b_max, obs.battery_level, out=w.charge_room)
         np.maximum(w.charge_room, 0.0, out=w.charge_room)
-        np.divide(w.charge_room, self._eta_c, out=w.charge_room)
-        np.minimum(self._b_charge_max, w.charge_room, out=w.charge_cap)
+        np.divide(w.charge_room, system.eta_c, out=w.charge_room)
+        np.minimum(system.b_charge_max, w.charge_room, out=w.charge_cap)
         np.copyto(w.charge_cap, 0.0, where=w.not_usable)
-        np.subtract(obs.battery_level, self._b_min, out=w.discharge_room)
+        np.subtract(obs.battery_level, system.b_min, out=w.discharge_room)
         np.maximum(w.discharge_room, 0.0, out=w.discharge_room)
-        np.divide(w.discharge_room, self._eta_d, out=w.discharge_room)
-        np.minimum(self._b_discharge_max, w.discharge_room,
+        np.divide(w.discharge_room, system.eta_d, out=w.discharge_room)
+        np.minimum(system.b_discharge_max, w.discharge_room,
                    out=w.discharge_cap)
         np.copyto(w.discharge_cap, 0.0, where=w.not_usable)
         np.minimum(obs.grid_headroom, obs.supply_headroom, out=w.grt_cap)
@@ -387,9 +342,9 @@ class VecSmartDPSS:
             demand_ds=obs.demand_ds,
             charge_cap=w.charge_cap,
             discharge_cap=w.discharge_cap,
-            eta_c=self._eta_c,
-            eta_d=self._eta_d,
-            s_dt_max=self._s_dt_max,
+            eta_c=system.eta_c,
+            eta_d=system.eta_d,
+            s_dt_max=system.s_dt_max,
             grt_cap=w.grt_cap,
             battery_margin=self._margin_n,
         )
@@ -417,19 +372,3 @@ class VecSmartDPSS:
         self._x_value = w.x_value
         np.minimum(self._x_min, w.x_value, out=self._x_min)
         np.maximum(self._x_max, w.x_value, out=self._x_max)
-        self._x_observed = True
-
-    def finalize(self) -> None:
-        """Rebuild every scalar instance's state from the arrays.
-
-        Called once at the end of a batch run so post-run introspection
-        — virtual-queue values/peaks/extremes, the price mean (seed
-        included), the frozen weights and the last planned rate —
-        matches a scalar run exactly.
-        """
-        for index, controller in enumerate(self.controllers):
-            self._sync_into(index, controller)
-            controller._q_hat = float(self._q_hat[index])
-            controller._y_hat = float(self._y_hat[index])
-            controller._x_hat = float(self._x_hat[index])
-            controller._planned_rate = float(self._planned_rate[index])

@@ -74,24 +74,8 @@ class DelayAwareQueue:
         self._peak = 0.0
 
     def state(self) -> dict:
-        """Exact snapshot of the live state (for cross-engine sync)."""
+        """Exact snapshot of the live state (for cross-engine checks)."""
         return {"value": self._value, "peak": self._peak}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state` snapshot exactly.
-
-        This is the only sanctioned way to write the queue's internal
-        state from outside (the batch engine syncs through it), so the
-        field set stays in one place.
-        """
-        value = float(state["value"])
-        peak = float(state["peak"])
-        if value < 0 or peak < 0:
-            raise ConfigurationError(
-                f"queue state must be >= 0, got value={value} "
-                f"peak={peak}")
-        self._value = value
-        self._peak = peak
 
     def __repr__(self) -> str:
         return f"DelayAwareQueue(Y={self._value:.4f}, eps={self.epsilon})"
@@ -147,34 +131,13 @@ class BatteryVirtualQueue:
         self._max_seen = None
 
     def state(self) -> dict:
-        """Exact snapshot of the live state (for cross-engine sync).
+        """Exact snapshot of the live state (for cross-engine checks).
 
         ``value`` / ``min_seen`` / ``max_seen`` are ``None`` while the
-        queue has never been observed — :meth:`load_state` restores
-        that never-observed condition faithfully.
+        queue has never been observed.
         """
         return {"shift": self.shift, "value": self._value,
                 "min_seen": self._min_seen, "max_seen": self._max_seen}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state` snapshot exactly.
-
-        The only sanctioned external write path for the queue's
-        internals (the batch engine syncs through it).
-        """
-        observed = [state["value"], state["min_seen"], state["max_seen"]]
-        if any(entry is None for entry in observed) \
-                and not all(entry is None for entry in observed):
-            raise ConfigurationError(
-                f"value/min_seen/max_seen must be all set or all "
-                f"None, got {state}")
-        self.shift = float(state["shift"])
-        self._value = None if state["value"] is None \
-            else float(state["value"])
-        self._min_seen = None if state["min_seen"] is None \
-            else float(state["min_seen"])
-        self._max_seen = None if state["max_seen"] is None \
-            else float(state["max_seen"])
 
     def __repr__(self) -> str:
         current = "unset" if self._value is None else f"{self._value:.4f}"

@@ -9,7 +9,9 @@ sweeps.  This package supplies the missing layers:
   materialization for every chunk size);
 * :mod:`repro.fleet.spec` — declarative, serializable
   :class:`ScenarioSpec` plus grid / product / random-sampling fleet
-  generators;
+  generators; :meth:`ScenarioSpec.trace_key` is the tuple of inputs
+  trace generation reads, so a shard builds each realization once for
+  all its trace twins;
 * :mod:`repro.fleet.engine` — the chunk-at-a-time
   :class:`StreamingBatchSimulator`, the one batch engine, with O(B)
   result aggregation;
@@ -20,7 +22,8 @@ sweeps.  This package supplies the missing layers:
   seed-replicated aggregation back into
   :class:`~repro.sim.sweep.SweepTable`;
 * :mod:`repro.fleet.observe` — streamed observation models (sensor
-  noise and faults) derived per chunk on top of the true traces.
+  noise and faults) derived per chunk on top of the true traces, and
+  the one implementation of the paper's uniform observation noise.
 
 Command line::
 
@@ -104,8 +107,9 @@ clean-vs-noisy sweep via ``FleetRunner(robustness=...)`` (CLI
 columns to every record.  Noise draws come from dedicated
 ``observe:<series>`` substreams of the observation seed with explicit
 per-chunk carry state, so streamed observations are bit-identical to
-the in-memory :class:`~repro.traces.noise.NoisyTraceView` reference
-for every chunk size — and with no observation model armed, records
+the whole-horizon reference
+(:meth:`~repro.fleet.observe.ObservationSpec.observed_traces`, what
+the scalar ``Simulator`` observes) for every chunk size — and with no observation model armed, records
 are bit-identical to a build without this layer.  Non-finite observed
 values raise a typed
 :class:`~repro.exceptions.ObservationCorruptionError` (naming the

@@ -8,6 +8,10 @@ supply-demand balance, battery SOC dynamics, backlog queue and billing
 :mod:`repro.sim.batch` (the vectorized
 :class:`~repro.core.smartdpss_vec.VecSmartDPSS` when every run is
 SmartDPSS, :class:`~repro.sim.batch.ScalarControllerBatch` otherwise).
+The vectorized controller keeps every scenario's state in its own
+arrays and reads only the config and name of the runs' ``SmartDPSS``
+instances, so a run leaves them untouched; the scalar batch drives
+the runs' own controllers, copying any instance two runs share.
 It is the one batch engine: every :class:`~repro.fleet.runner.FleetRunner`
 shard, every paper figure and the fleet's derived passes run on it.
 The scalar :class:`~repro.sim.engine.Simulator` is its reference
@@ -33,8 +37,8 @@ Derived passes that read only the cost column — the fleet's offline
 replay and robustness re-run — call the cost-only entry
 :meth:`StreamingBatchSimulator.time_avg_cost` instead.  It runs the
 same chunk and slot loop but records only the four cost sums
-(:class:`_CostSums`): no delay ledger, extrema or service buffer, no
-controller ``finalize()`` and no fold.  Its column comes from the one
+(:class:`_CostSums`): no delay ledger, extrema or service buffer and
+no fold.  Its column comes from the one
 cost expression the fold uses (:func:`_costs`), so it equals
 ``run()["time_avg_cost"]`` bit for bit.  Tests that compare series
 slot by slot plug a :class:`~repro.sim.vecstate.BatchRecorder` into
@@ -838,19 +842,14 @@ class StreamingBatchSimulator:
         Returns the metrics block (see :func:`_fold`); encode it into
         record dicts with :meth:`ScenarioMetrics.rows`.
 
-        The batch controller is finalized (vectorized controllers sync
-        their scalar instances back) before the fold.  Stage timings
-        (chunk generation, observation derivation, the slot loop,
-        delay replay, metric collection) are guarded on
+        Stage timings (chunk generation, observation derivation, the
+        slot loop, delay replay, metric collection) are guarded on
         ``tele.enabled``; the instrumentation reads clocks only, so
         streamed metrics are bit-identical with telemetry on or off.
         """
         tele = self._telemetry
         state = self._stream(StreamingAggregator(self._batch))
         t0 = tele.clock() if tele.enabled else 0.0
-        finalize = getattr(self.controller, "finalize", None)
-        if finalize is not None:
-            finalize()
         aggregator = state.recorder
         block = _fold(
             aggregator, [replay.stats() for replay in aggregator._replays],
@@ -870,9 +869,8 @@ class StreamingBatchSimulator:
         replay and robustness re-run), which read nothing else.  It
         runs :meth:`run`'s chunk and slot loop unchanged but records
         only the four cost sums: no delay ledger, no extrema, no
-        service buffer, no controller ``finalize()`` and no
-        :func:`_fold` — the column comes from the expression the fold
-        uses (:func:`_costs`).
+        service buffer and no :func:`_fold` — the column comes from the
+        expression the fold uses (:func:`_costs`).
         """
         state = self._stream(_CostSums(self._batch))
         return _costs(state.recorder._sums, self._n_slots)[1]
@@ -1247,13 +1245,15 @@ def _default_controller(runs: Sequence[StreamRunSpec],
                         telemetry=None) -> BatchController:
     """Pick the vectorized controller when every run is SmartDPSS.
 
-    ``telemetry`` hands the engine's collector to the vectorized
-    controller so its P4/P5 solves land in the same breakdown.
+    The vectorized controller only reads each instance's config and
+    name, so runs sharing one instance need no copies there.
+    ``telemetry`` hands the engine's collector to it so its P4/P5
+    solves land in the same breakdown.
     """
-    controllers = _distinct_controllers(runs)
+    controllers = [run.controller for run in runs]
     if all(type(c) is SmartDPSS for c in controllers):
         return VecSmartDPSS(controllers, telemetry=telemetry)
-    return ScalarControllerBatch(controllers)
+    return ScalarControllerBatch(_distinct_controllers(runs))
 
 
 def _distinct_controllers(runs: Sequence[StreamRunSpec]

@@ -1,10 +1,12 @@
 """Streamed observation layer: noise and sensor-fault models.
 
 The paper's robustness experiment (Fig. 9) feeds controllers *observed*
-traces while the physical system evolves on the truth.  The in-memory
-path does this with :class:`~repro.traces.noise.NoisyTraceView`; this
-module brings the same separation to the streamed fleet engine, where
-full horizons never exist in memory.
+traces while the physical system evolves on the truth.  This module is
+the one implementation of that separation: the streamed fleet engine
+perturbs observations window by window, and the scalar
+:class:`~repro.sim.engine.Simulator` takes the whole observed horizon
+from :meth:`ObservationSpec.observed_traces` (its ``observed=``
+argument).
 
 An :class:`ObservationSpec` describes one scenario's observation model
 (which perturbation, which seed, the market price cap).  Opening it
@@ -23,8 +25,7 @@ Models
 
 ``uniform``
     The paper's ±``rel_error`` multiplicative error
-    (:func:`repro.traces.noise.uniform_perturb` — shared arithmetic
-    with :func:`~repro.traces.noise.uniform_observation_noise`).
+    (:func:`uniform_perturb`).
 ``dropout``
     Each slot's reading is lost independently with probability
     ``rate``; the controller *holds the last good observation* (the
@@ -41,10 +42,9 @@ Models
     the first reading lands).
 
 Every model keeps observed values finite and non-negative; observed
-prices are additionally clipped at the market cap (same second-step
-order as :func:`~repro.traces.noise.uniform_observation_noise`, so the
-uniform model stays bit-compatible with the Fig. 9 reference).  The
-streamed engine still scans observed chunks for NaN/Inf — corruption
+prices are additionally clipped at the market cap, as a second step
+after the model's own floor at zero.  The streamed engine still scans
+observed chunks for NaN/Inf — corruption
 (e.g. injected via the ``observe`` fault site) raises
 :class:`~repro.exceptions.ObservationCorruptionError` naming the view
 and series, and quarantines through the fleet runner like any trace
@@ -62,7 +62,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.rng import make_rng, substream_rngs_batch
 from repro.traces.base import TraceSet
-from repro.traces.noise import uniform_perturb
 
 #: Observed series, in the order one scenario's substreams are minted.
 #: ``price_lt`` perturbs the *fine* ``price_lt_hourly`` series; the
@@ -115,6 +114,19 @@ class ObservationModel:
     def params(self) -> dict:
         """The model's parameters (JSON-serializable)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def uniform_perturb(series: np.ndarray, rel_error: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """One series under the paper's multiplicative uniform error model.
+
+    Each observed value is ``true · U`` with
+    ``U ~ Uniform(1 − rel_error, 1 + rel_error)`` drawn independently
+    per slot, floored at zero.
+    """
+    factors = rng.uniform(1.0 - rel_error, 1.0 + rel_error,
+                          size=series.size)
+    return np.clip(series * factors, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -337,9 +349,8 @@ class ObservationSpec:
 
         By the chunk-size invariance this equals the streamed
         observer's concatenated windows for *any* chunking — it is
-        what the equivalence harness feeds
-        :class:`~repro.traces.noise.NoisyTraceView` /
-        ``Simulator(observed=...)`` to pin the streamed path against.
+        what the equivalence harness feeds ``Simulator(observed=...)``
+        to pin the streamed path against.
         """
         observer = self.open()
         meta = dict(traces.meta)

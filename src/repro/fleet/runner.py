@@ -153,8 +153,9 @@ def _twin_lanes(specs: "list[ScenarioSpec]", systems: "list"
                 ) -> "tuple[list[int], list[int]]":
     """Each spec's trace lane, and the first spec of every lane.
 
-    Trace twins (equal :meth:`ScenarioSpec.trace_key`: system, trace
-    seed, trace recipe) share one lane.
+    Trace twins (equal :meth:`ScenarioSpec.trace_key`: the trace
+    recipe, seed and the system fields generation reads) share one
+    lane.
     """
     lanes: dict[tuple, int] = {}
     which: list[int] = []
@@ -327,7 +328,7 @@ def _attach_robustness(specs: "list[ScenarioSpec]",
       once per seed, not once per scenario;
     * it runs the engine's cost-only entry
       (:meth:`StreamingBatchSimulator.time_avg_cost`): no delay
-      ledger, extrema, ``finalize()`` or metrics fold.
+      ledger, extrema or metrics fold.
 
     Like the offline replay, the noisy pass runs uninjected (no fault
     harness): it is a derived comparison column, not a second chance
@@ -520,9 +521,10 @@ class FleetRunner:
         vectorized engine, so the column costs roughly one small LP
         solve (plus one replay) per distinct trace realization on top
         of the policy run: trace twins — scenarios with the same
-        system, trace seed and trace recipe, such as a ``controller.v``
-        sweep over shared seeds — share one trace build, plan and
-        replay per shard (telemetry counter ``trace_twins``).  Shards
+        generation inputs (:meth:`ScenarioSpec.trace_key`), such as a
+        ``controller.v`` sweep over shared seeds — share one trace
+        build per shard (telemetry counter ``trace_twins``), and twins
+        that also share a system share one plan and replay.  Shards
         are planned in trace-seed order, so twins share a shard, and
         each realization is solved about once per fleet.
     telemetry:
@@ -675,9 +677,9 @@ class FleetRunner:
         builds, solves and replays each realization once.  The order is
         only a heuristic: the worker still decides lanes by the full
         :meth:`ScenarioSpec.trace_key` (:func:`_twin_lanes`), so equal
-        seeds with different systems or recipes never merge.  The
-        planner reads the seed, not the key, which costs a canonical
-        JSON dump per spec.
+        seeds with different generation inputs never merge.  The
+        planner reads the seed, not the key, which would build every
+        spec's system and trace models.
         """
         groups: dict[tuple, dict[int, list[int]]] = {}
         for index in indices:

@@ -49,6 +49,14 @@ Spec layout
     in that order and before any ``expansion``.  Both need
     whole-horizon statistics, so a ``stream`` recipe carrying either
     (or a system ``expansion``) is rejected when the spec is built.
+    Generation reads only the recipe, the horizon, the peak-clip
+    ``p_grid``, the three component models (which take ``d_dt_max``,
+    ``slot_hours`` and ``p_max`` from the system), the trace seed, the
+    reshapes and ``β``; :meth:`ScenarioSpec.trace_key` is exactly that
+    tuple.  Specs with equal keys are *trace twins* and share one
+    realization within a fleet shard, so battery sizes and cycle
+    budgets over one horizon and seed build their traces once (``T``
+    variants share the key too, but batch in separate groups).
 ``observation``
     Optional: ``{"kind": <model>, **params}`` describing what the
     controller *observes* (physics always runs on the truth) — see
@@ -96,6 +104,7 @@ from repro.traces.demand import DemandModel
 from repro.traces.library import make_paper_traces
 from repro.traces.prices import PriceModel
 from repro.traces.scaling import (
+    clip_demand_peaks,
     expand_system,
     rescale_renewable_penetration,
     reshape_demand_variation,
@@ -208,6 +217,14 @@ def _build_models(demand: Mapping, solar: Mapping, price: Mapping,
             SolarModel(slot_hours=slot_hours, **solar),
             PriceModel(price_cap=p_max, slot_hours=slot_hours,
                        **price))
+
+
+def _model_items(overrides: Mapping[str, object]) -> tuple:
+    """Sorted ``(field, value)`` override pairs, JSON lists as tuples
+    (the models' tuple fields), so the models built from them hash."""
+    return tuple(sorted(
+        (key, tuple(value) if isinstance(value, list) else value)
+        for key, value in overrides.items()))
 
 
 @lru_cache(maxsize=1024)
@@ -350,65 +367,74 @@ class ScenarioSpec:
                 f"unknown trace options {sorted(options)}")
         try:
             return _cached_models(
-                tuple(sorted(demand.items())),
-                tuple(sorted(solar.items())),
-                tuple(sorted(price.items())),
+                _model_items(demand), _model_items(solar),
+                _model_items(price),
                 system.d_dt_max, system.slot_hours, system.p_max)
         except TypeError:
             # Unhashable override values: build uncached.
             return _build_models(demand, solar, price, system.d_dt_max,
                                  system.slot_hours, system.p_max)
 
-    def open_stream(self, system: SystemConfig | None = None
-                    ) -> TraceStream:
-        """Build the trace source this spec describes."""
-        system = system or self.build_system()
-        kind = self.trace_kind
-        if kind == "stream":
-            demand_model, solar_model, price_model = \
-                self._model_overrides(system)
-            return StreamingPaperTraces(
-                n_slots=system.horizon_slots,
-                seed=self.trace_seed,
-                demand_model=demand_model,
-                solar_model=solar_model,
-                price_model=price_model,
-                clip_p_grid=system.p_grid if system.p_grid > 0 else None)
-        if kind == "paper":
-            beta = self.system.get("expansion")
-            if beta is not None:
-                # Generate on the unexpanded system, then expand.
-                system = _system_from({key: value for key, value
-                                       in self.system.items()
-                                       if key != "expansion"})
-            demand_model, solar_model, price_model = \
-                self._model_overrides(system)
-            traces = make_paper_traces(
-                system, seed=self.trace_seed,
-                demand_model=demand_model,
-                solar_model=solar_model,
-                price_model=price_model)
-            for key, reshape in TRACE_RESHAPES.items():
-                if key in self.trace:
-                    traces = reshape(traces, self.trace[key])
-            if beta is not None:
-                traces = expand_system(traces, beta)
-            return ArrayTraceStream(traces)
-        raise ConfigurationError(
-            f"unknown trace kind {kind!r}; expected one of {TRACE_KINDS}")
-
     def trace_key(self, system: SystemConfig | None = None) -> tuple:
-        """Identity of the trace realization :meth:`open_stream` builds.
+        """Everything trace generation reads, as one hashable tuple.
 
-        The key is everything ``open_stream`` reads: the built system,
-        the trace seed and the trace recipe (as canonical JSON).  Specs
-        with equal keys — *trace twins*, e.g. a ``controller.v`` sweep
-        over one seed — get bit-identical traces; controller,
-        observation, name and value are not part of the key.
+        ``(kind, slots, clip, demand, solar, price, seed, reshapes,
+        expansion)``: the recipe kind, the horizon in fine slots, the
+        peak-clip grid cap (``None`` when ``p_grid`` is 0), the three
+        component models of :meth:`_model_overrides`, the trace seed,
+        the ``paper`` reshapes as ``(key, value)`` pairs in the order
+        they apply, and the expansion ``β`` (or ``None``).  With an
+        expansion the other inputs come from the unexpanded system,
+        which is what the traces are generated on.
+
+        :meth:`open_stream` builds from exactly this tuple, so the key
+        cannot drift from generation: specs with equal keys — *trace
+        twins*, e.g. a ``controller.v`` sweep over one seed, or
+        battery sizes, cycle budgets and ``T`` over one horizon — get
+        bit-identical traces.  The controller, the observation, the
+        name, the value and every system field generation does not
+        read are not part of the key.
         """
         system = system or self.build_system()
-        return (system, self.trace_seed,
-                json.dumps(dict(self.trace), sort_keys=True))
+        kind = self.trace_kind
+        if kind not in TRACE_KINDS:
+            raise ConfigurationError(
+                f"unknown trace kind {kind!r}; expected one of "
+                f"{TRACE_KINDS}")
+        beta = self.system.get("expansion")
+        if beta is not None:
+            system = _system_from({key: value for key, value
+                                   in self.system.items()
+                                   if key != "expansion"})
+        reshapes = tuple((key, self.trace[key])
+                         for key in TRACE_RESHAPES if key in self.trace)
+        return (kind, system.horizon_slots,
+                system.p_grid if system.p_grid > 0 else None,
+                *self._model_overrides(system), self.trace_seed,
+                reshapes, beta)
+
+    def open_stream(self, system: SystemConfig | None = None
+                    ) -> TraceStream:
+        """Build the trace source this spec describes (from
+        :meth:`trace_key`)."""
+        (kind, slots, clip, demand_model, solar_model, price_model, seed,
+         reshapes, beta) = self.trace_key(system)
+        if kind == "stream":
+            return StreamingPaperTraces(
+                n_slots=slots, seed=seed, demand_model=demand_model,
+                solar_model=solar_model, price_model=price_model,
+                clip_p_grid=clip)
+        traces = make_paper_traces(
+            seed=seed, n_slots=slots, demand_model=demand_model,
+            solar_model=solar_model, price_model=price_model,
+            clip_peaks=False)
+        if clip is not None:
+            traces = clip_demand_peaks(traces, clip)
+        for key, value in reshapes:
+            traces = TRACE_RESHAPES[key](traces, value)
+        if beta is not None:
+            traces = expand_system(traces, beta)
+        return ArrayTraceStream(traces)
 
     def build_traces(self, system: SystemConfig | None = None) -> TraceSet:
         """Materialize the full trace horizon.

@@ -17,7 +17,6 @@ from repro.traces.demand import (
     GoogleClusterDemandGenerator,
 )
 from repro.traces.library import make_paper_traces
-from repro.traces.noise import NoisyTraceView, uniform_observation_noise
 from repro.traces.prices import (
     NyisoLikePriceGenerator,
     PriceChunkState,
@@ -62,8 +61,6 @@ __all__ = [
     "reshape_demand_variation",
     "expand_system",
     "clip_demand_peaks",
-    "uniform_observation_noise",
-    "NoisyTraceView",
     "validate_paper_traces",
     "all_valid",
 ]

@@ -80,8 +80,7 @@ def streamed_results(runs, controller=None, chunk_coarse: int = 4):
     there slot by slot, as a scalar
     :class:`~repro.sim.engine.Simulator` result holds it; the delay
     ledger is replayed from the recorded service against the true
-    arrivals, and the batch controller is finalized as
-    ``StreamingBatchSimulator.run`` does.
+    arrivals.
     """
     from repro.fleet.engine import StreamingBatchSimulator
     from repro.sim.results import SimulationResult
@@ -91,9 +90,6 @@ def streamed_results(runs, controller=None, chunk_coarse: int = 4):
                                         chunk_coarse=chunk_coarse)
     n_slots = simulator._n_slots
     state = simulator._stream(BatchRecorder(len(simulator.runs), n_slots))
-    finalize = getattr(simulator.controller, "finalize", None)
-    if finalize is not None:
-        finalize()
     recorder = state.recorder
     served_dt = recorder.series("served_dt")
     return [

@@ -13,11 +13,11 @@ configurations in one batch:
 * per-scenario ``V`` / ``ε`` / margins.
 
 Every pack runs two ways — scalar :class:`Simulator` (the reference)
-and the batch engine — and both must agree exactly.  The post-run
-scalar instances must also be indistinguishable from a scalar run's
-controller: virtual-queue state (values, peaks, extremes), the
-price mean including its first-boundary seed, the frozen Lyapunov
-weights and the last planned rate (``finalize()``'s contract).
+and the batch engine — and both must agree exactly.  The batch
+controller's own arrays must also match the scalar run's controller
+at every index: virtual-queue state (values, peaks, extremes), the
+price mean including its first-boundary seed and the frozen Lyapunov
+weights.  The scalar instances handed to the batch are left untouched.
 """
 
 from __future__ import annotations
@@ -134,7 +134,33 @@ def controller_state(controller: SmartDPSS) -> dict:
         "x_queue": controller.battery_queue.state(),
         "price_mean": controller._rt_price_mean.state(),
         "frozen_weights": controller.frozen_weights,
-        "planned_rate": controller._planned_rate,
+    }
+
+
+def vector_state(vec: VecSmartDPSS, index: int) -> dict:
+    """:func:`controller_state` read off the batch controller's arrays.
+
+    The ``X`` extremes stay at ±inf until the battery queue is first
+    observed, where the scalar queue reports ``None``.
+    """
+    observed = bool(np.isfinite(vec._x_min[index]))
+
+    def seen(array: np.ndarray) -> float | None:
+        return float(array[index]) if observed else None
+
+    return {
+        "y_queue": {"value": float(vec._y[index]),
+                    "peak": float(vec._y_peak[index])},
+        "x_queue": {"shift": float(vec._shift[index]),
+                    "value": seen(vec._x_value),
+                    "min_seen": seen(vec._x_min),
+                    "max_seen": seen(vec._x_max)},
+        "price_mean": {"sum": float(vec._rt_sum[index]),
+                       "count": vec._rt_count,
+                       "initial": float(vec._rt_initial[index])},
+        "frozen_weights": (float(vec._q_hat[index]),
+                           float(vec._y_hat[index]),
+                           float(vec._x_hat[index])),
     }
 
 
@@ -154,7 +180,11 @@ def assert_exact(scalar, batch, context: str) -> None:
 
 
 def run_both_ways(runs):
-    """Scalar reference and the batch engine, on fresh controllers."""
+    """Scalar reference and the batch engine, on fresh controllers.
+
+    Returns the scalar results and controllers, then the batch results
+    and the batch controller.
+    """
     scalar_results = []
     scalar_controllers = []
     for run in runs:
@@ -163,36 +193,31 @@ def run_both_ways(runs):
         scalar_results.append(Simulator(
             run.system, controller, run.stream.materialize()).run())
 
-    batch_controllers = [SmartDPSS(run.controller.config) for run in runs]
-    specs = [StreamRunSpec(system=run.system, controller=controller,
-                           stream=run.stream)
-             for run, controller in zip(runs, batch_controllers)]
-    batch_results = streamed_results(
-        specs, controller=VecSmartDPSS(batch_controllers))
-    return ((scalar_results, scalar_controllers),
-            (batch_results, batch_controllers))
+    vec = VecSmartDPSS([run.controller for run in runs])
+    batch_results = streamed_results(runs, controller=vec)
+    return (scalar_results, scalar_controllers), (batch_results, vec)
 
 
 @settings(max_examples=40, deadline=None)
 @given(mixed_packs())
 def test_mixed_config_planning_exact(runs):
     """Batch planning == scalar engine, bit for bit."""
-    (scalar_results, scalar_controllers), \
-        (batch_results, batch_controllers) = run_both_ways(runs)
+    (scalar_results, scalar_controllers), (batch_results, vec) = \
+        run_both_ways(runs)
     for index in range(len(runs)):
         assert_exact(scalar_results[index], batch_results[index],
                      f"scenario {index} (batch planning)")
         reference = controller_state(scalar_controllers[index])
-        assert controller_state(batch_controllers[index]) == reference, \
+        assert vector_state(vec, index) == reference, \
             f"scenario {index}: batch-planned introspection diverges"
 
 
-def test_finalize_restores_scalar_introspection():
-    """Deterministic satellite check: post-run instances match exactly.
+def test_vector_state_matches_scalar_introspection():
+    """Deterministic check: the batch arrays match scalar runs exactly.
 
-    Covers the fields ``finalize()`` historically dropped — the
-    ``x_queue`` extremes, the frozen weights and the price-mean seed —
-    under every planning-config mix on the paper's own traces.
+    Covers the ``X`` queue extremes, the frozen weights and the
+    price-mean seed under every planning-config mix on the paper's own
+    traces, and that the instances given to the batch stay untouched.
     """
     system = paper_system_config(days=3)
     configs = [
@@ -206,19 +231,21 @@ def test_finalize_restores_scalar_introspection():
                           stream=ArrayTraceStream(
                               make_paper_traces(system, seed=11 + index)))
             for index, cfg in enumerate(configs)]
-    (_, scalar_controllers), (_, batch_controllers) = run_both_ways(runs)
-    for index, (reference, batched) in enumerate(
-            zip(scalar_controllers, batch_controllers)):
-        assert controller_state(batched) == controller_state(reference), \
+    (_, scalar_controllers), (_, vec) = run_both_ways(runs)
+    for index, reference in enumerate(scalar_controllers):
+        assert vector_state(vec, index) == controller_state(reference), \
             f"scenario {index}"
+    for run, config in zip(runs, configs):
+        assert run.controller.system is None
+        assert controller_state(run.controller) == controller_state(
+            SmartDPSS(config))
 
 
-def test_finalize_without_planning_keeps_end_slot_extremes():
-    """`end_slot` observations alone must survive `finalize()`.
+def test_end_slot_extremes_without_planning():
+    """`end_slot` observations alone set the battery queue's extremes.
 
     Drives the controllers without ever planning (no coarse boundary),
-    so the battery queue's extremes come from ``end_slot`` only — the
-    case the old sync silently dropped.
+    so the battery queue's extremes come from ``end_slot`` only.
     """
     import types
 
@@ -228,6 +255,8 @@ def test_finalize_without_planning_keeps_end_slot_extremes():
     system = paper_system_config(days=1)
     scalar.begin_horizon(system)
     vec.begin_horizon([system])
+    before = vector_state(vec, 0)
+    assert before["x_queue"] == scalar.battery_queue.state()
 
     for level, served in ((0.4, 0.2), (0.9, 0.0), (0.1, 0.5)):
         scalar.end_slot(types.SimpleNamespace(
@@ -238,8 +267,8 @@ def test_finalize_without_planning_keeps_end_slot_extremes():
             had_backlog=np.array([True]),
             served_dt=np.array([served]),
             battery_level=np.array([level])))
-    vec.finalize()
-    restored = vec.controllers[0]
-    assert restored.battery_queue.state() == scalar.battery_queue.state()
-    assert restored.battery_queue.extremes == scalar.battery_queue.extremes
-    assert restored.delay_queue.state() == scalar.delay_queue.state()
+    after = vector_state(vec, 0)
+    assert after["x_queue"] == scalar.battery_queue.state()
+    assert (after["x_queue"]["min_seen"], after["x_queue"]["max_seen"]) \
+        == scalar.battery_queue.extremes
+    assert after["y_queue"] == scalar.delay_queue.state()

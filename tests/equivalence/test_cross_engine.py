@@ -203,14 +203,13 @@ def test_batch_matches_scalar_slot_for_slot(runs):
 
 
 def test_p5_fast_path_matches_scalar_tie_zone():
-    """The batch P5 fast path picks the scalar scan's vertex.
+    """The batch P5 row selection picks the scalar scan's vertex.
 
     At slot 1 of scenario 0 the candidate values include ``1e-31``
     (row 2) and ``-1e-12`` (row 3).  The scalar scan keeps row 2,
     because row 3's ``-1e-12`` is not below
-    ``fl(1e-31 - 1e-12) == -1e-12``; argmin would pick row 3.  The
-    fast path must send this lane to the exact replay, or ``grt``
-    diverges by 1.0 at slot 2.
+    ``fl(1e-31 - 1e-12) == -1e-12``; argmin would pick row 3, and
+    ``grt`` would then diverge by 1.0 at slot 2.
     """
     system = SystemConfig(
         fine_slots_per_coarse=1, num_coarse_slots=4, p_grid=1, s_max=1,

@@ -25,7 +25,6 @@ from repro.fleet.engine import (
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec
 from repro.sim.engine import Simulator
-from repro.traces.noise import NoisyTraceView
 
 pytestmark = [pytest.mark.noise, pytest.mark.equivalence,
               pytest.mark.fleet]
@@ -67,17 +66,14 @@ def run_streamed(specs: list[ScenarioSpec],
 
 
 def run_reference(specs: list[ScenarioSpec]) -> list[dict]:
-    """Scalar reference: materialized traces + NoisyTraceView pair."""
+    """Scalar reference: materialized traces, observed whole."""
     metrics = []
     for spec in specs:
         system = spec.build_system()
         traces = spec.open_stream(system).materialize()
         observation = spec.build_observation(system)
-        observed = None
-        if observation is not None:
-            view = NoisyTraceView(
-                true=traces, observed=observation.observed_traces(traces))
-            observed = view.observed
+        observed = None if observation is None \
+            else observation.observed_traces(traces)
         result = Simulator(system, spec.build_controller(traces), traces,
                            observed=observed).run()
         metrics.append(

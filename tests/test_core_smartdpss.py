@@ -6,7 +6,6 @@ from repro.config.control import SmartDPSSConfig
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.interfaces import CoarseObservation, FineObservation
 from repro.core.smartdpss import SmartDPSS
-from repro.exceptions import ConfigurationError
 
 
 def coarse_obs(**overrides) -> CoarseObservation:
@@ -156,37 +155,3 @@ class TestShiftModes:
             ctrl.real_time(fine_obs(price_rt=150.0))
         ctrl.plan_long_term(coarse_obs(coarse_index=1, fine_slot=24))
         assert ctrl.battery_queue.shift > first_shift
-
-
-class TestRunningMeanState:
-    """state()/load_state() must carry the first-boundary seed."""
-
-    def test_round_trip_preserves_seed(self):
-        from repro.core.smartdpss import _RunningMean
-
-        seeded = _RunningMean(initial=4.2)
-        snapshot = seeded.state()
-        restored = _RunningMean()
-        restored.load_state(snapshot)
-        # Before any observation the mean *is* the seed: restoring
-        # sum/count without the seed would silently change it.
-        assert restored.value == 4.2
-        assert restored.state() == snapshot
-
-    def test_round_trip_after_observations(self):
-        from repro.core.smartdpss import _RunningMean
-
-        mean = _RunningMean(initial=1.0)
-        mean.observe(2.0)
-        mean.observe(4.0)
-        restored = _RunningMean()
-        restored.load_state(mean.state())
-        assert restored.value == mean.value
-        assert restored.state() == mean.state()
-
-    def test_rejects_negative_count(self):
-        from repro.core.smartdpss import _RunningMean
-
-        with pytest.raises(ConfigurationError):
-            _RunningMean().load_state(
-                {"sum": 0.0, "count": -1, "initial": None})

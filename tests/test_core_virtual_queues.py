@@ -123,49 +123,3 @@ class TestShiftFormulas:
         low = operational_shift(0.0, 1.0, v=1.0, reference_price=4.0)
         high = operational_shift(0.0, 1.0, v=2.0, reference_price=4.0)
         assert high - low == pytest.approx(4.0)
-
-
-class TestStateRoundTrip:
-    """The explicit state()/load_state() sync contract."""
-
-    def test_delay_queue_round_trip(self):
-        queue = DelayAwareQueue(epsilon=0.5)
-        queue.update(0.0, had_backlog=True)
-        queue.update(0.2, had_backlog=True)
-        snapshot = queue.state()
-        other = DelayAwareQueue(epsilon=0.5)
-        other.load_state(snapshot)
-        assert other.state() == snapshot
-        assert other.value == queue.value
-        assert other.peak == queue.peak
-
-    def test_delay_queue_rejects_negative_state(self):
-        queue = DelayAwareQueue(epsilon=0.5)
-        with pytest.raises(ConfigurationError):
-            queue.load_state({"value": -1.0, "peak": 0.0})
-
-    def test_battery_queue_round_trip(self):
-        queue = BatteryVirtualQueue(shift=0.3)
-        queue.observe(0.8)
-        queue.observe(0.1)
-        snapshot = queue.state()
-        other = BatteryVirtualQueue(shift=0.0)
-        other.load_state(snapshot)
-        assert other.state() == snapshot
-        assert other.extremes == queue.extremes
-        assert other.value == queue.value
-
-    def test_battery_queue_restores_never_observed(self):
-        observed = BatteryVirtualQueue(shift=1.0)
-        observed.observe(2.0)
-        observed.load_state(BatteryVirtualQueue(shift=1.0).state())
-        with pytest.raises(StateError):
-            observed.value
-        with pytest.raises(StateError):
-            observed.extremes
-
-    def test_battery_queue_rejects_partial_observation(self):
-        queue = BatteryVirtualQueue(shift=0.0)
-        with pytest.raises(ConfigurationError):
-            queue.load_state({"shift": 0.0, "value": 1.0,
-                              "min_seen": None, "max_seen": 1.0})

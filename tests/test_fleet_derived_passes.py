@@ -213,17 +213,6 @@ class TestCostOnlyPass:
         expected = full.run()["time_avg_cost"]
         assert _bits_equal(cost_only.time_avg_cost(), expected)
 
-    def test_skips_the_controller_finalize(self, monkeypatch):
-        runs, _ = _cost_only_runs("smartdpss", None)
-        engine = StreamingBatchSimulator(runs)
-        assert isinstance(engine.controller, VecSmartDPSS)
-
-        def fail():
-            raise AssertionError("finalize() ran in a cost-only pass")
-
-        monkeypatch.setattr(engine.controller, "finalize", fail)
-        assert engine.time_avg_cost().shape == (len(runs),)
-
     @pytest.mark.offline
     def test_derived_fleet_records_independent_of_batch_size(self):
         """The tier-1 twin of perfbench's shard/chunk invariance check:

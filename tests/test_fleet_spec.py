@@ -126,6 +126,46 @@ class TestScenarioSpec:
                 other_kind.group_key(), other_trace.group_key()}
         assert len(keys) == 4
 
+    @pytest.mark.parametrize("kind", ["stream", "paper"])
+    def test_trace_key_is_what_generation_reads(self, kind):
+        """Battery, cycle-budget and ``T`` variants are trace twins;
+        the seed, model overrides, ``p_grid``, reshapes and ``β``
+        split the key."""
+        def spec(seed=3, trace=None, **system):
+            return ScenarioSpec(
+                seed=seed,
+                system={"preset": "paper", "days": 2, **system},
+                trace={"kind": kind, **(trace or {})})
+
+        base = spec()
+        twins = [spec(battery_minutes=30.0), spec(cycle_budget=3),
+                 spec(fine_slots_per_coarse=6)]
+        for twin in twins:
+            assert twin.trace_key() == base.trace_key(), twin.system
+        assert_same_traces(twins[0].build_traces(), base.build_traces())
+        others = [spec(seed=4), spec(trace={"seed": 5}),
+                  spec(trace={"solar": {"capacity_mw": 3.0}}),
+                  spec(trace={"price": {"mean_price": 40.0}}),
+                  spec(peak_demand_mw=3.0)]
+        if kind == "paper":
+            others += [spec(trace={"renewable_penetration": 0.2}),
+                       spec(trace={"demand_variation": 0.5}),
+                       spec(expansion=2.0)]
+        keys = {base.trace_key(), *(other.trace_key() for other in others)}
+        assert len(keys) == len(others) + 1
+
+    def test_trace_key_hashes_list_valued_overrides(self):
+        """A JSON list override keys (and builds) like its tuple."""
+        def key(attenuation):
+            return ScenarioSpec(
+                system={"preset": "paper", "days": 1},
+                trace={"kind": "stream",
+                       "solar": {"cloud_attenuation": attenuation}}
+            ).trace_key()
+
+        assert hash(key([1.0, 0.5, 0.1])) == hash(key((1.0, 0.5, 0.1)))
+        assert key([1.0, 0.5, 0.1]) == key((1.0, 0.5, 0.1))
+
     def test_trace_seed_defaults_to_spec_seed(self):
         data = small_template().to_dict()
         data["seed"] = 9

@@ -190,14 +190,17 @@ class TestFleetGapColumn:
             assert trimmed == without["metrics"]
 
     @staticmethod
-    def _assert_twins_shared(specs, n_distinct):
+    def _assert_twins_shared(specs, n_distinct, n_lanes=None):
         """One shard over ``specs``: every record equals that spec run
-        alone, and the shard solves one LP per distinct realization.
+        alone, the shard solves one LP per distinct (system,
+        realization) pair, ``n_distinct`` of them, and builds
+        ``n_lanes`` trace lanes (default ``n_distinct``).
 
         With the offline gap off the twins still share one trace lane
         of the streamed engine (counted the same way), and every
         record still equals that spec run alone.
         """
+        n_lanes = n_distinct if n_lanes is None else n_lanes
         runner = FleetRunner(specs, offline_gap=True, robustness=0.2,
                              telemetry=True)
         records = runner.run()
@@ -208,14 +211,14 @@ class TestFleetGapColumn:
             assert record == alone[0], spec.name
         manifest = runner.last_manifest
         assert manifest.stages["lp_solve"]["count"] == n_distinct
-        assert manifest.counters["trace_twins"] == len(specs) - n_distinct
+        assert manifest.counters["trace_twins"] == len(specs) - n_lanes
 
         streamed = FleetRunner(specs, telemetry=True)
         records = streamed.run()
         assert streamed.last_run_stats["shards"] == 1
         assert "lp_solve" not in streamed.last_manifest.stages
         assert streamed.last_manifest.counters["trace_twins"] \
-            == len(specs) - n_distinct
+            == len(specs) - n_lanes
         for spec, record in zip(specs, records):
             assert record == FleetRunner([spec]).run()[0], spec.name
 
@@ -229,14 +232,15 @@ class TestFleetGapColumn:
             # Same seed, another solar model: another realization.
             *grid_specs(template, "trace.solar.capacity_mw", [3.0],
                         seeds=[7]),
-            # Same seed and traces, another system (same group key):
-            # another LP instance.
+            # Same seed, another battery (same group key): generation
+            # reads no battery field, so a trace twin, but another LP
+            # instance.
             *grid_specs(template, "system.battery_minutes", [30.0],
                         seeds=[7]),
             *grid_specs(template, "controller.v", [0.1, 1.0],
                         seeds=[8]),
         ]
-        self._assert_twins_shared(specs, n_distinct=4)
+        self._assert_twins_shared(specs, n_distinct=4, n_lanes=3)
 
     @pytest.mark.fleet
     def test_trace_twins_share_work_on_in_memory_shards(self):
