@@ -21,7 +21,10 @@ test:
 test-fast:
 	$(PY) -m pytest -x -q -m "not slow"
 
-# Just the cross-engine equivalence harness + golden fixtures.
+# Exactness only (the `equivalence` marker): the cross-engine
+# equivalence harness, the golden fixtures, and the selection rule
+# P4 and P5 share — their near-tie scan tests and P4's plain-Python
+# window-cost oracle.
 test-equivalence:
 	$(PY) -m pytest -q -m equivalence
 

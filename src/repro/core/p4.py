@@ -41,11 +41,13 @@ Two variants, matching the P5 objective modes:
   (:func:`_base_grids`) plus the deferred-pool / waterfall /
   battery-tier crossings located on that grid
   (:func:`_deferred_breakpoints`) — evaluating every scenario's whole
-  candidate set in one tensor pass.  Because the whole window is
-  priced, the plan buys more on cheap contract days and less on
-  expensive ones — the cross-day arbitrage the two-timescale market
-  structure exists for — with no future statistics beyond the
-  just-observed window.
+  candidate set in one tensor pass, then selects with the scan P5
+  uses (:func:`repro.solvers.piecewise.scan_candidates`): the smallest
+  rate keeps a tie unless a larger one is cheaper by more than 1e-12.
+  Because the whole window is priced, the plan buys more on cheap
+  contract days and less on expensive ones — the cross-day arbitrage
+  the two-timescale market structure exists for — with no future
+  statistics beyond the just-observed window.
 
 Both modes solve on arrays: :meth:`StackedWindows.stack` takes ``(B,)``
 fields and ``(B, W)`` profiles — the batch planner
@@ -63,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.config.control import ObjectiveMode
+from repro.solvers.piecewise import scan_candidates
 
 
 @dataclass(frozen=True)
@@ -399,29 +402,19 @@ def _deferred_breakpoints(w: StackedWindows,
     return padded
 
 
-def _scan(w: StackedWindows, candidates: np.ndarray,
-          values: np.ndarray) -> np.ndarray:
-    """Per-scenario selection with the scalar scan's tie-breaking.
+def _scan(candidates: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each scenario's candidate under the scalar selection rule.
 
-    The reference scan accepts a candidate only when it improves the
-    incumbent by more than 1e-12 (earlier candidates keep ties); when
-    no value lies strictly inside ``(min, min + 1e-12]`` that scan
-    provably selects the first minimizer, so argmin covers the common
-    case and ambiguous rows replay the exact cascade.
+    :func:`~repro.solvers.piecewise.scan_candidates` over the
+    ``(C, count)`` transpose, from row 0: a candidate wins only when it
+    improves the incumbent by more than 1e-12, so the earlier (smaller)
+    rate keeps a tie.
     """
-    minimum = values.min(axis=1)
-    rows = values.argmin(axis=1)
-    gap_zone = ((values <= (minimum + 1e-12)[:, None])
-                & (values != minimum[:, None]))
-    for index in np.nonzero(gap_zone.any(axis=1))[0]:
-        best_value = float("inf")
-        best_row = 0
-        for row, value in enumerate(values[index].tolist()):
-            if value < best_value - 1e-12:
-                best_value = value
-                best_row = row
-        rows[index] = best_row
-    return candidates[np.arange(w.count), rows]
+    count = values.shape[0]
+    rows = scan_candidates(values.T, 0, np.empty(values.shape[::-1]),
+                           np.empty(count), np.empty(count, dtype=np.intp),
+                           np.empty(count, dtype=bool))
+    return candidates[np.arange(count), rows]
 
 
 def solve_windows(w: StackedWindows,
@@ -444,7 +437,7 @@ def solve_windows(w: StackedWindows,
                              axis=1)
     else:
         candidates = grids
-    return _scan(w, candidates, _window_values(w, candidates))
+    return _scan(candidates, _window_values(w, candidates))
 
 
 def _window_cost(state: P4State, rate: float) -> float:

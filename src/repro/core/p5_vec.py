@@ -7,11 +7,10 @@ subdivision of a box; the structure is identical for every scenario
 (≤ 17 candidate vertices: 4 box corners, 3 breakpoint lines × 4 box
 edges, 1 emergency point), so the batch solver materializes the same
 candidates as ``(B,)`` arrays, evaluates the exact objective on all
-scenarios per candidate, and selects each lane's row with the scalar
-scan itself, run over the 17 rows as ``(B,)`` array steps: start at
-row 2 (the emergency action) with an infinite incumbent, and a row
-wins only when its value is below ``fl(best − 1e-12)``, so earlier
-candidates keep ties.  There is no per-lane Python: every lane follows
+scenarios per candidate, and selects each lane's row with the scan P4
+shares, :func:`repro.solvers.piecewise.scan_candidates`: the scalar
+rule run over the 17 rows as ``(B,)`` array steps from row 2 (the
+emergency action).  There is no per-lane Python: every lane follows
 the scalar rule, near ties included.
 
 The solve runs in a :class:`P5Workspace` built once per run: every
@@ -37,6 +36,7 @@ import numpy as np
 
 from repro.config.control import ObjectiveMode
 from repro.exceptions import ConfigurationError
+from repro.solvers.piecewise import scan_candidates
 
 #: Tolerances shared with the scalar solver (see repro.core.modes).
 _UNSERVED_TOL = 1e-9
@@ -353,22 +353,10 @@ def solve_p5_batch(state: BatchSlotState, mode: ObjectiveMode,
     w = work
     _candidates(state, w)
     _objective(state, mode, w)
-    values = w.values
 
-    # The scalar scan, one row at a time for every lane: a row wins when
-    # value < fl(best − 1e-12).  Only that threshold matters, so it is
-    # carried instead of ``best``: it starts at fl(inf − 1e-12) = inf
-    # and becomes the winner's own fl(value − 1e-12).  A lane where no
-    # value is finite keeps row 2, which is exactly the emergency
-    # fallback action (grt_hi, 0) of the scalar solver.
-    np.subtract(values, 1e-12, out=w.ta)
-    w.threshold.fill(np.inf)
-    w.rows.fill(2)
-    for row in range(N_CANDIDATES):
-        np.less(values[row], w.threshold, out=w.lane_ok)
-        np.copyto(w.threshold, w.ta[row], where=w.lane_ok)
-        np.copyto(w.rows, row, where=w.lane_ok)
-
+    # A lane where no value is finite keeps row 2, which is exactly the
+    # emergency fallback action (grt_hi, 0) of the scalar solver.
+    scan_candidates(w.values, 2, w.ta, w.threshold, w.rows, w.lane_ok)
     np.multiply(w.rows, n, out=w.flat_index)
     np.add(w.flat_index, w.lanes, out=w.flat_index)
     np.take(w.grt.reshape(-1), w.flat_index, out=w.out_grt)

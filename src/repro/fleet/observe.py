@@ -18,7 +18,9 @@ per-series carry state, so perturbing the horizon window by window is
 trace streams follow (:mod:`repro.fleet.stream`).  The in-memory
 reference is :meth:`ObservationSpec.observed_traces`, which applies the
 same observer over the full horizon as a single chunk; equivalence
-tests pin streamed == reference across chunkings.
+tests pin streamed == reference across chunkings.  A streamed batch
+perturbs through :class:`BatchObserver`, which runs one such observer
+per noise lane for every model.
 
 Models
 ------
@@ -447,9 +449,12 @@ class BatchObserver:
     lane* per distinct (trace lane, spec): it mints that lane's
     substreams once, perturbs one representative row, and gathers the
     result back to every twin.  A robustness pass over a ``V`` sweep
-    thus draws noise once per seed, not once per ``V`` value.  The
-    gathered rows are fresh, writable copies, so poisoning one row
-    (the ``observe`` fault site) never reaches its twins.
+    thus draws noise once per seed, not once per ``V`` value.  Each
+    noise lane perturbs through its own :class:`ScenarioObserver`, the
+    one path every model takes, so a lane's windows are the per-row
+    reference's by construction.  The gathered rows are fresh,
+    writable copies, so poisoning one row (the ``observe`` fault site)
+    never reaches its twins.
 
     Rows without an observation model pass the truth through; when no
     row has one, :meth:`observe_matrix` returns the true block itself
@@ -477,70 +482,17 @@ class BatchObserver:
         batched = substream_rngs_batch(
             [spec.seed for spec in specs],
             [f"observe:{name}" for name in OBSERVE_SERIES])
-        self.any_active = bool(specs)
-        # Homogeneous-uniform fast path: robustness sweeps (and the
-        # armed-but-quiet overhead bench) wear the uniform model on
-        # *every* row, where per-row python dispatch dominates the
-        # layer's cost.  When the whole batch qualifies, keep one draw
-        # per (noise lane, series, chunk) — the stream contract — but
-        # fill a factor matrix in place (``Generator.random(out=row)``)
-        # and run the perturb arithmetic as vectorized passes.  numpy's
-        # ``uniform(low, high)`` computes ``low + (high-low)·u`` per
-        # element; the staged ``u·range + low`` below performs the
-        # same IEEE ops in the same order, so output stays
-        # bit-identical to the row-at-a-time reference (pinned by the
-        # equivalence suite).
-        self._uniform = None
-        self._observers: list[tuple[int, list[int], ScenarioObserver]] = []
-        active = sum(len(rows) for rows in members)
-        if active and active == len(observations) and all(
-                isinstance(spec.model, UniformNoise) for spec in specs):
-            self._uniform = {name: batched[f"observe:{name}"]
-                             for name in OBSERVE_SERIES}
-            # Each noise lane's first row, and each row's noise lane;
-            # both ``None`` when no row has a twin.
-            self._firsts = self._gather = None
-            if len(specs) < active:
-                self._firsts = np.array([rows[0] for rows in members])
-                self._gather = np.empty(active, dtype=np.intp)
-                for index, rows in enumerate(members):
-                    self._gather[rows] = index
-            error = np.array([[spec.model.rel_error] for spec in specs])
-            self._low = 1.0 - error
-            self._range = (1.0 + error) - self._low
-            self._caps = np.array(
-                [[np.inf if spec.price_cap is None else spec.price_cap]
-                 for spec in specs])
-            return
-        for index, (spec, rows) in enumerate(zip(specs, members)):
-            rngs = {name: batched[f"observe:{name}"][index]
-                    for name in OBSERVE_SERIES}
-            self._observers.append(
-                (rows[0], rows, ScenarioObserver(spec, rngs=rngs)))
+        self._observers = [
+            (rows[0], rows, ScenarioObserver(
+                spec, rngs={name: batched[f"observe:{name}"][index]
+                            for name in OBSERVE_SERIES}))
+            for index, (spec, rows) in enumerate(zip(specs, members))]
 
     def observe_matrix(self, name: str, true: np.ndarray) -> np.ndarray:
         """Observed ``(B, n)`` block for one series' true block.
 
         Returns ``true`` itself (alias) when no row has a model.
         """
-        if self._uniform is not None:
-            rngs = self._uniform[name]
-            factors = np.empty((len(rngs), true.shape[1]))
-            for lane, rng in enumerate(rngs):
-                rng.random(out=factors[lane])
-            factors *= self._range
-            factors += self._low
-            np.multiply(true if self._firsts is None
-                        else true[self._firsts], factors, out=factors)
-            observed = np.clip(factors, 0.0, None, out=factors)
-            if name in _PRICE_SERIES:
-                # Rows with no market cap clip against +inf, which the
-                # scalar path's skipped second clip also leaves as-is
-                # (values are >= 0 after the floor, so the repeated
-                # lower clip is bitwise idempotent).
-                np.clip(observed, 0.0, self._caps, out=observed)
-            return observed if self._gather is None \
-                else observed[self._gather]
         if not self._observers:
             return true
         observed = true.copy()

@@ -197,9 +197,13 @@ def _materialize(streams: "list", firsts: "list[int]"
 
 
 def _relative_gap(cost: float, reference: float) -> float:
-    """``cost``'s relative excess over ``reference`` (0 at a zero one)."""
-    return ((cost - reference) / abs(reference)
-            if abs(reference) > 0 else 0.0)
+    """``cost``'s relative excess over ``reference`` (0 at a zero one).
+
+    Costs are sums of non-negative prices, energies and penalties
+    (``StreamingBatchSimulator._check_prices`` and ``SystemConfig``
+    reject negative ones), so ``reference`` is never negative.
+    """
+    return (cost - reference) / reference if reference > 0 else 0.0
 
 
 def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",

@@ -18,8 +18,13 @@ line.  Enumerating all (box corner) × (breakpoint line ∩ box edge)
 points and evaluating the exact objective is therefore optimal — no
 iterative solver, no tolerance tuning.
 
-:func:`piecewise_candidates_1d` handles the analogous one-dimensional
-case used by P4 and by tests.
+:func:`minimize_over_candidates` states the selection rule P4 and P5
+share: the earliest candidate wins unless a later one beats it by more
+than 1e-12.  :func:`scan_candidates` is its array form and the one
+selection scan of the batch P5 solver and of P4 (scalar and batch
+alike).  :func:`piecewise_candidates_1d` states the one-dimensional
+candidate grid that P4 builds in array form
+(:func:`repro.core.p4._base_grids`); only tests call it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,34 @@ def minimize_over_candidates(
     if best_point is None:
         raise ConfigurationError("no candidates supplied")
     return best_value, best_point
+
+
+def scan_candidates(values: np.ndarray, default: int,
+                    shifted: np.ndarray, threshold: np.ndarray,
+                    rows: np.ndarray, wins: np.ndarray) -> np.ndarray:
+    """:func:`minimize_over_candidates`'s rule in every lane at once.
+
+    ``values`` is ``(R, L)``: candidate row ``r``'s value in lane
+    ``l``.  Each lane starts at row ``default`` with an infinite
+    incumbent, and row ``r`` wins when its value is below
+    ``fl(best − 1e-12)``, so an earlier row keeps a tie.  Only that
+    threshold matters, so the scan carries it instead of ``best``: it
+    starts at ``fl(inf − 1e-12) = inf`` and becomes the winner's
+    ``fl(value − 1e-12)``.  A lane with no finite value keeps
+    ``default``.
+
+    The buffers are the caller's: ``shifted`` is ``(R, L)`` float,
+    ``threshold`` ``(L,)`` float, ``rows`` ``(L,)`` integer and
+    ``wins`` ``(L,)`` bool.  Returns ``rows``.
+    """
+    np.subtract(values, 1e-12, out=shifted)
+    threshold.fill(np.inf)
+    rows.fill(default)
+    for row, lane_values in enumerate(values):
+        np.less(lane_values, threshold, out=wins)
+        np.copyto(threshold, shifted[row], where=wins)
+        np.copyto(rows, row, where=wins)
+    return rows
 
 
 def piecewise_candidates_1d(lower: float, upper: float,

@@ -1,9 +1,11 @@
 """Property-based tests: P4 planning invariants."""
 
+import math
 import struct
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.config.control import ObjectiveMode
@@ -11,10 +13,14 @@ from repro.core.p4 import (
     _SCALAR_FIELDS,
     P4State,
     StackedWindows,
+    _scan,
     _window_cost,
+    _window_values,
     solve_p4,
     solve_windows,
 )
+from repro.solvers.piecewise import minimize_over_candidates
+from tests.property.test_property_p5 import near_tie_columns
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=2.0),
                     min_size=4, max_size=24)
@@ -185,3 +191,105 @@ def test_batched_solve_matches_scalar_solves(states, mode):
         assert _bits(rates[row]) == _bits(solution.rate)
         assert _bits(gbef[row]) == _bits(solution.gbef)
         assert _bits(w.floors[row]) == _bits(solution.floor_rate)
+
+
+# ----------------------------------------------------------------------
+# Row selection under near ties
+# ----------------------------------------------------------------------
+
+
+def _reference_row(values) -> int:
+    """The row :func:`minimize_over_candidates` picks from ``values``."""
+    _, (row,) = minimize_over_candidates(
+        lambda row: values[row], [(row,) for row in range(len(values))])
+    return row
+
+
+@pytest.mark.equivalence
+def test_p4_scan_keeps_earlier_rate_on_near_tie():
+    """Rate 20 undercuts rate 10 by 1e-12 + 1e-31, which rounds to no
+    more than 1e-12: fl(1e-31 - 1e-12) = -1e-12, and -1e-12 is not
+    below it, so the earlier rate keeps the tie."""
+    rates = _scan(np.array([[10.0, 20.0]]), np.array([[1e-31, -1e-12]]))
+    assert rates.tolist() == [10.0]
+    assert _reference_row([1e-31, -1e-12]) == 0
+
+
+@pytest.mark.equivalence
+@settings(max_examples=40, deadline=None)
+@given(st.lists(near_tie_columns(), min_size=1, max_size=6))
+def test_p4_scan_matches_scalar_rule(lanes):
+    """Random near-tie value rows (P5's offsets and ``inf`` entries),
+    one per scenario: ``_scan`` returns the candidate that
+    :func:`minimize_over_candidates` picks in every scenario."""
+    values = np.array(lanes)
+    labels = np.tile(np.arange(values.shape[1], dtype=float),
+                     (len(lanes), 1))
+    assert _scan(labels, values).tolist() \
+        == [float(_reference_row(lane)) for lane in lanes]
+
+
+# ----------------------------------------------------------------------
+# An independent window-cost oracle
+# ----------------------------------------------------------------------
+
+
+def _oracle_window_cost(s: P4State, rate: float) -> float:
+    """The derived window cost, written from ``core/p4.py``'s rules.
+
+    Plain Python over the slots of the window, sharing no code with
+    ``_window_values``.
+    """
+    n = len(s.profile_demand_ds)
+    scale = s.t_slots / n
+    cost = s.v * s.price_lt * rate * s.t_slots
+    surplus = 0.0
+    for demand, renewable, price in zip(
+            s.profile_demand_ds, s.profile_renewable, s.profile_price_rt):
+        net = demand - renewable
+        if net > rate:
+            # Each slot's deficit is topped up at that hour's price.
+            cost += s.v * price * (net - rate) * scale
+        else:
+            surplus += (rate - net) * scale
+
+    # The deferred pool: served free from surplus, then bought at the
+    # cheapest hours, at most one slot's headroom per hour.
+    arrivals = (sum(s.profile_demand_dt) * scale
+                if s.plan_deferrable_arrivals else 0.0)
+    pool = min(s.q_hat + arrivals, s.s_dt_max * s.t_slots)
+    free = min(surplus, pool)
+    remaining = pool - free
+    leftover = surplus - free
+    headroom = max(0.0, s.p_grid - rate) * scale
+    for price in sorted(s.profile_price_rt):
+        bought = min(remaining, headroom)
+        cost += s.v * price * bought
+        remaining -= bought
+
+    # The battery tier credits what it absorbs; the rest is wasted.
+    credit = -s.x_hat * s.eta_c
+    if credit > 0 and s.charge_headroom_total > 0:
+        absorbed = min(leftover, s.charge_headroom_total)
+        cost -= credit * absorbed
+        leftover -= absorbed
+    return cost + s.v * s.waste_penalty * leftover
+
+
+@pytest.mark.equivalence
+@settings(max_examples=300, deadline=None)
+@given(state=p4_states(),
+       probes=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                       min_size=1, max_size=8))
+def test_window_values_match_plain_python_oracle(state, probes):
+    """``_window_values`` equals the oracle at random rates between the
+    feasibility floor and ``Pgrid``."""
+    floor = min(max(0.0, state.demand_ds - state.renewable
+                    - state.discharge_avail), state.p_grid)
+    rates = [floor + u * (state.p_grid - floor) for u in probes]
+    values = _window_values(StackedWindows.from_state(state),
+                            np.array([rates]))[0]
+    for rate, value in zip(rates, values.tolist()):
+        expected = _oracle_window_cost(state, rate)
+        assert math.isclose(value, expected, rel_tol=1e-9,
+                            abs_tol=1e-9), (rate, value, expected)

@@ -173,11 +173,13 @@ def near_tie_columns(draw):
         for _ in range(17)]
 
 
+@pytest.mark.equivalence
 def test_p5_batch_scan_keeps_scalar_rule_on_near_ties():
     """A lane whose later row beats the incumbent by 5e-10: rows 5, 6
-    and 7 hold 1.0, 1.0 - 5e-10 and 1.0 - 5e-10 + 1e-13.  Row 7 is
-    within 1e-12 of the minimum, so the lane takes the exact replay;
-    the scalar rule picks row 6 (a 1e-9 tolerance would keep row 5)."""
+    and 7 hold 1.0, 1.0 - 5e-10 and 1.0 - 5e-10 + 1e-13.  The scalar
+    rule picks row 6: row 7 is not below fl(row 6 - 1e-12), and a
+    1e-9 tolerance would keep row 5.  The all-``inf`` lane keeps the
+    emergency row 2."""
     inf = float("inf")
     column = [inf] * 17
     column[5], column[6], column[7] = 1.0, 1.0 - 5e-10, 1.0 - 5e-10 + 1e-13
@@ -186,10 +188,11 @@ def test_p5_batch_scan_keeps_scalar_rule_on_near_ties():
     assert rows == [_scalar_scan(column), _scalar_scan(all_inf)] == [6, 2]
 
 
+@pytest.mark.equivalence
 @settings(max_examples=40, deadline=None)
 @given(st.lists(near_tie_columns(), min_size=1, max_size=6))
 def test_p5_batch_scan_matches_scalar_rule(columns):
-    """Random near-tie matrices: the batch scan's fast path plus exact
-    replay selects the scalar rule's row in every lane."""
+    """Random near-tie matrices: the one-pass batch scan selects the
+    scalar rule's row in every lane."""
     matrix = [list(row) for row in zip(*columns)]
     assert _batch_rows(matrix) == [_scalar_scan(c) for c in columns]

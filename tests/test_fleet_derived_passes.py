@@ -89,9 +89,9 @@ class TestObservationTwins:
                              ids=["quiet-row", "all-observed"])
     def test_observed_blocks_equal_per_row_observers(
             self, monkeypatch, minted, model, chunk_coarse, quiet):
-        """Without the quiet row the uniform model takes the
-        homogeneous fast path; with it, every model takes the generic
-        one."""
+        """Every model perturbs through one observer per noise lane,
+        with or without the quiet row; the quiet row checks only that
+        a row without a model passes the truth through."""
         template = _spec(seed=3)
         system = template.build_system()
         lane_a = template.open_stream(system)

@@ -242,7 +242,6 @@ class TestObservationSpec:
     def test_batch_observer_aliases_when_disabled(self):
         block = np.ones((3, 4))
         quiet = BatchObserver([None, None, None])
-        assert not quiet.any_active
         assert quiet.observe_matrix("demand_ds", block) is block
         spec = ObservationSpec(model=UniformNoise(rel_error=0.4), seed=1)
         mixed = BatchObserver([None, spec, None])
