@@ -59,6 +59,7 @@ from repro.core.interfaces import (
 from repro.exceptions import ConfigurationError
 from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
+from repro.telemetry.core import TELEMETRY_OFF
 from repro.traces.base import TraceBlock, TraceSet
 
 #: Default service deadline for deferrable demand in the offline LP.
@@ -259,7 +260,8 @@ class _OfflineStructure:
 
     def solve(self, plt: np.ndarray, prt: np.ndarray,
               dds: np.ndarray, ddt: np.ndarray,
-              renewable: np.ndarray, telemetry=None) -> OfflinePlan:
+              renewable: np.ndarray,
+              telemetry=TELEMETRY_OFF) -> OfflinePlan:
         """Stamp one scenario's numerics and solve."""
         vectors = self.instance_vectors(plt, prt, dds, ddt, renewable)
         solution = self.compiled.solve(fast=self.fast,
@@ -327,7 +329,8 @@ def solve_offline_plan_batch(system: SystemConfig, block: TraceBlock,
                              DEFAULT_DEADLINE_SLOTS,
                              include_real_time: bool = True,
                              cycle_proxy_cost: float = 0.0,
-                             telemetry=None) -> list[OfflinePlan]:
+                             telemetry=TELEMETRY_OFF
+                             ) -> list[OfflinePlan]:
     """Solve the offline LP for every scenario of a trace block.
 
     The constraint structure is compiled once and each scenario stamps

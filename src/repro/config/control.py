@@ -64,11 +64,6 @@ class SmartDPSSConfig:
         When ``False`` the controller never charges or discharges,
         reproducing "no battery" ("NB") even if the physical system has
         one.
-    emergency_purchase:
-        When ``True`` (default, and required for the availability
-        guarantee) the real-time stage always buys at least enough to
-        serve the delay-sensitive demand that renewables, the advance
-        purchase and the battery cannot cover.
     price_scale:
         Dollars-per-MWh per internal controller price unit.  The
         Lyapunov weights compare ``V · price`` against queue backlogs
@@ -103,7 +98,6 @@ class SmartDPSSConfig:
     objective_mode: ObjectiveMode = ObjectiveMode.DERIVED
     use_long_term_market: bool = True
     use_battery: bool = True
-    emergency_purchase: bool = True
     price_scale: float = 10.0
     battery_shift_mode: str = "operational"
     battery_price_margin: float = 3.0

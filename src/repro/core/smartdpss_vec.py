@@ -94,21 +94,20 @@ class VecSmartDPSS:
         ``config`` and ``name`` are read; the instances are never
         driven or modified.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` (``None`` = off).
-        Times the pooled P4 tensor pass (``p4`` span, one per coarse
-        boundary) and the vectorized P5 solve (``p5``, guarded, every
-        fine slot); never touches numeric state, so decisions are
+        The collector (:data:`~repro.telemetry.TELEMETRY_OFF` by
+        default) that times the pooled P4 tensor pass (``p4`` span, one
+        per coarse boundary) and the vectorized P5 solve (``p5``, every
+        fine slot); it never touches numeric state, so decisions are
         bit-identical with it on or off.
     """
 
     def __init__(self, controllers: Sequence[SmartDPSS], *,
-                 telemetry=None):
+                 telemetry=TELEMETRY_OFF):
         if not controllers:
             raise ConfigurationError("need at least one controller")
         self._configs = [c.config for c in controllers]
         self.names = [c.name for c in controllers]
-        self._telemetry = telemetry if telemetry is not None \
-            else TELEMETRY_OFF
+        self._telemetry = telemetry
         modes = {config.objective_mode for config in self._configs}
         if len(modes) > 1:
             raise ConfigurationError(
@@ -348,13 +347,8 @@ class VecSmartDPSS:
             grt_cap=w.grt_cap,
             battery_margin=self._margin_n,
         )
-        tele = self._telemetry
-        if not tele.enabled:
+        with self._telemetry.span("p5"):
             return solve_p5_batch(state, self.mode, self._work_p5)
-        t0 = tele.clock()
-        decision = solve_p5_batch(state, self.mode, self._work_p5)
-        tele.add_time("p5", tele.clock() - t0)
-        return decision
 
     def end_slot(self, feedback) -> None:
         """Vectorized queue updates (eq. 12 and the battery tracker)."""

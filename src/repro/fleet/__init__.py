@@ -44,12 +44,16 @@ Instrumentation (:mod:`repro.telemetry`) is explicitly passed down
 the pipeline — runner → engine → controller → solvers — and records
 are bit-identical with telemetry on or off: span timers only read the
 monotonic clock, never numeric state.  Disabled (the default), every
-instrumented site costs one attribute check.
+layer holds :data:`~repro.telemetry.TELEMETRY_OFF`, and each stage
+span is one no-op call.
 
 Failure semantics
 -----------------
 One poisoned scenario or one dead worker must not kill a 10⁴-scenario
-sweep.  Unless ``FleetRunner(fail_fast=True)``:
+sweep.  A spec with an unknown kind or option name never reaches a
+worker: ``FleetRunner`` rejects it when the fleet is built
+(:func:`~repro.fleet.spec.check_spec_options`), naming the spec
+position and the option.  Unless ``FleetRunner(fail_fast=True)``:
 
 * A shard exception, a worker crash (``BrokenProcessPool`` — the pool
   is respawned) or an expired ``shard_timeout`` sends the shard

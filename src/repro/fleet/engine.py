@@ -506,13 +506,16 @@ class StreamingBatchSimulator:
 
     def __init__(self, runs: Sequence[StreamRunSpec],
                  controller: BatchController | None = None,
-                 *, chunk_coarse: int = 4, telemetry=None, faults=None):
+                 *, chunk_coarse: int = 4, telemetry=TELEMETRY_OFF,
+                 faults=None):
         """Shape checks, controller selection, parameter stacking,
         outage-schedule validation and the trace cursor.
 
-        ``telemetry`` (``None`` = off) is a
-        :class:`~repro.telemetry.Telemetry`; instrumentation only reads
-        clocks, so records are bit-identical either way.
+        ``telemetry`` is the collector every stage span lands in (a
+        :class:`~repro.telemetry.Telemetry`, or the default
+        :data:`~repro.telemetry.TELEMETRY_OFF`); it is handed to the
+        default controller too.  Instrumentation only reads clocks, so
+        records are bit-identical either way.
         """
         if not runs:
             raise ConfigurationError("need at least one run")
@@ -525,10 +528,9 @@ class StreamingBatchSimulator:
                 f"batched systems must share (T, K, slot_hours), got "
                 f"{sorted(shapes)}")
         self.systems = systems
-        self._telemetry = telemetry if telemetry is not None \
-            else TELEMETRY_OFF
+        self._telemetry = telemetry
         self.controller = controller if controller is not None \
-            else _default_controller(self.runs, telemetry=self._telemetry)
+            else _default_controller(self.runs, telemetry=telemetry)
 
         self._n_slots = systems[0].horizon_slots
         self._t_slots = systems[0].fine_slots_per_coarse
@@ -664,35 +666,34 @@ class StreamingBatchSimulator:
             self._obs_prt = self._true_prt
             self._obs_plt = self._true_plt
         else:
-            tele = self._telemetry
-            t0 = tele.clock() if tele.enabled else 0.0
-            observed = {name: observer.observe_matrix(name, raw[name])
-                        for name in ("demand_ds", "demand_dt",
-                                     "renewable", "price_rt")}
-            obs_tail = self._obs_tail
-            self._obs_tail = {name: block[:, -t_slots:]
-                              for name, block in observed.items()}
-            if obs_tail is not None:
+            with self._telemetry.span("observe"):
                 observed = {
-                    name: np.concatenate([obs_tail[name], block], axis=1)
-                    for name, block in observed.items()}
-            self._obs_dds = observed["demand_ds"]
-            self._obs_ddt = observed["demand_dt"]
-            self._obs_ren = observed["renewable"]
-            self._obs_prt = observed["price_rt"]
-            obs_plt_fine = observer.observe_matrix("price_lt",
-                                                   price_lt_fine)
-            if obs_plt_fine is price_lt_fine:
-                self._obs_plt = self._true_plt
-            else:
-                # Same reshape-mean the true coarse prices come from,
-                # applied to the perturbed fine series — matching the
-                # whole-horizon reference's TraceSet.coarse_prices bit
-                # for bit.
-                self._obs_plt = obs_plt_fine.reshape(
-                    self._batch, -1, t_slots).mean(axis=2)
-            if tele.enabled:
-                tele.add_time("observe", tele.clock() - t0)
+                    name: observer.observe_matrix(name, raw[name])
+                    for name in ("demand_ds", "demand_dt", "renewable",
+                                 "price_rt")}
+                obs_tail = self._obs_tail
+                self._obs_tail = {name: block[:, -t_slots:]
+                                  for name, block in observed.items()}
+                if obs_tail is not None:
+                    observed = {
+                        name: np.concatenate([obs_tail[name], block],
+                                             axis=1)
+                        for name, block in observed.items()}
+                self._obs_dds = observed["demand_ds"]
+                self._obs_ddt = observed["demand_dt"]
+                self._obs_ren = observed["renewable"]
+                self._obs_prt = observed["price_rt"]
+                obs_plt_fine = observer.observe_matrix("price_lt",
+                                                       price_lt_fine)
+                if obs_plt_fine is price_lt_fine:
+                    self._obs_plt = self._true_plt
+                else:
+                    # Same reshape-mean the true coarse prices come
+                    # from, applied to the perturbed fine series —
+                    # matching the whole-horizon reference's
+                    # TraceSet.coarse_prices bit for bit.
+                    self._obs_plt = obs_plt_fine.reshape(
+                        self._batch, -1, t_slots).mean(axis=2)
 
         self._capacity = self._capacity_rows(self._slot0, stop)
 
@@ -842,24 +843,24 @@ class StreamingBatchSimulator:
         Returns the metrics block (see :func:`_fold`); encode it into
         record dicts with :meth:`ScenarioMetrics.rows`.
 
-        Stage timings (chunk generation, observation derivation, the
-        slot loop, delay replay, metric collection) are guarded on
-        ``tele.enabled``; the instrumentation reads clocks only, so
-        streamed metrics are bit-identical with telemetry on or off.
+        Each stage (chunk generation, observation derivation, the slot
+        loop, delay replay, metric collection) is one span; the
+        instrumentation reads clocks only, so streamed metrics are
+        bit-identical with telemetry on or off.
         """
         tele = self._telemetry
         state = self._stream(StreamingAggregator(self._batch))
-        t0 = tele.clock() if tele.enabled else 0.0
         aggregator = state.recorder
-        block = _fold(
-            aggregator, [replay.stats() for replay in aggregator._replays],
-            controller_name=self.controller.names, n_slots=self._n_slots,
-            battery_ops=state.cycles.operations,
-            lt_energy=state.lt_ledger.energy,
-            rt_energy=state.rt_ledger.energy, seed=self._seeds)
-        if tele.enabled:
-            tele.add_time("collect", tele.clock() - t0)
-            tele.count("scenarios", self._batch)
+        with tele.span("collect"):
+            block = _fold(
+                aggregator,
+                [replay.stats() for replay in aggregator._replays],
+                controller_name=self.controller.names,
+                n_slots=self._n_slots,
+                battery_ops=state.cycles.operations,
+                lt_energy=state.lt_ledger.energy,
+                rt_energy=state.rt_ledger.energy, seed=self._seeds)
+        tele.count("scenarios", self._batch)
         return block
 
     def time_avg_cost(self) -> np.ndarray:
@@ -891,34 +892,27 @@ class StreamingBatchSimulator:
             self._observer = None
         self._obs_tail = None
         state = self._begin_run(recorder)
-        # Opening the cursor (the kernel lanes' RNG minting, or the
-        # array lanes' materialization) counts under the first chunk's
-        # ``traces``; every later chunk's span starts where the previous
-        # chunk's delay replay ended.
-        t0 = tele.clock() if tele.enabled else 0.0
-        cursor = self._trace_source.open()
         tail: dict[str, np.ndarray] | None = None
         for start in range(0, self._n_slots, self._chunk_slots):
             stop = min(start + self._chunk_slots, self._n_slots)
-            tail = self._load_chunk(start, stop, cursor, tail)
-            if tele.enabled:
-                tele.add_time("traces", tele.clock() - t0)
-                tele.count("chunks")
-                t0 = tele.clock()
-            for slot in range(start, stop):
-                if fire_slots:
-                    faults.fire("plan" if slot % self._t_slots == 0
-                                else "slot_loop", slot=slot)
-                self._advance_slot(slot, state)
-            if tele.enabled:
-                tele.add_time("slot_loop", tele.clock() - t0)
-                tele.count("slots", stop - start)
-                t0 = tele.clock()
-            state.recorder.flush_delays(
-                start, self._true_ddt[:, start - self._slot0:])
-            if tele.enabled:
-                tele.add_time("delay_replay", tele.clock() - t0)
-                t0 = tele.clock()
+            with tele.span("traces"):
+                # Opening the cursor (the kernel lanes' RNG minting, or
+                # the array lanes' materialization) is trace work, so
+                # it counts under the first chunk's span.
+                if start == 0:
+                    cursor = self._trace_source.open()
+                tail = self._load_chunk(start, stop, cursor, tail)
+            tele.count("chunks")
+            with tele.span("slot_loop"):
+                for slot in range(start, stop):
+                    if fire_slots:
+                        faults.fire("plan" if slot % self._t_slots == 0
+                                    else "slot_loop", slot=slot)
+                    self._advance_slot(slot, state)
+            tele.count("slots", stop - start)
+            with tele.span("delay_replay"):
+                state.recorder.flush_delays(
+                    start, self._true_ddt[:, start - self._slot0:])
         return state
 
     def _begin_run(self, recorder) -> _RunState:
@@ -955,9 +949,9 @@ class StreamingBatchSimulator:
     def _advance_slot(self, slot: int, state: _RunState) -> None:
         """One fine slot for the whole batch: plan, decide, step.
 
-        Timings are guarded on ``tele.enabled`` so the disabled cost
-        is one attribute check per stage; the instrumentation never
-        touches numeric state (records are bit-identical on/off).
+        ``plan``, ``real_time`` and ``physics`` are one span each; the
+        instrumentation never touches numeric state (records are
+        bit-identical on/off).
         """
         t_slots = self._t_slots
         battery, backlog, cycles = state.battery, state.backlog, state.cycles
@@ -966,22 +960,20 @@ class StreamingBatchSimulator:
         w = self._work
 
         if slot % t_slots == 0:
-            t0 = tele.clock() if tele.enabled else 0.0
-            gbef = np.asarray(
-                self.controller.plan_long_term(
-                    self._coarse_observations(coarse, slot, battery,
-                                              backlog, cycles)),
-                dtype=float)
-            state.block = np.minimum(np.maximum(0.0, gbef),
-                                     self._block_cap)
-            # cost_lt / m1 are scratch here: this slot's physics rewrites
-            # both before reading them.
-            state.lt_ledger.record(
-                state.block, self._true_plt[:, coarse - self._coarse0],
-                w.cost_lt, w.m1)
-            if tele.enabled:
-                tele.add_time("plan", tele.clock() - t0)
-                tele.count("boundaries")
+            with tele.span("plan"):
+                gbef = np.asarray(
+                    self.controller.plan_long_term(
+                        self._coarse_observations(coarse, slot, battery,
+                                                  backlog, cycles)),
+                    dtype=float)
+                state.block = np.minimum(np.maximum(0.0, gbef),
+                                         self._block_cap)
+                # cost_lt / m1 are scratch here: this slot's physics
+                # rewrites both before reading them.
+                state.lt_ledger.record(
+                    state.block, self._true_plt[:, coarse - self._coarse0],
+                    w.cost_lt, w.m1)
+            tele.count("boundaries")
 
         cap = self._capacity[:, slot - self._slot0]
         observed_r = self._obs_ren[:, slot - self._slot0]
@@ -995,24 +987,22 @@ class StreamingBatchSimulator:
         np.maximum(0.0, supply_headroom, out=supply_headroom)
         budget_left = cycles.remaining_into(w.budget_left)
 
-        t0 = tele.clock() if tele.enabled else 0.0
-        grt_request, gamma = self.controller.real_time(
-            BatchFineObservation(
-                fine_slot=slot,
-                coarse_index=coarse,
-                price_rt=self._obs_prt[:, slot - self._slot0],
-                demand_ds=self._obs_dds[:, slot - self._slot0],
-                demand_dt=self._obs_ddt[:, slot - self._slot0],
-                renewable=observed_r,
-                battery_level=battery.level,
-                backlog=backlog.backlog,
-                long_term_rate=rate,
-                grid_headroom=grid_headroom,
-                supply_headroom=supply_headroom,
-                cycle_budget_left=budget_left,
-            ))
-        if tele.enabled:
-            tele.add_time("real_time", tele.clock() - t0)
+        with tele.span("real_time"):
+            grt_request, gamma = self.controller.real_time(
+                BatchFineObservation(
+                    fine_slot=slot,
+                    coarse_index=coarse,
+                    price_rt=self._obs_prt[:, slot - self._slot0],
+                    demand_ds=self._obs_dds[:, slot - self._slot0],
+                    demand_dt=self._obs_ddt[:, slot - self._slot0],
+                    renewable=observed_r,
+                    battery_level=battery.level,
+                    backlog=backlog.backlog,
+                    long_term_rate=rate,
+                    grid_headroom=grid_headroom,
+                    supply_headroom=supply_headroom,
+                    cycle_budget_left=budget_left,
+                ))
         grt_request = np.asarray(grt_request, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
         np.less(grt_request, 0, out=w.m1)
@@ -1030,12 +1020,10 @@ class StreamingBatchSimulator:
                 f"gamma must be in [0, 1], got "
                 f"[{float(gamma.min())}, {float(gamma.max())}]")
 
-        t0 = tele.clock() if tele.enabled else 0.0
-        self._step_physics(slot, coarse, rate, grt_request, gamma,
-                           battery, backlog, cycles, grid_headroom,
-                           state.rt_ledger, state.recorder)
-        if tele.enabled:
-            tele.add_time("physics", tele.clock() - t0)
+        with tele.span("physics"):
+            self._step_physics(slot, coarse, rate, grt_request, gamma,
+                               battery, backlog, cycles, grid_headroom,
+                               state.rt_ledger, state.recorder)
 
     # ------------------------------------------------------------------
     # Stages
@@ -1242,7 +1230,7 @@ class StreamingBatchSimulator:
 
 
 def _default_controller(runs: Sequence[StreamRunSpec],
-                        telemetry=None) -> BatchController:
+                        telemetry=TELEMETRY_OFF) -> BatchController:
     """Pick the vectorized controller when every run is SmartDPSS.
 
     The vectorized controller only reads each instance's config and

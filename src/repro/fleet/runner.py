@@ -14,7 +14,6 @@ into the optional :class:`~repro.fleet.store.ResultStore`.
 
 from __future__ import annotations
 
-import inspect
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -43,10 +42,15 @@ from repro.fleet.engine import (
 )
 from repro.fleet.faults import FaultPlan
 from repro.fleet.observe import ObservationSpec, observation_from_mapping
-from repro.fleet.spec import ORACLE_CONTROLLERS, ScenarioSpec
+from repro.fleet.spec import (
+    ORACLE_CONTROLLERS,
+    ScenarioSpec,
+    check_spec_options,
+)
 from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
 from repro.solvers import batch_lp
 from repro.telemetry import (
+    TELEMETRY_OFF,
     Telemetry,
     TelemetrySnapshot,
     build_manifest,
@@ -115,8 +119,8 @@ class ShardOutcome:
 
 @dataclass(frozen=True)
 class RunProgress:
-    """Cumulative run statistics handed to 4-argument progress
-    callbacks after every finished shard."""
+    """Cumulative run statistics handed to the progress callback after
+    every finished shard."""
 
     scenarios_done: int      # executed so far (resumed specs excluded)
     scenarios_total: int     # to execute this run (resumed excluded)
@@ -132,21 +136,6 @@ class RunProgress:
         eta = remaining / rate if rate > 0 else float("inf")
         return cls(scenarios_done=done, scenarios_total=total,
                    elapsed_s=elapsed_s, rate=rate, eta_s=eta)
-
-
-def _progress_arity(progress: Callable) -> int:
-    """3 for legacy ``(outcome, finished, total)`` callbacks, 4 when
-    the callable also accepts the :class:`RunProgress` stats."""
-    try:
-        parameters = inspect.signature(progress).parameters.values()
-    except (TypeError, ValueError):  # builtins without signatures
-        return 3
-    if any(p.kind == p.VAR_POSITIONAL for p in parameters):
-        return 4
-    positional = [p for p in parameters
-                  if p.kind in (p.POSITIONAL_ONLY,
-                                p.POSITIONAL_OR_KEYWORD)]
-    return 4 if len(positional) >= 4 else 3
 
 
 def _twin_lanes(specs: "list[ScenarioSpec]", systems: "list"
@@ -208,7 +197,7 @@ def _relative_gap(cost: float, reference: float) -> float:
 
 def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
                         block: dict, chunk_coarse: int,
-                        telemetry=None, faults=None) -> None:
+                        telemetry=TELEMETRY_OFF, faults=None) -> None:
     """Add the offline-gap columns to one shard's metrics block.
 
     Solves the clairvoyant LP once per distinct trace realization —
@@ -237,7 +226,6 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     columns stay ``None``, so their records omit both (the telemetry
     counter ``offline_degraded`` counts such scenarios).
     """
-    tele = telemetry
     # system -> traces identity -> the scenarios sharing that pair.
     by_system: dict[object, dict[int, list[int]]] = {}
     for index, (system, traces) in enumerate(zip(systems, traces_list)):
@@ -246,62 +234,60 @@ def _attach_offline_gap(systems: "list", traces_list: "list[TraceSet]",
     # (scenarios sharing one plan, the plan), replayed once each.
     solved: list[tuple[list[int], OfflinePlan]] = []
     degraded = 0
-    t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    for system, realizations in by_system.items():
-        groups = list(realizations.values())
-        try:
-            if faults is not None:
-                faults.fire("lp_solve", subset=[
-                    i for members in groups for i in members])
-            instances = TraceBlock.from_tracesets(
-                [traces_list[members[0]] for members in groups])
-            solved.extend(zip(groups, solve_offline_plan_batch(
-                system, instances, telemetry=tele)))
-        except SolverError:
-            # The batch solve died; retry realization by realization,
-            # firing per scenario so a failure is pinned to (and only
-            # costs) its own scenario.
-            for members in groups:
-                healthy = []
-                for i in members:
+    with telemetry.span("offline_lp"):
+        for system, realizations in by_system.items():
+            groups = list(realizations.values())
+            try:
+                if faults is not None:
+                    faults.fire("lp_solve", subset=[
+                        i for members in groups for i in members])
+                instances = TraceBlock.from_tracesets(
+                    [traces_list[members[0]] for members in groups])
+                solved.extend(zip(groups, solve_offline_plan_batch(
+                    system, instances, telemetry=telemetry)))
+            except SolverError:
+                # The batch solve died; retry realization by
+                # realization, firing per scenario so a failure is
+                # pinned to (and only costs) its own scenario.
+                for members in groups:
+                    healthy = []
+                    for i in members:
+                        try:
+                            if faults is not None:
+                                faults.fire("lp_solve", subset=[i])
+                            healthy.append(i)
+                        except SolverError:
+                            degraded += 1
+                    if not healthy:
+                        continue
                     try:
-                        if faults is not None:
-                            faults.fire("lp_solve", subset=[i])
-                        healthy.append(i)
+                        instances = TraceBlock.from_tracesets(
+                            [traces_list[healthy[0]]])
+                        solved.append((healthy, solve_offline_plan_batch(
+                            system, instances, telemetry=telemetry)[0]))
                     except SolverError:
-                        degraded += 1
-                if not healthy:
-                    continue
-                try:
-                    instances = TraceBlock.from_tracesets(
-                        [traces_list[healthy[0]]])
-                    solved.append((healthy, solve_offline_plan_batch(
-                        system, instances, telemetry=tele)[0]))
-                except SolverError:
-                    degraded += len(healthy)
-    if tele is not None and tele.enabled:
-        tele.add_time("offline_lp", tele.clock() - t0)
-        if degraded:
-            tele.count("offline_degraded", degraded)
-        t0 = tele.clock()
+                        degraded += len(healthy)
+    if degraded:
+        telemetry.count("offline_degraded", degraded)
     offline: list[float | None] = [None] * len(systems)
-    if solved:
-        runs = [StreamRunSpec(
-                    system=systems[members[0]],
-                    controller=OfflineOptimal(None, plan=plan),
-                    stream=ArrayTraceStream(traces_list[members[0]]))
-                for members, plan in solved]
-        # The replay engine is deliberately *not* instrumented: its
-        # slot-loop time belongs to the single ``offline_replay`` stage,
-        # not to the policy run's plan/real_time/physics breakdown.
-        replayed = StreamingBatchSimulator(
-            runs, controller=OfflinePlanBatch([plan for _, plan in solved]),
-            chunk_coarse=chunk_coarse).time_avg_cost()
-        for (members, _), cost in zip(solved, replayed.tolist()):
-            for i in members:
-                offline[i] = cost
-    if tele is not None and tele.enabled:
-        tele.add_time("offline_replay", tele.clock() - t0)
+    with telemetry.span("offline_replay"):
+        if solved:
+            runs = [StreamRunSpec(
+                        system=systems[members[0]],
+                        controller=OfflineOptimal(None, plan=plan),
+                        stream=ArrayTraceStream(traces_list[members[0]]))
+                    for members, plan in solved]
+            # The replay engine is deliberately *not* instrumented: its
+            # slot-loop time belongs to the single ``offline_replay``
+            # stage, not to the policy run's plan/real_time/physics
+            # breakdown.
+            replayed = StreamingBatchSimulator(
+                runs,
+                controller=OfflinePlanBatch([plan for _, plan in solved]),
+                chunk_coarse=chunk_coarse).time_avg_cost()
+            for (members, _), cost in zip(solved, replayed.tolist()):
+                for i in members:
+                    offline[i] = cost
     block["offline_cost"] = offline
     block["offline_gap"] = [
         None if cost is None else _relative_gap(policy, cost)
@@ -313,7 +299,8 @@ def _attach_robustness(specs: "list[ScenarioSpec]",
                        traces_list: "list[TraceSet | None]",
                        block: dict, *,
                        robustness: Mapping[str, object],
-                       chunk_coarse: int, telemetry=None) -> None:
+                       chunk_coarse: int,
+                       telemetry=TELEMETRY_OFF) -> None:
     """Add the paired-noisy columns to one shard's metrics block.
 
     Re-runs every scenario of the shard under the ``robustness``
@@ -338,25 +325,23 @@ def _attach_robustness(specs: "list[ScenarioSpec]",
     harness): it is a derived comparison column, not a second chance
     for chaos faults to fire.
     """
-    tele = telemetry
-    t0 = tele.clock() if tele is not None and tele.enabled else 0.0
-    observations: dict[tuple, ObservationSpec] = {}
-    noisy_runs = []
-    for spec, run, traces in zip(specs, runs, traces_list):
-        key = (spec.seed, run.system.p_max)
-        observation = observations.get(key)
-        if observation is None:
-            observation = observations[key] = observation_from_mapping(
-                robustness, default_seed=spec.seed,
-                price_cap=run.system.p_max)
-        noisy_runs.append(dataclass_replace(
-            run, controller=spec.build_controller(traces),
-            observation=observation))
-    noisy_cost = StreamingBatchSimulator(
-        noisy_runs, chunk_coarse=chunk_coarse).time_avg_cost()
-    if tele is not None and tele.enabled:
-        tele.add_time("robustness", tele.clock() - t0)
-        tele.count("robustness_scenarios", len(specs))
+    with telemetry.span("robustness"):
+        observations: dict[tuple, ObservationSpec] = {}
+        noisy_runs = []
+        for spec, run, traces in zip(specs, runs, traces_list):
+            key = (spec.seed, run.system.p_max)
+            observation = observations.get(key)
+            if observation is None:
+                observation = observation_from_mapping(
+                    robustness, default_seed=spec.seed,
+                    price_cap=run.system.p_max)
+                observations[key] = observation
+            noisy_runs.append(dataclass_replace(
+                run, controller=spec.build_controller(traces),
+                observation=observation))
+        noisy_cost = StreamingBatchSimulator(
+            noisy_runs, chunk_coarse=chunk_coarse).time_avg_cost()
+    telemetry.count("robustness_scenarios", len(specs))
     block["noisy_cost"] = noisy_cost
     block["robustness_gap"] = [
         _relative_gap(cost, clean) for cost, clean in zip(
@@ -405,7 +390,11 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     With ``telemetry`` in the payload the shard owns a fresh
     :class:`~repro.telemetry.Telemetry` collector (explicitly passed
     down to the engine and controller — workers share nothing) and
-    returns its snapshot on :attr:`ShardOutcome.telemetry`.
+    returns its snapshot on :attr:`ShardOutcome.telemetry`; otherwise
+    every layer holds :data:`~repro.telemetry.TELEMETRY_OFF` and that
+    field is ``None``.  The ``shard`` span wraps the whole body, while
+    :attr:`ShardOutcome.elapsed_s` is read off
+    :func:`~repro.telemetry.monotonic` either way.
 
     With a ``fault_plan`` in the payload (chaos tests only), a
     :class:`~repro.fleet.faults.ShardFaults` view is bound from the
@@ -415,80 +404,81 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     lookup per shard.
     """
     t0 = monotonic()
-    specs = [ScenarioSpec.from_dict(data) for data in payload["specs"]]
-    chunk_coarse = int(payload["chunk_coarse"])
-    offline_gap = bool(payload.get("offline_gap", False))
-    robustness = payload.get("robustness")
-    tele = Telemetry() if payload.get("telemetry") else None
-    faults = None
-    if payload.get("fault_plan"):
-        faults = FaultPlan.from_dict(payload["fault_plan"]).bind(
-            [(spec.name, spec.seed) for spec in specs],
-            payload.get("attempts"),
-            in_worker=bool(payload.get("in_worker", False)))
+    tele = Telemetry() if payload.get("telemetry") else TELEMETRY_OFF
+    with tele.span("shard"):
+        specs = [ScenarioSpec.from_dict(data)
+                 for data in payload["specs"]]
+        chunk_coarse = int(payload["chunk_coarse"])
+        offline_gap = bool(payload.get("offline_gap", False))
+        robustness = payload.get("robustness")
+        faults = None
+        if payload.get("fault_plan"):
+            faults = FaultPlan.from_dict(payload["fault_plan"]).bind(
+                [(spec.name, spec.seed) for spec in specs],
+                payload.get("attempts"),
+                in_worker=bool(payload.get("in_worker", False)))
 
-    build_t0 = tele.clock() if tele is not None else 0.0
-    systems = [spec.build_system() for spec in specs]
-    observations = [spec.build_observation(system)
-                    for spec, system in zip(specs, systems)]
-    which, firsts = _twin_lanes(specs, systems)
-    if tele is not None and len(firsts) < len(specs):
-        tele.count("trace_twins", len(specs) - len(firsts))
-    streams = []
-    for i in firsts:
-        try:  # a ``paper`` recipe materializes, and validates, here
-            streams.append(specs[i].open_stream(systems[i]))
-        except TraceCorruptionError as error:
-            raise _at_position(error, i, specs[i].trace_seed) from None
-    traces_list: list[TraceSet | None] = [None] * len(specs)
-    if offline_gap or any(
-            spec.trace_kind == "paper"
-            or spec.controller_kind in ORACLE_CONTROLLERS
-            for spec in specs):
-        realizations = _materialize(streams, firsts)
-        streams = [ArrayTraceStream(traces) for traces in realizations]
-        traces_list = [realizations[lane] for lane in which]
-    runs = [StreamRunSpec(
-                system=system,
-                controller=spec.build_controller(traces),
-                stream=streams[lane],
-                observation=observation)
-            for spec, system, traces, observation, lane
-            in zip(specs, systems, traces_list, observations, which)]
-    if tele is not None:
-        tele.add_time("build", tele.clock() - build_t0)
-    block = StreamingBatchSimulator(
-        runs, chunk_coarse=chunk_coarse, telemetry=tele,
-        faults=faults).run()
-    if offline_gap:
-        _attach_offline_gap(systems, traces_list, block, chunk_coarse,
-                            telemetry=tele, faults=faults)
-    if robustness:
-        _attach_robustness(specs, runs, traces_list, block,
-                           robustness=robustness,
-                           chunk_coarse=chunk_coarse, telemetry=tele)
-    block["observation_rel_error"] = [
-        None if observation is None else observation.rel_error
-        for observation in observations]
+        with tele.span("build"):
+            systems = [spec.build_system() for spec in specs]
+            observations = [spec.build_observation(system)
+                            for spec, system in zip(specs, systems)]
+            which, firsts = _twin_lanes(specs, systems)
+            if len(firsts) < len(specs):
+                tele.count("trace_twins", len(specs) - len(firsts))
+            streams = []
+            for i in firsts:
+                try:  # a ``paper`` recipe materializes, and validates, here
+                    streams.append(specs[i].open_stream(systems[i]))
+                except TraceCorruptionError as error:
+                    raise _at_position(error, i,
+                                       specs[i].trace_seed) from None
+            traces_list: list[TraceSet | None] = [None] * len(specs)
+            if offline_gap or any(
+                    spec.trace_kind == "paper"
+                    or spec.controller_kind in ORACLE_CONTROLLERS
+                    for spec in specs):
+                realizations = _materialize(streams, firsts)
+                streams = [ArrayTraceStream(traces)
+                           for traces in realizations]
+                traces_list = [realizations[lane] for lane in which]
+            runs = [StreamRunSpec(
+                        system=system,
+                        controller=spec.build_controller(traces),
+                        stream=streams[lane],
+                        observation=observation)
+                    for spec, system, traces, observation, lane
+                    in zip(specs, systems, traces_list, observations,
+                           which)]
+        block = StreamingBatchSimulator(
+            runs, chunk_coarse=chunk_coarse, telemetry=tele,
+            faults=faults).run()
+        if offline_gap:
+            _attach_offline_gap(systems, traces_list, block, chunk_coarse,
+                                telemetry=tele, faults=faults)
+        if robustness:
+            _attach_robustness(specs, runs, traces_list, block,
+                               robustness=robustness,
+                               chunk_coarse=chunk_coarse, telemetry=tele)
+        block["observation_rel_error"] = [
+            None if observation is None else observation.rel_error
+            for observation in observations]
 
-    records = tuple(
-        {
-            **_record_head(spec, engine="stream"),
-            **({"observation": observation.describe()}
-               if observation is not None else {}),
-            "metrics": metrics,
-        }
-        for spec, metrics, observation
-        in zip(specs, ScenarioMetrics.rows(block), observations))
+        records = tuple(
+            {
+                **_record_head(spec, engine="stream"),
+                **({"observation": observation.describe()}
+                   if observation is not None else {}),
+                "metrics": metrics,
+            }
+            for spec, metrics, observation
+            in zip(specs, ScenarioMetrics.rows(block), observations))
     elapsed = monotonic() - t0
-    snapshot = None
-    if tele is not None:
-        tele.add_time("shard", elapsed)
-        tele.count("shards")
-        snapshot = tele.snapshot(process=True).as_dict()
-    return ShardOutcome(indices=tuple(payload["indices"]),
-                        records=records, elapsed_s=elapsed,
-                        telemetry=snapshot)
+    tele.count("shards")
+    return ShardOutcome(
+        indices=tuple(payload["indices"]), records=records,
+        elapsed_s=elapsed,
+        telemetry=(tele.snapshot(process=True).as_dict()
+                   if tele.enabled else None))
 
 
 class FleetRunner:
@@ -539,8 +529,10 @@ class FleetRunner:
         :attr:`last_manifest` and appended to the store's
         ``manifest.jsonl`` sidecar.  Records are bit-identical with
         telemetry on or off (instrumentation only reads clocks), at
-        roughly 1–2 % wall-clock cost when on and one attribute check
-        per stage when off.
+        roughly 1–2 % wall-clock cost when on.  Off, every shard
+        worker and the parent hold
+        :data:`~repro.telemetry.TELEMETRY_OFF`, so each stage span is
+        one no-op call.
     max_retries:
         How many times a failing shard is re-run as-is (with bounded
         exponential backoff) before it is bisected; the retry budget
@@ -655,6 +647,10 @@ class FleetRunner:
             # construction, not inside a worker mid-sweep.
             observation_from_mapping(robustness, default_seed=0)
             self.robustness = robustness
+        # Likewise every spec's kinds and option names: a typo would
+        # otherwise fail each shard holding the spec, to be retried,
+        # bisected and quarantined scenario by scenario.
+        check_spec_options(self.specs)
         self.retry_quarantined = retry_quarantined
         self.retry_backoff_s = retry_backoff_s
         #: Run-level telemetry of the most recent :meth:`run` (``None``
@@ -850,12 +846,11 @@ class FleetRunner:
         list, flagged ``"quarantined": True``) — while every healthy
         scenario completes bit-identical to a fault-free run.
 
-        ``progress`` (optional) is called after every finished shard.
-        Legacy 3-argument callables get ``(outcome, finished_shards,
-        total_shards)``; callables accepting a fourth positional
-        argument additionally receive a :class:`RunProgress` with the
-        cumulative scenarios/s rate and ETA.  Skipped shards never
-        appear in it; retried/bisected shards extend the total.
+        ``progress`` (optional) is called after every finished shard
+        as ``progress(outcome, finished_shards, total_shards, stats)``,
+        where ``stats`` is a :class:`RunProgress` with the cumulative
+        scenarios/s rate and ETA.  Skipped shards never appear in it;
+        retried/bisected shards extend the total.
         """
         run_t0 = monotonic()
         records: list[dict | None] = [None] * len(self.specs)
@@ -875,8 +870,7 @@ class FleetRunner:
                 "to_execute": sum(len(p["indices"]) for p in payloads)}
         finished = 0
         executed = 0
-        arity = _progress_arity(progress) if progress is not None else 0
-        parent_tele = Telemetry() if self.telemetry else None
+        parent_tele = Telemetry() if self.telemetry else TELEMETRY_OFF
         shard_snapshots: list[TelemetrySnapshot] = []
         counters = {"retries": 0, "bisections": 0, "quarantined": 0,
                     "pool_respawns": 0}
@@ -914,10 +908,7 @@ class FleetRunner:
             for index, record in zip(outcome.indices, outcome.records):
                 records[index] = record
             if self.store is not None:
-                if parent_tele is not None:
-                    with parent_tele.span("store_append"):
-                        self.store.append(outcome.records)
-                else:
+                with parent_tele.span("store_append"):
                     self.store.append(outcome.records)
                 if torn:
                     _tear_last_line(self.store.path)
@@ -925,13 +916,9 @@ class FleetRunner:
                 shard_snapshots.append(
                     TelemetrySnapshot.from_dict(outcome.telemetry))
             if progress is not None:
-                if arity >= 4:
-                    progress(outcome, finished, plan["total"],
-                             RunProgress.compute(
-                                 executed, plan["to_execute"],
-                                 monotonic() - run_t0))
-                else:
-                    progress(outcome, finished, plan["total"])
+                progress(outcome, finished, plan["total"],
+                         RunProgress.compute(executed, plan["to_execute"],
+                                             monotonic() - run_t0))
 
         workers = self.max_workers
         # A fully resumed run has nothing to ship: no pool, no scipy.
@@ -967,7 +954,7 @@ class FleetRunner:
             "shards": finished,
             **counters,
         }
-        if parent_tele is not None:
+        if parent_tele.enabled:
             for name, value in counters.items():
                 if value:
                     parent_tele.count(name, value)

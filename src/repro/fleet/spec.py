@@ -79,11 +79,12 @@ with seed replicas for the aggregation layer to average back out.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +126,14 @@ TRACE_KINDS = ("stream", "paper")
 TRACE_RESHAPES = {
     "renewable_penetration": rescale_renewable_penetration,
     "demand_variation": reshape_demand_variation,
+}
+
+#: Trace-model override sections: the model and the fields the system
+#: sets on it (which a spec cannot override).
+_TRACE_MODELS = {
+    "demand": (DemandModel, ("d_dt_max", "slot_hours")),
+    "solar": (SolarModel, ("slot_hours",)),
+    "price": (PriceModel, ("price_cap", "slot_hours")),
 }
 
 
@@ -250,34 +259,144 @@ def _smartdpss_config(options: Mapping[str, object]) -> SmartDPSSConfig:
         return SmartDPSSConfig(**options)
 
 
-def _controller_factory(kind: str) -> Callable:
+def _controller_class(kind: str) -> type:
+    """The class a controller kind builds (baselines import lazily)."""
     if kind == "smartdpss":
-        return lambda options, traces: SmartDPSS(
-            _smartdpss_config(options))
+        return SmartDPSS
     if kind == "impatient":
         from repro.baselines.impatient import ImpatientController
 
-        return lambda options, traces: ImpatientController(**options)
+        return ImpatientController
     if kind == "myopic":
         from repro.baselines.myopic import MyopicPriceThreshold
 
-        return lambda options, traces: MyopicPriceThreshold(**options)
+        return MyopicPriceThreshold
     if kind == "lookahead":
         from repro.baselines.lookahead import LookaheadController
 
-        return lambda options, traces: LookaheadController(
-            traces, **options)
+        return LookaheadController
     if kind == "offline":
         from repro.baselines.offline import OfflineOptimal
 
-        return lambda options, traces: OfflineOptimal(traces, **options)
+        return OfflineOptimal
     if kind == "p2_offline":
         from repro.baselines.lookahead import PaperP2Offline
 
-        return lambda options, traces: PaperP2Offline(traces, **options)
+        return PaperP2Offline
     raise ConfigurationError(
         f"unknown controller kind {kind!r}; expected one of "
         f"{CONTROLLER_KINDS}")
+
+
+def _reject_unknown(what: str, names, allowed) -> None:
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} {unknown}; expected some of "
+            f"{sorted(allowed)}")
+
+
+def _check_names(spec: "ScenarioSpec") -> None:
+    """Reject a spec's unknown kinds and option names (see
+    :func:`check_spec_options`)."""
+    system = spec.system
+    preset = system.get("preset", "paper")
+    if preset == "paper":
+        allowed = set(inspect.signature(paper_system_config).parameters)
+    elif preset == "raw":
+        allowed = {f.name for f in fields(SystemConfig)}
+    else:
+        raise ConfigurationError(
+            f"unknown system preset {preset!r} (use 'paper' or 'raw')")
+    _reject_unknown(f"{preset!r} system keys", system,
+                    allowed | {"preset", "expansion"})
+
+    kind = spec.controller_kind
+    if kind == "smartdpss":
+        allowed = {f.name for f in fields(SmartDPSSConfig)}
+    else:  # the constructor's keywords; oracles get the traces
+        allowed = set(inspect.signature(_controller_class(kind)).parameters)
+        allowed.discard("traces")
+    _reject_unknown(f"{kind!r} controller options", spec.controller,
+                    allowed | {"kind"})
+
+    trace = spec.trace
+    if spec.trace_kind not in TRACE_KINDS:
+        raise ConfigurationError(
+            f"unknown trace kind {spec.trace_kind!r}; expected one of "
+            f"{TRACE_KINDS}")
+    _reject_unknown("trace options", trace,
+                    {"kind", "seed", *_TRACE_MODELS, *TRACE_RESHAPES})
+    for section, (model, from_system) in _TRACE_MODELS.items():
+        overrides = trace.get(section, {})
+        if not isinstance(overrides, Mapping):
+            raise ConfigurationError(
+                f"trace.{section} must be a mapping of {model.__name__} "
+                f"fields, got {overrides!r}")
+        _reject_unknown(f"trace.{section} fields", overrides,
+                        {f.name for f in fields(model)} - set(from_system))
+
+    if spec.observation is not None:
+        from repro.fleet.observe import observation_from_mapping
+
+        observation_from_mapping(spec.observation, default_seed=0)
+
+
+def _name_key(spec: "ScenarioSpec") -> tuple:
+    """Everything :func:`_check_names` reads but option values.
+
+    One flat tuple (cheap to build and hash for 10⁴ specs): the kinds
+    and option names of each section, with ``None`` between sections
+    (names are strings).
+    """
+    system, trace = spec.system, spec.trace
+    key = (str(system.get("preset", "paper")), *system, None,
+           spec.controller_kind, *spec.controller, None,
+           spec.trace_kind, *trace)
+    for section in _TRACE_MODELS:
+        if section in trace:
+            overrides = trace[section]
+            key += (None, section, *(overrides if isinstance(
+                overrides, Mapping) else (type(overrides),)))
+    observation = spec.observation
+    if observation is not None:
+        key += (None, "observation", str(observation.get("kind")),
+                *observation)
+    return key
+
+
+def check_spec_options(specs: Sequence["ScenarioSpec"]) -> None:
+    """Reject unknown kinds and option names before a fleet runs.
+
+    Checks, per spec: the system preset and keys
+    (:func:`~repro.config.presets.paper_system_config`'s parameters or
+    :class:`~repro.config.system.SystemConfig`'s fields, plus
+    ``preset`` and ``expansion``); the controller kind and options
+    (:class:`~repro.config.control.SmartDPSSConfig`'s fields, or the
+    baseline constructor's keyword parameters); the trace kind, keys
+    and the ``demand`` / ``solar`` / ``price`` model fields the system
+    does not set; and the observation kind and parameters (through
+    :func:`~repro.fleet.observe.observation_from_mapping`).  Specs with
+    the same kinds and names are checked once.  A failure raises one
+    :class:`ConfigurationError` naming the spec position and the
+    option — where a worker would otherwise fail every shard holding
+    the spec, and the runner retry, bisect and quarantine each one.
+
+    Value errors that only a constructor can see (a negative ``v``, a
+    ``days`` that ``T`` does not divide, a bad ``deadline_slots``) are
+    not checked here: they still raise where the spec is built.
+    """
+    checked: set[tuple] = set()
+    for position, spec in enumerate(specs):
+        key = _name_key(spec)
+        if key in checked:
+            continue
+        try:
+            _check_names(spec)
+        except ConfigurationError as error:
+            raise ConfigurationError(
+                f"spec {position} ({spec.name!r}): {error}") from None
+        checked.add(key)
 
 
 @dataclass(frozen=True)
@@ -453,7 +572,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"{kind!r} is an oracle controller and needs the "
                 f"materialized traces")
-        return _controller_factory(kind)(options, traces)
+        controller = _controller_class(kind)
+        if kind == "smartdpss":
+            return controller(_smartdpss_config(options))
+        if kind in ORACLE_CONTROLLERS:
+            return controller(traces, **options)
+        return controller(**options)
 
     def build_observation(self, system: SystemConfig | None = None):
         """The :class:`~repro.fleet.observe.ObservationSpec` this spec

@@ -9,17 +9,20 @@ two shapes:
 * call through the collector with a **literal** span/counter name —
   disabled calls hit :data:`repro.telemetry.TELEMETRY_OFF`'s
   allocation-free no-ops, so the only cost is the call itself; or
-* guard the site with ``if tele.enabled:`` (or ``if tele is not
-  None:``) before doing anything that allocates — f-string names,
-  formatted labels, snapshot work.
+* guard the site with ``if tele.enabled:`` before doing anything that
+  allocates — f-string names, formatted labels, snapshot work.
+
+Every instrumented layer holds a collector, never ``None``, so an
+``is not None`` test on a collector is always true and guards nothing:
+it does not count as a guard.
 
 What breaks the pattern is a *dynamic* name reaching an unguarded
 site: ``tele.count(f"shard_{i}")`` builds the string every call,
 enabled or not.  The rule flags calls to the telemetry surface
-(``span`` / ``count`` / ``gauge`` / ``add_time`` on a receiver whose
-name mentions ``tele``) where the name argument is not a string
-literal, or any argument is an f-string/string-concat, unless the call
-sits inside an enabled/None guard on that receiver.
+(``span`` / ``count`` on a receiver whose name mentions ``tele``)
+where the name argument is not a string literal, or any argument is
+an f-string/string-concat, unless the call sits inside an
+``.enabled`` guard on that receiver.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.lint.core import Finding, ModuleContext, Rule, dotted_name
 
 _EXEMPT_FRAGMENT = "repro/telemetry/"
 
-_METHODS = frozenset({"span", "count", "gauge", "add_time"})
+_METHODS = frozenset({"span", "count"})
 
 
 def _is_allocating(node: ast.AST) -> bool:
@@ -49,11 +52,8 @@ def _is_allocating(node: ast.AST) -> bool:
 
 def _is_guarded(ctx: ModuleContext, node: ast.Call,
                 receiver: str) -> bool:
-    """Whether an ancestor ``if`` gates this site on the collector.
-
-    Accepts the two blessed shapes: a test mentioning
-    ``<receiver>.enabled`` or ``<receiver> is not None``.
-    """
+    """Whether an ancestor ``if`` gates this site on
+    ``<receiver>.enabled``."""
     for ancestor in ctx.ancestors(node):
         if not isinstance(ancestor, ast.If):
             continue
@@ -61,9 +61,7 @@ def _is_guarded(ctx: ModuleContext, node: ast.Call,
             test = ast.unparse(ancestor.test)
         except Exception:  # pragma: no cover - unparse is total on 3.10+
             continue
-        if receiver not in test:
-            continue
-        if ".enabled" in test or "is not None" in test:
+        if f"{receiver}.enabled" in test:
             return True
     return False
 
@@ -101,9 +99,8 @@ class TelemetryGuard(Rule):
                 ctx, node,
                 f"unguarded telemetry call `{receiver}.{func.attr}` "
                 f"with {problem}; use a literal name or guard the "
-                f"site with `if {receiver}.enabled:` / "
-                f"`if {receiver} is not None:` so the disabled path "
-                "allocates nothing")
+                f"site with `if {receiver}.enabled:` so the disabled "
+                "path allocates nothing")
 
 
 RULE = TelemetryGuard()

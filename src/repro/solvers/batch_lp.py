@@ -60,6 +60,7 @@ from repro.exceptions import (
     UnboundedProblemError,
 )
 from repro.solvers.linear_program import LpModel, LpSolution
+from repro.telemetry.core import TELEMETRY_OFF
 
 #: scipy linprog status codes.
 STATUS_OK = 0
@@ -278,7 +279,7 @@ class CompiledLp:
     def solve(self, c: np.ndarray | None = None,
               b_ub: np.ndarray | None = None,
               b_eq: np.ndarray | None = None,
-              fast: bool = False, telemetry=None) -> LpSolution:
+              fast: bool = False, telemetry=TELEMETRY_OFF) -> LpSolution:
         """Solve one numeric instance of the compiled structure.
 
         ``c`` / ``b_ub`` / ``b_eq`` override the compiled vectors
@@ -287,8 +288,9 @@ class CompiledLp:
         ``fast`` selects the in-process configuration documented in
         the module docstring — callers must use one consistent value
         per structure so repeated solves stay comparable bitwise.
-        ``telemetry`` (optional) times the solve under the
-        ``lp_solve`` span; the solution is unaffected.
+        ``telemetry`` (:data:`~repro.telemetry.TELEMETRY_OFF` by
+        default) times the solve under the ``lp_solve`` span; the
+        solution is unaffected.
         """
         c = self._c if c is None else np.asarray(c, dtype=float)
         b_ub = self._b_ub if b_ub is None else np.asarray(b_ub,
@@ -307,10 +309,6 @@ class CompiledLp:
             raise SolverError(
                 f"{self.name}: b_eq override has shape {b_eq.shape}, "
                 f"structure has {self._b_eq.shape}")
-        if telemetry is None or not telemetry.enabled:
-            if fast and fast_path_available():
-                return self._solve_fast(c, b_ub, b_eq)
-            return self._solve_linprog(c, b_ub, b_eq)
         with telemetry.span("lp_solve"):
             if fast and fast_path_available():
                 return self._solve_fast(c, b_ub, b_eq)

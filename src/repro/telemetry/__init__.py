@@ -3,12 +3,13 @@
 The observability layer of the streamed sweep pipeline, in two parts:
 
 * :mod:`repro.telemetry.core` — :class:`Telemetry` (monotonic span
-  timers, counters, gauges) and the disabled
-  :data:`TELEMETRY_OFF` singleton whose operations are allocation-free
-  no-ops, so instrumented call sites cost one attribute check when
-  telemetry is off.  Per-shard state reduces to a plain-dict
-  :class:`TelemetrySnapshot` that crosses process boundaries and
-  merges associatively.
+  timers and counters) and the disabled :data:`TELEMETRY_OFF`
+  singleton whose operations are allocation-free no-ops.  Every
+  instrumented layer holds one of the two (``TELEMETRY_OFF`` by
+  default, never ``None``) and times a stage with one
+  ``with tele.span(name):`` block.  Per-shard state reduces to a
+  plain-dict :class:`TelemetrySnapshot` that crosses process
+  boundaries and merges associatively.
 * :mod:`repro.telemetry.manifest` — :class:`RunManifest`, the
   run-level record (fleet hash, worker count, per-stage
   wall-time breakdown, scenarios/s, cache stats) appended as a JSONL
@@ -27,7 +28,6 @@ from repro.telemetry.core import (
     Telemetry,
     TelemetrySnapshot,
     monotonic,
-    resolve_telemetry,
 )
 from repro.telemetry.manifest import (
     MANIFEST_VERSION,
@@ -49,6 +49,5 @@ __all__ = [
     "fleet_content_hash",
     "monotonic",
     "render_manifest",
-    "resolve_telemetry",
     "stage_split",
 ]

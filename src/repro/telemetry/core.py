@@ -1,4 +1,4 @@
-"""Span timers, counters, and gauges for the fleet pipeline.
+"""Span timers and counters for the fleet pipeline.
 
 Design constraints (set by the streamed engines this instruments):
 
@@ -6,29 +6,31 @@ Design constraints (set by the streamed engines this instruments):
   handed down the call chain (runner → engine → controller → solver)
   as an argument — worker processes each own one, and nothing on the
   hot path reads module state.
-* **Near-zero overhead when disabled.**  Every instrumented call site
-  either checks one attribute (``tele.enabled``) before touching the
-  clock, or calls into :data:`TELEMETRY_OFF` — a process-wide
-  :class:`NullTelemetry` singleton whose methods are allocation-free
-  no-ops (``span`` returns one shared context manager; nothing is
-  created per call).  The records a simulation produces are the same
-  bit for bit whether telemetry is on or off: instrumentation only
-  ever *reads* the monotonic clock, never any numeric state
+* **One shape, never ``None``.**  Every layer that takes telemetry
+  holds a collector — a live :class:`Telemetry`, or
+  :data:`TELEMETRY_OFF`, the default — and times a stage with one
+  ``with tele.span(name):`` block.  :data:`TELEMETRY_OFF` is a
+  process-wide :class:`NullTelemetry` singleton whose methods are
+  allocation-free no-ops (``span`` returns one shared context manager;
+  nothing is created per call), so a disabled span costs a method call
+  and an empty ``with``.  The records a simulation produces are the
+  same bit for bit whether telemetry is on or off: instrumentation
+  only ever *reads* the monotonic clock, never any numeric state
   (``tests/equivalence/test_telemetry_identity.py`` pins this).
 * **Mergeable across process boundaries.**  A worker reduces its
   telemetry to a :class:`TelemetrySnapshot` of plain dicts (picklable,
   JSON-ready); the parent merges shard snapshots with
   :meth:`TelemetrySnapshot.merge` — sums for span totals/counts and
-  counters, maxima for span peaks and gauges — into the run-level
-  :class:`~repro.telemetry.manifest.RunManifest`.
+  counters, maxima for span peaks and process samples — into the
+  run-level :class:`~repro.telemetry.manifest.RunManifest`.
 
 Span semantics: one span name accumulates ``total_s`` / ``count`` /
-``max_s`` over all its enter/exit pairs on the monotonic clock
-(:func:`time.perf_counter`).  Spans may nest (``plan`` contains
-``p4``); totals of nested names therefore overlap and are reported as
-a *breakdown*, not a partition.  On multi-worker runs the totals sum
-worker wall-time, so stage totals can legitimately exceed the run's
-elapsed wall-clock.
+``max_s`` over all its enter/exit pairs on the collector's
+:attr:`Telemetry.clock` (:func:`time.perf_counter`).  Spans may nest
+(``plan`` contains ``p4``); totals of nested names therefore overlap
+and are reported as a *breakdown*, not a partition.  On multi-worker
+runs the totals sum worker wall-time, so stage totals can legitimately
+exceed the run's elapsed wall-clock.
 
 Quickstart::
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "NullTelemetry",
@@ -54,7 +56,6 @@ __all__ = [
     "Telemetry",
     "TelemetrySnapshot",
     "monotonic",
-    "resolve_telemetry",
 ]
 
 
@@ -92,69 +93,54 @@ class NullTelemetry:
     """Disabled instrumentation: every operation is an allocation-free
     no-op.
 
-    Instrumented call sites keep a reference to either a live
-    :class:`Telemetry` or this class's singleton :data:`TELEMETRY_OFF`,
-    so the disabled cost of a guarded site is one ``.enabled``
-    attribute check (and of an unguarded site, one method call that
-    does nothing).
+    Instrumented layers hold either a live :class:`Telemetry` or this
+    class's singleton :data:`TELEMETRY_OFF` (their default), so a
+    disabled site costs one method call that does nothing.  Only work
+    beyond the call itself — a dynamic name, a formatted label — needs
+    an ``if tele.enabled:`` guard.
     """
 
     __slots__ = ()
 
     enabled = False
-    clock = staticmethod(time.perf_counter)
 
     def span(self, name: str) -> _NullSpan:
         return _NULL_SPAN
 
-    def add_time(self, name: str, seconds: float) -> None:
-        pass
-
     def count(self, name: str, value: int | float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
         pass
 
     def snapshot(self, process: bool = False) -> "TelemetrySnapshot":
         return TelemetrySnapshot()
 
 
-#: Process-wide disabled singleton; ``telemetry=None`` resolves here.
+#: Process-wide disabled singleton: the default collector of every
+#: instrumented layer.
 TELEMETRY_OFF = NullTelemetry()
-
-
-def resolve_telemetry(telemetry) -> "Telemetry | NullTelemetry":
-    """Normalize a telemetry argument (``None``/``False`` → off,
-    ``True`` → a fresh collector, an instance → itself)."""
-    if telemetry is None or telemetry is False:
-        return TELEMETRY_OFF
-    if telemetry is True:
-        return Telemetry()
-    return telemetry
 
 
 class _Span:
     """Reusable context manager accumulating into one name's stats.
 
-    One instance per (telemetry, name): entering records the clock,
-    exiting folds the elapsed time into the shared ``[total, count,
-    max]`` list.  Same-name spans must not nest (no pipeline stage
-    does); distinct names nest freely.
+    One instance per (telemetry, name): entering reads the collector's
+    clock, exiting folds the elapsed time into the shared ``[total,
+    count, max]`` list.  Same-name spans must not nest (no pipeline
+    stage does); distinct names nest freely.
     """
 
-    __slots__ = ("_stats", "_t0")
+    __slots__ = ("_stats", "_clock", "_t0")
 
-    def __init__(self, stats: list):
+    def __init__(self, stats: list, clock: Callable[[], float]):
         self._stats = stats
+        self._clock = clock
         self._t0 = 0.0
 
     def __enter__(self) -> "_Span":
-        self._t0 = time.perf_counter()
+        self._t0 = self._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = time.perf_counter() - self._t0
+        elapsed = self._clock() - self._t0
         stats = self._stats
         stats[0] += elapsed
         stats[1] += 1
@@ -164,7 +150,7 @@ class _Span:
 
 
 class Telemetry:
-    """Enabled instrumentation: monotonic span timers, counters, gauges.
+    """Enabled instrumentation: monotonic span timers and counters.
 
     All state is instance-local (explicitly passed down the pipeline);
     :meth:`snapshot` reduces it to plain dicts for the process
@@ -172,44 +158,27 @@ class Telemetry:
     construction of the fleet runner.
     """
 
-    __slots__ = ("_spans", "_span_objs", "_counters", "_gauges")
+    __slots__ = ("_spans", "_span_objs", "_counters")
 
     enabled = True
+    #: The one clock every span reads (a subclass may substitute it).
     clock = staticmethod(time.perf_counter)
 
     def __init__(self):
         self._spans: dict[str, list] = {}
         self._span_objs: dict[str, _Span] = {}
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
 
     def span(self, name: str) -> _Span:
         """The (cached, reusable) timing context manager for ``name``."""
         span = self._span_objs.get(name)
         if span is None:
             stats = self._spans.setdefault(name, [0.0, 0, 0.0])
-            span = self._span_objs[name] = _Span(stats)
+            span = self._span_objs[name] = _Span(stats, self.clock)
         return span
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Fold one externally-timed interval into span ``name``.
-
-        The manual twin of :meth:`span` for hot sites that guard on
-        ``.enabled`` and call ``clock()`` themselves.
-        """
-        stats = self._spans.get(name)
-        if stats is None:
-            stats = self._spans[name] = [0.0, 0, 0.0]
-        stats[0] += seconds
-        stats[1] += 1
-        if seconds > stats[2]:
-            stats[2] = seconds
 
     def count(self, name: str, value: int | float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
 
     def snapshot(self, process: bool = False) -> "TelemetrySnapshot":
         """Reduce to a plain-dict snapshot (picklable, JSON-ready).
@@ -227,7 +196,6 @@ class Telemetry:
             proc = _process_sample()
         return TelemetrySnapshot(spans=spans,
                                  counters=dict(self._counters),
-                                 gauges=dict(self._gauges),
                                  process=proc)
 
 
@@ -255,17 +223,16 @@ class TelemetrySnapshot:
     """One collector's state as plain dicts (what crosses processes).
 
     ``spans`` maps name → ``{"total_s", "count", "max_s"}``;
-    ``counters`` and ``gauges`` map name → number; ``process`` holds
-    the optional peak-RSS / tracemalloc sample.  :meth:`merge` is
-    associative and commutative (sums and maxima), with the empty
-    snapshot as identity — shard snapshots therefore fold into a run
-    total in any order, which the fleet runner relies on when shards
-    finish out of order across workers.
+    ``counters`` maps name → number; ``process`` holds the optional
+    peak-RSS / tracemalloc sample.  :meth:`merge` is associative and
+    commutative (sums and maxima), with the empty snapshot as identity
+    — shard snapshots therefore fold into a run total in any order,
+    which the fleet runner relies on when shards finish out of order
+    across workers.
     """
 
     spans: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
     process: dict = field(default_factory=dict)
 
     def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
@@ -282,16 +249,12 @@ class TelemetrySnapshot:
         counters = dict(self.counters)
         for name, value in other.counters.items():
             counters[name] = counters.get(name, 0) + value
-        gauges = dict(self.gauges)
-        for name, value in other.gauges.items():
-            gauges[name] = max(gauges[name], value) \
-                if name in gauges else value
         process = dict(self.process)
         for name, value in other.process.items():
             process[name] = max(process[name], value) \
                 if name in process else value
         return TelemetrySnapshot(spans=spans, counters=counters,
-                                 gauges=gauges, process=process)
+                                 process=process)
 
     @classmethod
     def merge_all(cls, snapshots: Iterable["TelemetrySnapshot"]
@@ -307,7 +270,6 @@ class TelemetrySnapshot:
         return {"spans": {name: dict(stats)
                           for name, stats in self.spans.items()},
                 "counters": dict(self.counters),
-                "gauges": dict(self.gauges),
                 "process": dict(self.process)}
 
     @classmethod
@@ -315,5 +277,4 @@ class TelemetrySnapshot:
         return cls(spans={name: dict(stats) for name, stats
                           in dict(data.get("spans", {})).items()},
                    counters=dict(data.get("counters", {})),
-                   gauges=dict(data.get("gauges", {})),
                    process=dict(data.get("process", {})))

@@ -32,12 +32,14 @@ one per run):
   across shards: ``traces`` (chunk loads), ``slot_loop`` with its
   nested ``plan → p4``, ``real_time → p5`` and ``physics``,
   ``delay_replay``, ``collect``, ``build``, ``store_append``, and
-  where armed ``observe``, ``robustness``, ``offline_lp → lp_solve``
+  where armed ``observe`` (nested under ``traces``: chunks are
+  observed as they load), ``robustness``, ``offline_lp → lp_solve``
   and ``offline_replay``;
-* ``counters`` / ``gauges`` / ``process`` / ``caches`` — slots, chunks,
-  boundaries, scenarios, trace twins and the fault-tolerance counters;
-  peak RSS (the maximum across processes); warm-vs-cold cache
-  statistics sampled before and after the run.
+* ``counters`` / ``process`` / ``caches`` — slots, chunks, boundaries,
+  scenarios, trace twins and the fault-tolerance counters; peak RSS
+  (the maximum across processes); warm-vs-cold cache statistics
+  sampled before and after the run.  Manifests of older runs may also
+  carry an always-empty ``gauges`` key; they still load and render.
 
 ``python -m repro.fleet stats <store>`` renders the latest manifest
 (``--all``: every stored run) as a fixed-width table, top-level stages
@@ -86,6 +88,7 @@ _NESTED_UNDER = {
     "real_time": "slot_loop",
     "p5": "real_time",
     "physics": "slot_loop",
+    "observe": "traces",
     "lp_solve": "offline_lp",
 }
 
@@ -110,7 +113,6 @@ class RunManifest:
     timing: dict
     stages: dict
     counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
     process: dict = field(default_factory=dict)
     caches: dict = field(default_factory=dict)
     version: int = MANIFEST_VERSION
@@ -125,7 +127,6 @@ class RunManifest:
             "stages": {name: dict(stats)
                        for name, stats in self.stages.items()},
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "process": dict(self.process),
             "caches": dict(self.caches),
         }
@@ -140,7 +141,6 @@ class RunManifest:
             stages={name: dict(stats) for name, stats
                     in dict(data.get("stages", {})).items()},
             counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
             process=dict(data.get("process", {})),
             caches=dict(data.get("caches", {})),
             version=int(data.get("version", MANIFEST_VERSION)),
@@ -193,7 +193,6 @@ def build_manifest(*, spec_hashes: Iterable[str], scenarios: int,
         },
         stages=snapshot.spans,
         counters=snapshot.counters,
-        gauges=snapshot.gauges,
         process=snapshot.process,
         caches=dict(caches or {}),
     )

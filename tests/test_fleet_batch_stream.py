@@ -22,7 +22,7 @@ from repro.fleet.stream import (
     BatchTraceStream,
     StreamingPaperTraces,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import TELEMETRY_OFF, Telemetry
 from repro.traces.base import SERIES_FIELDS, TraceBlock
 from repro.traces.solar import SolarModel
 
@@ -338,7 +338,7 @@ class TestCursorOpenTiming:
             monkeypatch.setattr(ArrayTraceStream, "materialize",
                                 slow(ArrayTraceStream.materialize))
 
-        def run(telemetry=None):
+        def run(telemetry=TELEMETRY_OFF):
             runs = [StreamRunSpec(
                         system=system,
                         controller=SmartDPSS(paper_controller_config()),

@@ -282,7 +282,7 @@ class TestSerialRecovery:
         executed: list[int] = []
         resumed = FleetRunner(
             fleet, batch_size=4, store=store, fault_plan=FaultPlan(),
-        ).run(progress=lambda o, f, t: executed.extend(o.indices))
+        ).run(progress=lambda o, f, t, s: executed.extend(o.indices))
         assert sorted(executed) == torn  # exactly the torn rows
         assert [r["metrics"] for r in resumed] == \
             [r["metrics"] for r in reference]
@@ -461,7 +461,7 @@ class TestResumeQuarantine:
         runner = FleetRunner(fleet, batch_size=4, store=store,
                              fault_plan=FaultPlan())
         records = runner.run(
-            progress=lambda o, f, t: executed.extend(o.indices))
+            progress=lambda o, f, t, s: executed.extend(o.indices))
         assert executed == []
         assert runner.last_run_stats["skipped"] == 6
         assert records[1]["quarantined"] is True
@@ -472,7 +472,7 @@ class TestResumeQuarantine:
                              fault_plan=FaultPlan(),
                              retry_quarantined=True)
         records = runner.run(
-            progress=lambda o, f, t: executed.extend(o.indices))
+            progress=lambda o, f, t, s: executed.extend(o.indices))
         assert executed == [1]
         assert records[1]["metrics"] == reference[1]["metrics"]
 
@@ -499,7 +499,7 @@ class TestTornWriteRecovery:
         executed: list[int] = []
         resumed = FleetRunner(
             fleet, batch_size=4, store=store, fault_plan=FaultPlan(),
-        ).run(progress=lambda o, f, t: executed.extend(o.indices))
+        ).run(progress=lambda o, f, t, s: executed.extend(o.indices))
         assert executed == [5]  # exactly the scenario the tear lost
         assert [r["metrics"] for r in resumed] == \
             [r["metrics"] for r in reference]
@@ -606,6 +606,6 @@ def test_thousand_scenario_chaos_sweep(tmp_path):
     executed: list[int] = []
     resumed = FleetRunner(
         specs, batch_size=128, store=store, fault_plan=FaultPlan(),
-    ).run(progress=lambda o, f, t: executed.extend(o.indices))
+    ).run(progress=lambda o, f, t, s: executed.extend(o.indices))
     assert executed == []
     assert resumed[poisoned_index]["quarantined"] is True

@@ -48,7 +48,7 @@ def test_resume_skips_stored_scenarios(tmp_path):
     store = ResultStore(tmp_path / "store")
     executed = []
 
-    def progress(outcome, finished, total):
+    def progress(outcome, finished, total, stats):
         executed.append((outcome.indices, total))
 
     first = FleetRunner(specs[:8], batch_size=4, store=store).run(
@@ -88,7 +88,7 @@ def test_resume_without_store_runs_everything():
     specs = _fleet(4)
     executed = []
     FleetRunner(specs, batch_size=4).run(
-        progress=lambda o, f, t: executed.append(f))
+        progress=lambda o, f, t, s: executed.append(f))
     assert executed  # no store => nothing to resume from
 
 
@@ -105,7 +105,7 @@ def test_legacy_records_without_hash_still_resume(tmp_path):
          for record in records])
     executed = []
     resumed = FleetRunner(specs, batch_size=4, store=legacy).run(
-        progress=lambda o, f, t: executed.append(f))
+        progress=lambda o, f, t, s: executed.append(f))
     assert executed == []
     assert [r["metrics"] for r in resumed] == \
         [r["metrics"] for r in records]

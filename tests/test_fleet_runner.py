@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -89,7 +90,7 @@ class TestSharding:
         FleetRunner(specs[:2], store=store).run()
         shards: list[list[int]] = []
         runner = FleetRunner(specs, batch_size=2, store=store)
-        runner.run(progress=lambda outcome, done, total:
+        runner.run(progress=lambda outcome, done, total, stats:
                    shards.append(list(outcome.indices)))
         # Left: seed 2 at (2, 5), seed 0 at 3, seed 1 at 4.
         assert shards == [[2, 5], [3, 4]]
@@ -108,6 +109,84 @@ class TestSharding:
         assert runner.last_manifest.counters["trace_twins"] == 3
         assert records == FleetRunner(specs, batch_size=1,
                                       offline_gap=True).run()
+
+
+#: One bad option per case: (spec section, its value, words the error
+#: names).  Each used to fail only in the worker, so every affected
+#: scenario was retried, bisected and quarantined.
+BAD_OPTIONS = [
+    ("controller", {"kind": "smartdpss", "vv": 1.0}, "'vv'"),
+    ("controller", {"kind": "smartdps"}, "'smartdps'"),
+    ("controller", {"kind": "impatient", "foo": 1}, "'foo'"),
+    ("controller", {"kind": "smartdpss", "emergency_purchase": True},
+     "'emergency_purchase'"),
+    ("trace", {"kind": "stream", "solr": {}}, "'solr'"),
+    ("trace", {"kind": "stream", "solar": {"capacity": 1.0}},
+     "'capacity'"),
+    ("observation", {"kind": "unifrm"}, "'unifrm'"),
+    ("system", {"preset": "paper", "dayz": 1,
+                "fine_slots_per_coarse": 6}, "'dayz'"),
+]
+
+
+def with_option(spec: ScenarioSpec, section: str, value) -> ScenarioSpec:
+    data = spec.to_dict()
+    data[section] = value
+    return ScenarioSpec.from_dict(data)
+
+
+class TestOptionCheck:
+    """Unknown kinds and option names fail once, when the fleet is
+    built, naming the spec position and the option."""
+
+    @pytest.mark.parametrize("section, value, named", BAD_OPTIONS)
+    def test_bad_option_fails_at_construction(self, section, value,
+                                              named):
+        specs = grid_specs(tiny_template(), "controller.v",
+                           [0.2, 0.5, 1.0, 2.0], seeds=(0, 1))
+        specs[5] = with_option(specs[5], section, value)
+        with pytest.raises(ConfigurationError) as caught:
+            FleetRunner(specs, batch_size=8, retry_backoff_s=0)
+        message = str(caught.value)
+        assert message.startswith(f"spec 5 ({specs[5].name!r}): ")
+        assert named in message
+
+    def test_specs_stay_constructible(self):
+        # The builders keep raising where they did; only the runner
+        # checks a whole fleet.
+        spec = with_option(tiny_template(), "controller",
+                           {"kind": "smartdps"})
+        with pytest.raises(ConfigurationError, match="controller kind"):
+            spec.build_controller()
+
+    def test_values_are_left_to_the_builders(self):
+        # ``v`` is a known name; only the config can judge its value.
+        spec = tiny_template(v=-1.0)
+        runner = FleetRunner([spec], fail_fast=True)
+        with pytest.raises(ConfigurationError, match="V must be > 0"):
+            runner.run()
+
+    def test_every_kind_and_recipe_option_passes(self):
+        template = tiny_template()
+        specs = [with_option(template, "controller", controller)
+                 for controller in (
+                     {"kind": "smartdpss", "v": 2.0, "epsilon": 1.0},
+                     {"kind": "impatient", "plan_for_total_demand": False},
+                     {"kind": "myopic", "serve_quantile": 0.2},
+                     {"kind": "lookahead", "backlog_penalty": 40.0},
+                     {"kind": "offline", "deadline_slots": None},
+                     {"kind": "p2_offline"})]
+        specs.append(ScenarioSpec.from_dict({
+            **template.to_dict(),
+            "system": {"preset": "raw",
+                       **dataclasses.asdict(template.build_system())},
+            "trace": {"kind": "paper", "seed": 3,
+                      "demand": {"batch_jobs_per_hour": 2.0},
+                      "solar": {"capacity_mw": 3.0},
+                      "price": {"mean_price": 40.0},
+                      "renewable_penetration": 0.3},
+            "observation": {"kind": "dropout", "rate": 0.1, "seed": 7}}))
+        FleetRunner(specs)
 
 
 class TestRun:
@@ -131,7 +210,7 @@ class TestRun:
         store = ResultStore(tmp_path / "s")
         seen = []
         runner = FleetRunner(tiny_fleet(), batch_size=2, store=store)
-        runner.run(progress=lambda outcome, done, total:
+        runner.run(progress=lambda outcome, done, total, stats:
                    seen.append((done, total, len(store))))
         # After each shard the store already holds that shard's rows.
         assert [s[:2] for s in seen] == [(1, 3), (2, 3), (3, 3)]
@@ -255,6 +334,21 @@ class TestCli:
         assert main(["run", "--out", str(out), *argv]) == 2
         err = capsys.readouterr().err
         assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, value, named", BAD_OPTIONS)
+    def test_bad_spec_file_creates_no_store(self, tmp_path, capsys,
+                                            section, value, named):
+        fleet = [spec.to_dict() for spec in tiny_fleet()]
+        fleet[2][section] = value
+        spec_file = tmp_path / "fleet.json"
+        spec_file.write_text(json.dumps(fleet), encoding="utf-8")
+        out = tmp_path / "store"
+        assert main(["run", "--spec-file", str(spec_file),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "spec 2 (" in err and named in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.fleet.runner import RunProgress, _progress_arity
+from repro.fleet.runner import FleetRunner, RunProgress
+from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.store import ResultStore
 from repro.telemetry import (
     NullTelemetry,
@@ -18,7 +19,6 @@ from repro.telemetry import (
     build_manifest,
     fleet_content_hash,
     render_manifest,
-    resolve_telemetry,
     stage_split,
 )
 
@@ -40,11 +40,17 @@ class TestTelemetryCore:
         assert tele.span("a") is tele.span("a")
         assert tele.span("a") is not tele.span("b")
 
-    def test_add_time_is_the_manual_twin_of_span(self):
-        # Exactly-representable values so the sums are exact.
-        tele = Telemetry()
-        tele.add_time("x", 0.5)
-        tele.add_time("x", 0.25)
+    def test_span_reads_the_collector_clock(self):
+        # Exactly-representable ticks so the sums are exact.
+        ticks = iter([1.0, 1.5, 2.0, 2.25])
+
+        class TickTelemetry(Telemetry):
+            clock = staticmethod(lambda: next(ticks))
+
+        tele = TickTelemetry()
+        for _ in range(2):
+            with tele.span("x"):
+                pass
         stats = tele.snapshot().spans["x"]
         assert stats == {"total_s": 0.75, "count": 2, "max_s": 0.5}
 
@@ -52,11 +58,11 @@ class TestTelemetryCore:
         tele = Telemetry()
         tele.count("slots")
         tele.count("slots", 5)
-        tele.gauge("chunk_mb", 3.0)
-        tele.gauge("chunk_mb", 2.0)  # gauges overwrite
         snap = tele.snapshot()
         assert snap.counters == {"slots": 6}
-        assert snap.gauges == {"chunk_mb": 2.0}
+        # The gauge channel had no writer and is gone.
+        assert "gauges" not in snap.as_dict()
+        assert not hasattr(tele, "gauge")
 
     def test_process_sample(self):
         snap = Telemetry().snapshot(process=True)
@@ -68,40 +74,29 @@ class TestTelemetryCore:
         assert TELEMETRY_OFF.span("a") is TELEMETRY_OFF.span("b")
         with TELEMETRY_OFF.span("a"):
             pass
-        TELEMETRY_OFF.add_time("a", 1.0)
         TELEMETRY_OFF.count("a")
-        TELEMETRY_OFF.gauge("a", 1.0)
         snap = TELEMETRY_OFF.snapshot(process=True)
         assert snap.spans == {} and snap.counters == {}
-        assert TELEMETRY_OFF.clock() > 0  # still a usable clock
-
-    def test_resolve_telemetry(self):
-        assert resolve_telemetry(None) is TELEMETRY_OFF
-        assert resolve_telemetry(False) is TELEMETRY_OFF
-        fresh = resolve_telemetry(True)
-        assert isinstance(fresh, Telemetry) and fresh.enabled
-        tele = Telemetry()
-        assert resolve_telemetry(tele) is tele
 
     def test_disabled_guard_is_cheap(self):
-        # Regression guard: the disabled hot-site pattern is one
-        # attribute check. Very generous absolute bound so slow CI
-        # boxes never flake; a property doing real work would blow it.
+        # Regression guard: a disabled span is one no-op call and an
+        # empty ``with``. Very generous absolute bound so slow CI boxes
+        # never flake; a span doing real work would blow it.
         tele: NullTelemetry = TELEMETRY_OFF
         t0 = time.perf_counter()
         for _ in range(200_000):
-            if tele.enabled:  # pragma: no cover - never taken
-                tele.add_time("x", tele.clock())
+            with tele.span("x"):
+                pass
         assert time.perf_counter() - t0 < 1.0
 
 
 class TestSnapshotMerge:
     @staticmethod
-    def snap(total, count, peak, n, g):
+    def snap(total, count, peak, n, rss):
         return TelemetrySnapshot(
             spans={"s": {"total_s": total, "count": count,
                          "max_s": peak}},
-            counters={"n": n}, gauges={"g": g})
+            counters={"n": n}, process={"peak_rss_kb": rss})
 
     def test_merge_sums_and_maxima(self):
         merged = self.snap(0.5, 2, 0.375, 3, 1.0).merge(
@@ -109,7 +104,7 @@ class TestSnapshotMerge:
         assert merged.spans["s"] == {"total_s": 0.75, "count": 3,
                                      "max_s": 0.5}
         assert merged.counters == {"n": 7}
-        assert merged.gauges == {"g": 7.0}
+        assert merged.process == {"peak_rss_kb": 7.0}
 
     def test_merge_associative_and_commutative(self):
         # Exactly-representable floats: binary sums are order-exact.
@@ -262,6 +257,23 @@ class TestStoreManifests:
         assert "2 scenarios" in shown
         assert "slot_loop" in shown
 
+    def test_gauges_key_of_older_manifests_still_loads(self, tmp_path,
+                                                       capsys):
+        # Manifests written while the gauge channel existed carry an
+        # always-empty ``gauges`` key; they load and render without it.
+        from repro.fleet.__main__ import main
+
+        data = TestManifest.build(snapshot=TelemetrySnapshot(spans={
+            "slot_loop": {"total_s": 1.0, "count": 2, "max_s": 0.75}}
+        )).as_dict()
+        assert "gauges" not in data
+        manifest = RunManifest.from_dict({**data, "gauges": {}})
+        assert manifest.as_dict() == data
+        store = ResultStore(tmp_path / "s")
+        store.append_manifest({**data, "gauges": {}})
+        assert main(["stats", str(store.root)]) == 0
+        assert "slot_loop" in capsys.readouterr().out
+
     def test_torn_manifest_line_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         store.append_manifest({"run": 1})
@@ -269,6 +281,32 @@ class TestStoreManifests:
             handle.write('{"torn": tr')  # crashed writer, no newline
         store.append_manifest({"run": 2})
         assert [m.get("run") for m in store.manifests()] == [1, 2]
+
+
+class TestObserveNesting:
+    """``observe`` is timed inside the chunk load, so it nests under
+    ``traces`` instead of adding to it as a top-level stage."""
+
+    def test_observed_fleet_manifest_nests_observe_under_traces(self):
+        template = ScenarioSpec(
+            system={"preset": "paper", "days": 2,
+                    "fine_slots_per_coarse": 6},
+            controller={"kind": "smartdpss"}, trace={"kind": "stream"},
+            observation={"kind": "uniform", "rel_error": 0.2})
+        specs = grid_specs(template, "controller.v", [0.2, 1.0, 5.0],
+                           seeds=range(4))
+        runner = FleetRunner(specs, telemetry=True)
+        runner.run()
+        manifest = runner.last_manifest
+        assert manifest.stages["observe"]["count"] > 0
+        lines = manifest.render().splitlines()
+        (traces,) = [i for i, line in enumerate(lines)
+                     if line.startswith("  traces ")]
+        assert lines[traces + 1].startswith("    observe ")
+        assert not any(line.startswith("  observe ") for line in lines)
+        split = stage_split(manifest.stages, top=len(manifest.stages))
+        assert "observe" not in split
+        assert "traces" in split
 
 
 class TestRunProgress:
@@ -283,12 +321,4 @@ class TestRunProgress:
         assert RunProgress.compute(0, 10, 1.0).eta_s == float("inf")
         assert RunProgress.compute(10, 10, 1.0).eta_s == 0.0
 
-    def test_progress_arity(self):
-        assert _progress_arity(lambda o, f, t: None) == 3
-        assert _progress_arity(lambda o, f, t, stats: None) == 4
-        assert _progress_arity(lambda *args: None) == 4
 
-        def with_default(outcome, finished, total, stats=None):
-            return None
-
-        assert _progress_arity(with_default) == 4
