@@ -24,7 +24,9 @@ test-fast:
 # Exactness only (the `equivalence` marker): the cross-engine
 # equivalence harness, the golden fixtures, and the selection rule
 # P4 and P5 share — their near-tie scan tests and P4's plain-Python
-# window-cost oracle.
+# window-cost oracle (tests/property/test_property_p4.py, checked
+# against the library's kernel; the one-rate probe of that kernel is
+# tests/oracles/selection.py::window_cost).
 test-equivalence:
 	$(PY) -m pytest -q -m equivalence
 
@@ -40,8 +42,9 @@ test-telemetry:
 test-faults:
 	$(PY) -m pytest -q -m faults
 
-# Lint suite only: rule fixtures + the src/repro clean gate (the
-# `lint` marker; `make test` runs these as part of tier-1).
+# Lint suite only: rule fixtures + the src/repro and tests/oracles
+# clean gate (the `lint` marker; `make test` runs these as part of
+# tier-1).
 test-lint:
 	$(PY) -m pytest -q -m lint
 
@@ -57,11 +60,13 @@ test-noise:
 test-offline:
 	$(PY) -m pytest -q -m offline
 
-# The repo's own AST linter over the library source.  Exit 0 means
-# every invariant in src/repro/lint/README.md holds (modulo inline
-# waivers and the checked-in lint-baseline.txt).
+# The repo's own AST linter over the library source and the test
+# oracles (tests/oracles/, the reference implementations the tests
+# check the library against).  Exit 0 means every invariant in
+# src/repro/lint/README.md holds (modulo inline waivers and the
+# checked-in lint-baseline.txt).
 lint:
-	$(PY) -m repro.lint src/repro
+	$(PY) -m repro.lint src/repro tests/oracles
 
 # Static type check of the clean leaf modules (see mypy.ini).  mypy is
 # an optional dev dependency (`pip install repro[dev]`); when it is

@@ -1,10 +1,9 @@
-"""Hour-of-day and day-of-horizon series utilities.
+"""Hour-of-day series utilities.
 
 Several experiments and examples reduce per-slot series to diurnal
-profiles (where does SmartDPSS buy? when does the battery cycle?) or
-daily aggregates (how do costs vary across market days).  These
-helpers centralize that binning so every consumer computes it the same
-way (assuming the library's 1-hour fine slots).
+profiles (where does SmartDPSS buy? when does the battery cycle?).
+These helpers centralize that binning so every consumer computes it
+the same way (assuming the library's 1-hour fine slots).
 """
 
 from __future__ import annotations
@@ -27,21 +26,6 @@ def by_hour(values: np.ndarray, reduce: str = "mean") -> np.ndarray:
     fold = reducer[reduce]
     return np.array([fold(values[hours == h]) if np.any(hours == h)
                      else 0.0 for h in range(HOURS_PER_DAY)])
-
-
-def by_day(values: np.ndarray, reduce: str = "sum") -> np.ndarray:
-    """Reduce a per-slot series to per-day values (partial day dropped)."""
-    values = np.asarray(values, dtype=float)
-    n_days = values.size // HOURS_PER_DAY
-    if n_days == 0:
-        raise ConfigurationError(
-            f"series of {values.size} slots has no complete day")
-    daily = values[:n_days * HOURS_PER_DAY].reshape(n_days,
-                                                    HOURS_PER_DAY)
-    reducer = {"mean": np.mean, "sum": np.sum, "max": np.max}
-    if reduce not in reducer:
-        raise ConfigurationError(f"unknown reducer {reduce!r}")
-    return reducer[reduce](daily, axis=1)
 
 
 def purchase_profile(result: SimulationResult) -> dict[str, np.ndarray]:
@@ -72,8 +56,3 @@ def overnight_share(values: np.ndarray,
     if total == 0:
         return 0.0
     return float(profile[list(overnight_hours)].sum()) / total
-
-
-def daily_cost_series(result: SimulationResult) -> np.ndarray:
-    """Total operational cost per day ($)."""
-    return by_day(result.series["cost_total"], "sum")

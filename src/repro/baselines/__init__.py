@@ -6,7 +6,8 @@
 * :class:`~repro.baselines.offline.OfflineOptimal` — the clairvoyant
   benchmark ``φopt``: a full-horizon linear program with complete
   knowledge of demand, renewables and prices (strictly stronger than
-  the paper's per-coarse-slot P2 construction, see DESIGN.md §3);
+  the paper's per-coarse-slot P2 construction, because it also
+  co-optimizes the battery across coarse slots);
 * :class:`~repro.baselines.myopic.MyopicPriceThreshold` — an extra
   single-timescale heuristic (serve when the price is below a running
   quantile) used in ablation benchmarks.

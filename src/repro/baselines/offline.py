@@ -27,7 +27,7 @@ service counter for the deadline constraint.
 The non-convex per-operation battery cost ``n(τ)·Cb`` is omitted from
 the LP (an optional linear proxy is available); the replayed cost
 through the simulation engine *does* include it, so reported offline
-costs are honest.  See DESIGN.md §3.
+costs are honest.
 
 Fleet scale
 -----------

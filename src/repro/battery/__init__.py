@@ -3,12 +3,11 @@
 :mod:`repro.battery.model` implements the battery-level process — SoC
 integration with charge/discharge efficiencies, per-slot rate caps and
 hard ``[Bmin, Bmax]`` projection.  :mod:`repro.battery.lifetime` tracks
-charge/discharge cycles against the ``Nmax`` budget and derives the
-per-operation cost ``Cb = Cbuy / Ccycle``.
+charge/discharge cycles against the ``Nmax`` budget and charges each
+active slot the per-operation cost ``Cb = Cbuy / Ccycle``.
 """
 
-from repro.battery.lifetime import CycleLedger, per_operation_cost
+from repro.battery.lifetime import CycleLedger
 from repro.battery.model import BatteryAction, UpsBattery
 
-__all__ = ["UpsBattery", "BatteryAction", "CycleLedger",
-           "per_operation_cost"]
+__all__ = ["UpsBattery", "BatteryAction", "CycleLedger"]

@@ -17,20 +17,6 @@ from __future__ import annotations
 from repro.exceptions import ConfigurationError, InfeasibleActionError
 
 
-def per_operation_cost(purchase_cost: float, cycle_life: int) -> float:
-    """Derive ``Cb = Cbuy / Ccycle`` (paper Section II-B.5).
-
-    >>> per_operation_cost(500.0, 5000)
-    0.1
-    """
-    if purchase_cost < 0:
-        raise ConfigurationError(
-            f"purchase cost must be >= 0, got {purchase_cost}")
-    if cycle_life <= 0:
-        raise ConfigurationError(f"cycle life must be > 0, got {cycle_life}")
-    return purchase_cost / cycle_life
-
-
 class CycleLedger:
     """Tracks charge/discharge operations against the ``Nmax`` budget.
 
@@ -52,8 +38,6 @@ class CycleLedger:
         self.op_cost = op_cost
         self.budget = budget
         self._operations = 0
-        self._charge_slots = 0
-        self._discharge_slots = 0
 
     # ------------------------------------------------------------------
     # Budget state
@@ -63,16 +47,6 @@ class CycleLedger:
     def operations(self) -> int:
         """Total active slots so far (``Σ n(τ)``)."""
         return self._operations
-
-    @property
-    def charge_slots(self) -> int:
-        """Slots in which the battery charged."""
-        return self._charge_slots
-
-    @property
-    def discharge_slots(self) -> int:
-        """Slots in which the battery discharged."""
-        return self._discharge_slots
 
     @property
     def remaining(self) -> int | None:
@@ -108,17 +82,11 @@ class CycleLedger:
         if charge == 0 and discharge == 0:
             return 0.0
         self._operations += 1
-        if charge > 0:
-            self._charge_slots += 1
-        else:
-            self._discharge_slots += 1
         return self.op_cost
 
     def reset(self) -> None:
         """Clear counters for a fresh horizon (budget unchanged)."""
         self._operations = 0
-        self._charge_slots = 0
-        self._discharge_slots = 0
 
     def __repr__(self) -> str:
         budget = "inf" if self.budget is None else str(self.budget)

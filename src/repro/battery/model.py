@@ -42,11 +42,6 @@ class BatteryAction:
         """Whether the slot counts against the cycle budget (``n(τ)``)."""
         return self.charge > 0.0 or self.discharge > 0.0
 
-    @property
-    def net_to_bus(self) -> float:
-        """Signed energy contributed to the bus (positive = supplying)."""
-        return self.discharge - self.charge
-
 
 class UpsBattery:
     """Stateful UPS battery enforcing eqs. (3), (7), (8).
@@ -87,13 +82,6 @@ class UpsBattery:
     def available(self) -> float:
         """Bus energy servable this slot (rate + reserve limited)."""
         return self.system.max_discharge_energy(self._level)
-
-    @property
-    def state_of_charge(self) -> float:
-        """Stored level as a fraction of ``Bmax`` (0 when no battery)."""
-        if self.system.b_max == 0:
-            return 0.0
-        return self._level / self.system.b_max
 
     # ------------------------------------------------------------------
     # Operations

@@ -17,9 +17,9 @@ cache                                         bound
 (compiled offline-LP sparsity per system)
 ============================================  =======================
 
-:data:`_REGISTRY` names each once; :func:`clear_caches`,
-:func:`cache_sizes` and :func:`cache_stats` all read it, so a new
-cache is registered by adding one row there.
+:data:`_REGISTRY` names each once; :func:`clear_caches` and
+:func:`cache_stats` both read it, so a new cache is registered by
+adding one row there.
 
 :func:`clear_caches` empties every one of them — the hook tests (and
 long-lived services between sweeps) use to return the process to a
@@ -59,12 +59,6 @@ def clear_caches() -> None:
             cache.clear()
         else:
             cache.cache_clear()
-
-
-def cache_sizes() -> dict[str, int]:
-    """Current entry counts per cache (introspection for tests)."""
-    return {name: stats["entries"]
-            for name, stats in cache_stats().items()}
 
 
 def cache_stats() -> dict[str, dict[str, int]]:

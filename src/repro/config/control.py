@@ -12,8 +12,9 @@ controller.  The two central parameters realize the paper's
   cost).
 
 ``objective_mode`` selects between the P5 objective exactly as published
-and a first-principles re-derivation (see :mod:`repro.core.modes` and
-DESIGN.md Section 2 for why both exist).
+and a first-principles re-derivation: the printed objective credits
+queue drift to buying energy whether or not it serves the queue, so it
+is kept only as an ablation (see :mod:`repro.core.modes`).
 """
 
 from __future__ import annotations
@@ -137,8 +138,3 @@ class SmartDPSSConfig:
     def replace(self, **changes: object) -> "SmartDPSSConfig":
         """Return a copy with the given fields replaced (re-validated)."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def is_paper_mode(self) -> bool:
-        """Whether P5 uses the objective exactly as published."""
-        return self.objective_mode is ObjectiveMode.PAPER

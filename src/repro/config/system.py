@@ -167,25 +167,9 @@ class SystemConfig:
         return self.num_coarse_slots * self.fine_slots_per_coarse
 
     @property
-    def horizon_hours(self) -> float:
-        """Total horizon length in hours."""
-        return self.horizon_slots * self.slot_hours
-
-    @property
     def initial_battery(self) -> float:
         """Battery level at slot 0 (defaults to a full battery)."""
         return self.b_max if self.b_init is None else self.b_init
-
-    @property
-    def battery_capacity_span(self) -> float:
-        """Usable battery range ``Bmax − Bmin`` in MWh."""
-        return self.b_max - self.b_min
-
-    @property
-    def has_battery(self) -> bool:
-        """Whether the battery can shift any energy at all."""
-        return (self.battery_capacity_span > 0
-                and (self.b_charge_max > 0 or self.b_discharge_max > 0))
 
     def max_discharge_energy(self, battery_level: float) -> float:
         """Maximum energy servable from the battery in one slot.

@@ -8,7 +8,7 @@ Layout:
 * :mod:`repro.core.virtual_queues` — the delay-aware queue ``Y``
   (eq. 12) and the shifted battery queue ``X`` (eqs. 14-15);
 * :mod:`repro.core.bounds` — every constant of Theorems 1-3 and
-  Corollaries 1-2 (``H1, H2, H3, Vmax, Qmax, Ymax, Umax, λmax``), in
+  Corollary 1 (``H1, H2, H3, Vmax, Qmax, Ymax, Umax, λmax``), in
   both the paper-literal and implementation-consistent variants;
 * :mod:`repro.core.p4` / :mod:`repro.core.p5` — the two-timescale
   subproblem solvers (long-term-ahead planning and real-time

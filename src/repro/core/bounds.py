@@ -2,8 +2,8 @@
 
 Implements every constant appearing in Theorem 1 (drift-plus-penalty
 bound), Corollary 1 (loosened bound under the current-statistics
-approximation), Theorem 2 (queue/battery/delay/cost bounds), Theorem 3
-(robustness) and Corollary 2 (scalability):
+approximation), Theorem 2 (queue/battery/delay/cost bounds) and
+Theorem 3 (robustness):
 
     H1   = Sdtmax² + ½(Ddtmax² + Bcmax²ηc² + Bdmax²ηd² + ε²)
     H2   = H1 + T(T−1)Bcmax²ηc² + T(T−1)ε²
@@ -104,8 +104,11 @@ class TheoreticalBounds:
     """All constants from Theorems 1-3 for one configuration.
 
     With array inputs every field is a ``(B,)`` array (``lambda_max``
-    integer-valued) and :attr:`theory_applies` reports whether the
-    precondition can hold for *every* scenario in the batch.
+    integer-valued).  The Theorem 2 precondition ``0 < V ≤ Vmax`` can
+    hold only where ``v_max > 0``; the paper's own evaluation battery
+    violates it (the safety margins exceed ``Bmax``), and experiments
+    then rely on the engine's physical clamps instead of the Lyapunov
+    battery argument.
     """
 
     h1: float
@@ -119,17 +122,6 @@ class TheoreticalBounds:
     cost_gap: float
     variant: BoundVariant
 
-    @property
-    def theory_applies(self) -> bool:
-        """Whether the Theorem 2 precondition ``0 < V ≤ Vmax`` can hold.
-
-        The paper's own evaluation battery violates it (the safety
-        margins exceed ``Bmax``); experiments then rely on the
-        engine's physical clamps instead of the Lyapunov battery
-        argument.  For array-valued bounds this is True only when the
-        precondition can hold for every scenario.
-        """
-        return bool(np.all(np.asarray(self.v_max) > 0))
 
 
 def compute_bounds(system: SystemConfig | SystemArrays,
@@ -216,30 +208,3 @@ def compute_bounds(system: SystemConfig | SystemArrays,
                              q_max=q_max, y_max=y_max, u_max=u_max,
                              lambda_max=lambda_max, cost_gap=cost_gap,
                              variant=variant)
-
-
-def scaled_bounds(bounds: TheoreticalBounds, beta: float,
-                  alpha: float, theta_max: float,
-                  system: SystemConfig,
-                  epsilon: float) -> dict[str, float]:
-    """Corollary 2: constants under ``β``-fold system expansion.
-
-    ``H1(β) = β·H1``, ``H2(β) = β·H2`` and
-    ``H3(β) = β·H2 + T·β^α·θmax·(2Sdtmax + Ddtmax + Bcmax·ηc +
-    Bdmax·ηd + ε)``, with ``α ∈ [1/2, 1]`` the workload-similarity /
-    renewable-correlation exponent.
-    """
-    if beta < 1:
-        raise ConfigurationError(f"beta must be >= 1, got {beta}")
-    if not 0.5 <= alpha <= 1.0:
-        raise ConfigurationError(f"alpha must be in [1/2, 1], got {alpha}")
-    t_slots = system.fine_slots_per_coarse
-    robustness_term = t_slots * (beta ** alpha) * theta_max * (
-        2.0 * system.s_dt_max + system.d_dt_max
-        + system.b_charge_max * system.eta_c
-        + system.b_discharge_max * system.eta_d + epsilon)
-    return {
-        "h1": beta * bounds.h1,
-        "h2": beta * bounds.h2,
-        "h3": beta * bounds.h2 + robustness_term,
-    }

@@ -1,4 +1,4 @@
-"""P5 objective variants and the shared slot physics (DESIGN.md §2).
+"""P5 objective variants and the shared slot physics.
 
 The real-time subproblem chooses ``(grt, γ)``; charge, discharge and
 waste then *follow* from the supply-demand balance (eq. 4).  Both

@@ -103,14 +103,6 @@ class P4State:
     #: left to the V-gated real-time stage — see the Abl-4 benchmark.
     plan_deferrable_arrivals: bool = False
 
-    @property
-    def net_profile(self) -> tuple[float, ...]:
-        """Per-slot delay-sensitive net demand ``dds − r`` (observed)."""
-        if self.profile_demand_ds and self.profile_renewable:
-            return tuple(d - r for d, r in zip(self.profile_demand_ds,
-                                               self.profile_renewable))
-        return (self.demand_ds - self.renewable,)
-
 
 @dataclass(frozen=True)
 class P4Solution:
@@ -327,11 +319,12 @@ def _window_values(w: StackedWindows, rates: np.ndarray) -> np.ndarray:
 def _base_grids(w: StackedWindows) -> np.ndarray:
     """Sorted, deduplicated base candidate grids, one row per scenario.
 
-    Each row is ``{floor, Pgrid} ∪ (net profile ∩ [floor, Pgrid])``
-    exactly as :func:`repro.solvers.piecewise.piecewise_candidates_1d`
-    builds it; rows are padded to a common width with duplicates of
-    ``Pgrid``, which are harmless — the selection scan never lets an
-    equal-valued later candidate win.
+    Each row is ``{floor, Pgrid} ∪ (net profile ∩ [floor, Pgrid])``,
+    sorted and deduplicated: the interval ends plus every breakpoint
+    inside it, where a piecewise-linear cost attains its minimum.  Rows
+    are padded to a common width with duplicates of ``Pgrid``, which
+    are harmless — the selection scan never lets an equal-valued later
+    candidate win.
     """
     raw = np.concatenate((w.floors[:, None], w.p_grid[:, None], w.nets),
                          axis=1)
@@ -438,12 +431,6 @@ def solve_windows(w: StackedWindows,
     else:
         candidates = grids
     return _scan(candidates, _window_values(w, candidates))
-
-
-def _window_cost(state: P4State, rate: float) -> float:
-    """Window cost of a single rate (tests and candidate probing)."""
-    return float(_window_values(StackedWindows.from_state(state),
-                                np.array([[float(rate)]]))[0, 0])
 
 
 def solve_p4(state: P4State,

@@ -24,7 +24,7 @@ Lyapunov expression (see :class:`~repro.config.control.SmartDPSSConfig`).
 
 from __future__ import annotations
 
-from repro.config.control import ObjectiveMode, SmartDPSSConfig
+from repro.config.control import SmartDPSSConfig
 from repro.config.system import SystemConfig
 from repro.core.bounds import BoundVariant, compute_bounds
 from repro.core.interfaces import (
@@ -91,29 +91,10 @@ class SmartDPSS(Controller):
         self._x_hat = 0.0
         self._planned_rate = 0.0
 
-    # ------------------------------------------------------------------
-    # Introspection (used by analysis and tests)
-    # ------------------------------------------------------------------
-
     @property
     def name(self) -> str:
         mode = self.config.objective_mode.value
         return f"SmartDPSS(V={self.config.v:g}, mode={mode})"
-
-    @property
-    def delay_queue(self) -> DelayAwareQueue:
-        """The ``Y`` virtual queue (live)."""
-        return self._y_queue
-
-    @property
-    def battery_queue(self) -> BatteryVirtualQueue:
-        """The ``X`` virtual queue (live)."""
-        return self._x_queue
-
-    @property
-    def frozen_weights(self) -> tuple[float, float, float]:
-        """Current coarse-interval snapshot ``(Q̂, Ŷ, X̂)``."""
-        return self._q_hat, self._y_hat, self._x_hat
 
     # ------------------------------------------------------------------
     # Normalization helpers

@@ -56,7 +56,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.config.control import SmartDPSSConfig
 from repro.core.bounds import BoundVariant, SystemArrays, compute_bounds
 from repro.core.interfaces import BatchCoarseObservation
 from repro.core.p4 import StackedWindows, solve_windows
@@ -114,12 +113,6 @@ class VecSmartDPSS:
                 f"batch requires one objective mode, got {sorted(m.value for m in modes)}")
         self.mode = self._configs[0].objective_mode
         self._n = len(self._configs)
-
-    @classmethod
-    def from_configs(cls, configs: Sequence[SmartDPSSConfig | None]
-                     ) -> "VecSmartDPSS":
-        """Build from configs (``None`` entries get the defaults)."""
-        return cls([SmartDPSS(config) for config in configs])
 
     # ------------------------------------------------------------------
     # Batch controller protocol

@@ -19,9 +19,10 @@ Two auxiliary state variables steer SmartDPSS:
   so this class also provides the *operational* shift
   ``(Bmin + Bmax)/2 + V·p̄`` (with ``p̄`` a reference price), which
   reduces to the same structure but centres the price-arbitrage band
-  inside the observed price range.  DESIGN.md Section 2 records this
-  deviation; tests verify the paper-literal variant on configurations
-  where ``Vmax > 0`` actually holds.
+  inside the observed price range.  The operational shift is this
+  reproduction's deviation from the paper; tests verify the
+  paper-literal variant on configurations where ``Vmax > 0`` actually
+  holds.
 """
 
 from __future__ import annotations
@@ -103,13 +104,6 @@ class BatteryVirtualQueue:
         if self._value is None:
             raise StateError("battery queue not yet observed")
         return self._value
-
-    @property
-    def extremes(self) -> tuple[float, float]:
-        """(min, max) of ``X`` this horizon, for Theorem 2-(1) checks."""
-        if self._min_seen is None or self._max_seen is None:
-            raise StateError("battery queue not yet observed")
-        return self._min_seen, self._max_seen
 
     def observe(self, battery_level: float) -> float:
         """Recompute ``X`` from the physical level; returns it."""

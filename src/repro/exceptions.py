@@ -11,7 +11,16 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for all errors raised by :mod:`repro`."""
+    """Base class for all errors raised by :mod:`repro`.
+
+    :attr:`retryable` says whether re-running the same work can change
+    the outcome.  Most failures are deterministic — a bad value, a
+    malformed trace, an infeasible model fail the same way every time
+    — so the fleet runner bisects them at once; only a crash, a
+    timeout or an injected fault spends its retry budget.
+    """
+
+    retryable = False
 
 
 class ConfigurationError(ReproError):
@@ -139,7 +148,11 @@ class FaultInjectionError(ReproError):
     chaos test means an armed :class:`~repro.fleet.faults.FaultPlan`
     leaked into a production run (check ``REPRO_FAULT_PLAN``).
     Picklable across the worker boundary like every fleet error.
+    Retryable: it stands in for the transient failures the retry path
+    exists for, and a plan's ``times`` decide whether a re-run fails.
     """
+
+    retryable = True
 
     def __init__(self, message: str, site: str | None = None,
                  scenario: object = None):
@@ -155,8 +168,11 @@ class ShardTimeoutError(ReproError):
     """A fleet shard exceeded the runner's per-shard wall-clock budget.
 
     Raised parent-side only (the worker is terminated, not signalled),
-    so it never crosses the process boundary.
+    so it never crosses the process boundary.  Retryable: a re-run on
+    a less loaded machine may finish in time.
     """
+
+    retryable = True
 
 
 class WorkerCrashError(ReproError):
@@ -165,5 +181,8 @@ class WorkerCrashError(ReproError):
 
     The parent wraps the executor's ``BrokenProcessPool`` in this type
     so quarantine records carry a library error taxonomy instead of a
-    ``concurrent.futures`` internal.
+    ``concurrent.futures`` internal.  Retryable: the respawned pool's
+    worker may survive.
     """
+
+    retryable = True

@@ -1,7 +1,8 @@
-"""Ablation studies for the design decisions DESIGN.md calls out.
+"""Ablation studies for this reproduction's design decisions.
 
 * **Abl-1, objective mode** — the P5 objective exactly as printed in
-  the paper versus the first-principles derivation (DESIGN.md §2).
+  the paper versus the first-principles derivation
+  (:mod:`repro.core.modes`).
 * **Abl-2, cycle budget** — constraint (9)'s ``Nmax`` from
   unconstrained down to one operation per day.
 * **Abl-3, battery trade margin** — the break-even wedge

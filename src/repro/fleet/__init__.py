@@ -58,9 +58,12 @@ position and the option.  Unless ``FleetRunner(fail_fast=True)``:
 * A shard exception, a worker crash (``BrokenProcessPool`` — the pool
   is respawned) or an expired ``shard_timeout`` sends the shard
   through **retry → bisect → quarantine**: up to ``max_retries``
-  as-is re-runs with bounded exponential backoff, then repeated
-  halving until the failure is pinned to one scenario, which is
-  recorded in the store's ``errors.jsonl`` sidecar as a typed record
+  as-is re-runs with bounded exponential backoff — spent only on
+  errors a re-run can change (a crash, a timeout, an injected fault,
+  or an error outside the library's taxonomy), while a deterministic
+  library error (``ReproError.retryable`` false) skips them — then
+  repeated halving until the failure is pinned to one scenario, which
+  is recorded in the store's ``errors.jsonl`` sidecar as a typed record
   (``{"spec", "spec_hash", "quarantined": true, "error": {"type",
   "message", "site", "attempts"}}`` — same torn-write-tolerant append
   discipline as results).  Every healthy scenario completes

@@ -40,18 +40,18 @@ same chunk and slot loop but records only the four cost sums
 (:class:`_CostSums`): no delay ledger, extrema or service buffer and
 no fold.  Its column comes from the one
 cost expression the fold uses (:func:`_costs`), so it equals
-``run()["time_avg_cost"]`` bit for bit.  Tests that compare series
-slot by slot plug a :class:`~repro.sim.vecstate.BatchRecorder` into
-the same loop (``_stream(recorder)``).
+``run()["time_avg_cost"]`` bit for bit.  Any other recorder with the
+same ``record`` / ``flush_delays`` interface plugs into the same loop
+(``_stream(recorder)``); tests that compare series slot by slot plug
+in one that keeps every series.
 
 Exactness contract: per-slot physics outputs are bit-identical to the
 scalar engine's (same IEEE-754 operations in the same order; see
 :mod:`repro.sim.vecstate`), the aggregator accumulates every sum slot
 by slot in slot order, and one fold (:func:`_fold`) turns the
-aggregates and delay ledgers into the block.
-:meth:`ScenarioMetrics.from_result` feeds a scalar result's series
-through the same aggregator and the same fold, passing in the result's
-delay ledger, so batch metrics equal scalar metrics *exactly*, not just
+aggregates and delay ledgers into the block.  A scalar result's series
+fed through the same aggregator and the same fold, with the result's
+delay ledger, therefore give the batch metrics *exactly*, not just
 within tolerance.  Enforced by ``tests/equivalence/``.
 
 Chunks must cover whole coarse slots (``chunk_coarse`` many), because
@@ -109,7 +109,6 @@ from repro.sim.batch import (
     ScalarControllerBatch,
 )
 from repro.sim.engine import checked_grid_capacity
-from repro.sim.results import SimulationResult
 from repro.sim.vecstate import (
     DelayReplay,
     VecBacklog,
@@ -162,8 +161,7 @@ class StreamingAggregator:
     chunk at a time by :meth:`flush_delays`.  Sums advance with
     elementwise ``+=`` in slot order; :func:`_fold` turns the
     aggregates into a metrics block.  The same aggregator fed a scalar
-    result's series (:meth:`ScenarioMetrics.from_result`) reproduces
-    every sum bit for bit.
+    result's series reproduces every sum bit for bit.
     """
 
     #: Initial column capacity of the buffered service block.
@@ -399,34 +397,6 @@ class ScenarioMetrics:
         return self.rows({
             name: [value.item() if isinstance(value, np.generic) else value]
             for name, value in self.__dict__.items()})[0]
-
-    @classmethod
-    def from_result(cls, result: SimulationResult,
-                    seed: int | None = None) -> "ScenarioMetrics":
-        """The same metrics computed from a scalar engine's result.
-
-        Feeds the recorded series through a batch-of-one
-        :class:`StreamingAggregator` slot by slot and then through the
-        batch engine's fold (:func:`_fold`) with the result's delay
-        ledger, so every sum uses the identical accumulation order as
-        the batch engine — bit-identical series therefore produce
-        bit-identical metrics.
-        """
-        series = result.series
-        aggregator = StreamingAggregator(1)
-        columns = {name: series[name]
-                   for name in (*_SUMMED, "backlog", "battery_level")}
-        for slot in range(result.n_slots):
-            aggregator.record(**{name: column[slot:slot + 1]
-                                 for name, column in columns.items()})
-        block = _fold(
-            aggregator, [result.delay_stats],
-            controller_name=[result.controller_name],
-            n_slots=result.n_slots,
-            battery_ops=np.array([result.battery_operations]),
-            lt_energy=np.array([result.lt_energy]),
-            rt_energy=np.array([result.rt_energy]), seed=[seed])
-        return cls(**cls.rows(block)[0])
 
 
 class PhysicsWorkspace:

@@ -226,9 +226,6 @@ class FaultPlan:
         return cls(faults=tuple(data.get("faults", ())),
                    seed=int(data.get("seed", 0)))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_json(cls, payload: str) -> "FaultPlan":
         return cls.from_dict(json.loads(payload))

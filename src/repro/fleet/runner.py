@@ -30,6 +30,7 @@ from repro.baselines.offline import (
 )
 from repro.exceptions import (
     ConfigurationError,
+    ReproError,
     ShardTimeoutError,
     SolverError,
     TraceCorruptionError,
@@ -792,8 +793,11 @@ class FleetRunner:
         backoff) applies per distinct scenario set, so each bisection
         half gets its own budget; a single-scenario shard that
         exhausts its budget is the poisoned scenario — it is
-        quarantined and the sweep moves on.  A
-        :class:`TraceCorruptionError` already names its scenario, so
+        quarantined and the sweep moves on.  Only an error a re-run
+        can change spends that budget: a :class:`ReproError` whose
+        class is not :attr:`~ReproError.retryable` bisects at once,
+        while errors outside the library's taxonomy keep the budget.
+        A :class:`TraceCorruptionError` already names its scenario, so
         it short-circuits the bisection and quarantines directly.
         """
         indices = list(payload["indices"])
@@ -808,15 +812,16 @@ class FleetRunner:
             quarantine(poisoned, error)
             rest = [i for i in indices if i != poisoned]
             return self._build_payloads(rest) if rest else []
-        key = tuple(indices)
-        attempt = payload_attempts.get(key, 0) + 1
-        payload_attempts[key] = attempt
-        if attempt <= self.max_retries:
-            counters["retries"] += 1
-            if self.retry_backoff_s > 0:
-                time.sleep(min(2.0,
-                               self.retry_backoff_s * 2 ** (attempt - 1)))
-            return [payload]
+        if not isinstance(error, ReproError) or error.retryable:
+            key = tuple(indices)
+            attempt = payload_attempts.get(key, 0) + 1
+            payload_attempts[key] = attempt
+            if attempt <= self.max_retries:
+                counters["retries"] += 1
+                if self.retry_backoff_s > 0:
+                    time.sleep(min(2.0, self.retry_backoff_s
+                                   * 2 ** (attempt - 1)))
+                return [payload]
         if len(indices) == 1:
             quarantine(indices[0], error)
             return []
@@ -840,8 +845,10 @@ class FleetRunner:
         Failure semantics (unless ``fail_fast``): a shard exception,
         worker crash or shard timeout never aborts the run.  The shard
         is retried up to ``max_retries`` times with bounded
-        exponential backoff, then bisected until the failure is pinned
-        to a single scenario, which is quarantined — a typed record in
+        exponential backoff (only when a re-run can change the
+        outcome: see :attr:`~repro.exceptions.ReproError.retryable`),
+        then bisected until the failure is pinned to a single
+        scenario, which is quarantined — a typed record in
         the store's ``errors.jsonl`` sidecar (and in the returned
         list, flagged ``"quarantined": True``) — while every healthy
         scenario completes bit-identical to a fault-free run.

@@ -636,13 +636,6 @@ class ScenarioSpec:
                          else dict(observation)),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(payload))
-
 
 # ----------------------------------------------------------------------
 # Fleet generators

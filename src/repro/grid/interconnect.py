@@ -5,15 +5,16 @@ the datacenter carries at most ``Pgrid`` MWh per fine slot:
 
     0 ≤ gbef(t)/T + grt(τ) ≤ Pgrid.                        (eq. 5)
 
-:class:`GridInterconnect` is the single authority for this constraint —
-controllers use :meth:`remaining_capacity` when choosing purchases, and
-the simulation engine uses :meth:`clamp_real_time` as a hard backstop
-so no policy can overdraw the feeder.
+:class:`GridInterconnect` states the cap and the largest legal advance
+block ``T · Pgrid``, which the scalar engine clips each plan to.  The
+per-slot real-time headroom ``Pgrid − gbef/T`` is clamped inline by
+both engines (the batch engine in array form), so no policy can
+overdraw the feeder.
 """
 
 from __future__ import annotations
 
-from repro.exceptions import ConfigurationError, InfeasibleActionError
+from repro.exceptions import ConfigurationError
 
 
 class GridInterconnect:
@@ -23,28 +24,6 @@ class GridInterconnect:
         if p_grid < 0:
             raise ConfigurationError(f"Pgrid must be >= 0, got {p_grid}")
         self.p_grid = p_grid
-
-    def validate_long_term_rate(self, per_slot_energy: float) -> None:
-        """Check an advance-purchase delivery rate fits the feeder."""
-        if per_slot_energy < 0:
-            raise InfeasibleActionError(
-                f"delivery rate must be >= 0, got {per_slot_energy}")
-        if per_slot_energy > self.p_grid * (1 + 1e-9):
-            raise InfeasibleActionError(
-                f"long-term delivery rate {per_slot_energy} exceeds "
-                f"Pgrid={self.p_grid}")
-
-    def remaining_capacity(self, long_term_rate: float) -> float:
-        """Feeder headroom for real-time purchases this slot."""
-        return max(0.0, self.p_grid - long_term_rate)
-
-    def clamp_real_time(self, requested: float,
-                        long_term_rate: float) -> float:
-        """Clamp a real-time purchase to the feeder headroom."""
-        if requested < 0:
-            raise InfeasibleActionError(
-                f"real-time purchase must be >= 0, got {requested}")
-        return min(requested, self.remaining_capacity(long_term_rate))
 
     def max_block_purchase(self, fine_slots_per_coarse: int) -> float:
         """Largest legal advance block ``gbef ≤ T · Pgrid``."""

@@ -1,8 +1,8 @@
 """Two-timescale grid markets (paper Section II-A.1).
 
 Both markets validate prices against the cap ``Pmax`` and keep a
-purchase ledger (energy, spend, per-slot breakdown) so experiments can
-decompose the operational cost exactly as the paper's cost model does:
+purchase ledger (energy and spend) so experiments can decompose the
+operational cost exactly as the paper's cost model does:
 
     Cost(τ) = gbef(t)/T · plt(t) + grt(τ) · prt(τ) + n(τ)·Cb + W(τ).
 
@@ -25,7 +25,6 @@ class MarketLedger:
         self.name = name
         self._energy = 0.0
         self._spend = 0.0
-        self._transactions = 0
 
     @property
     def energy(self) -> float:
@@ -37,32 +36,18 @@ class MarketLedger:
         """Total dollars spent so far."""
         return self._spend
 
-    @property
-    def transactions(self) -> int:
-        """Number of non-zero purchases recorded."""
-        return self._transactions
-
-    @property
-    def average_price(self) -> float:
-        """Volume-weighted average purchase price ($/MWh)."""
-        if self._energy == 0:
-            return 0.0
-        return self._spend / self._energy
-
     def record(self, energy: float, price: float) -> float:
         """Record a purchase, returning its cost."""
         cost = energy * price
         if energy > 0:
             self._energy += energy
             self._spend += cost
-            self._transactions += 1
         return cost
 
     def reset(self) -> None:
         """Clear all accumulators for a fresh horizon."""
         self._energy = 0.0
         self._spend = 0.0
-        self._transactions = 0
 
     def __repr__(self) -> str:
         return (f"MarketLedger({self.name!r}, energy={self._energy:.3f}, "
@@ -108,13 +93,11 @@ class LongTermMarket(_MarketBase):
                 f"T must be >= 1, got {fine_slots_per_coarse}")
         self.fine_slots_per_coarse = fine_slots_per_coarse
         self._current_block = 0.0
-        self._current_price = 0.0
 
     def purchase_block(self, energy: float, price: float) -> None:
         """Commit the coarse slot's advance purchase ``gbef(t)``."""
         self._check(energy, price)
         self._current_block = energy
-        self._current_price = price
         self.ledger.record(energy, price)
 
     @property
@@ -122,25 +105,9 @@ class LongTermMarket(_MarketBase):
         """Scheduled delivery ``gbef(t)/T`` for each fine slot."""
         return self._current_block / self.fine_slots_per_coarse
 
-    @property
-    def per_fine_slot_cost(self) -> float:
-        """Booked cost ``gbef(t)/T · plt(t)`` for each fine slot."""
-        return self.per_fine_slot_energy * self._current_price
-
-    @property
-    def current_block(self) -> float:
-        """Current coarse slot's committed energy."""
-        return self._current_block
-
-    @property
-    def current_price(self) -> float:
-        """Current coarse slot's contract price."""
-        return self._current_price
-
     def reset(self) -> None:
         super().reset()
         self._current_block = 0.0
-        self._current_price = 0.0
 
 
 class RealTimeMarket(_MarketBase):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 

@@ -114,12 +114,6 @@ class SimulationResult:
         """Largest backlog observed (compare against Qmax)."""
         return float(self.series["backlog"].max())
 
-    @property
-    def battery_range(self) -> tuple[float, float]:
-        """(min, max) battery level over the horizon."""
-        levels = self.series["battery_level"]
-        return float(levels.min()), float(levels.max())
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

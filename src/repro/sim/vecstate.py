@@ -3,11 +3,10 @@
 Each class here is the array-form twin of a scalar physics object —
 :class:`~repro.battery.model.UpsBattery`,
 :class:`~repro.workload.queue.BacklogQueue`,
-:class:`~repro.battery.lifetime.CycleLedger`, the two market ledgers
-and the :class:`~repro.sim.recorder.Recorder` — holding the state of
-``B`` independent scenarios in ``(B,)`` arrays and advancing all of
-them in place per slot.  Per-slot updates take their outputs and
-scratch as caller-owned buffers (the engine's
+:class:`~repro.battery.lifetime.CycleLedger` and the two market
+ledgers — holding the state of ``B`` independent scenarios in ``(B,)``
+arrays and advancing all of them in place per slot.  Per-slot updates
+take their outputs and scratch as caller-owned buffers (the engine's
 :class:`~repro.fleet.engine.PhysicsWorkspace`), so the slot loop
 allocates nothing.
 
@@ -22,9 +21,8 @@ The one piece that stays scalar is the FIFO delay ledger: per-parcel
 delay statistics are inherently sequential, so :class:`DelayReplay`
 reconstructs them off the per-slot hot path by replaying the realized
 service/arrival series through the exact dynamics of
-:class:`~repro.workload.queue.BacklogQueue` — chunk by chunk in the
-engine's aggregator, or over a whole recorded horizon
-(:func:`replay_delay_stats`).
+:class:`~repro.workload.queue.BacklogQueue`, chunk by chunk in the
+engine's aggregator.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.sim.recorder import SERIES_NAMES
 from repro.workload.queue import DelayStats
 from repro.exceptions import ConfigurationError
 
@@ -152,12 +149,6 @@ class VecCycleLedger:
         """Operations left (float array; +inf when unconstrained)."""
         return np.maximum(0.0, self.budget - self.operations)
 
-    def remaining_scalar(self, index: int) -> int | None:
-        """Scalar-protocol form: ``None`` when unconstrained."""
-        if not np.isfinite(self.budget[index]):
-            return None
-        return int(self.remaining[index])
-
     def remaining_into(self, out: np.ndarray) -> np.ndarray:
         """:attr:`remaining`, written into ``out`` (no allocations)."""
         np.subtract(self.budget, self.operations, out=out)
@@ -201,66 +192,6 @@ class VecMarketLedger:
         return cost
 
 
-class BatchRecorder:
-    """Per-slot series for ``B`` scenarios: one ``(B, n_slots)`` array
-    per quantity in :data:`~repro.sim.recorder.SERIES_NAMES`.
-
-    The batch engine's per-slot recorder: plug it into
-    ``StreamingBatchSimulator._stream(recorder)`` to read every series
-    slot by slot, as the scalar :class:`~repro.sim.recorder.Recorder`
-    holds them.  It keeps no delay ledger (:meth:`flush_delays` is a
-    no-op); :func:`replay_delay_stats` rebuilds one from the recorded
-    ``served_dt`` series.
-    """
-
-    def __init__(self, n_scenarios: int, n_slots: int):
-        if n_scenarios < 1 or n_slots < 1:
-            raise ConfigurationError(
-                f"need n_scenarios >= 1 and n_slots >= 1, got "
-                f"({n_scenarios}, {n_slots})")
-        self.n_scenarios = n_scenarios
-        self.n_slots = n_slots
-        self._series = {name: np.zeros((n_scenarios, n_slots))
-                        for name in SERIES_NAMES}
-        self._cursor = 0
-
-    @property
-    def cursor(self) -> int:
-        """Number of slots recorded so far."""
-        return self._cursor
-
-    def record(self, **values: np.ndarray) -> None:
-        """Record one slot for every scenario at once."""
-        if self._cursor >= self.n_slots:
-            raise IndexError(f"recorder full ({self.n_slots} slots)")
-        for name, value in values.items():
-            if name not in self._series:
-                raise KeyError(f"unknown series {name!r}")
-            self._series[name][:, self._cursor] = value
-        self._cursor += 1
-
-    def series(self, name: str) -> np.ndarray:
-        """One ``(B, cursor)`` series (read-only view)."""
-        if name not in self._series:
-            raise KeyError(f"unknown series {name!r}")
-        array = self._series[name][:, :self._cursor]
-        array.setflags(write=False)
-        return array
-
-    def flush_delays(self, start_slot: int,
-                     arrivals_dt: np.ndarray) -> None:
-        """Nothing to replay: the full series stay recorded."""
-
-    def scenario_dict(self, index: int) -> dict[str, np.ndarray]:
-        """All series for one scenario, in scalar-Recorder layout."""
-        out = {}
-        for name in SERIES_NAMES:
-            row = self._series[name][index, :self._cursor].copy()
-            row.setflags(write=False)
-            out[name] = row
-        return out
-
-
 class DelayReplay:
     """Stateful FIFO delay-ledger replay, fed any number of windows.
 
@@ -268,12 +199,11 @@ class DelayReplay:
     dynamics of :class:`~repro.workload.queue.BacklogQueue` (same
     serve-then-admit order, same tolerances, same accumulation order),
     reproducing bit-for-bit the delay statistics the scalar engine
-    accumulates inline.  :func:`replay_delay_stats` feeds it one
-    full-horizon window; the streaming engine
-    (:mod:`repro.fleet.engine`) feeds it chunk by chunk — the
-    arithmetic is identical either way, which is what keeps the two
-    paths exact.  Written as a tight local-variable loop because it
-    runs once per batch member over the whole horizon.
+    accumulates inline.  The streaming engine
+    (:mod:`repro.fleet.engine`) feeds it chunk by chunk; one
+    full-horizon window gives the same arithmetic, which is what keeps
+    the chunked path exact.  Written as a tight local-variable loop
+    because it runs once per batch member over the whole horizon.
     """
 
     __slots__ = ("backlog", "parcels", "served_energy", "weighted_delay",
@@ -328,15 +258,3 @@ class DelayReplay:
                           weighted_delay=self.weighted_delay,
                           max_delay=self.max_delay,
                           histogram=self.histogram)
-
-
-def replay_delay_stats(served_dt: np.ndarray,
-                       arrivals_dt: np.ndarray) -> DelayStats:
-    """Reconstruct one scenario's FIFO delay ledger post-run.
-
-    One full-horizon pass through :class:`DelayReplay` — see its
-    docstring for the exactness contract.
-    """
-    replay = DelayReplay()
-    replay.extend(0, served_dt, arrivals_dt)
-    return replay.stats()

@@ -34,12 +34,6 @@ Two solve configurations exist, chosen by the caller per instance:
     deterministic, just slower), keeping scalar/batch equivalence
     intact because *both* sides consult the same dispatch.
 
-:func:`solve_block_diagonal` additionally assembles ``B`` instances
-into one literal block-diagonal LP and solves it in a single call —
-slower than the stamped loop (HiGHS cannot exploit the separability),
-but an independent cross-check of the stamping logic used by the
-equivalence tests.
-
 Importing this module loads no scipy: ``scipy.optimize`` and
 ``scipy.sparse`` load on the first solve, and the private bindings
 are probed once, on first use (:func:`fast_path_available`).  A
@@ -49,7 +43,6 @@ process pool forked after :func:`load_scipy` inherits both.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -74,8 +67,7 @@ def raise_for_status(status: int, model_name: str,
     """Map a scipy-linprog status code onto the typed error hierarchy.
 
     Returns silently for ``STATUS_OK``; every other code raises.  Both
-    solve paths of :class:`CompiledLp` (and
-    :func:`solve_block_diagonal`) route through here, so a given
+    solve paths of :class:`CompiledLp` route through here, so a given
     failure mode produces one exception type everywhere.
     """
     if status == STATUS_OK:
@@ -313,53 +305,3 @@ class CompiledLp:
             if fast and fast_path_available():
                 return self._solve_fast(c, b_ub, b_eq)
             return self._solve_linprog(c, b_ub, b_eq)
-
-
-def solve_block_diagonal(compiled: CompiledLp,
-                         instances: Sequence[dict]) -> list[LpSolution]:
-    """Solve ``B`` instances as one literal block-diagonal LP.
-
-    Each instance dict may carry ``c`` / ``b_ub`` / ``b_eq`` overrides
-    (as in :meth:`CompiledLp.solve`).  The assembled program is
-    ``blockdiag(A, ..., A)`` with concatenated vectors, solved by one
-    public ``linprog`` call and split back into per-instance
-    solutions.  This is the cross-check mode: HiGHS may land on a
-    different vertex of a degenerate block than the per-instance
-    solve, so only objectives (not ``x``) are comparable, and only to
-    solver tolerance.
-    """
-    if not instances:
-        return []
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n_b = len(instances)
-
-    def stacked(name, default):
-        parts = []
-        for instance in instances:
-            override = instance.get(name)
-            parts.append(default if override is None
-                         else np.asarray(override, dtype=float))
-        return np.concatenate(parts) if default.size else None
-
-    c = stacked("c", compiled._c)
-    b_ub = stacked("b_ub", compiled._b_ub)
-    b_eq = stacked("b_eq", compiled._b_eq)
-    A_ub = (sparse.block_diag([compiled._A_ub] * n_b, format="csr")
-            if compiled._A_ub is not None else None)
-    A_eq = (sparse.block_diag([compiled._A_eq] * n_b, format="csr")
-            if compiled._A_eq is not None else None)
-    result = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                     bounds=list(compiled._bounds) * n_b,
-                     method="highs")
-    x_all = _linprog_solution(result, compiled.name).x
-    solutions = []
-    width = compiled.n_cols
-    for index in range(n_b):
-        x = x_all[index * width:(index + 1) * width]
-        objective = float(np.dot(
-            c[index * width:(index + 1) * width], x))
-        solutions.append(LpSolution(objective=objective, x=x,
-                                    status="optimal"))
-    return solutions

@@ -11,9 +11,9 @@ lets callers build the program with names::
     model.add_eq({g[0]: 1.0, b[1]: -1.0}, rhs=...)
 
 and compiles to the sparse arrays HiGHS consumes
-(:class:`~repro.solvers.batch_lp.CompiledLp`) or the dense ones of the
-reference simplex (:mod:`repro.solvers.simplex`); only the sparse
-compile imports scipy.  Solutions map back to names (:meth:`LpSolution.value`, or vectorized
+(:class:`~repro.solvers.batch_lp.CompiledLp`) or, with
+``use_sparse=False``, to dense ones (what the tests' reference simplex
+reads); only the sparse compile imports scipy.  Solutions map back to names (:meth:`LpSolution.value`, or vectorized
 :meth:`LpSolution.values`).
 """
 
@@ -49,7 +49,6 @@ class LpModel:
         self._costs: list[float] = []
         self._lower: list[float] = []
         self._upper: list[float] = []
-        self._names: list[str] = []
         self._ub_rows: list[dict[int, float]] = []
         self._ub_rhs: list[float] = []
         self._eq_rows: list[dict[int, float]] = []
@@ -63,11 +62,6 @@ class LpModel:
     def n_vars(self) -> int:
         """Number of variables added so far."""
         return len(self._costs)
-
-    @property
-    def n_constraints(self) -> int:
-        """Total constraint rows (inequalities + equalities)."""
-        return len(self._ub_rows) + len(self._eq_rows)
 
     @property
     def n_ub_rows(self) -> int:
@@ -89,7 +83,6 @@ class LpModel:
         self._costs.append(float(cost))
         self._lower.append(float(lb))
         self._upper.append(float(ub))
-        self._names.append(name)
         return var
 
     def _row(self, coeffs: dict[LpVar, float]) -> dict[int, float]:
@@ -156,10 +149,6 @@ class LpModel:
             "b_eq": (np.asarray(self._eq_rhs) if self._eq_rhs else None),
             "bounds": list(zip(self._lower, self._upper)),
         }
-
-    def variable_names(self) -> list[str]:
-        """Names in column order (for debugging solver output)."""
-        return list(self._names)
 
 
 @dataclass(frozen=True)

@@ -18,48 +18,24 @@ line.  Enumerating all (box corner) × (breakpoint line ∩ box edge)
 points and evaluating the exact objective is therefore optimal — no
 iterative solver, no tolerance tuning.
 
-:func:`minimize_over_candidates` states the selection rule P4 and P5
-share: the earliest candidate wins unless a later one beats it by more
-than 1e-12.  :func:`scan_candidates` is its array form and the one
-selection scan of the batch P5 solver and of P4 (scalar and batch
-alike).  :func:`piecewise_candidates_1d` states the one-dimensional
-candidate grid that P4 builds in array form
-(:func:`repro.core.p4._base_grids`); only tests call it.
+:func:`scan_candidates` is the selection rule P4 and P5 share, in
+array form: the earliest candidate wins unless a later one beats it by
+more than 1e-12.  It is the one selection scan of the batch P5 solver
+and of P4 (scalar and batch alike).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from repro.exceptions import ConfigurationError
 
 
-def minimize_over_candidates(
-        objective: Callable[..., float],
-        candidates: Iterable[tuple],
-) -> tuple[float, tuple]:
-    """Evaluate ``objective`` at every candidate; return (best, argbest).
-
-    Ties break toward the earlier candidate, which callers exploit by
-    listing "do nothing" first so zero-cost ties stay inactive.
-    """
-    best_value = None
-    best_point = None
-    for point in candidates:
-        value = objective(*point)
-        if best_value is None or value < best_value - 1e-12:
-            best_value = value
-            best_point = point
-    if best_point is None:
-        raise ConfigurationError("no candidates supplied")
-    return best_value, best_point
-
-
 def scan_candidates(values: np.ndarray, default: int,
                     shifted: np.ndarray, threshold: np.ndarray,
                     rows: np.ndarray, wins: np.ndarray) -> np.ndarray:
-    """:func:`minimize_over_candidates`'s rule in every lane at once.
+    """The earliest-candidate-keeps-a-tie rule in every lane at once.
 
     ``values`` is ``(R, L)``: candidate row ``r``'s value in lane
     ``l``.  Each lane starts at row ``default`` with an infinite
@@ -82,23 +58,6 @@ def scan_candidates(values: np.ndarray, default: int,
         np.copyto(threshold, shifted[row], where=wins)
         np.copyto(rows, row, where=wins)
     return rows
-
-
-def piecewise_candidates_1d(lower: float, upper: float,
-                            breakpoints: Sequence[float]) -> list[float]:
-    """Candidate points for a 1-D piecewise-linear minimization.
-
-    Returns the interval ends plus every breakpoint clipped into the
-    interval, deduplicated and sorted.  Evaluating a piecewise-linear
-    function at these points finds its exact minimum over
-    ``[lower, upper]``.
-    """
-    if lower > upper:
-        raise ConfigurationError(f"empty interval [{lower}, {upper}]")
-    array = np.asarray(breakpoints, dtype=float)
-    inside = array[(lower <= array) & (array <= upper)]
-    ends = np.array([lower, upper], dtype=float)
-    return np.unique(np.concatenate((ends, inside))).tolist()
 
 
 def box_edge_candidates(grt_bounds: tuple[float, float],

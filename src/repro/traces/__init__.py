@@ -3,10 +3,12 @@
 The paper drives its evaluation from three external, non-redistributable
 data sources: NREL MIDC solar meteorology, NYISO electricity prices and a
 Google-cluster power demand trace.  This subpackage synthesizes
-statistically matched, fully seeded equivalents (see DESIGN.md Section 3
-for the substitution rationale) and provides the scaling transformations
-the paper's experiments apply to them (renewable penetration, demand
-variance shaping, system expansion ``β``, peak clipping at ``Pgrid``).
+statistically matched, fully seeded equivalents — the controller reacts
+only to the statistical features they share (diurnal cycles, solar
+intermittency, two-timescale price structure), not to the particular
+recorded days — and provides the scaling transformations the paper's
+experiments apply to them (renewable penetration, demand variance
+shaping, system expansion ``β``, peak clipping at ``Pgrid``).
 """
 
 from repro.traces.base import Trace, TraceBlock, TraceSet
@@ -35,7 +37,6 @@ from repro.traces.solar import (
     SolarModel,
     SolarTraceKernel,
 )
-from repro.traces.validation import all_valid, validate_paper_traces
 from repro.traces.wind import WindModel, WindTraceGenerator
 
 __all__ = [
@@ -61,6 +62,4 @@ __all__ = [
     "reshape_demand_variation",
     "expand_system",
     "clip_demand_peaks",
-    "validate_paper_traces",
-    "all_valid",
 ]

@@ -16,13 +16,13 @@ statistically matched series from first principles:
 
 Only the resulting *power series* ``r(τ)`` enters SmartDPSS, so matching
 these three statistical features is what preserves the paper's
-behaviour (see DESIGN.md Section 3).
+behaviour.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 

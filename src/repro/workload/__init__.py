@@ -7,8 +7,6 @@ service delays (Figs. 6b, 6d) needs more state than the scalar ``Q``:
 arrival parcels so every served MWh knows how long it waited.
 """
 
-from repro.workload.cooling import CoolingModel, apply_cooling_overhead
 from repro.workload.queue import BacklogQueue, DelayStats, ServedParcel
 
-__all__ = ["BacklogQueue", "DelayStats", "ServedParcel",
-           "CoolingModel", "apply_cooling_overhead"]
+__all__ = ["BacklogQueue", "DelayStats", "ServedParcel"]

@@ -72,7 +72,6 @@ class BacklogQueue:
     def __init__(self) -> None:
         self._backlog = 0.0
         self._parcels: deque[list[float]] = deque()  # [arrival_slot, energy]
-        self._arrived = 0.0
         self.stats = DelayStats()
 
     # ------------------------------------------------------------------
@@ -85,25 +84,9 @@ class BacklogQueue:
         return self._backlog
 
     @property
-    def arrived_total(self) -> float:
-        """Total delay-tolerant energy that ever arrived."""
-        return self._arrived
-
-    @property
-    def served_total(self) -> float:
-        """Total delay-tolerant energy served so far."""
-        return self.stats.served_energy
-
-    @property
     def has_backlog(self) -> bool:
         """The indicator ``1{Q(τ) > 0}`` used by the Y-queue (eq. 12)."""
         return self._backlog > _TOLERANCE
-
-    def oldest_arrival_slot(self) -> int | None:
-        """Arrival slot of the oldest queued parcel (None if empty)."""
-        if not self._parcels:
-            return None
-        return int(self._parcels[0][0])
 
     # ------------------------------------------------------------------
     # Dynamics (paper eq. 2 order: serve, then admit arrivals)
@@ -143,7 +126,6 @@ class BacklogQueue:
             raise InfeasibleActionError(f"arrival must be >= 0, got {amount}")
         if amount > _TOLERANCE:
             self._parcels.append([arrival_slot, amount])
-            self._arrived += amount
         self._backlog += amount
         self._assert_consistent()
 
@@ -169,7 +151,6 @@ class BacklogQueue:
         """Empty the queue and statistics for a fresh horizon."""
         self._backlog = 0.0
         self._parcels.clear()
-        self._arrived = 0.0
         self.stats = DelayStats()
 
     def __repr__(self) -> str:

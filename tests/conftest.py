@@ -76,15 +76,15 @@ def streamed_results(runs, controller=None, chunk_coarse: int = 4):
 
     ``runs`` are :class:`~repro.fleet.engine.StreamRunSpec` s.  The
     engine's slot loop feeds a
-    :class:`~repro.sim.vecstate.BatchRecorder`, so every series is
+    :class:`~oracles.engine.BatchRecorder`, so every series is
     there slot by slot, as a scalar
     :class:`~repro.sim.engine.Simulator` result holds it; the delay
     ledger is replayed from the recorded service against the true
     arrivals.
     """
+    from oracles.engine import BatchRecorder, replay_delay_stats
     from repro.fleet.engine import StreamingBatchSimulator
     from repro.sim.results import SimulationResult
-    from repro.sim.vecstate import BatchRecorder, replay_delay_stats
 
     simulator = StreamingBatchSimulator(runs, controller,
                                         chunk_coarse=chunk_coarse)

@@ -130,10 +130,11 @@ def mixed_packs(draw):
 def controller_state(controller: SmartDPSS) -> dict:
     """Everything post-run introspection can read off an instance."""
     return {
-        "y_queue": controller.delay_queue.state(),
-        "x_queue": controller.battery_queue.state(),
+        "y_queue": controller._y_queue.state(),
+        "x_queue": controller._x_queue.state(),
         "price_mean": controller._rt_price_mean.state(),
-        "frozen_weights": controller.frozen_weights,
+        "frozen_weights": (controller._q_hat, controller._y_hat,
+                           controller._x_hat),
     }
 
 
@@ -256,7 +257,7 @@ def test_end_slot_extremes_without_planning():
     scalar.begin_horizon(system)
     vec.begin_horizon([system])
     before = vector_state(vec, 0)
-    assert before["x_queue"] == scalar.battery_queue.state()
+    assert before["x_queue"] == scalar._x_queue.state()
 
     for level, served in ((0.4, 0.2), (0.9, 0.0), (0.1, 0.5)):
         scalar.end_slot(types.SimpleNamespace(
@@ -268,7 +269,8 @@ def test_end_slot_extremes_without_planning():
             served_dt=np.array([served]),
             battery_level=np.array([level])))
     after = vector_state(vec, 0)
-    assert after["x_queue"] == scalar.battery_queue.state()
+    assert after["x_queue"] == scalar._x_queue.state()
+    shift = scalar._x_queue.shift
     assert (after["x_queue"]["min_seen"], after["x_queue"]["max_seen"]) \
-        == scalar.battery_queue.extremes
-    assert after["y_queue"] == scalar.delay_queue.state()
+        == (0.1 - shift, 0.9 - shift)
+    assert after["y_queue"] == scalar._y_queue.state()

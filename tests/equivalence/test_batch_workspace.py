@@ -22,6 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles.engine import BatchRecorder
 from repro.baselines.impatient import ImpatientController
 from repro.baselines.myopic import MyopicPriceThreshold
 from repro.config.presets import paper_controller_config, paper_system_config
@@ -35,7 +36,6 @@ from repro.fleet.spec import ScenarioSpec
 from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
-from repro.sim.vecstate import BatchRecorder
 from repro.traces.library import make_paper_traces
 from tests.conftest import streamed_results
 

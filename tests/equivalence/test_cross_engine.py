@@ -8,7 +8,7 @@ masks, observation models (all five kinds), cycle budgets and both P5
 objective modes — and every generated scenario is run through both
 engines and compared *slot for slot* (cost components, battery SOC,
 backlog, purchases, service, waste; the batch side through a
-:class:`~repro.sim.vecstate.BatchRecorder`) plus the delay ledger and
+:class:`~oracles.engine.BatchRecorder`) plus the delay ledger and
 market/cycle accounting.  The scalar side observes
 :meth:`~repro.fleet.observe.ObservationSpec.observed_traces`, the
 whole-horizon reference of the batch engine's chunked observation

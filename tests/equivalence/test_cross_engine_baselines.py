@@ -16,13 +16,13 @@ generated-scenario treatment to them:
 
 Each scenario runs through the scalar :class:`Simulator` with a fresh
 controller instance and through the batch engine with a
-:class:`~repro.sim.vecstate.BatchRecorder` plugged in (which batches
-the mixed pack via ``ScalarControllerBatch``), and the two are compared
+:class:`~oracles.engine.BatchRecorder` plugged in (which batches the
+mixed pack via ``ScalarControllerBatch``), and the two are compared
 slot for slot with the shared 1e-9 bar.  A third leg — the engine's
 own metrics run, as every fleet shard does it, oracles included —
 replays the pack over :class:`~repro.fleet.stream.ArrayTraceStream`
 views at a drawn chunk size, and its metrics must equal
-``ScenarioMetrics.from_result`` of the recorded leg exactly.
+:func:`~oracles.engine.metrics_from_result` of the recorded leg exactly.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from oracles.engine import metrics_from_result
 from repro.baselines import (
     ImpatientController,
     LookaheadController,
@@ -152,7 +153,7 @@ def test_baselines_batch_matches_scalar(packs, chunk_coarse):
     for index, (metrics, batch) in enumerate(
             zip(ScenarioMetrics.rows(streamed), batch_results)):
         assert metrics == \
-            ScenarioMetrics.from_result(batch).as_dict(), (
+            metrics_from_result(batch).as_dict(), (
                 f"baseline scenario {index}, chunk_coarse "
                 f"{chunk_coarse}")
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from oracles.engine import metrics_from_result
 from repro.fleet.engine import (
     ScenarioMetrics,
     StreamingBatchSimulator,
@@ -77,7 +78,7 @@ def run_reference(specs: list[ScenarioSpec]) -> list[dict]:
         result = Simulator(system, spec.build_controller(traces), traces,
                            observed=observed).run()
         metrics.append(
-            ScenarioMetrics.from_result(result, seed=spec.seed).as_dict())
+            metrics_from_result(result, seed=spec.seed).as_dict())
     return metrics
 
 

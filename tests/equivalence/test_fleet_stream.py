@@ -8,9 +8,9 @@ Three layers, mirroring the contract in :mod:`repro.fleet.engine`:
    same numbers.
 2. **Engine equivalence** — ``StreamingBatchSimulator`` metrics are
    *exactly* equal (``==`` on every float) to
-   ``ScenarioMetrics.from_result`` of the scalar ``Simulator`` run on
-   the materialized traces, across chunk sizes, controller families
-   and hypothesis-generated configurations.
+   :func:`~oracles.engine.metrics_from_result` of the scalar
+   ``Simulator`` run on the materialized traces, across chunk sizes,
+   controller families and hypothesis-generated configurations.
 3. **Runner equivalence** — ``FleetRunner`` returns identical records
    whether shards run in-process or on a process pool.
 """
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from oracles.engine import metrics_from_result
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro.fleet.engine import (
@@ -89,7 +90,7 @@ def run_both_engines(specs: list[ScenarioSpec], chunk_coarse: int):
             stream=stream))
         result = Simulator(system, spec.build_controller(),
                            stream.materialize()).run()
-        reference.append(ScenarioMetrics.from_result(result,
+        reference.append(metrics_from_result(result,
                                                      seed=spec.seed))
     streamed = ScenarioMetrics.rows(StreamingBatchSimulator(
         stream_runs, chunk_coarse=chunk_coarse).run())
@@ -189,7 +190,7 @@ def test_streamed_respects_cycle_budget_and_grid_capacity():
         chunk_coarse=2).run())
     result = Simulator(system, SmartDPSS(paper_controller_config()),
                        stream.materialize(), grid_capacity=capacity).run()
-    reference = ScenarioMetrics.from_result(result, seed=4)
+    reference = metrics_from_result(result, seed=4)
     assert_metrics_identical(streamed, [reference])
 
 

@@ -68,7 +68,8 @@ class TestQuarterHourResolution:
     def test_horizon_shape(self, quarter_hour_setting):
         system, traces = quarter_hour_setting
         assert system.horizon_slots == DAYS * 96
-        assert system.horizon_hours == pytest.approx(DAYS * 24)
+        assert system.horizon_slots * system.slot_hours \
+            == pytest.approx(DAYS * 24)
         assert traces.n_slots == system.horizon_slots
 
     def test_smartdpss_runs_with_full_availability(
@@ -79,7 +80,8 @@ class TestQuarterHourResolution:
             epsilon=0.5 * SLOT_HOURS)
         result = Simulator(system, SmartDPSS(config), traces).run()
         assert result.availability == 1.0
-        lo, hi = result.battery_range
+        levels = result.series["battery_level"]
+        lo, hi = levels.min(), levels.max()
         assert lo >= system.b_min - 1e-9
         assert hi <= system.b_max + 1e-9
 

@@ -62,7 +62,8 @@ class TestServiceGuarantees:
 
     def test_battery_in_range_all_month(self, month):
         system, _, smart, _, _ = month
-        lo, hi = smart.battery_range
+        levels = smart.series["battery_level"]
+        lo, hi = levels.min(), levels.max()
         assert lo >= system.b_min - 1e-9
         assert hi <= system.b_max + 1e-9
 

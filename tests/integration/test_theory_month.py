@@ -14,13 +14,13 @@ One 31-day paper system and trace realization (seed 20130708, V=1,
 import pytest
 
 from repro.analysis.decomposition import decompose_savings
-from repro.analysis.drift import DriftRecorder, verify_drift_inequality
-from repro.analysis.theory import all_hold, verify_theorem2
+from oracles.drift import DriftRecorder, verify_drift_inequality
+from oracles.theory import all_hold, verify_theorem2
 from repro.baselines.offline import OfflineOptimal
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.sim.engine import Simulator
 from repro.traces.library import make_paper_traces
-from repro.traces.validation import all_valid, validate_paper_traces
+from oracles.trace_validation import all_valid, validate_paper_traces
 
 SEED = 20130708
 
@@ -53,7 +53,7 @@ def test_theorem2_bounds_hold(month):
     assert all_hold(verify_theorem2(
         result, v=config.v, epsilon=config.epsilon,
         price_cap_normalized=system.p_max / config.price_scale,
-        y_peak=recorder.delay_queue.peak,
+        y_peak=recorder._y_queue.peak,
         offline_time_average=offline.time_average_cost))
 
 

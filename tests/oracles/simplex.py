@@ -3,9 +3,10 @@
 The paper solves its subproblems with "classical linear programming
 approaches, e.g., simplex method" (Section IV-B).  This module provides
 exactly that: a dependency-free, textbook two-phase simplex.  It is
-deliberately simple and dense — its role in this library is to
-**cross-check** the HiGHS backend and the closed-form P4/P5 solvers on
-small instances in the test suite, not to solve the big offline LP.
+deliberately simple and dense — its one role is to **cross-check** the
+library's HiGHS entry point (:mod:`repro.solvers.batch_lp`) and the
+closed-form P4/P5 solvers on small instances; the library itself never
+calls it.
 
 The general form accepted matches :class:`~repro.solvers.linear_program.LpModel`:
 

@@ -62,7 +62,7 @@ def verify_theorem2(result: SimulationResult,
         controller's normalized units).
     y_peak:
         Peak of the controller's ``Y`` queue
-        (``controller.delay_queue.peak`` for SmartDPSS); skipped if
+        (``controller._y_queue.peak`` for SmartDPSS); skipped if
         ``None``.
     offline_time_average:
         Offline optimum ``φopt`` per slot; enables the cost-gap check.
@@ -71,7 +71,8 @@ def verify_theorem2(result: SimulationResult,
         result.system, v, epsilon, price_cap_normalized, variant=variant)
     checks: list[BoundCheck] = []
 
-    b_lo, b_hi = result.battery_range
+    levels = result.series["battery_level"]
+    b_lo, b_hi = float(levels.min()), float(levels.max())
     checks.append(BoundCheck(
         claim="battery level >= Bmin (Thm 2-2)",
         holds=b_lo >= result.system.b_min - _SLACK,

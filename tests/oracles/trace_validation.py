@@ -1,8 +1,9 @@
 """Statistical validation of synthetic traces against paper properties.
 
-The substitution argument in DESIGN.md §3 rests on the synthetic traces
-matching the *statistical features* the algorithm reacts to.  This
-module makes those features explicit and checkable:
+The synthetic traces stand in for the paper's non-redistributable
+NREL, NYISO and Google-cluster data, and that substitution holds only
+while they match the *statistical features* the algorithm reacts to.
+This module makes those features explicit and checkable:
 
 * demand: diurnal cycle (daytime > overnight), bounded peaks, positive
   delay-tolerant share, weekday/weekend contrast;
@@ -12,8 +13,8 @@ module makes those features explicit and checkable:
   spikes.
 
 :func:`validate_paper_traces` runs every check and returns structured
-results; the test suite pins them, so a regression in any generator
-is caught as a statistics change rather than as a mysterious shift in
+results; the tests pin them, so a regression in any generator is
+caught as a statistics change rather than as a mysterious shift in
 every experiment.
 """
 

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from oracles.selection import minimize_over_candidates, window_cost
 from repro.config.control import ObjectiveMode
 from repro.core.p4 import (
     _SCALAR_FIELDS,
     P4State,
     StackedWindows,
     _scan,
-    _window_cost,
     _window_values,
     solve_p4,
     solve_windows,
 )
-from repro.solvers.piecewise import minimize_over_candidates
 from tests.property.test_property_p5 import near_tie_columns
 
 profiles = st.lists(st.floats(min_value=0.0, max_value=2.0),
@@ -97,11 +96,11 @@ def test_floor_is_feasibility_floor(state):
                        min_size=4, max_size=10))
 def test_no_random_rate_beats_solution(state, probes):
     solution = solve_p4(state, ObjectiveMode.DERIVED)
-    best = _window_cost(state, solution.rate)
+    best = window_cost(state, solution.rate)
     lo = solution.floor_rate
     for u in probes:
         rate = lo + u * (state.p_grid - lo)
-        assert best <= _window_cost(state, rate) + 1e-7
+        assert best <= window_cost(state, rate) + 1e-7
 
 
 @settings(max_examples=100, deadline=None)

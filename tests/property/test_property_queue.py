@@ -40,7 +40,7 @@ def test_energy_conservation(schedule):
         arrived += arrivals
         served += sum(p.energy for p in parcels)
     assert arrived == pytest.approx(served + queue.backlog, abs=1e-6)
-    assert queue.served_total == pytest.approx(served, abs=1e-9)
+    assert queue.stats.served_energy == pytest.approx(served, abs=1e-9)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
-from repro.solvers.simplex import solve_with_simplex
+from oracles.simplex import solve_with_simplex
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 

@@ -1,14 +1,9 @@
-"""Analysis utilities: theory checks, comparisons, tables."""
+"""Analysis utilities: tables, and the Theorem 2 oracle."""
 
 import pytest
 
-from repro.analysis.comparison import (
-    cost_reduction,
-    delay_cost_frontier,
-    optimality_gap,
-)
+from oracles.theory import all_hold, verify_theorem2
 from repro.analysis.tables import format_series, format_table
-from repro.analysis.theory import all_hold, verify_theorem2
 from repro.baselines.impatient import ImpatientController
 from repro.config.presets import paper_controller_config
 from repro.core.smartdpss import SmartDPSS
@@ -24,30 +19,6 @@ def pair(small_system, small_traces):
     impatient = run_simulation(small_system, ImpatientController(),
                                small_traces)
     return smart, impatient
-
-
-class TestComparison:
-    def test_cost_reduction_sign(self, pair):
-        smart, impatient = pair
-        reduction = cost_reduction(smart, impatient)
-        assert reduction == pytest.approx(
-            (impatient.time_average_cost - smart.time_average_cost)
-            / impatient.time_average_cost)
-
-    def test_reduction_of_self_is_zero(self, pair):
-        smart, _ = pair
-        assert cost_reduction(smart, smart) == 0.0
-
-    def test_optimality_gap(self, pair):
-        smart, impatient = pair
-        gap = optimality_gap(impatient, smart)
-        assert gap >= 0.0 or smart.time_average_cost > \
-            impatient.time_average_cost
-
-    def test_frontier_sorted_by_delay(self, pair):
-        frontier = delay_cost_frontier(list(pair))
-        delays = [d for d, _ in frontier]
-        assert delays == sorted(delays)
 
 
 class TestTheoremChecks:

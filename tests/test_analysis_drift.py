@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.drift import (
+from oracles.drift import (
     DriftRecorder,
     lyapunov,
     slot_h_constant,

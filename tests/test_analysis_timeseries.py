@@ -1,13 +1,11 @@
-"""Hourly/daily time-series utilities."""
+"""Hour-of-day time-series utilities."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.timeseries import (
     battery_cycle_profile,
-    by_day,
     by_hour,
-    daily_cost_series,
     overnight_share,
     purchase_profile,
 )
@@ -36,20 +34,6 @@ class TestByHour:
     def test_unknown_reducer_rejected(self):
         with pytest.raises(ConfigurationError):
             by_hour(np.ones(24), "median")
-
-
-class TestByDay:
-    def test_daily_sums(self):
-        values = np.ones(72)
-        assert np.allclose(by_day(values), 24.0)
-
-    def test_partial_day_dropped(self):
-        values = np.ones(30)
-        assert by_day(values).size == 1
-
-    def test_no_full_day_rejected(self):
-        with pytest.raises(ConfigurationError):
-            by_day(np.ones(10))
 
 
 class TestOvernightShare:
@@ -83,7 +67,3 @@ class TestResultProfiles:
     def test_battery_profile_keys(self, result):
         profile = battery_cycle_profile(result)
         assert set(profile) == {"charge", "discharge", "level"}
-
-    def test_daily_costs_match_total(self, result):
-        daily = daily_cost_series(result)
-        assert daily.sum() == pytest.approx(result.total_cost)

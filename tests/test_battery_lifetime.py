@@ -2,21 +2,20 @@
 
 import pytest
 
-from repro.battery.lifetime import CycleLedger, per_operation_cost
+from repro.battery.lifetime import CycleLedger
+from repro.config.presets import paper_system_config
+from repro.config.system import SystemConfig
 from repro.exceptions import ConfigurationError, InfeasibleActionError
 
 
 class TestPerOperationCost:
     def test_paper_value(self):
-        assert per_operation_cost(500.0, 5000) == pytest.approx(0.1)
+        # Cb = Cbuy / Ccycle = $500 / 5000 operations.
+        assert paper_system_config().battery_op_cost == pytest.approx(0.1)
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):
-            per_operation_cost(-1.0, 100)
-
-    def test_zero_cycle_life_rejected(self):
-        with pytest.raises(ConfigurationError):
-            per_operation_cost(500.0, 0)
+            SystemConfig(battery_op_cost=-1.0)
 
 
 class TestRecording:
@@ -24,13 +23,11 @@ class TestRecording:
         ledger = CycleLedger(op_cost=0.1)
         assert ledger.record(0.3, 0.0) == pytest.approx(0.1)
         assert ledger.operations == 1
-        assert ledger.charge_slots == 1
-        assert ledger.discharge_slots == 0
 
     def test_discharge_costs_cb(self):
         ledger = CycleLedger(op_cost=0.1)
         assert ledger.record(0.0, 0.2) == pytest.approx(0.1)
-        assert ledger.discharge_slots == 1
+        assert ledger.operations == 1
 
     def test_idle_costs_nothing(self):
         ledger = CycleLedger(op_cost=0.1)

@@ -108,7 +108,7 @@ class TestSettle:
         battery = UpsBattery(make_system())
         action = battery.settle(0.0)
         assert not action.active
-        assert action.net_to_bus == 0.0
+        assert action.charge == 0.0 and action.discharge == 0.0
 
     def test_exclusivity(self):
         # brc * bdc == 0 is structural: one action per slot.
@@ -123,14 +123,6 @@ class TestStateInspection:
         battery = UpsBattery(make_system())
         assert battery.headroom == pytest.approx(0.4)       # rate cap
         assert battery.available == pytest.approx(0.3)      # rate cap
-
-    def test_state_of_charge(self):
-        battery = UpsBattery(make_system())
-        assert battery.state_of_charge == pytest.approx(0.5)
-
-    def test_state_of_charge_no_battery(self):
-        system = SystemConfig(b_max=0.0, b_min=0.0)
-        assert UpsBattery(system).state_of_charge == 0.0
 
     def test_reset(self):
         battery = UpsBattery(make_system())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import clear_caches
-from repro.caches import cache_sizes, cache_stats
+from repro.caches import cache_stats
 
 
 def test_step_cache_bounded():
@@ -29,17 +29,18 @@ def test_clear_caches_empties_every_registered_cache():
     ScenarioSpec(controller={"kind": "smartdpss", "v": 1.25}) \
         .build_system()
     make_paper_traces(paper_system_config(days=1), seed=5)
-    sizes = cache_sizes()
-    assert sizes["p4.steps"] >= 1
-    assert sizes["fleet.spec.system"] >= 1
-    assert sizes["traces.solar.clear_sky"] >= 1
+    stats = cache_stats()
+    assert stats["p4.steps"]["entries"] >= 1
+    assert stats["fleet.spec.system"]["entries"] >= 1
+    assert stats["traces.solar.clear_sky"]["entries"] >= 1
 
     clear_caches()
-    assert all(size == 0 for size in cache_sizes().values())
+    assert all(entry["entries"] == 0 for entry in cache_stats().values())
 
 
 def test_cache_stats_matches_sizes_and_counts_lru_hits():
     from repro.core import p4
+    from repro.fleet import spec as spec_module
     from repro.fleet.spec import ScenarioSpec
 
     clear_caches()
@@ -48,10 +49,9 @@ def test_cache_stats_matches_sizes_and_counts_lru_hits():
     spec.build_system()
     p4._steps(7)
     stats = cache_stats()
-    sizes = cache_sizes()
-    assert set(stats) == set(sizes)
-    assert {name: entry["entries"] for name, entry in stats.items()} \
-        == sizes
+    assert stats["p4.steps"]["entries"] == len(p4._STEP_CACHE) == 1
+    assert stats["fleet.spec.system"]["entries"] \
+        == spec_module._cached_system.cache_info().currsize == 1
     # p4.steps is a plain dict; every other registered cache is an
     # lru_cache and reports its own hit/miss counters.
     assert set(stats["p4.steps"]) == {"entries"}

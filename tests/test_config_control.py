@@ -14,7 +14,6 @@ class TestObjectiveMode:
     def test_string_coercion_in_config(self):
         config = SmartDPSSConfig(objective_mode="paper")
         assert config.objective_mode is ObjectiveMode.PAPER
-        assert config.is_paper_mode
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config.control import ObjectiveMode
 from repro.config.presets import (
     PAPER_UPS_CYCLE_LIFE,
     PAPER_UPS_PURCHASE_COST,
@@ -39,7 +40,9 @@ class TestPaperSystem:
     def test_zero_battery(self):
         system = paper_system_config(battery_minutes=0.0)
         assert system.b_max == 0.0
-        assert not system.has_battery
+        # The battery can shift no energy in either direction.
+        assert system.max_charge_energy(system.b_min) == 0.0
+        assert system.max_discharge_energy(system.b_max) == 0.0
 
     def test_t_sweep_configs(self):
         for t_slots in (3, 6, 12, 24, 48, 72, 144):
@@ -66,7 +69,7 @@ class TestPaperController:
 
     def test_mode_string(self):
         config = paper_controller_config(objective_mode="paper")
-        assert config.is_paper_mode
+        assert config.objective_mode is ObjectiveMode.PAPER
 
     def test_rtm_only(self):
         config = paper_controller_config(use_long_term_market=False)

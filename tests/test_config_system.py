@@ -52,11 +52,6 @@ class TestDerived:
                               num_coarse_slots=31)
         assert config.horizon_slots == 744
 
-    def test_horizon_hours_respects_slot_length(self):
-        config = SystemConfig(fine_slots_per_coarse=4,
-                              num_coarse_slots=2, slot_hours=0.25)
-        assert config.horizon_hours == pytest.approx(2.0)
-
     def test_initial_battery_defaults_full(self):
         config = SystemConfig(b_max=0.5, b_min=0.1)
         assert config.initial_battery == 0.5
@@ -65,16 +60,15 @@ class TestDerived:
         config = SystemConfig(b_max=0.5, b_min=0.1, b_init=0.3)
         assert config.initial_battery == 0.3
 
-    def test_capacity_span(self):
-        config = SystemConfig(b_max=0.5, b_min=0.1)
-        assert config.battery_capacity_span == pytest.approx(0.4)
-
     def test_has_battery_true(self):
-        assert SystemConfig(b_max=0.5, b_min=0.0).has_battery
+        config = SystemConfig(b_max=0.5, b_min=0.0)
+        assert config.max_charge_energy(config.b_min) > 0
+        assert config.max_discharge_energy(config.b_max) > 0
 
     def test_has_battery_false_when_zero_span(self):
         config = SystemConfig(b_max=0.0, b_min=0.0)
-        assert not config.has_battery
+        assert config.max_charge_energy(config.b_min) == 0.0
+        assert config.max_discharge_energy(config.b_max) == 0.0
 
 
 class TestBatteryEnergyCaps:

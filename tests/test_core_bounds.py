@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.config.system import SystemConfig
-from repro.core.bounds import (
-    BoundVariant,
-    compute_bounds,
-    scaled_bounds,
-)
+from repro.core.bounds import BoundVariant, compute_bounds
 from repro.exceptions import ConfigurationError
 
 
@@ -66,12 +62,10 @@ class TestVmax:
         from repro.config.presets import paper_system_config
         bounds = compute_bounds(paper_system_config(), 1.0, 0.5, 20.0)
         assert bounds.v_max < 0
-        assert not bounds.theory_applies
 
     def test_big_battery_satisfies_precondition(self):
         bounds = compute_bounds(big_battery_system(), 1.0, 0.5, 20.0)
         assert bounds.v_max > 0
-        assert bounds.theory_applies
 
     def test_vmax_formula(self):
         system = big_battery_system()
@@ -134,36 +128,6 @@ class TestValidation:
             compute_bounds(SystemConfig(), **defaults)
 
 
-class TestScaledBounds:
-    def test_corollary2_linear_scaling(self):
-        system = SystemConfig()
-        bounds = compute_bounds(system, 1.0, 0.5, 20.0, theta_max=1.0)
-        scaled = scaled_bounds(bounds, beta=5.0, alpha=1.0,
-                               theta_max=1.0, system=system,
-                               epsilon=0.5)
-        assert scaled["h1"] == pytest.approx(5.0 * bounds.h1)
-        assert scaled["h2"] == pytest.approx(5.0 * bounds.h2)
-
-    def test_alpha_dampens_robustness_term(self):
-        system = SystemConfig()
-        bounds = compute_bounds(system, 1.0, 0.5, 20.0, theta_max=1.0)
-        sharp = scaled_bounds(bounds, 4.0, 1.0, 1.0, system, 0.5)
-        damped = scaled_bounds(bounds, 4.0, 0.5, 1.0, system, 0.5)
-        assert damped["h3"] < sharp["h3"]
-
-    def test_invalid_beta_rejected(self):
-        system = SystemConfig()
-        bounds = compute_bounds(system, 1.0, 0.5, 20.0)
-        with pytest.raises(ConfigurationError):
-            scaled_bounds(bounds, 0.5, 1.0, 0.0, system, 0.5)
-
-    def test_invalid_alpha_rejected(self):
-        system = SystemConfig()
-        bounds = compute_bounds(system, 1.0, 0.5, 20.0)
-        with pytest.raises(ConfigurationError):
-            scaled_bounds(bounds, 2.0, 0.4, 0.0, system, 0.5)
-
-
 class TestArrayCapable:
     """Array inputs evaluate elementwise-identically to scalar calls."""
 
@@ -200,16 +164,18 @@ class TestArrayCapable:
                 assert int(batch.lambda_max[index]) == scalar.lambda_max
 
     def test_theory_applies_requires_every_scenario(self):
+        """The Theorem 2 precondition ``Vmax > 0`` holds per scenario."""
         from repro.core.bounds import SystemArrays
 
         systems, np = self._systems()
         mixed = compute_bounds(SystemArrays.stack(systems), np.ones(3),
                                np.full(3, 0.5), np.full(3, 1.0))
-        assert not mixed.theory_applies  # the small battery violates it
+        # The small battery violates it; the big ones satisfy it.
+        assert (mixed.v_max > 0).tolist() == [True, False, True]
         big = compute_bounds(
             SystemArrays.stack([systems[0], systems[2]]), np.ones(2),
             np.full(2, 0.5), np.full(2, 1.0))
-        assert big.theory_applies
+        assert bool(np.all(big.v_max > 0))
 
     def test_array_validation_rejects_any_bad_entry(self):
         from repro.core.bounds import SystemArrays

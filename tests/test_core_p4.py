@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles.selection import window_cost
 from repro.config.control import ObjectiveMode
-from repro.core.p4 import P4State, solve_p4
+from repro.core.p4 import P4State, StackedWindows, solve_p4
 
 
 def make_p4_state(**overrides) -> P4State:
@@ -88,8 +89,17 @@ class TestDerivedMode:
             price_lt=3.0,
             profile_price_rt=tuple(8.0 for _ in range(24)))
         solution = solve_p4(state, ObjectiveMode.DERIVED)
-        nets = state.net_profile
+        nets = [d - r for d, r in zip(state.profile_demand_ds,
+                                      state.profile_renewable)]
         assert solution.rate >= np.median(nets) - 1e-9
+
+    def test_net_profile_property(self):
+        # P4 plans against the observed net demand dds − r per slot.
+        state = make_p4_state(
+            profile_demand_ds=(1.0, 2.0),
+            profile_renewable=(0.25, 0.5))
+        nets = StackedWindows.from_state(state).nets
+        assert nets.tolist() == [[0.75, 1.5]]
 
     def test_arrivals_planning_buys_no_less(self):
         base = make_p4_state()
@@ -113,18 +123,11 @@ class TestDerivedMode:
         solution = solve_p4(state, ObjectiveMode.DERIVED)
         assert solution.rate >= 0.0
 
-    def test_net_profile_property(self):
-        state = make_p4_state(
-            profile_demand_ds=(1.0, 2.0),
-            profile_renewable=(0.25, 0.5))
-        assert state.net_profile == (0.75, 1.5)
-
     def test_optimality_against_rate_grid(self):
         # The candidate sweep must beat a dense rate grid.
-        from repro.core.p4 import _window_cost
         state = make_p4_state()
         solution = solve_p4(state, ObjectiveMode.DERIVED)
         best_dense = min(
-            _window_cost(state, r)
+            window_cost(state, r)
             for r in np.linspace(solution.floor_rate, 2.0, 4001))
-        assert _window_cost(state, solution.rate) <= best_dense + 1e-9
+        assert window_cost(state, solution.rate) <= best_dense + 1e-9

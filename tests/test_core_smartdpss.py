@@ -50,8 +50,9 @@ class TestLifecycle:
         controller.plan_long_term(coarse_obs())
         controller.end_slot_state = None
         controller.begin_horizon(paper_system_config())
-        assert controller.delay_queue.value == 0.0
-        assert controller.frozen_weights == (0.0, 0.0, 0.0)
+        assert controller._y_queue.value == 0.0
+        assert (controller._q_hat, controller._y_hat,
+                controller._x_hat) == (0.0, 0.0, 0.0)
 
     def test_name_mentions_v_and_mode(self):
         ctrl = SmartDPSS(SmartDPSSConfig(v=2.5))
@@ -67,10 +68,9 @@ class TestPlanning:
 
     def test_plan_freezes_weights(self, controller):
         controller.plan_long_term(coarse_obs(backlog=3.0))
-        q_hat, y_hat, x_hat = controller.frozen_weights
-        assert q_hat == 3.0
-        assert y_hat == 0.0
-        assert x_hat == controller.battery_queue.value
+        assert controller._q_hat == 3.0
+        assert controller._y_hat == 0.0
+        assert controller._x_hat == controller._x_queue.value
 
     def test_rtm_only_never_buys_ahead(self):
         ctrl = SmartDPSS(
@@ -124,7 +124,7 @@ class TestFeedback:
             fine_slot=0, served_dt=0.0, served_ds=1.0,
             unserved_ds=0.0, charge=0.0, discharge=0.0, waste=0.0,
             battery_level=0.5, backlog=0.4, had_backlog=True))
-        assert controller.delay_queue.value == pytest.approx(0.5)
+        assert controller._y_queue.value == pytest.approx(0.5)
 
     def test_y_stays_zero_without_backlog(self, controller):
         from repro.core.interfaces import SlotFeedback
@@ -132,7 +132,7 @@ class TestFeedback:
             fine_slot=0, served_dt=0.0, served_ds=1.0,
             unserved_ds=0.0, charge=0.0, discharge=0.0, waste=0.0,
             battery_level=0.5, backlog=0.0, had_backlog=False))
-        assert controller.delay_queue.value == 0.0
+        assert controller._y_queue.value == 0.0
 
 
 class TestShiftModes:
@@ -148,10 +148,10 @@ class TestShiftModes:
         ctrl = SmartDPSS(paper_controller_config())
         ctrl.begin_horizon(paper_system_config())
         ctrl.plan_long_term(coarse_obs())
-        first_shift = ctrl.battery_queue.shift
+        first_shift = ctrl._x_queue.shift
         # Feed expensive observations: the reference price rises, so
         # the next plan's shift point must rise too.
         for _ in range(10):
             ctrl.real_time(fine_obs(price_rt=150.0))
         ctrl.plan_long_term(coarse_obs(coarse_index=1, fine_slot=24))
-        assert ctrl.battery_queue.shift > first_shift
+        assert ctrl._x_queue.shift > first_shift

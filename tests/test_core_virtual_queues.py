@@ -82,17 +82,14 @@ class TestBatteryVirtualQueue:
         queue.observe(0.2)
         queue.observe(0.9)
         queue.observe(0.5)
-        low, high = queue.extremes
+        state = queue.state()
+        low, high = state["min_seen"], state["max_seen"]
         assert low == pytest.approx(-0.8)
         assert high == pytest.approx(-0.1)
 
     def test_value_before_observe_raises(self):
         with pytest.raises(StateError):
             BatteryVirtualQueue(1.0).value
-
-    def test_extremes_before_observe_raises(self):
-        with pytest.raises(StateError):
-            BatteryVirtualQueue(1.0).extremes
 
     def test_retarget(self):
         queue = BatteryVirtualQueue(shift=1.0)

@@ -36,7 +36,10 @@ class TestScenario:
 
     def test_scenario_battery_override(self):
         scenario = build_scenario(seed=1, days=2, battery_minutes=0.0)
-        assert not scenario.system.has_battery
+        system = scenario.system
+        # The battery can shift no energy in either direction.
+        assert system.max_charge_energy(system.b_min) == 0.0
+        assert system.max_discharge_energy(system.b_max) == 0.0
 
 
 class TestShortRuns:

@@ -91,7 +91,7 @@ class TestFaultValidation:
             Fault(site="slot_loop", scenario="s", times=None, slot=3),
             {"site": "store_append", "action": "torn"}), seed=7)
         assert all(isinstance(f, Fault) for f in plan.faults)
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        assert FaultPlan.from_json(json.dumps(plan.to_dict())) == plan
         assert len(plan) == 2
 
     def test_matches_scenario_by_name_or_seed(self):
@@ -107,10 +107,10 @@ class TestFaultValidation:
         monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
         assert FaultPlan.from_env() is None
         plan = FaultPlan(faults=(Fault(site="plan", times=None),), seed=3)
-        monkeypatch.setenv(FAULT_ENV_VAR, plan.to_json())
+        monkeypatch.setenv(FAULT_ENV_VAR, json.dumps(plan.to_dict()))
         assert FaultPlan.from_env() == plan
         path = tmp_path / "plan.json"
-        path.write_text(plan.to_json(), encoding="utf-8")
+        path.write_text(json.dumps(plan.to_dict()), encoding="utf-8")
         monkeypatch.setenv(FAULT_ENV_VAR, str(path))
         assert FaultPlan.from_env() == plan
         # An armed environment reaches a runner that passes no plan.
@@ -288,6 +288,37 @@ class TestSerialRecovery:
             [r["metrics"] for r in reference]
         assert set(store.latest_by_hash()) == \
             {spec.spec_hash() for spec in fleet}
+
+
+class TestDeterministicErrors:
+    """A library error a re-run cannot change skips the retry budget."""
+
+    def test_bad_value_bisects_without_retries_or_backoff(self, tmp_path,
+                                                          monkeypatch):
+        # A negative ε fails every scenario the same way, in the
+        # worker, on every attempt.
+        fleet = [dataclasses.replace(
+                     spec, controller={**spec.controller, "epsilon": -1.0})
+                 for spec in build_demo_fleet("v-sweep", 8, days=1,
+                                              t_slots=6, sample_seed=0)]
+        sleeps = []
+        monkeypatch.setattr("repro.fleet.runner.time.sleep",
+                            sleeps.append)
+        store = ResultStore(tmp_path / "s")
+        # The default retry_backoff_s: retries would sleep.
+        runner = FleetRunner(fleet, batch_size=8, store=store)
+        records = runner.run()
+        # One shard of 8 halves three times down to single scenarios:
+        # 1 + 2 + 4 bisections, each scenario run at sizes 8, 4, 2, 1.
+        assert runner.last_run_stats == {
+            "executed": 0, "skipped": 0, "shards": 0, "retries": 0,
+            "bisections": 7, "quarantined": 8, "pool_respawns": 0}
+        assert sleeps == []
+        assert all(record["quarantined"] for record in records)
+        errors = store.errors()
+        assert [e["error"]["type"] for e in errors] \
+            == ["ConfigurationError"] * 8
+        assert [e["error"]["attempts"] for e in errors] == [4] * 8
 
 
 @pytest.mark.offline
@@ -531,7 +562,7 @@ class TestCli:
         plan = FaultPlan(faults=(
             Fault(site="slot_loop", scenario=poisoned, times=None,
                   slot=3),))
-        monkeypatch.setenv(FAULT_ENV_VAR, plan.to_json())
+        monkeypatch.setenv(FAULT_ENV_VAR, json.dumps(plan.to_dict()))
         out = tmp_path / "store"
         argv = ["run", "--demo", "v-sweep", "--scenarios", "6",
                 "--days", "1", "--t-slots", "6", "--out", str(out),

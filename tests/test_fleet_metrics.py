@@ -1,10 +1,10 @@
 """The one metrics fold against the independent scalar formulas.
 
-``ScenarioMetrics.from_result`` feeds a result's series through the
-streamed engine's aggregator and fold, and the equivalence harness pins
-the streamed engine to it exactly.  This pack checks the fold itself
-against separate code: the summaries :class:`SimulationResult` computes
-with NumPy reductions.  The sums differ only in order (slot by slot in
+:func:`~oracles.engine.metrics_from_result` feeds a result's series
+through the streamed engine's aggregator and fold, and the equivalence
+harness pins the streamed engine to it exactly.  This pack checks the
+fold itself against separate code: the summaries
+:class:`SimulationResult` computes with NumPy reductions.  The sums differ only in order (slot by slot in
 the fold, pairwise in NumPy), hence the 1e-12 tolerance.
 """
 
@@ -15,11 +15,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles.engine import metrics_from_result
 from repro.baselines.impatient import ImpatientController
 from repro.baselines.offline import OfflineOptimal
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
-from repro.fleet.engine import ScenarioMetrics
 from repro.sim.engine import Simulator
 from repro.traces.library import make_paper_traces
 
@@ -48,7 +48,8 @@ CASES = [
 
 def _scalar_reference(result) -> dict:
     """Every record field the result's own summaries also report."""
-    low, high = result.battery_range
+    levels = result.series["battery_level"]
+    low, high = float(levels.min()), float(levels.max())
     return {**result.summary(), "battery_min": low, "battery_max": high,
             "battery_throughput": result.battery_throughput,
             "unserved_ds_total": result.unserved_ds_total}
@@ -59,7 +60,7 @@ def _scalar_reference(result) -> dict:
                          ids=[case[0] for case in CASES])
 def test_fold_matches_scalar_formulas(traces, build):
     result = Simulator(SYSTEM, build(traces), traces).run()
-    record = ScenarioMetrics.from_result(result).as_dict()
+    record = metrics_from_result(result).as_dict()
     reference = _scalar_reference(result)
     assert set(reference) <= set(record)
     for name, want in reference.items():

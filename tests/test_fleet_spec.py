@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles.engine import metrics_from_result
 from repro.baselines import (
     ImpatientController,
     LookaheadController,
@@ -17,7 +18,6 @@ from repro.baselines import (
 from repro.config.presets import paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro.exceptions import ConfigurationError
-from repro.fleet.engine import ScenarioMetrics
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import (
     ScenarioSpec,
@@ -52,7 +52,8 @@ class TestScenarioSpec:
             system={"preset": "paper", "days": 2},
             controller={"kind": "smartdpss", "v": 1.5},
             trace={"kind": "stream", "solar": {"capacity_mw": 3.0}})
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        payload = json.dumps(spec.to_dict(), sort_keys=True)
+        assert ScenarioSpec.from_dict(json.loads(payload)) == spec
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError, match="unknown"):
@@ -269,7 +270,7 @@ class TestFigureVocabulary:
         assert isinstance(spec.build_controller(traces), PaperP2Offline)
         (record,) = FleetRunner([spec], fail_fast=True).run()
         scalar = Simulator(system, PaperP2Offline(traces), traces).run()
-        assert record["metrics"] == ScenarioMetrics.from_result(
+        assert record["metrics"] == metrics_from_result(
             scalar, seed=spec.seed).as_dict()
 
     def test_existing_spec_keeps_dict_and_hash(self):
@@ -279,7 +280,7 @@ class TestFigureVocabulary:
             system={"preset": "paper", "days": 2},
             controller={"kind": "smartdpss", "v": 1.5},
             trace={"kind": "paper", "solar": {"capacity_mw": 3.0}})
-        assert spec.to_json() == (
+        assert json.dumps(spec.to_dict(), sort_keys=True) == (
             '{"controller": {"kind": "smartdpss", "v": 1.5}, "name": '
             '"v=1.5/seed=5", "seed": 5, "system": {"days": 2, "preset": '
             '"paper"}, "trace": {"kind": "paper", "solar": '

@@ -2,36 +2,11 @@
 
 import pytest
 
-from repro.exceptions import ConfigurationError, InfeasibleActionError
+from repro.exceptions import ConfigurationError
 from repro.grid.interconnect import GridInterconnect
 
 
 class TestInterconnect:
-    def test_remaining_capacity(self):
-        grid = GridInterconnect(2.0)
-        assert grid.remaining_capacity(0.5) == pytest.approx(1.5)
-
-    def test_remaining_capacity_never_negative(self):
-        grid = GridInterconnect(2.0)
-        assert grid.remaining_capacity(3.0) == 0.0
-
-    def test_clamp_real_time(self):
-        grid = GridInterconnect(2.0)
-        assert grid.clamp_real_time(5.0, 0.5) == pytest.approx(1.5)
-        assert grid.clamp_real_time(1.0, 0.5) == pytest.approx(1.0)
-
-    def test_clamp_negative_rejected(self):
-        with pytest.raises(InfeasibleActionError):
-            GridInterconnect(2.0).clamp_real_time(-0.1, 0.0)
-
-    def test_validate_long_term_rate(self):
-        grid = GridInterconnect(2.0)
-        grid.validate_long_term_rate(2.0)  # exactly at cap: fine
-        with pytest.raises(InfeasibleActionError):
-            grid.validate_long_term_rate(2.1)
-        with pytest.raises(InfeasibleActionError):
-            grid.validate_long_term_rate(-0.1)
-
     def test_max_block_purchase(self):
         grid = GridInterconnect(2.0)
         assert grid.max_block_purchase(24) == pytest.approx(48.0)
@@ -46,5 +21,4 @@ class TestInterconnect:
 
     def test_zero_pgrid_blocks_everything(self):
         grid = GridInterconnect(0.0)
-        assert grid.clamp_real_time(1.0, 0.0) == 0.0
         assert grid.max_block_purchase(24) == 0.0

@@ -13,21 +13,12 @@ class TestMarketLedger:
         ledger.record(1.0, 60.0)
         assert ledger.energy == pytest.approx(3.0)
         assert ledger.spend == pytest.approx(140.0)
-        assert ledger.transactions == 2
-
-    def test_volume_weighted_average(self):
-        ledger = MarketLedger("test")
-        ledger.record(2.0, 40.0)
-        ledger.record(2.0, 60.0)
-        assert ledger.average_price == pytest.approx(50.0)
 
     def test_zero_energy_not_a_transaction(self):
         ledger = MarketLedger("test")
         assert ledger.record(0.0, 40.0) == 0.0
-        assert ledger.transactions == 0
-
-    def test_average_price_empty(self):
-        assert MarketLedger("test").average_price == 0.0
+        assert ledger.energy == 0.0
+        assert ledger.spend == 0.0
 
     def test_reset(self):
         ledger = MarketLedger("test")
@@ -43,20 +34,18 @@ class TestLongTermMarket:
                                 fine_slots_per_coarse=24)
         market.purchase_block(48.0, 40.0)
         assert market.per_fine_slot_energy == pytest.approx(2.0)
-        assert market.per_fine_slot_cost == pytest.approx(80.0)
 
     def test_per_slot_costs_sum_to_block_cost(self):
         market = LongTermMarket(200.0, 24)
         market.purchase_block(30.0, 35.0)
-        total = market.per_fine_slot_cost * 24
-        assert total == pytest.approx(30.0 * 35.0)
+        total = market.per_fine_slot_energy * 35.0 * 24
+        assert total == pytest.approx(market.ledger.spend)
 
     def test_block_replaces_previous(self):
         market = LongTermMarket(200.0, 4)
         market.purchase_block(8.0, 40.0)
         market.purchase_block(4.0, 50.0)
-        assert market.current_block == 4.0
-        assert market.current_price == 50.0
+        assert market.per_fine_slot_energy == 1.0
         assert market.ledger.energy == pytest.approx(12.0)
 
     def test_price_above_cap_rejected(self):
@@ -73,7 +62,7 @@ class TestLongTermMarket:
         market = LongTermMarket(200.0, 24)
         market.purchase_block(10.0, 40.0)
         market.reset()
-        assert market.current_block == 0.0
+        assert market.per_fine_slot_energy == 0.0
         assert market.ledger.energy == 0.0
 
     def test_invalid_t_rejected(self):

@@ -21,6 +21,8 @@ The acceptance contract for the fleet-scale offline baseline:
 import numpy as np
 import pytest
 
+from oracles.block_lp import solve_block_diagonal
+from oracles.engine import metrics_from_result
 from repro.baselines.offline import (
     DEFAULT_DEADLINE_SLOTS,
     OfflineOptimal,
@@ -41,7 +43,6 @@ from repro.fleet.spec import ScenarioSpec, grid_specs
 from repro.fleet.stream import ArrayTraceStream
 from repro.sim.engine import Simulator
 from repro.solvers import batch_lp
-from repro.solvers.batch_lp import solve_block_diagonal
 from repro.traces.base import TraceBlock
 from repro.traces.library import make_paper_traces
 
@@ -105,7 +106,7 @@ class TestBatchScalarEquivalence:
             result = Simulator(system, OfflineOptimal(None, plan=plan),
                                traces).run()
             scalar_records.append(
-                ScenarioMetrics.from_result(
+                metrics_from_result(
                     result,
                     seed=traces.meta.get("seed")).as_dict())
         runs = [StreamRunSpec(system=system,
@@ -340,7 +341,7 @@ class TestHypothesisEquivalence:
     def _replayed_cost(system, traces, plan) -> float:
         result = Simulator(system, OfflineOptimal(None, plan=plan),
                            traces).run()
-        return float(ScenarioMetrics.from_result(result).time_avg_cost)
+        return float(metrics_from_result(result).time_avg_cost)
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

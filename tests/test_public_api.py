@@ -29,6 +29,7 @@ def test_sim_has_no_batch_front_door():
 def test_user_controller_batches_through_stream_run_specs():
     """A user's own scalar ``Controller`` runs on the batch engine
     through ``StreamRunSpec``, exactly as on the scalar engine."""
+    from oracles.engine import metrics_from_result
     from repro.baselines import ImpatientController
     from repro.config.presets import paper_system_config
     from repro.fleet import (
@@ -50,7 +51,7 @@ def test_user_controller_batches_through_stream_run_specs():
     block = StreamingBatchSimulator([
         StreamRunSpec(system=system, controller=Cautious(),
                       stream=ArrayTraceStream(t)) for t in traces]).run()
-    expected = [ScenarioMetrics.from_result(
+    expected = [metrics_from_result(
         Simulator(system, Cautious(), t).run(), seed=seed).as_dict()
         for seed, t in zip((1, 2), traces)]
     assert ScenarioMetrics.rows(block) == expected

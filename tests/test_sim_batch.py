@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.engine import BatchRecorder
 from repro.config.control import SmartDPSSConfig
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.p5_vec import P5Workspace
@@ -27,7 +28,7 @@ from repro.fleet.stream import ArrayTraceStream
 from repro.sim.batch import ScalarControllerBatch
 from repro.sim.engine import Simulator
 from repro.sim.recorder import SERIES_NAMES
-from repro.sim.vecstate import BatchRecorder, VecCycleLedger
+from repro.sim.vecstate import VecCycleLedger
 from repro.telemetry import monotonic
 from repro.traces.library import make_paper_traces
 from tests.conftest import streamed_results
@@ -207,8 +208,8 @@ class TestVecSmartDPSS:
             ])
 
     def test_names_carry_per_scenario_config(self):
-        vec = VecSmartDPSS.from_configs([
-            SmartDPSSConfig(v=0.5), SmartDPSSConfig(v=2.0)])
+        vec = VecSmartDPSS([SmartDPSS(SmartDPSSConfig(v=0.5)),
+                            SmartDPSS(SmartDPSSConfig(v=2.0))])
         assert vec.names[0] != vec.names[1]
         assert "0.5" in vec.names[0] and "2" in vec.names[1]
 
@@ -304,8 +305,6 @@ class TestVecState:
                              *masks) is cost
         assert cost.tolist() == [0.1, 0.1]
         assert cycles.remaining.tolist() == [0.0, np.inf]
-        assert cycles.remaining_scalar(0) == 0
-        assert cycles.remaining_scalar(1) is None
 
 
 class TestBatchCoarseObservation:

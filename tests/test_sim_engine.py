@@ -111,7 +111,8 @@ class TestClamping:
         system = tiny_system()
         traces = constant_traces(48, demand_ds=1.8, renewable=0.0)
         result = run_simulation(system, GreedyOverbuyer(), traces)
-        lo, hi = result.battery_range
+        levels = result.series["battery_level"]
+        lo, hi = levels.min(), levels.max()
         assert lo >= system.b_min - 1e-9
         assert hi <= system.b_max + 1e-9
 

@@ -41,10 +41,6 @@ class TestServiceProperties:
         assert result.availability == 1.0
         assert result.unserved_ds_total == 0.0
 
-    def test_battery_range_ordered(self, result):
-        lo, hi = result.battery_range
-        assert lo <= hi
-
     def test_peak_backlog_bounds_final(self, result):
         assert result.final_backlog <= result.peak_backlog + 1e-12
 

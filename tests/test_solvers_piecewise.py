@@ -1,13 +1,10 @@
-"""Piecewise-linear minimization utilities."""
+"""Piecewise-linear minimization utilities and the selection oracle."""
 
 import numpy as np
 import pytest
 
-from repro.solvers.piecewise import (
-    box_edge_candidates,
-    minimize_over_candidates,
-    piecewise_candidates_1d,
-)
+from oracles.selection import minimize_over_candidates
+from repro.solvers.piecewise import box_edge_candidates
 from repro.exceptions import ConfigurationError
 
 
@@ -31,31 +28,6 @@ class TestMinimizeOverCandidates:
         value, point = minimize_over_candidates(
             lambda a, b: a + b, [(1.0, 2.0), (0.0, 0.5)])
         assert point == (0.0, 0.5)
-
-
-class TestCandidates1D:
-    def test_includes_ends_and_interior_breakpoints(self):
-        points = piecewise_candidates_1d(0.0, 2.0, [0.5, 1.5, 3.0])
-        assert points == [0.0, 0.5, 1.5, 2.0]
-
-    def test_deduplicates(self):
-        points = piecewise_candidates_1d(0.0, 1.0, [0.0, 1.0, 0.5, 0.5])
-        assert points == [0.0, 0.5, 1.0]
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            piecewise_candidates_1d(1.0, 0.0, [])
-
-    def test_exact_on_piecewise_linear(self):
-        # f(x) = |x - 0.7| + 0.5|x - 0.2| has its minimum at a
-        # breakpoint; candidate evaluation must find it exactly.
-        def f(x):
-            return abs(x - 0.7) + 0.5 * abs(x - 0.2)
-
-        candidates = piecewise_candidates_1d(0.0, 1.0, [0.7, 0.2])
-        best = min(candidates, key=f)
-        dense = min(np.linspace(0, 1, 100001), key=f)
-        assert f(best) <= f(dense) + 1e-12
 
 
 class TestBoxEdgeCandidates:

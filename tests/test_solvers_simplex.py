@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import InfeasibleProblemError, UnboundedProblemError
 from repro.solvers.batch_lp import CompiledLp
 from repro.solvers.linear_program import LpModel
-from repro.solvers.simplex import solve_with_simplex
+from oracles.simplex import solve_with_simplex
 
 
 def assert_matches_highs(model: LpModel):

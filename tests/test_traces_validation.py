@@ -5,7 +5,7 @@ import pytest
 
 from repro.config.presets import paper_system_config
 from repro.traces.library import make_paper_traces
-from repro.traces.validation import (
+from oracles.trace_validation import (
     ValidationCheck,
     all_valid,
     daily_totals,

@@ -14,11 +14,6 @@ class TestBatteryConversions:
     def test_minutes_to_mwh_zero(self):
         assert units.battery_minutes_to_mwh(0.0, 2.0) == 0.0
 
-    def test_roundtrip(self):
-        mwh = units.battery_minutes_to_mwh(37.5, 1.6)
-        minutes = units.battery_mwh_to_minutes(mwh, 1.6)
-        assert minutes == pytest.approx(37.5)
-
     def test_negative_minutes_rejected(self):
         with pytest.raises(ConfigurationError):
             units.battery_minutes_to_mwh(-1.0, 2.0)
@@ -26,44 +21,3 @@ class TestBatteryConversions:
     def test_negative_peak_rejected(self):
         with pytest.raises(ConfigurationError):
             units.battery_minutes_to_mwh(10.0, -2.0)
-
-    def test_mwh_to_minutes_zero_peak_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.battery_mwh_to_minutes(1.0, 0.0)
-
-
-class TestPowerEnergy:
-    def test_mw_to_mwh_one_hour(self):
-        assert units.mw_to_mwh(2.0) == 2.0
-
-    def test_mw_to_mwh_quarter_hour(self):
-        assert units.mw_to_mwh(2.0, slot_hours=0.25) == 0.5
-
-    def test_mwh_to_mw_inverse(self):
-        assert units.mwh_to_mw(units.mw_to_mwh(1.7, 0.5), 0.5) == \
-            pytest.approx(1.7)
-
-    def test_zero_slot_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.mw_to_mwh(1.0, slot_hours=0.0)
-
-
-class TestTimeConversions:
-    def test_slots_to_hours_default(self):
-        assert units.slots_to_hours(24) == 24.0
-
-    def test_slots_to_hours_quarter(self):
-        assert units.slots_to_hours(4, slot_hours=0.25) == 1.0
-
-    def test_hours_to_slots(self):
-        assert units.hours_to_slots(6.0, slot_hours=0.5) == 12.0
-
-    def test_hours_to_slots_zero_slot_rejected(self):
-        with pytest.raises(ConfigurationError):
-            units.hours_to_slots(1.0, slot_hours=0.0)
-
-
-class TestPriceConversions:
-    def test_per_kwh(self):
-        assert units.dollars_per_mwh_to_per_kwh(50.0) == \
-            pytest.approx(0.05)

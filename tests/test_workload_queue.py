@@ -73,15 +73,17 @@ class TestFifoDelays:
             total_in += arrivals
             total_out += sum(p.energy for p in served)
         assert total_in == pytest.approx(total_out + queue.backlog)
-        assert queue.arrived_total == pytest.approx(total_in)
-        assert queue.served_total == pytest.approx(total_out)
+        assert queue.stats.served_energy == pytest.approx(total_out)
 
     def test_oldest_arrival_slot(self):
+        # Service drains the oldest parcel first: its delay counts
+        # from the earliest arrival slot.
         queue = BacklogQueue()
-        assert queue.oldest_arrival_slot() is None
+        assert queue.serve(1.0, current_slot=0) == []
         queue.admit(0.5, arrival_slot=3)
         queue.admit(0.5, arrival_slot=4)
-        assert queue.oldest_arrival_slot() == 3
+        served = queue.serve(0.5, current_slot=5)
+        assert [p.delay_slots for p in served] == [5 - 3]
 
 
 class TestDelayStats:
@@ -117,7 +119,6 @@ class TestHousekeeping:
         queue.serve(0.5, 1)
         queue.reset()
         assert queue.backlog == 0.0
-        assert queue.arrived_total == 0.0
         assert queue.stats.served_energy == 0.0
 
     def test_repr(self):
