@@ -63,8 +63,7 @@ test-offline:
 # The repo's own AST linter over the library source and the test
 # oracles (tests/oracles/, the reference implementations the tests
 # check the library against).  Exit 0 means every invariant in
-# src/repro/lint/README.md holds (modulo inline waivers and the
-# checked-in lint-baseline.txt).
+# src/repro/lint/README.md holds (modulo inline waivers).
 lint:
 	$(PY) -m repro.lint src/repro tests/oracles
 

@@ -4,9 +4,13 @@ Everything the scalar engine assumes fits in RAM — full trace
 horizons, per-slot series, one process — stops holding at 10⁴+-scenario
 sweeps.  This package supplies the missing layers:
 
-* :mod:`repro.fleet.stream` — chunked, seed-deterministic trace
-  sources (``O(B · chunk)`` trace memory, bit-identical to full
-  materialization for every chunk size);
+* :mod:`repro.fleet.stream` — seed-deterministic trace sources, one
+  generator per trace family, read through one batch cursor per
+  shard: kernel-streamed ``stream`` recipes hold ``O(B · chunk)``
+  trace memory and are bit-identical to full materialization for
+  every chunk size; materialized sources (``paper`` recipes, and
+  every source of a shard with the offline gap or an oracle
+  controller) hold each distinct lane's whole horizon;
 * :mod:`repro.fleet.spec` — declarative, serializable
   :class:`ScenarioSpec` plus grid / product / random-sampling fleet
   generators; :meth:`ScenarioSpec.trace_key` is the tuple of inputs

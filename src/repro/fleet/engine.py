@@ -23,8 +23,11 @@ trace columns and reads them through the window offsets ``_slot0`` /
 built once per run (every temporary a preallocated ``(B,)`` buffer
 written with ``out=`` / ``copyto`` ufunc calls), so the slot loop
 allocates nothing, and results accumulate in the O(B)
-:class:`StreamingAggregator`.  Peak memory is ``O(B · chunk)`` for
-traces plus ``O(B)`` for results.
+:class:`StreamingAggregator`.  Results take ``O(B)`` memory.  Trace
+memory is ``O(B · chunk)`` for kernel-streamed shards (every run a
+``stream`` recipe); a shard whose sources are materialized — the
+offline gap, ``paper`` recipes, oracle controllers — holds each
+distinct lane's whole horizon.
 
 A run returns one *metrics block*: a dict holding one length-``B``
 column per :class:`ScenarioMetrics` field.  :class:`ScenarioMetrics`
@@ -75,7 +78,9 @@ source materialized once — whole horizons resident, as an
 :class:`~repro.fleet.stream.ArrayTraceStream`'s already are — and
 every window a gather of resident rows).
 Both serve trace twins — runs sharing one stream object — from one
-lane, and both produce windows bit-identical to the runs' own cursors.
+lane, and row ``b`` of every window is run ``b``'s own stream: its
+kernel lane's next window, or the next slice of its source's
+materialized horizon.
 The observation layer follows the lanes: runs on one lane with equal
 observation specs share one noise lane of the
 :class:`~repro.fleet.observe.BatchObserver`.
@@ -471,7 +476,7 @@ class StreamingBatchSimulator:
     vectorized kernel pass per window for the whole batch — and an
     :class:`~repro.fleet.stream.ArrayBatchStream` over the materialized
     sources otherwise.  Runs sharing one stream object share one lane
-    of either; every window is bit-identical to the run's own cursor.
+    of either; every window row is the run's own stream, bit for bit.
     """
 
     def __init__(self, runs: Sequence[StreamRunSpec],

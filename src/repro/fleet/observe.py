@@ -321,9 +321,9 @@ OBSERVATION_KINDS: dict[str, type] = {
 class ObservationSpec:
     """One scenario's observation model, seed and price cap.
 
-    Immutable description (like a :class:`~repro.fleet.stream
-    .TraceStream`); :meth:`open` mints a fresh chunked observer, so one
-    spec can be replayed any number of times with identical output.
+    Immutable description; :meth:`open` mints a fresh chunked
+    observer, so one spec can be replayed any number of times with
+    identical output.
     """
 
     model: ObservationModel

@@ -171,9 +171,9 @@ def _materialize(streams: "list", firsts: "list[int]"
     """Whole horizons of distinct trace sources (one per lane).
 
     When every source is a ``stream`` recipe, all of them come from one
-    full-horizon :class:`BatchTraceStream` read — bit-identical to each
-    stream's scalar ``materialize()`` by the kernel contract; any other
-    recipe (``paper``, or a mix) materializes each source on its own.
+    full-horizon :class:`BatchTraceStream` read, whose rows equal each
+    stream's own one-lane ``materialize()``; any other recipe
+    (``paper``, or a mix) materializes each source on its own.
     """
     batch = BatchTraceStream.for_streams(streams)
     if batch is None:

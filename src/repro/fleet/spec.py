@@ -35,8 +35,9 @@ Spec layout
     (:class:`~repro.baselines.lookahead.PaperP2Offline`).
 ``trace``
     ``{"kind": "stream" | "paper", **options}``.  ``stream`` builds a
-    chunked :class:`~repro.fleet.stream.StreamingPaperTraces` (the
-    memory-bounded path); ``paper`` materializes
+    :class:`~repro.fleet.stream.StreamingPaperTraces`, which the trace
+    kernels generate window by window (the memory-bounded path);
+    ``paper`` materializes
     :func:`~repro.traces.library.make_paper_traces` (the exact trace
     family of the repo's figures) behind an
     :class:`~repro.fleet.stream.ArrayTraceStream`.  Optional

@@ -1,7 +1,7 @@
 """repro-lint: AST-based enforcement of this repo's coding invariants.
 
-See ``repro/lint/README.md`` for the rule catalogue, suppression
-syntax and baseline workflow.  CLI::
+See ``repro/lint/README.md`` for the rule catalogue and the inline
+suppression syntax.  CLI::
 
     PYTHONPATH=src python -m repro.lint src/repro
 
@@ -12,7 +12,6 @@ Programmatic::
     assert report.clean, report.findings
 """
 
-from repro.lint.baseline import Baseline, fingerprint
 from repro.lint.core import (
     Finding,
     LintReport,
@@ -25,13 +24,11 @@ from repro.lint.rules import ALL_RULES, RULES_BY_ID
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleContext",
     "RULES_BY_ID",
     "Rule",
     "build_context",
-    "fingerprint",
     "run_lint",
 ]

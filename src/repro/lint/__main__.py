@@ -1,6 +1,6 @@
 """CLI for repro-lint: ``python -m repro.lint [paths...]``.
 
-Exit status: 0 when clean (after suppressions and baseline), 1 when
+Exit status: 0 when clean (after inline suppressions), 1 when
 live findings remain, 2 on usage errors.  ``--format json`` emits one
 machine-readable report object; the default human format prints one
 ``path:line: [Rxxx] message`` per finding, grouped by file.
@@ -11,16 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.exceptions import ReproError
-from repro.lint.baseline import Baseline
 from repro.lint.core import run_lint
 from repro.lint.rules import ALL_RULES, RULES_BY_ID
-
-#: Baseline auto-discovered in the working directory when --baseline
-#: is not given (the checked-in repo-root file).
-DEFAULT_BASELINE_NAME = "lint-baseline.txt"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,17 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help=f"baseline file of accepted legacy findings (default: "
-             f"./{DEFAULT_BASELINE_NAME} when present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline, report every finding")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="write current findings as a new baseline and exit 0 "
-             "(hand-edit the placeholder justifications afterwards)")
     return parser
 
 
@@ -69,18 +52,7 @@ def _select_rules(spec: str | None):
     return tuple(selected)
 
 
-def _resolve_baseline(args) -> Baseline | None:
-    if args.no_baseline or args.write_baseline:
-        return None
-    if args.baseline:
-        return Baseline.load(args.baseline)
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.exists():
-        return Baseline.load(default)
-    return None
-
-
-def _print_human(report, baseline_used: bool) -> None:
+def _print_human(report) -> None:
     current_path = None
     for finding in report.findings:
         if finding.path != current_path:
@@ -91,9 +63,7 @@ def _print_human(report, baseline_used: bool) -> None:
             print(f"      {finding.snippet}")
     tail = (f"{report.files_scanned} files, "
             f"{len(report.findings)} finding(s), "
-            f"{report.suppressed_count} suppressed, "
-            f"{len(report.baselined)} baselined"
-            + ("" if baseline_used else " (no baseline)"))
+            f"{report.suppressed_count} suppressed")
     print(("FAIL: " if report.findings else "clean: ") + tail)
 
 
@@ -108,25 +78,15 @@ def main(argv=None) -> int:
 
     try:
         rules = _select_rules(args.rules)
-        baseline = _resolve_baseline(args)
-        report = run_lint(args.paths, rules=rules, baseline=baseline)
+        report = run_lint(args.paths, rules=rules)
     except ReproError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        Baseline.from_findings(
-            report.findings,
-            comment="grandfathered; justify or fix").dump(
-                args.write_baseline)
-        print(f"wrote {len(report.findings)} entries to "
-              f"{args.write_baseline}")
-        return 0
-
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
-        _print_human(report, baseline is not None)
+        _print_human(report)
     return 0 if report.clean else 1
 
 

@@ -15,10 +15,8 @@ Vocabulary:
   :mod:`repro.lint.rules`.
 * An inline comment ``# replint: ignore[R00x] <reason>`` on the
   flagged line suppresses that rule there; the reason is mandatory
-  (an unexplained suppression is itself a finding, ``R000``).
-* A baseline file (see :mod:`repro.lint.baseline`) grandfathers
-  accepted legacy findings by content fingerprint, so the tree can be
-  gated at zero *new* findings while old debt is burned down.
+  (an unexplained suppression is itself a finding, ``R000``).  It is
+  the one way to accept a finding.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from repro.exceptions import ConfigurationError
 
 #: Pseudo-rule id for problems with the lint run itself (unparseable
-#: file, malformed suppression comment).  Never baselined away.
+#: file, malformed suppression comment).  Never suppressed.
 META_RULE_ID = "R000"
 
 _SUPPRESS_RE = re.compile(
@@ -261,10 +259,9 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run (before/after baseline filtering)."""
+    """Outcome of one lint run."""
 
-    findings: list       #: live findings (not suppressed, not baselined)
-    baselined: list      #: findings matched by the baseline file
+    findings: list       #: live findings (not suppressed)
     suppressed_count: int
     files_scanned: int
 
@@ -277,27 +274,22 @@ class LintReport:
             "clean": self.clean,
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed_count,
-            "baselined": [f.as_dict() for f in self.baselined],
             "findings": [f.as_dict() for f in self.findings],
         }
 
 
 def run_lint(paths: Iterable[str | Path],
-             rules: Sequence[Rule] | None = None,
-             baseline: "Baseline | None" = None) -> LintReport:
+             rules: Sequence[Rule] | None = None) -> LintReport:
     """Run ``rules`` over every Python file under ``paths``.
 
     ``rules`` defaults to the full registry
-    (:data:`repro.lint.rules.ALL_RULES`); ``baseline`` filters known
-    legacy findings out of :attr:`LintReport.findings` into
-    :attr:`LintReport.baselined`.
+    (:data:`repro.lint.rules.ALL_RULES`).
     """
     if rules is None:
         from repro.lint.rules import ALL_RULES
 
         rules = ALL_RULES
     live: list[Finding] = []
-    baselined: list[Finding] = []
     suppressed = 0
     files = 0
     for path in iter_python_files(paths):
@@ -310,13 +302,8 @@ def run_lint(paths: Iterable[str | Path],
             for finding in rule.check(ctx):
                 if ctx.is_suppressed(finding):
                     suppressed += 1
-                elif (baseline is not None
-                      and finding.rule != META_RULE_ID
-                      and baseline.matches(finding)):
-                    baselined.append(finding)
                 else:
                     live.append(finding)
     live.sort(key=lambda f: (f.path, f.line, f.rule))
-    baselined.sort(key=lambda f: (f.path, f.line, f.rule))
-    return LintReport(findings=live, baselined=baselined,
-                      suppressed_count=suppressed, files_scanned=files)
+    return LintReport(findings=live, suppressed_count=suppressed,
+                      files_scanned=files)

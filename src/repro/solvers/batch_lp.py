@@ -149,7 +149,7 @@ class CompiledLp:
 
     def __init__(self, model: LpModel):
         self.name = model.name
-        args = model.compile(use_sparse=True)
+        args = model.compile()
         self._c = np.asarray(args["c"], dtype=float)
         self._A_ub = args["A_ub"]
         self._A_eq = args["A_eq"]

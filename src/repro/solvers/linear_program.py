@@ -11,10 +11,9 @@ lets callers build the program with names::
     model.add_eq({g[0]: 1.0, b[1]: -1.0}, rhs=...)
 
 and compiles to the sparse arrays HiGHS consumes
-(:class:`~repro.solvers.batch_lp.CompiledLp`) or, with
-``use_sparse=False``, to dense ones (what the tests' reference simplex
-reads); only the sparse compile imports scipy.  Solutions map back to names (:meth:`LpSolution.value`, or vectorized
-:meth:`LpSolution.values`).
+(:class:`~repro.solvers.batch_lp.CompiledLp`); compiling imports
+scipy.  Solutions map back to names (:meth:`LpSolution.value`, or
+vectorized :meth:`LpSolution.values`).
 """
 
 from __future__ import annotations
@@ -116,36 +115,30 @@ class LpModel:
     # Compilation
     # ------------------------------------------------------------------
 
-    def _rows_to_matrix(self, rows: list[dict[int, float]],
-                        use_sparse: bool):
+    def _rows_to_matrix(self, rows: list[dict[int, float]]):
         if not rows:
             return None
-        if use_sparse:
-            from scipy import sparse
+        from scipy import sparse
 
-            data, row_idx, col_idx = [], [], []
-            for i, row in enumerate(rows):
-                for j, coeff in row.items():
-                    data.append(coeff)
-                    row_idx.append(i)
-                    col_idx.append(j)
-            return sparse.csr_matrix(
-                (data, (row_idx, col_idx)), shape=(len(rows), self.n_vars))
-        matrix = np.zeros((len(rows), self.n_vars))
+        data, row_idx, col_idx = [], [], []
         for i, row in enumerate(rows):
             for j, coeff in row.items():
-                matrix[i, j] = coeff
-        return matrix
+                data.append(coeff)
+                row_idx.append(i)
+                col_idx.append(j)
+        return sparse.csr_matrix(
+            (data, (row_idx, col_idx)), shape=(len(rows), self.n_vars))
 
-    def compile(self, use_sparse: bool = True) -> dict:
-        """Produce the ``scipy.optimize.linprog``-style argument dict."""
+    def compile(self) -> dict:
+        """Produce the ``scipy.optimize.linprog``-style argument dict
+        (sparse constraint matrices)."""
         if self.n_vars == 0:
             raise SolverError("cannot compile an empty model")
         return {
             "c": np.asarray(self._costs),
-            "A_ub": self._rows_to_matrix(self._ub_rows, use_sparse),
+            "A_ub": self._rows_to_matrix(self._ub_rows),
             "b_ub": (np.asarray(self._ub_rhs) if self._ub_rhs else None),
-            "A_eq": self._rows_to_matrix(self._eq_rows, use_sparse),
+            "A_eq": self._rows_to_matrix(self._eq_rows),
             "b_eq": (np.asarray(self._eq_rhs) if self._eq_rhs else None),
             "bounds": list(zip(self._lower, self._upper)),
         }

@@ -13,7 +13,6 @@ shaping, system expansion ``β``, peak clipping at ``Pgrid``).
 
 from repro.traces.base import Trace, TraceBlock, TraceSet
 from repro.traces.demand import (
-    DemandChunkState,
     DemandModel,
     DemandTraceKernel,
     GoogleClusterDemandGenerator,
@@ -21,7 +20,6 @@ from repro.traces.demand import (
 from repro.traces.library import make_paper_traces
 from repro.traces.prices import (
     NyisoLikePriceGenerator,
-    PriceChunkState,
     PriceModel,
     PriceTraceKernel,
 )
@@ -33,7 +31,6 @@ from repro.traces.scaling import (
 )
 from repro.traces.solar import (
     MidcLikeSolarGenerator,
-    SolarChunkState,
     SolarModel,
     SolarTraceKernel,
 )
@@ -46,9 +43,6 @@ __all__ = [
     "DemandTraceKernel",
     "SolarTraceKernel",
     "PriceTraceKernel",
-    "DemandChunkState",
-    "PriceChunkState",
-    "SolarChunkState",
     "SolarModel",
     "MidcLikeSolarGenerator",
     "WindModel",

@@ -246,20 +246,6 @@ class TraceSet:
         fields.update(changes)
         return TraceSet(**fields)
 
-    def head(self, n_slots: int) -> "TraceSet":
-        """Truncate all series to the first ``n_slots`` slots."""
-        if not 1 <= n_slots <= self.n_slots:
-            raise ConfigurationError(
-                f"n_slots must be in [1, {self.n_slots}], got {n_slots}")
-        return TraceSet(
-            demand_ds=self.demand_ds[:n_slots],
-            demand_dt=self.demand_dt[:n_slots],
-            renewable=self.renewable[:n_slots],
-            price_rt=self.price_rt[:n_slots],
-            price_lt_hourly=self.price_lt_hourly[:n_slots],
-            meta=dict(self.meta),
-        )
-
     def summary(self) -> dict[str, dict[str, float]]:
         """Per-series stats (drives the Fig. 5 experiment output)."""
         return {

@@ -28,18 +28,6 @@ from repro.exceptions import ConfigurationError
 from repro.traces.base import slot_time_indices
 
 
-@dataclass
-class DemandChunkState:
-    """Carry-over state for chunked delay-sensitive generation.
-
-    The interactive noise is AR(1) in log space; streaming generation
-    (:mod:`repro.fleet.stream`) threads this state between consecutive
-    chunks so the concatenation of chunk outputs is bit-identical to
-    one full-horizon pass, regardless of how the horizon is chunked.
-    """
-
-    log_noise: float = 0.0
-
 #: Hour-of-day multiplier for Websearch-style interactive load.
 _SEARCH_SHAPE = np.array([
     0.55, 0.48, 0.44, 0.42, 0.44, 0.52,
@@ -150,26 +138,16 @@ class GoogleClusterDemandGenerator:
 
     def delay_sensitive(self, n_slots: int,
                         rng: np.random.Generator) -> np.ndarray:
-        """Sample the delay-sensitive series ``dds(τ)`` (MWh/slot)."""
-        return self.delay_sensitive_chunk(0, n_slots, rng,
-                                          DemandChunkState())
+        """Sample the delay-sensitive series ``dds(τ)`` (MWh/slot).
 
-    def delay_sensitive_chunk(self, start_slot: int, n_slots: int,
-                              rng: np.random.Generator,
-                              state: DemandChunkState) -> np.ndarray:
-        """Sample ``dds`` for slots ``[start_slot, start_slot + n_slots)``.
-
-        ``state`` carries the AR(1) noise level across chunks and is
-        updated in place; draws come one per slot from ``rng``, so
-        sequential chunks from one dedicated generator concatenate to
-        exactly the full-horizon series (chunk-size invariant).
+        The interactive noise is AR(1) in log space, one draw per slot
+        from ``rng``.
         """
         model = self.model
         series = np.empty(n_slots)
-        log_noise = state.log_noise
+        log_noise = 0.0
         scale = model.noise_sigma * math.sqrt(1.0 - model.noise_rho ** 2)
-        for index in range(n_slots):
-            slot = start_slot + index
+        for slot in range(n_slots):
             hour = self._hour(slot)
             weekend = self._weekday(slot) >= 5
             factor = model.weekend_factor if weekend else 1.0
@@ -179,8 +157,7 @@ class GoogleClusterDemandGenerator:
                          + scale * rng.standard_normal())
             multiplier = math.exp(log_noise - model.noise_sigma ** 2 / 2.0)
             power = model.static_floor_mw + interactive * multiplier
-            series[index] = max(0.0, power * model.slot_hours)
-        state.log_noise = log_noise
+            series[slot] = max(0.0, power * model.slot_hours)
         return series
 
     def delay_tolerant(self, n_slots: int,
@@ -193,30 +170,21 @@ class GoogleClusterDemandGenerator:
         Per-slot arrivals clip at ``Ddtmax`` (constraint in Section
         II-A.2).
         """
-        return self.delay_tolerant_chunk(0, n_slots, rng)
-
-    def delay_tolerant_chunk(self, start_slot: int, n_slots: int,
-                             rng: np.random.Generator) -> np.ndarray:
-        """Sample ``ddt`` for slots ``[start_slot, start_slot + n_slots)``.
-
-        The arrival process is memoryless across slots, so the only
-        chunking requirement is a dedicated sequential ``rng``.
-        """
         model = self.model
         series = np.empty(n_slots)
         log_median = math.log(model.batch_job_energy_mwh) \
             if model.batch_job_energy_mwh > 0 else 0.0
-        for index in range(n_slots):
-            hour = self._hour(start_slot + index)
+        for slot in range(n_slots):
+            hour = self._hour(slot)
             rate = (model.batch_jobs_per_hour * _BATCH_SHAPE[hour]
                     * model.slot_hours)
             n_jobs = rng.poisson(rate)
             if n_jobs == 0 or model.batch_job_energy_mwh == 0:
-                series[index] = 0.0
+                series[slot] = 0.0
                 continue
             sizes = rng.lognormal(mean=log_median, sigma=model.batch_sigma,
                                   size=n_jobs)
-            series[index] = min(float(sizes.sum()), model.d_dt_max)
+            series[slot] = min(float(sizes.sum()), model.d_dt_max)
         return series
 
     def generate(self, n_slots: int, rng: np.random.Generator,
@@ -228,86 +196,6 @@ class GoogleClusterDemandGenerator:
         tolerant = self.delay_tolerant(n_slots, rng)
         return sensitive, tolerant
 
-    # ------------------------------------------------------------------
-    # Stream-family scalar references
-    # ------------------------------------------------------------------
-    #
-    # The streamed trace family ("stream" recipes) uses a draw
-    # discipline designed so every stochastic component can be batched
-    # across slots with NumPy ``Generator`` calls that are
-    # sequential-draw-identical to a scalar loop: the AR(1) noise takes
-    # one ``standard_normal`` per slot (unchanged), while the compound
-    # Poisson-lognormal arrivals split job *counts* and job *sizes*
-    # into two substreams (a single-stream loop interleaves
-    # variable-length draws and cannot be batched bit-identically).
-    # The methods below are the per-slot reference loops for that
-    # discipline; :class:`DemandTraceKernel` is the vectorized twin the
-    # property tests compare against, bit for bit.
-
-    def delay_sensitive_stream_chunk(self, start_slot: int, n_slots: int,
-                                     rng: np.random.Generator,
-                                     state: DemandChunkState) -> np.ndarray:
-        """Stream-family scalar reference for ``dds`` chunks.
-
-        Identical to :meth:`delay_sensitive_chunk` except the noise
-        multiplier is exponentiated with :func:`numpy.exp` (the SIMD
-        kernel's transcendental) instead of :func:`math.exp`, so the
-        vectorized kernel can match it exactly on hardware where the
-        two differ in the last ulp.
-        """
-        model = self.model
-        series = np.empty(n_slots)
-        log_noise = state.log_noise
-        scale = model.noise_sigma * math.sqrt(1.0 - model.noise_rho ** 2)
-        half_sig2 = model.noise_sigma ** 2 / 2.0
-        for index in range(n_slots):
-            slot = start_slot + index
-            hour = self._hour(slot)
-            weekend = self._weekday(slot) >= 5
-            factor = model.weekend_factor if weekend else 1.0
-            interactive = (model.search_peak_mw * _SEARCH_SHAPE[hour]
-                           + model.mail_peak_mw * _MAIL_SHAPE[hour]) * factor
-            log_noise = (model.noise_rho * log_noise
-                         + scale * rng.standard_normal())
-            multiplier = np.exp(log_noise - half_sig2)
-            power = model.static_floor_mw + interactive * multiplier
-            series[index] = max(0.0, power * model.slot_hours)
-        state.log_noise = float(log_noise)
-        return series
-
-    def delay_tolerant_stream_chunk(self, start_slot: int, n_slots: int,
-                                    count_rng: np.random.Generator,
-                                    size_rng: np.random.Generator
-                                    ) -> np.ndarray:
-        """Stream-family scalar reference for ``ddt`` chunks.
-
-        Job counts draw from ``count_rng`` (one Poisson per slot) and
-        job sizes from ``size_rng`` (one lognormal per job), so the
-        batched counts-then-split kernel consumes both substreams in
-        exactly this order.  Per-slot totals accumulate left to right —
-        the same addition order ``numpy.bincount`` uses.
-        """
-        model = self.model
-        series = np.empty(n_slots)
-        log_median = math.log(model.batch_job_energy_mwh) \
-            if model.batch_job_energy_mwh > 0 else 0.0
-        for index in range(n_slots):
-            hour = self._hour(start_slot + index)
-            rate = (model.batch_jobs_per_hour * _BATCH_SHAPE[hour]
-                    * model.slot_hours)
-            n_jobs = count_rng.poisson(rate)
-            if n_jobs == 0 or model.batch_job_energy_mwh == 0:
-                series[index] = 0.0
-                continue
-            sizes = size_rng.lognormal(mean=log_median,
-                                       sigma=model.batch_sigma,
-                                       size=n_jobs)
-            total = 0.0
-            for size in sizes.tolist():
-                total += size
-            series[index] = min(total, model.d_dt_max)
-        return series
-
 
 class DemandTraceKernel:
     """Vectorized demand generation for a batch of scenarios.
@@ -316,16 +204,22 @@ class DemandTraceKernel:
     parameter sets once, then emits whole ``(B, n_slots)`` blocks per
     call: the AR(1) noise draws one batched ``standard_normal(n)`` per
     scenario and scans the carry across slots (the recursion's FP
-    order is exactly the scalar loop's), and the compound
+    order is exactly the per-slot reference's), and the compound
     Poisson-lognormal arrivals draw per-slot counts in one
     ``poisson(rate_vec)`` call, all job sizes in one lognormal call,
     then split them back onto slots with ``bincount`` (sequential
     additions, matching the reference's left-to-right sums).
 
-    Bit-identical to :meth:`GoogleClusterDemandGenerator.
-    delay_sensitive_stream_chunk` /
-    :meth:`~GoogleClusterDemandGenerator.delay_tolerant_stream_chunk`
-    for any chunking (gated by ``tests/property/test_trace_kernels.py``).
+    This is the ``stream`` trace family's draw discipline, built so
+    every component batches across slots with ``Generator`` calls that
+    are sequential-draw-identical to a per-slot loop: the AR(1) noise
+    takes one ``standard_normal`` per slot, and the compound arrivals
+    split job *counts* and job *sizes* into two substreams (one stream
+    interleaving variable-length draws cannot be batched
+    bit-identically).  Transcendentals go through :func:`numpy.exp`.
+    Bit-identical, for any chunking, to the per-slot references in
+    ``tests/oracles/stream_traces.py`` (gated by
+    ``tests/property/test_trace_kernels.py``).
     """
 
     def __init__(self, models: Sequence[DemandModel]):

@@ -26,12 +26,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.traces.base import slot_time_indices
 
-@dataclass
-class PriceChunkState:
-    """Carry-over AR(1) log-noise state for chunked price generation."""
-
-    log_noise: float = 0.0
-
 
 #: Hour-of-day base shape, normalized around 1.0: NYISO-like winter load
 #: curve with a morning ramp and a taller early-evening peak.
@@ -128,41 +122,28 @@ class NyisoLikePriceGenerator:
     def __init__(self, model: PriceModel | None = None):
         self.model = model or PriceModel()
 
-    def _base_curve(self, n_slots: int, start_slot: int = 0) -> np.ndarray:
+    def _base_curve(self, n_slots: int) -> np.ndarray:
         """Deterministic expected real-time price per slot ($/MWh)."""
         model = self.model
         base = np.empty(n_slots)
-        for index in range(n_slots):
-            slot = start_slot + index
+        for slot in range(n_slots):
             hour = int((slot * model.slot_hours) % 24)
             day = int((slot * model.slot_hours) // 24)
             weekday = (model.start_weekday + day) % 7
             shape = _DIURNAL_SHAPE[hour]
             if weekday >= 5:
                 shape *= model.weekend_factor
-            base[index] = model.mean_price * shape
+            base[slot] = model.mean_price * shape
         return base
 
     def real_time_prices(self, n_slots: int,
                          rng: np.random.Generator) -> np.ndarray:
         """Sample the real-time price series ``prt(τ)``."""
-        return self.real_time_prices_chunk(0, n_slots, rng,
-                                           PriceChunkState())
-
-    def real_time_prices_chunk(self, start_slot: int, n_slots: int,
-                               rng: np.random.Generator,
-                               state: "PriceChunkState") -> np.ndarray:
-        """Sample ``prt`` for slots ``[start_slot, start_slot + n)``.
-
-        ``state`` carries the AR(1) log-noise level between chunks;
-        draws are strictly per slot from ``rng``, so sequential chunks
-        from a dedicated generator are chunk-size invariant.
-        """
         model = self.model
-        base = self._base_curve(n_slots, start_slot)
+        base = self._base_curve(n_slots)
         # Persistent lognormal noise: AR(1) in log-space, mean-corrected
         # so the noise multiplier has expectation close to one.
-        log_noise = state.log_noise
+        log_noise = 0.0
         scale = model.noise_sigma * math.sqrt(1.0 - model.noise_rho ** 2)
         prices = np.empty(n_slots)
         for index in range(n_slots):
@@ -173,7 +154,6 @@ class NyisoLikePriceGenerator:
             if rng.random() < model.spike_probability:
                 price *= model.spike_scale * (1.0 + 0.5 * rng.random())
             prices[index] = price
-        state.log_noise = log_noise
         return np.clip(prices, model.price_floor, model.price_cap)
 
     def forward_curve(self, n_slots: int,
@@ -184,17 +164,8 @@ class NyisoLikePriceGenerator:
         prices the expectation, not realizations) at the contract
         discount, with mild noise for forecast imperfection.
         """
-        return self.forward_curve_chunk(0, n_slots, rng)
-
-    def forward_curve_chunk(self, start_slot: int, n_slots: int,
-                            rng: np.random.Generator) -> np.ndarray:
-        """Sample the forward curve for ``[start_slot, start_slot + n)``.
-
-        Memoryless across slots (one normal draw per slot), so a
-        dedicated sequential ``rng`` is the only chunking requirement.
-        """
         model = self.model
-        base = self._base_curve(n_slots, start_slot)
+        base = self._base_curve(n_slots)
         noise = 1.0 + model.forward_noise_sigma * rng.standard_normal(n_slots)
         curve = base * model.forward_discount * np.clip(noise, 0.5, 1.5)
         return np.clip(curve, model.price_floor, model.price_cap)
@@ -212,60 +183,22 @@ class NyisoLikePriceGenerator:
         forward = self.forward_curve(n_slots, rng)
         return real_time, forward
 
-    # ------------------------------------------------------------------
-    # Stream-family scalar reference
-    # ------------------------------------------------------------------
-
-    def real_time_stream_chunk(self, start_slot: int, n_slots: int,
-                               rng: np.random.Generator,
-                               spike_rng: np.random.Generator,
-                               state: "PriceChunkState") -> np.ndarray:
-        """Stream-family scalar reference for ``prt`` chunks.
-
-        The streamed family separates the AR(1) normals (``rng``) from
-        the scarcity-spike uniforms (``spike_rng``) and always draws
-        two spike uniforms per slot (trigger and magnitude, the
-        magnitude discarded on non-spike slots).  Fixed per-slot
-        consumption from each substream is what lets the vectorized
-        kernel batch both as single array draws; a single interleaved
-        stream (the in-memory :meth:`real_time_prices_chunk` path)
-        cannot be batched bit-identically.  The multiplier uses
-        :func:`numpy.exp` for the same reason as
-        :meth:`~repro.traces.demand.GoogleClusterDemandGenerator.
-        delay_sensitive_stream_chunk`.
-        """
-        model = self.model
-        base = self._base_curve(n_slots, start_slot)
-        log_noise = state.log_noise
-        scale = model.noise_sigma * math.sqrt(1.0 - model.noise_rho ** 2)
-        half_sig2 = model.noise_sigma ** 2 / 2.0
-        prices = np.empty(n_slots)
-        for index in range(n_slots):
-            log_noise = (model.noise_rho * log_noise
-                         + scale * rng.standard_normal())
-            multiplier = np.exp(log_noise - half_sig2)
-            price = base[index] * multiplier
-            trigger = spike_rng.random()
-            magnitude = spike_rng.random()
-            if trigger < model.spike_probability:
-                price *= model.spike_scale * (1.0 + 0.5 * magnitude)
-            prices[index] = price
-        state.log_noise = float(log_noise)
-        return np.clip(prices, model.price_floor, model.price_cap)
-
 
 class PriceTraceKernel:
     """Vectorized two-market price generation for a batch of scenarios.
 
-    Bit-identical to
-    :meth:`NyisoLikePriceGenerator.real_time_stream_chunk` /
-    :meth:`~NyisoLikePriceGenerator.forward_curve_chunk` per scenario
-    for any chunking: the AR(1) log-noise batches one
-    ``standard_normal(n)`` per scenario and scans the carry in the
-    scalar recursion's FP order, spike triggers and magnitudes come
-    from one ``random(2n)`` per scenario (even slots trigger, odd
-    slots magnitude — the reference's draw order), and the forward
-    curve was already a single batched draw per window.
+    The ``stream`` trace family separates the AR(1) normals from the
+    scarcity-spike uniforms and always draws two spike uniforms per
+    slot (trigger and magnitude, the magnitude unused on non-spike
+    slots); fixed per-slot consumption from each substream is what
+    lets both batch as single array draws.  The AR(1) log-noise
+    batches one ``standard_normal(n)`` per scenario and scans the
+    carry in the per-slot recursion's FP order, spike triggers and
+    magnitudes come from one ``random(2n)`` per scenario (even slots
+    trigger, odd slots magnitude), and the forward curve is a single
+    batched draw per window.  Bit-identical, per scenario and for any
+    chunking, to the per-slot references in
+    ``tests/oracles/stream_traces.py``.
     """
 
     def __init__(self, models: Sequence[PriceModel]):

@@ -31,21 +31,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 
 
-@dataclass
-class SolarChunkState:
-    """Carry-over state for chunked solar generation.
-
-    ``cloud_state`` is the Markov regime at the end of the previous
-    chunk (``-1`` before any slot is generated); ``noise_level`` is the
-    AR(1) disturbance level.  :meth:`MidcLikeSolarGenerator.generate_chunk`
-    threads this between chunks so chunked output is invariant to the
-    chunk size.
-    """
-
-    cloud_state: int = -1
-    noise_level: float = 0.0
-
-
 @dataclass(frozen=True)
 class SolarModel:
     """Parameters of the synthetic solar plant and sky model.
@@ -132,12 +117,11 @@ def _capacity_factors(latitude_deg: float, start_day_of_year: int,
                       n_slots: int) -> np.ndarray:
     """Clear-sky capacity factors for a window (cached, read-only).
 
-    The deterministic per-slot solar-geometry loop, hoisted out of
-    :meth:`MidcLikeSolarGenerator.clear_sky_profile` so scenarios that
-    share a sky (same latitude, calendar and slot length — everything
-    except plant capacity) compute it once per window instead of once
-    per scenario.  The per-slot arithmetic is unchanged, so profiles
-    are bit-identical to the pre-cache code.
+    The deterministic per-slot solar-geometry loop, shared by
+    :meth:`MidcLikeSolarGenerator.clear_sky_profile` and the kernel so
+    scenarios that share a sky (same latitude, calendar and slot
+    length — everything except plant capacity) compute it once per
+    window instead of once per scenario.
     """
     factors = np.empty(n_slots)
     for index in range(n_slots):
@@ -170,60 +154,45 @@ class MidcLikeSolarGenerator:
     def __init__(self, model: SolarModel | None = None):
         self.model = model or SolarModel()
 
-    def clear_sky_profile(self, n_slots: int,
-                          start_slot: int = 0) -> np.ndarray:
+    def clear_sky_profile(self, n_slots: int) -> np.ndarray:
         """Deterministic clear-sky energy per slot (MWh)."""
         model = self.model
         factors = _capacity_factors(model.latitude_deg,
                                     model.start_day_of_year,
-                                    model.slot_hours, start_slot,
-                                    n_slots)
+                                    model.slot_hours, 0, n_slots)
         return model.capacity_mw * factors * model.slot_hours
 
     def cloud_states(self, n_slots: int,
                      rng: np.random.Generator) -> np.ndarray:
-        """Sample the 3-state Markov cloud-regime path."""
-        return self.cloud_states_chunk(n_slots, rng, SolarChunkState())
+        """Sample the 3-state Markov cloud-regime path.
 
-    def cloud_states_chunk(self, n_slots: int, rng: np.random.Generator,
-                           state: SolarChunkState) -> np.ndarray:
-        """Continue the Markov regime path for ``n_slots`` more slots.
-
-        The first overall slot (``state.cloud_state < 0``) draws a
-        uniform initial regime; every later slot draws one transition,
-        so the draw count per slot is fixed and chunk-size invariant.
+        The first slot draws a uniform initial regime; every later slot
+        draws one transition.
         """
         persistence = self.model.cloud_persistence
         switch = (1.0 - persistence) / 2.0
         transition = np.full((3, 3), switch)
         np.fill_diagonal(transition, persistence)
         states = np.empty(n_slots, dtype=int)
-        current = state.cloud_state
+        current = -1
         for index in range(n_slots):
             if current < 0:
                 current = int(rng.integers(0, 3))
             else:
                 current = int(rng.choice(3, p=transition[current]))
             states[index] = current
-        state.cloud_state = current
         return states
 
     def noise_path(self, n_slots: int,
                    rng: np.random.Generator) -> np.ndarray:
         """Mean-one AR(1) multiplicative disturbance, floored at zero."""
-        return self.noise_path_chunk(n_slots, rng, SolarChunkState())
-
-    def noise_path_chunk(self, n_slots: int, rng: np.random.Generator,
-                         state: SolarChunkState) -> np.ndarray:
-        """Continue the AR(1) disturbance path for ``n_slots`` slots."""
         model = self.model
         noise = np.empty(n_slots)
-        level = state.noise_level
+        level = 0.0
         scale = model.noise_sigma * math.sqrt(1.0 - model.noise_rho ** 2)
         for index in range(n_slots):
             level = model.noise_rho * level + scale * rng.standard_normal()
             noise[index] = max(0.0, 1.0 + level)
-        state.noise_level = level
         return noise
 
     def generate(self, n_slots: int,
@@ -242,45 +211,22 @@ class MidcLikeSolarGenerator:
         return np.clip(series, 0.0, self.model.capacity_mw
                        * self.model.slot_hours)
 
-    def generate_chunk(self, start_slot: int, n_slots: int,
-                       cloud_rng: np.random.Generator,
-                       jitter_rng: np.random.Generator,
-                       noise_rng: np.random.Generator,
-                       state: SolarChunkState) -> np.ndarray:
-        """Generate ``r(τ)`` for slots ``[start_slot, start_slot + n)``.
-
-        Chunked twin of :meth:`generate` for streaming trace sources:
-        each stochastic component draws from its *own* sequential
-        generator (so chunk boundaries do not reorder draws across
-        components) and ``state`` carries the Markov regime and AR(1)
-        level between chunks.  The concatenation of sequential chunks
-        is therefore invariant to the chunk size.
-        """
-        if n_slots < 1:
-            raise ConfigurationError(f"n_slots must be >= 1, got {n_slots}")
-        clear_sky = self.clear_sky_profile(n_slots, start_slot)
-        states = self.cloud_states_chunk(n_slots, cloud_rng, state)
-        attenuation = np.asarray(self.model.cloud_attenuation)[states]
-        jitter = np.clip(1.0 + 0.10 * jitter_rng.standard_normal(n_slots),
-                         0.0, None)
-        noise = self.noise_path_chunk(n_slots, noise_rng, state)
-        series = clear_sky * attenuation * jitter * noise
-        return np.clip(series, 0.0, self.model.capacity_mw
-                       * self.model.slot_hours)
-
 
 class SolarTraceKernel:
     """Vectorized solar generation for a batch of scenarios.
 
-    Bit-identical to per-scenario
-    :meth:`MidcLikeSolarGenerator.generate_chunk` calls (the scalar
-    reference) for any chunking: clear-sky profiles come from the
-    shared :func:`_capacity_factors` cache (one geometry loop per
-    distinct sky per window), the Markov cloud-regime path draws one
-    batched ``random(n)`` per scenario and scans the regime carry with
-    the exact CDF comparison ``Generator.choice`` performs, and the
-    AR(1) disturbance batches its normals and scans the carry in the
-    scalar recursion's FP order.
+    The ``stream`` trace family draws each stochastic component (cloud
+    regimes, attenuation jitter, AR(1) disturbance) from its own
+    substream, so window boundaries never reorder draws across
+    components.  Clear-sky profiles come from the shared
+    :func:`_capacity_factors` cache (one geometry loop per distinct
+    sky per window), the Markov cloud-regime path draws one batched
+    ``random(n)`` per scenario and scans the regime carry with the
+    exact CDF comparison ``Generator.choice`` performs, and the AR(1)
+    disturbance batches its normals and scans the carry in the
+    per-slot recursion's FP order.  Bit-identical, per scenario and
+    for any chunking, to the per-slot reference in
+    ``tests/oracles/stream_traces.py``.
     """
 
     def __init__(self, models: Sequence[SolarModel]):
@@ -318,7 +264,7 @@ class SolarTraceKernel:
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Continue every scenario's Markov path for ``n_slots`` slots.
 
-        Draw order per scenario matches the scalar loop: a fresh path
+        Draw order per scenario matches the per-slot reference: a fresh path
         (carry ``< 0``) consumes one ``integers(0, 3)`` for its initial
         regime, then one uniform per remaining slot; a continuing path
         consumes one uniform per slot.  Each uniform is resolved

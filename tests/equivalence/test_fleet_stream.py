@@ -2,9 +2,10 @@
 
 Three layers, mirroring the contract in :mod:`repro.fleet.engine`:
 
-1. **Stream chunk invariance** — a ``StreamingPaperTraces`` horizon is
-   bit-identical however it is chunked (including one full-horizon
-   window), so "streamed traces" and "materialized traces" denote the
+1. **Stream chunk invariance** — a ``StreamingPaperTraces`` horizon
+   read through its batch cursor is bit-identical however it is
+   chunked, and equals the one full-horizon read ``materialize()``
+   makes, so "streamed traces" and "materialized traces" denote the
    same numbers.
 2. **Engine equivalence** — ``StreamingBatchSimulator`` metrics are
    *exactly* equal (``==`` on every float) to
@@ -32,7 +33,7 @@ from repro.fleet.engine import (
 )
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec, grid_specs
-from repro.fleet.stream import StreamingPaperTraces
+from repro.fleet.stream import BatchTraceStream, StreamingPaperTraces
 from repro.sim.engine import Simulator
 
 pytestmark = [pytest.mark.equivalence, pytest.mark.fleet]
@@ -46,30 +47,45 @@ TRACE_FIELDS = ("demand_ds", "demand_dt", "renewable", "price_rt",
 # ----------------------------------------------------------------------
 
 
+def _windows(stream, chunk_slots):
+    """The horizon read through a one-lane batch cursor in windows of
+    ``chunk_slots`` (the last one shorter)."""
+    cursor = BatchTraceStream([stream]).open()
+    windows = []
+    for start in range(0, stream.n_slots, chunk_slots):
+        take = min(chunk_slots, stream.n_slots - start)
+        windows.append(cursor.read(take).scenario(0))
+    return windows
+
+
 @pytest.mark.parametrize("chunk_slots", [1, 5, 24, 96])
 def test_stream_materialization_is_chunk_invariant(chunk_slots):
     system = paper_system_config(days=4)
     stream = StreamingPaperTraces(system.horizon_slots, seed=7,
                                   clip_p_grid=system.p_grid)
-    reference = stream.materialize(chunk_slots=system.horizon_slots)
-    chunked = stream.materialize(chunk_slots=chunk_slots)
+    reference = stream.materialize()
+    windows = _windows(stream, chunk_slots)
     for name in TRACE_FIELDS:
-        assert np.array_equal(getattr(reference, name),
-                              getattr(chunked, name)), name
+        chunked = np.concatenate([getattr(w, name) for w in windows])
+        assert np.array_equal(getattr(reference, name), chunked), name
+    assert sum(w.meta["peak_clip_slots"] for w in windows) \
+        == reference.meta["peak_clip_slots"]
 
 
 def test_stream_windows_partition_the_horizon():
     stream = StreamingPaperTraces(48, seed=3)
-    windows = list(stream.windows(20))
+    windows = _windows(stream, 20)
     assert [w.n_slots for w in windows] == [20, 20, 8]
     glued = np.concatenate([w.demand_ds for w in windows])
     assert np.array_equal(glued, stream.materialize().demand_ds)
 
 
 def test_stream_cursor_is_replayable():
-    stream = StreamingPaperTraces(24, seed=11)
-    first = stream.open().read(24)
-    second = stream.open().read(24)
+    # The robustness pass reopens a shard's streams: a second cursor
+    # replays the first one's windows.
+    batch = BatchTraceStream([StreamingPaperTraces(24, seed=11)])
+    first = batch.open().read(24)
+    second = batch.open().read(24)
     for name in TRACE_FIELDS:
         assert np.array_equal(getattr(first, name), getattr(second, name))
 

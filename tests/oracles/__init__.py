@@ -18,5 +18,9 @@ a test can compare the two.  ``tests/conftest.py`` puts ``tests/`` on
   around a SmartDPSS run;
 * :mod:`oracles.theory` — Theorem 2's claims checked on a finished run;
 * :mod:`oracles.trace_validation` — the statistical features the
-  synthetic traces must keep.
+  synthetic traces must keep;
+* :mod:`oracles.stream_traces` — the ``stream`` trace family one slot
+  at a time: the per-slot references of the trace kernels and one
+  scenario's reference cursor, which ``BatchTraceStream`` windows and
+  ``StreamingPaperTraces.materialize()`` must match bit for bit.
 """

@@ -99,12 +99,12 @@ def _standardize(model: LpModel):
     ``recover(y)`` maps a standard-form solution back to the original
     variable vector.
     """
-    args = model.compile(use_sparse=False)
+    args = model.compile()
     c = np.asarray(args["c"], dtype=float)
     n = c.size
-    a_ub = args["A_ub"]
+    a_ub = None if args["A_ub"] is None else args["A_ub"].toarray()
     b_ub = args["b_ub"]
-    a_eq = args["A_eq"]
+    a_eq = None if args["A_eq"] is None else args["A_eq"].toarray()
     b_eq = args["b_eq"]
     bounds = args["bounds"]
 

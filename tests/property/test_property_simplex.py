@@ -47,7 +47,7 @@ def test_simplex_matches_highs_on_random_lps(model):
 @given(model=feasible_lp())
 def test_simplex_solution_is_feasible(model):
     solution = solve_with_simplex(model)
-    compiled = model.compile(use_sparse=False)
+    compiled = model.compile()
     x = solution.x
     for (lb, ub), value in zip(compiled["bounds"], x):
         assert lb - 1e-7 <= value <= ub + 1e-7
@@ -63,6 +63,6 @@ def test_simplex_solution_is_feasible(model):
 @given(model=feasible_lp())
 def test_simplex_objective_matches_solution_vector(model):
     solution = solve_with_simplex(model)
-    compiled = model.compile(use_sparse=False)
+    compiled = model.compile()
     recomputed = float(compiled["c"] @ solution.x)
     assert solution.objective == pytest.approx(recomputed, abs=1e-7)

@@ -2,38 +2,33 @@
 
 Every kernel in :mod:`repro.traces` (demand AR(1) + compound Poisson,
 solar Markov clouds + AR(1), price AR(1) + spikes + forward curve) must
-reproduce its per-slot scalar reference *exactly* — ``np.array_equal``,
-not ``allclose`` — for random model parameters, seeds, batch
-compositions and chunkings, including the carry-state handoff across
-mid-horizon chunk boundaries.  This is the gate that lets the streamed
-fleet engine load chunks through :class:`~repro.fleet.stream.
-BatchTraceStream` while the equivalence harness keeps comparing against
-the scalar cursor path.
+reproduce its per-slot reference (:mod:`oracles.stream_traces`)
+*exactly* — ``np.array_equal``, not ``allclose`` — for random model
+parameters, seeds, batch compositions and chunkings, including the
+carry-state handoff across mid-horizon chunk boundaries.  The kernels
+are the ``stream`` family's only generator, so this is the gate on
+every trace window :class:`~repro.fleet.stream.BatchTraceStream`
+serves.
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.rng import RngFactory
-from repro.traces.demand import (
+from oracles.stream_traces import (
     DemandChunkState,
-    DemandModel,
-    DemandTraceKernel,
-    GoogleClusterDemandGenerator,
-)
-from repro.traces.prices import (
-    NyisoLikePriceGenerator,
     PriceChunkState,
-    PriceModel,
-    PriceTraceKernel,
-)
-from repro.traces.solar import (
-    MidcLikeSolarGenerator,
     SolarChunkState,
-    SolarTraceKernel,
-    SolarModel,
+    delay_sensitive_stream_chunk,
+    delay_tolerant_stream_chunk,
+    forward_curve_chunk,
+    generate_chunk,
+    real_time_stream_chunk,
 )
+from repro.rng import RngFactory
+from repro.traces.demand import DemandModel, DemandTraceKernel
+from repro.traces.prices import PriceModel, PriceTraceKernel
+from repro.traces.solar import SolarModel, SolarTraceKernel
 
 N_SLOTS = 120
 
@@ -121,13 +116,12 @@ def test_demand_sensitive_kernel_bit_identical(
     reference = np.empty((batch, N_SLOTS))
     final_levels = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        generator = GoogleClusterDemandGenerator(model)
         rng = RngFactory(seed).stream("dds")
         state, start = DemandChunkState(), 0
         for chunk in ref_chunks:
             reference[row, start:start + chunk] = \
-                generator.delay_sensitive_stream_chunk(
-                    start, chunk, rng, state)
+                delay_sensitive_stream_chunk(
+                    model, start, chunk, rng, state)
             start += chunk
         final_levels.append(state.log_noise)
 
@@ -154,14 +148,13 @@ def test_demand_tolerant_kernel_bit_identical(
 
     reference = np.empty((batch, N_SLOTS))
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        generator = GoogleClusterDemandGenerator(model)
         count_rng = RngFactory(seed).stream("counts")
         size_rng = RngFactory(seed).stream("sizes")
         start = 0
         for chunk in ref_chunks:
             reference[row, start:start + chunk] = \
-                generator.delay_tolerant_stream_chunk(
-                    start, chunk, count_rng, size_rng)
+                delay_tolerant_stream_chunk(
+                    model, start, chunk, count_rng, size_rng)
             start += chunk
 
     kernel = DemandTraceKernel(models)
@@ -192,15 +185,15 @@ def test_solar_kernel_bit_identical(models, seed_values, ref_chunks,
     reference = np.empty((batch, N_SLOTS))
     final_states = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        generator = MidcLikeSolarGenerator(model)
         factory = RngFactory(seed)
         cloud_rng = factory.stream("clouds")
         jitter_rng = factory.stream("jitter")
         noise_rng = factory.stream("noise")
         state, start = SolarChunkState(), 0
         for chunk in ref_chunks:
-            reference[row, start:start + chunk] = generator.generate_chunk(
-                start, chunk, cloud_rng, jitter_rng, noise_rng, state)
+            reference[row, start:start + chunk] = generate_chunk(
+                model, start, chunk, cloud_rng, jitter_rng, noise_rng,
+                state)
             start += chunk
         final_states.append((state.cloud_state, state.noise_level))
 
@@ -240,7 +233,6 @@ def test_price_kernels_bit_identical(models, seed_values, ref_chunks,
     ref_fwd = np.empty((batch, N_SLOTS))
     final_levels = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        generator = NyisoLikePriceGenerator(model)
         factory = RngFactory(seed)
         rt_rng = factory.stream("rt")
         spike_rng = factory.stream("spikes")
@@ -248,10 +240,10 @@ def test_price_kernels_bit_identical(models, seed_values, ref_chunks,
         state, start = PriceChunkState(), 0
         for chunk in ref_chunks:
             ref_rt[row, start:start + chunk] = \
-                generator.real_time_stream_chunk(start, chunk, rt_rng,
-                                                 spike_rng, state)
+                real_time_stream_chunk(model, start, chunk, rt_rng,
+                                       spike_rng, state)
             ref_fwd[row, start:start + chunk] = \
-                generator.forward_curve_chunk(start, chunk, fwd_rng)
+                forward_curve_chunk(model, start, chunk, fwd_rng)
             start += chunk
         final_levels.append(state.log_noise)
 

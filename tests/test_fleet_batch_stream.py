@@ -3,20 +3,26 @@
 import gc
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from oracles.stream_traces import StreamCursor
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro import rng
-from repro.exceptions import ConfigurationError, TraceError
+from repro.exceptions import (
+    ConfigurationError,
+    TraceCorruptionError,
+    TraceError,
+)
 from repro.fleet.engine import (
     ScenarioMetrics,
     StreamingBatchSimulator,
     StreamRunSpec,
 )
 from repro.fleet.stream import (
-    DEFAULT_MATERIALIZE_CHUNK,
     ArrayBatchStream,
     ArrayTraceStream,
     BatchTraceStream,
@@ -24,6 +30,8 @@ from repro.fleet.stream import (
 )
 from repro.telemetry import TELEMETRY_OFF, Telemetry
 from repro.traces.base import SERIES_FIELDS, TraceBlock
+from repro.traces.demand import DemandModel
+from repro.traces.prices import PriceModel
 from repro.traces.solar import SolarModel
 
 pytestmark = pytest.mark.fleet
@@ -34,35 +42,121 @@ def _streams(n_slots=96, batch=4, clip=None):
             for seed in range(batch)]
 
 
+#: One trace lane: a stream description with random models, seed and
+#: peak clip (``None`` leaves the lane unclipped).
+_lanes = st.fixed_dictionaries({
+    "seed": st.integers(0, 3) | st.integers(0, 2 ** 31),
+    "demand_model": st.builds(
+        DemandModel, noise_rho=st.floats(0.0, 0.95),
+        noise_sigma=st.floats(0.0, 0.3),
+        batch_jobs_per_hour=st.floats(0.0, 20.0),
+        batch_job_energy_mwh=st.sampled_from([0.0, 0.12, 0.4]),
+        start_weekday=st.integers(0, 6),
+        slot_hours=st.sampled_from([0.5, 1.0])),
+    "solar_model": st.builds(
+        SolarModel, capacity_mw=st.floats(0.0, 8.0),
+        start_day_of_year=st.integers(1, 365),
+        cloud_persistence=st.floats(0.05, 0.95),
+        noise_sigma=st.floats(0.0, 0.4),
+        slot_hours=st.sampled_from([0.5, 1.0])),
+    "price_model": st.builds(
+        PriceModel, noise_sigma=st.floats(0.0, 0.5),
+        spike_probability=st.floats(0.0, 0.5),
+        forward_noise_sigma=st.floats(0.0, 0.2),
+        start_weekday=st.integers(0, 6),
+        slot_hours=st.sampled_from([0.5, 1.0])),
+    "clip_p_grid": st.none() | st.floats(0.5, 3.0),
+})
+
+
+def _partition(n_slots, sizes):
+    """Trim random window sizes into an exact partition of the horizon."""
+    chunks, total = [], 0
+    for size in sizes:
+        size = min(size, n_slots - total)
+        if size <= 0:
+            break
+        chunks.append(size)
+        total += size
+    if total < n_slots:
+        chunks.append(n_slots - total)
+    return chunks
+
+
 class TestBatchTraceStream:
-    def test_matches_per_scenario_cursors(self):
-        streams = _streams(batch=5, clip=1.5)
-        cursor = BatchTraceStream(streams).open()
-        references = [stream.open() for stream in streams]
-        for chunk in (17, 40, 39):
+    @pytest.mark.equivalence
+    @settings(max_examples=30, deadline=None)
+    @given(n_slots=st.integers(1, 72),
+           lanes=st.lists(_lanes, min_size=1, max_size=3),
+           picks=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           sizes=st.lists(st.integers(1, 72), min_size=1, max_size=5))
+    def test_matches_per_scenario_cursors(self, n_slots, lanes, picks,
+                                          sizes):
+        """The assembled stream equals the per-slot reference cursor:
+        every batch window, row by row (trace twins share one stream
+        object), and every one-lane ``materialize()``, with their
+        ``seed`` and ``peak_clip_slots`` meta."""
+        streams = [StreamingPaperTraces(n_slots, **lane) for lane in lanes]
+        rows = [pick % len(streams) for pick in picks]
+        clipped = any(streams[lane].clip_p_grid is not None
+                      for lane in rows)
+        cursor = BatchTraceStream([streams[lane] for lane in rows]).open()
+        references = [StreamCursor(stream) for stream in streams]
+        for chunk in _partition(n_slots, sizes):
             block = cursor.read(chunk)
-            windows = [ref.read(chunk) for ref in references]
+            windows = [reference.read(chunk) for reference in references]
             for name in SERIES_FIELDS:
                 assert np.array_equal(
                     getattr(block, name),
-                    np.stack([getattr(w, name) for w in windows])), name
+                    np.stack([getattr(windows[lane], name)
+                              for lane in rows])), name
+            assert ("peak_clip_slots" in block.meta) == clipped
+            for row, lane in enumerate(rows):
+                # An unclipped lane in a clipped batch counts 0 slots.
+                meta, want = block.scenario(row).meta, windows[lane].meta
+                assert meta["seed"] == want["seed"]
+                assert meta.get("peak_clip_slots", 0) \
+                    == want.get("peak_clip_slots", 0)
+        for stream in streams:
+            materialized = stream.materialize()
+            reference = StreamCursor(stream).read(n_slots)
+            for name in SERIES_FIELDS:
+                assert np.array_equal(getattr(materialized, name),
+                                      getattr(reference, name)), name
+            for key in ("seed", "peak_clip_slots"):
+                assert materialized.meta.get(key) \
+                    == reference.meta.get(key), key
 
     def test_full_horizon_read_matches_materialize(self):
-        # One read past DEFAULT_MATERIALIZE_CHUNK, split per scenario,
-        # equals the scalar chunked materialize() — including the clip
-        # count materialize() sums over its windows.
-        n_slots = 2 * DEFAULT_MATERIALIZE_CHUNK + 40
+        # One full-horizon batch read, split per scenario, equals each
+        # stream's one-lane materialize() and the reference cursor's
+        # full read, including the clip count.
+        n_slots = 552
         streams = _streams(n_slots=n_slots, batch=3, clip=1.5)
         block = BatchTraceStream(streams).open().read(n_slots)
         for index, stream in enumerate(streams):
-            reference = stream.materialize()
+            reference = StreamCursor(stream).read(n_slots)
+            materialized = stream.materialize()
             scenario = block.scenario(index)
             for name in SERIES_FIELDS:
+                assert np.array_equal(getattr(materialized, name),
+                                      getattr(reference, name)), name
                 assert np.array_equal(getattr(scenario, name),
                                       getattr(reference, name)), name
             assert reference.meta["peak_clip_slots"] > 0
             for key in ("seed", "peak_clip_slots"):
+                assert materialized.meta[key] == reference.meta[key], key
                 assert scenario.meta[key] == reference.meta[key], key
+
+    def test_materialize_error_names_no_position(self):
+        # The one-lane read's row 0 is no caller's scenario position,
+        # so the runner's quarantine-by-position rule must not see it.
+        stream = StreamingPaperTraces(
+            24, seed=5, demand_model=DemandModel(search_peak_mw=np.inf))
+        with pytest.raises(TraceCorruptionError) as caught:
+            stream.materialize()
+        assert caught.value.scenario is None
+        assert (caught.value.slot, caught.value.seed) == (0, 5)
 
     def test_heterogeneous_models_stack(self):
         streams = [StreamingPaperTraces(
@@ -70,7 +164,7 @@ class TestBatchTraceStream:
             solar_model=SolarModel(capacity_mw=1.0 + seed))
             for seed in range(3)]
         block = BatchTraceStream(streams).open().read(48)
-        singles = [stream.open().read(48) for stream in streams]
+        singles = [StreamCursor(stream).read(48) for stream in streams]
         for index, window in enumerate(singles):
             assert np.array_equal(block.renewable[index],
                                   window.renewable)
@@ -102,7 +196,7 @@ class TestBatchTraceStream:
         assert batch.lanes == tuple(streams)
         assert batch.seeds == (0, 1, 0, 0)
         cursor = batch.open()
-        references = [stream.open() for stream in streams]
+        references = [StreamCursor(stream) for stream in streams]
         for chunk in (17, 40, 39):
             block = cursor.read(chunk)
             windows = [ref.read(chunk) for ref in references]
@@ -128,7 +222,7 @@ class TestBatchTraceStream:
         counts = block.meta["peak_clip_slots"]
         assert counts.shape == (3,)
         for index, stream in enumerate(streams):
-            window = stream.open().read(96)
+            window = StreamCursor(stream).read(96)
             assert counts[index] == window.meta["peak_clip_slots"]
             scenario = block.scenario(index)
             assert scenario.meta["peak_clip_slots"] \
@@ -183,14 +277,13 @@ class TestArrayBatchStream:
         batch = ArrayBatchStream([arrays[lane] for lane in lanes])
         assert batch.lanes == tuple(arrays)
         cursor = batch.open()
-        references = [arrays[lane].open() for lane in lanes]
-        for _ in range(96 // chunk):
+        for start in range(0, 96, chunk):
             block = cursor.read(chunk)
-            windows = [reference.read(chunk) for reference in references]
             for name in SERIES_FIELDS:
                 assert np.array_equal(
                     getattr(block, name),
-                    np.stack([getattr(w, name) for w in windows])), name
+                    np.stack([getattr(sets[lane], name)[start:start + chunk]
+                              for lane in lanes])), name
             assert not np.shares_memory(block.demand_ds[0],
                                         block.demand_ds[2])
         with pytest.raises(TraceError):
@@ -200,9 +293,9 @@ class TestArrayBatchStream:
         class Counting(ArrayTraceStream):
             calls = 0
 
-            def materialize(self, chunk_slots=DEFAULT_MATERIALIZE_CHUNK):
+            def materialize(self):
                 Counting.calls += 1
-                return super().materialize(chunk_slots)
+                return super().materialize()
 
         shared = Counting(_streams(batch=1)[0].materialize())
         cursor = ArrayBatchStream([shared] * 4).open()
@@ -212,14 +305,14 @@ class TestArrayBatchStream:
     def test_any_stream_kind(self):
         # A kernel-backed stream mixed with a materialized one: the
         # kernel source declines and every row still equals its own
-        # cursor's window.
+        # source's materialized horizon.
         kernel, other = _streams(batch=2)
         array = ArrayTraceStream(other.materialize())
         assert BatchTraceStream.for_streams([kernel, array]) is None
         block = ArrayBatchStream([kernel, array, kernel]).open().read(96)
         for row, stream in enumerate((kernel, array, kernel)):
             assert np.array_equal(block.price_rt[row],
-                                  stream.open().read(96).price_rt)
+                                  stream.materialize().price_rt)
 
     def test_read_needs_positive_slots(self):
         cursor = ArrayBatchStream(_streams(batch=1)).open()

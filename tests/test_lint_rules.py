@@ -1,5 +1,5 @@
 """Fixture tests for every repro-lint rule: one firing and one clean
-snippet each, plus the suppression and baseline machinery."""
+snippet each, plus the suppression machinery and the CLI."""
 
 from __future__ import annotations
 
@@ -11,20 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    ALL_RULES,
-    Baseline,
-    RULES_BY_ID,
-    run_lint,
-)
-from repro.lint.baseline import fingerprint
+from repro.lint import ALL_RULES, RULES_BY_ID, run_lint
 
 pytestmark = pytest.mark.lint
 
 
 def lint_snippet(tmp_path: Path, source: str,
                  relpath: str = "repro/mod.py",
-                 rules=None, baseline=None):
+                 rules=None):
     """Write ``source`` at ``tmp_path/relpath`` and lint it.
 
     ``relpath`` matters: several rules scope by path fragment
@@ -33,7 +27,7 @@ def lint_snippet(tmp_path: Path, source: str,
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_lint([target], rules=rules, baseline=baseline)
+    return run_lint([target], rules=rules)
 
 
 def rule_ids(report):
@@ -367,55 +361,6 @@ class TestSuppressions:
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    SOURCE = """
-        def check(x):
-            raise ValueError("legacy")
-    """
-
-    def test_round_trip_filters_known_findings(self, tmp_path):
-        report = lint_snippet(tmp_path, self.SOURCE)
-        assert len(report.findings) == 1
-
-        baseline = Baseline.from_findings(report.findings,
-                                          comment="legacy, PR 9")
-        path = tmp_path / "baseline.txt"
-        baseline.dump(path)
-        reloaded = Baseline.load(path)
-        assert len(reloaded) == 1
-
-        again = lint_snippet(tmp_path, self.SOURCE, baseline=reloaded)
-        assert again.clean
-        assert len(again.baselined) == 1
-
-    def test_edited_line_invalidates_entry(self, tmp_path):
-        report = lint_snippet(tmp_path, self.SOURCE)
-        baseline = Baseline.from_findings(report.findings, comment="x")
-        edited = lint_snippet(
-            tmp_path, self.SOURCE.replace("legacy", "edited"),
-            baseline=baseline)
-        assert not edited.clean
-
-    def test_fingerprint_ignores_line_numbers(self):
-        a = fingerprint("R003", "src/repro/foo.py",
-                        'raise ValueError("x")')
-        b = fingerprint("R003", "elsewhere/foo.py",
-                        '  raise ValueError("x")  ')
-        assert a == b
-
-    def test_unjustified_entry_rejected(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-
-        path = tmp_path / "baseline.txt"
-        path.write_text("R003 repro/foo.py 0123456789ab\n")
-        with pytest.raises(ConfigurationError):
-            Baseline.load(path)
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 
@@ -452,14 +397,3 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.id in result.stdout
         assert "R002" not in result.stdout
-
-    def test_write_then_use_baseline(self, tmp_path):
-        target = tmp_path / "repro" / "legacy.py"
-        target.parent.mkdir()
-        target.write_text('raise ValueError("x")\n')
-        baseline = tmp_path / "baseline.txt"
-        wrote = self.run_cli(str(target), "--write-baseline",
-                             str(baseline))
-        assert wrote.returncode == 0
-        gated = self.run_cli(str(target), "--baseline", str(baseline))
-        assert gated.returncode == 0, gated.stdout + gated.stderr

@@ -39,7 +39,7 @@ class TestModelBuilding:
         model = LpModel()
         x = model.add_var("x", lb=0, ub=10, cost=1.0)
         model.add_le({x: 1.0}, 4.0)
-        compiled = model.compile(use_sparse=False)
+        compiled = model.compile()
         assert compiled["A_ub"][0, 0] == 1.0
 
     def test_empty_model_rejected(self):
@@ -53,17 +53,6 @@ class TestModelBuilding:
         model.add_ge({x: 1.0}, 0.0)
         model.add_eq({x: 1.0}, 0.5)
         assert (model.n_ub_rows, model.n_eq_rows) == (2, 1)
-
-    def test_sparse_and_dense_compile_agree(self):
-        model = LpModel()
-        x = model.add_var("x", cost=1.0)
-        y = model.add_var("y", cost=2.0)
-        model.add_le({x: 1.0, y: 3.0}, 6.0)
-        model.add_eq({y: 2.0}, 2.0)
-        dense = model.compile(use_sparse=False)
-        sparse = model.compile(use_sparse=True)
-        assert np.allclose(dense["A_ub"], sparse["A_ub"].toarray())
-        assert np.allclose(dense["A_eq"], sparse["A_eq"].toarray())
 
 
 class TestHighsBackend:

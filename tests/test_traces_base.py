@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import (
-    ConfigurationError,
-    HorizonMismatchError,
-    TraceError,
-)
+from repro.exceptions import HorizonMismatchError, TraceError
 from repro.traces.base import Trace, TraceSet
 from tests.conftest import constant_traces
 
@@ -95,19 +91,6 @@ class TestTraceSet:
                            traces.renewable * 2)
         # Original untouched (immutability).
         assert np.allclose(traces.renewable, 0.2)
-
-    def test_head_truncates_all_series(self):
-        traces = constant_traces(10)
-        head = traces.head(4)
-        assert head.n_slots == 4
-        assert head.price_rt.size == 4
-
-    def test_head_invalid_length_rejected(self):
-        traces = constant_traces(4)
-        with pytest.raises(ConfigurationError):
-            traces.head(0)
-        with pytest.raises(ConfigurationError):
-            traces.head(5)
 
     def test_summary_covers_all_series(self):
         summary = constant_traces(4).summary()
