@@ -82,6 +82,10 @@ position and the option.  Unless ``FleetRunner(fail_fast=True)``:
   re-fail) until ``retry_quarantined=True`` (CLI
   ``--retry-quarantined``) re-offers it; a successful retry's result
   record then supersedes the quarantine record.
+* A store failure is not a scenario failure: the parent retries the
+  failed append alone (same budget and backoff, nothing re-runs), and
+  if it still fails the run stops its pool and raises the store's
+  error without quarantining anything.
 
 Counters (``retries`` / ``bisections`` / ``quarantined`` /
 ``pool_respawns``) land in :attr:`FleetRunner.last_run_stats` and, on

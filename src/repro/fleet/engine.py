@@ -231,9 +231,11 @@ class StreamingAggregator:
             raise ConfigurationError(
                 f"arrivals shape {arrivals_dt.shape} does not match "
                 f"buffered service {shape}")
-        for index, replay in enumerate(self._replays):
-            replay.extend(start_slot, block[index, :self._buffered],
-                          arrivals_dt[index])
+        # One ``tolist()`` per block: the replay reads Python floats.
+        for replay, served, arrivals in zip(
+                self._replays, block[:, :self._buffered].tolist(),
+                arrivals_dt.tolist()):
+            replay.extend(start_slot, served, arrivals)
         self._buffered = 0
 
 

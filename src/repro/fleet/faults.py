@@ -24,8 +24,10 @@ site                    where it fires
 ``slot_loop``           every fine slot of the slot loop that is not a
                         planning boundary
 ``lp_solve``            the offline-gap LP solve for a shard
-``store_append``        parent-side, as a finished shard's records are
-                        appended to the :class:`ResultStore`
+``store_append``        parent-side, before each attempt to append a
+                        finished shard's lines to the
+                        :class:`ResultStore` (a failure retries the
+                        append, never the shard)
 ======================  ================================================
 
 and whose ``action`` decides what happens:

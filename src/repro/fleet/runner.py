@@ -9,7 +9,9 @@ scenarios, and runs each shard through one memory-bounded
 ``max_workers > 1`` shards ship to a process pool (each worker rebuilds
 traces locally from the few-hundred-byte spec, so no trace arrays cross
 the process boundary) and finished shards stream back incrementally
-into the optional :class:`~repro.fleet.store.ResultStore`.
+into the optional :class:`~repro.fleet.store.ResultStore`.  When a
+store is attached, each worker also encodes its records into store
+lines, so the parent only writes them.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from repro.fleet.spec import (
     ScenarioSpec,
     check_spec_options,
 )
+from repro.fleet.store import encode_record
 from repro.fleet.stream import ArrayTraceStream, BatchTraceStream
 from repro.solvers import batch_lp
 from repro.telemetry import (
@@ -106,16 +109,20 @@ def _tear_last_line(path: Path) -> None:
 class ShardOutcome:
     """One finished shard: input positions + per-scenario records.
 
-    ``telemetry`` is the shard's
-    :class:`~repro.telemetry.TelemetrySnapshot` as a plain dict
-    (picklable across the process boundary), or ``None`` when the run
-    was not instrumented.
+    ``lines`` holds each record encoded for the store
+    (:func:`~repro.fleet.store.encode_record`), in record order, when
+    the run has a store, and is empty otherwise: the worker encodes
+    them so the parent's sink only writes them.  ``telemetry`` is the
+    shard's :class:`~repro.telemetry.TelemetrySnapshot` as a plain
+    dict (picklable across the process boundary), or ``None`` when the
+    run was not instrumented.
     """
 
     indices: tuple[int, ...]
     records: tuple[dict, ...]
     elapsed_s: float
     telemetry: dict | None = None
+    lines: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -372,13 +379,21 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     the optional-column steps extend column by column.  Returns
     JSON-ready records — a :func:`_record_head` plus the scenario's
     row of the block, encoded once by :meth:`ScenarioMetrics.rows` —
-    so the parent can append them to the store without touching
-    numpy state.
+    and, when the payload asks for them (``encode_lines``: the run has
+    a store), each record already encoded as its store line by
+    :func:`~repro.fleet.store.encode_record`.  The parent then appends
+    the lines as they are: its per-shard work is one unpickle and one
+    write, so it hands a freed worker its next shard sooner.  A
+    storeless run (every figure) encodes nothing.
 
     Trace twins (equal :meth:`ScenarioSpec.trace_key`) share one trace
     source object, so the engine generates or loads their traces once
     (one lane) and copies the rows out per scenario; the telemetry
-    counter ``trace_twins`` counts the shared scenarios.  Where
+    counter ``trace_twins`` counts the shared scenarios.  ``paper``
+    lanes whose keys differ only in reshapes or expansion ``β`` share
+    one generated, peak-clipped base realization
+    (:meth:`ScenarioSpec.open_stream`'s ``bases``), so Fig. 8's
+    penetration and variation lanes generate their seed once.  Where
     something needs whole horizons up front — the offline-gap
     baseline, an oracle controller, or a ``paper`` recipe (materialized
     by construction) — they are built once per distinct trace
@@ -393,7 +408,9 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     down to the engine and controller — workers share nothing) and
     returns its snapshot on :attr:`ShardOutcome.telemetry`; otherwise
     every layer holds :data:`~repro.telemetry.TELEMETRY_OFF` and that
-    field is ``None``.  The ``shard`` span wraps the whole body, while
+    field is ``None``.  The ``shard`` span wraps the whole body, with
+    ``spec_decode`` (the specs' ``from_dict``) and ``record_encode``
+    (records and their store lines) directly under it, while
     :attr:`ShardOutcome.elapsed_s` is read off
     :func:`~repro.telemetry.monotonic` either way.
 
@@ -407,8 +424,9 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
     t0 = monotonic()
     tele = Telemetry() if payload.get("telemetry") else TELEMETRY_OFF
     with tele.span("shard"):
-        specs = [ScenarioSpec.from_dict(data)
-                 for data in payload["specs"]]
+        with tele.span("spec_decode"):
+            specs = [ScenarioSpec.from_dict(data)
+                     for data in payload["specs"]]
         chunk_coarse = int(payload["chunk_coarse"])
         offline_gap = bool(payload.get("offline_gap", False))
         robustness = payload.get("robustness")
@@ -427,9 +445,10 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             if len(firsts) < len(specs):
                 tele.count("trace_twins", len(specs) - len(firsts))
             streams = []
+            bases: dict[tuple, TraceSet] = {}
             for i in firsts:
                 try:  # a ``paper`` recipe materializes, and validates, here
-                    streams.append(specs[i].open_stream(systems[i]))
+                    streams.append(specs[i].open_stream(systems[i], bases))
                 except TraceCorruptionError as error:
                     raise _at_position(error, i,
                                        specs[i].trace_seed) from None
@@ -464,22 +483,26 @@ def _run_spec_shard(payload: dict) -> ShardOutcome:
             None if observation is None else observation.rel_error
             for observation in observations]
 
-        records = tuple(
-            {
-                **_record_head(spec, engine="stream"),
-                **({"observation": observation.describe()}
-                   if observation is not None else {}),
-                "metrics": metrics,
-            }
-            for spec, metrics, observation
-            in zip(specs, ScenarioMetrics.rows(block), observations))
+        with tele.span("record_encode"):
+            records = tuple(
+                {
+                    **_record_head(spec, engine="stream"),
+                    **({"observation": observation.describe()}
+                       if observation is not None else {}),
+                    "metrics": metrics,
+                }
+                for spec, metrics, observation
+                in zip(specs, ScenarioMetrics.rows(block), observations))
+            lines = (tuple(encode_record(record) for record in records)
+                     if payload.get("encode_lines") else ())
     elapsed = monotonic() - t0
     tele.count("shards")
     return ShardOutcome(
         indices=tuple(payload["indices"]), records=records,
         elapsed_s=elapsed,
         telemetry=(tele.snapshot(process=True).as_dict()
-                   if tele.enabled else None))
+                   if tele.enabled else None),
+        lines=lines)
 
 
 class FleetRunner:
@@ -538,15 +561,18 @@ class FleetRunner:
         How many times a failing shard is re-run as-is (with bounded
         exponential backoff) before it is bisected; the retry budget
         applies independently to each bisection half.  ``0`` bisects
-        immediately on the first failure.
+        immediately on the first failure.  A failing store append is
+        retried under the same budget and backoff, without re-running
+        its shard (see :meth:`run`).
     shard_timeout:
         Per-shard wall-clock budget in seconds (pool mode only —
         in-process shards cannot be preempted).  An expired shard's
         workers are terminated, the pool is respawned, and the shard
         enters the same retry/bisect/quarantine lifecycle as a crash.
     fail_fast:
-        Restore the all-or-nothing behavior: the first shard failure
-        aborts the run (after pool shutdown) instead of being retried.
+        Restore the all-or-nothing behavior: the first shard or store
+        failure aborts the run (after pool shutdown) instead of being
+        retried.
     fault_plan:
         A :class:`~repro.fleet.faults.FaultPlan` (or its dict form)
         arming the chaos harness; ``None`` falls back to the
@@ -575,9 +601,10 @@ class FleetRunner:
         disables sleeping (tests).
 
     After every :meth:`run`, :attr:`last_run_stats` holds the
-    fault-tolerance counters (``retries`` / ``bisections`` /
-    ``quarantined`` / ``pool_respawns`` plus executed/skipped counts);
-    instrumented runs also fold them into the manifest counters.
+    fault-tolerance counters (``retries`` — shard re-runs plus store
+    append retries — / ``bisections`` / ``quarantined`` /
+    ``pool_respawns`` plus executed/skipped counts); instrumented runs
+    also fold them into the manifest counters.
     """
 
     def __init__(self, specs: Iterable[ScenarioSpec], *,
@@ -751,21 +778,81 @@ class FleetRunner:
 
     def _stamp(self, payload: dict, in_worker: bool,
                scenario_attempts: Mapping[int, int]) -> dict:
-        """Arm a payload with the fault plan + current attempt counts.
+        """Arm a payload with the run's store flag, the fault plan and
+        the current attempt counts.
 
         Called at submit time (attempt counts change between retries,
         which is what makes retried faults with ``times=N`` go quiet
-        deterministically).  With no plan the payload passes through
-        untouched — the disabled path adds zero keys and zero copies.
+        deterministically).  With a store attached the payload asks
+        its worker for store lines (``encode_lines``); the store is
+        read here, not when payloads are planned, because ``fleet run``
+        attaches it after building the runner.  With no store and no
+        plan the payload passes through untouched: zero keys, zero
+        copies, no lines.
         """
-        if self.fault_plan is None:
+        if self.store is None and self.fault_plan is None:
             return payload
         out = dict(payload)
-        out["fault_plan"] = self.fault_plan.to_dict()
-        out["attempts"] = [scenario_attempts.get(i, 0)
-                           for i in payload["indices"]]
-        out["in_worker"] = in_worker
+        if self.store is not None:
+            out["encode_lines"] = True
+        if self.fault_plan is not None:
+            out["fault_plan"] = self.fault_plan.to_dict()
+            out["attempts"] = [scenario_attempts.get(i, 0)
+                               for i in payload["indices"]]
+            out["in_worker"] = in_worker
         return out
+
+    def _backoff(self, attempt: int) -> None:
+        """Sleep before retry ``attempt`` (1-based): bounded exponential
+        backoff, ``min(2.0, retry_backoff_s * 2**(attempt-1))`` s."""
+        if self.retry_backoff_s > 0:
+            time.sleep(min(2.0, self.retry_backoff_s * 2 ** (attempt - 1)))
+
+    def _append_outcome(self, outcome: ShardOutcome,
+                        scenario_attempts: Mapping[int, int],
+                        counters: dict[str, int],
+                        telemetry) -> None:
+        """Append a finished shard's store lines, retrying the append.
+
+        A store failure is not a scenario failure: the shard's records
+        are computed, so only the append is retried — after an
+        ``OSError`` (a full disk) or a library error (an injected
+        fault), up to ``max_retries`` times (none under ``fail_fast``)
+        with the shard retries' backoff, each counted in ``retries`` —
+        and the shard never re-runs.  The ``store_append`` fault site
+        fires before every attempt, bound at each scenario's attempt
+        count plus the append attempt, so a ``times=N`` fault goes
+        quiet after ``N`` attempts; a ``torn`` fault truncates the
+        final line after the append lands.  An append that fails past
+        its budget raises out of :meth:`run`, which quarantines
+        nothing.
+        """
+        keys = None
+        if self.fault_plan is not None:
+            keys = [(self.specs[i].name, self.specs[i].seed)
+                    for i in outcome.indices]
+        budget = 0 if self.fail_fast else self.max_retries
+        for attempt in range(budget + 1):
+            if attempt:
+                counters["retries"] += 1
+                self._backoff(attempt)
+            torn = False
+            try:
+                if keys is not None:
+                    faults = self.fault_plan.bind(
+                        keys, [scenario_attempts.get(i, 0) + attempt
+                               for i in outcome.indices])
+                    faults.fire("store_append")
+                    torn = faults.torn_append()
+                with telemetry.span("store_append"):
+                    self.store.append(outcome.lines)
+            except (OSError, ReproError):
+                if attempt == budget:
+                    raise
+                continue
+            if torn:
+                _tear_last_line(self.store.path)
+            return
 
     def _quarantine_record(self, index: int, error: BaseException,
                            attempts: int) -> dict:
@@ -818,9 +905,7 @@ class FleetRunner:
             payload_attempts[key] = attempt
             if attempt <= self.max_retries:
                 counters["retries"] += 1
-                if self.retry_backoff_s > 0:
-                    time.sleep(min(2.0, self.retry_backoff_s
-                                   * 2 ** (attempt - 1)))
+                self._backoff(attempt)
                 return [payload]
         if len(indices) == 1:
             quarantine(indices[0], error)
@@ -842,6 +927,11 @@ class FleetRunner:
         store scan.  When nothing remains, the run starts no process
         pool and loads no LP solver.
 
+        With a store attached, shard workers encode their records into
+        store lines (:attr:`ShardOutcome.lines`), and the sink appends
+        each shard's lines as they are with one ``store.append`` call:
+        one write and one fsync per shard.
+
         Failure semantics (unless ``fail_fast``): a shard exception,
         worker crash or shard timeout never aborts the run.  The shard
         is retried up to ``max_retries`` times with bounded
@@ -851,7 +941,11 @@ class FleetRunner:
         scenario, which is quarantined — a typed record in
         the store's ``errors.jsonl`` sidecar (and in the returned
         list, flagged ``"quarantined": True``) — while every healthy
-        scenario completes bit-identical to a fault-free run.
+        scenario completes bit-identical to a fault-free run.  A store
+        failure is not a shard failure: the sink retries the append
+        alone under the same budget, and if it still fails the run
+        stops its pool and raises the store's error — no shard re-runs
+        and no scenario is quarantined for it.
 
         ``progress`` (optional) is called after every finished shard
         as ``progress(outcome, finished_shards, total_shards, stats)``,
@@ -900,25 +994,13 @@ class FleetRunner:
 
         def sink(outcome: ShardOutcome) -> None:
             nonlocal finished, executed
-            torn = False
-            if self.fault_plan is not None:
-                shard_faults = self.fault_plan.bind(
-                    [(self.specs[i].name, self.specs[i].seed)
-                     for i in outcome.indices],
-                    [scenario_attempts.get(i, 0)
-                     for i in outcome.indices])
-                shard_faults.fire("store_append")
-                torn = (self.store is not None
-                        and shard_faults.torn_append())
+            if self.store is not None:
+                self._append_outcome(outcome, scenario_attempts,
+                                     counters, parent_tele)
             finished += 1
             executed += len(outcome.indices)
             for index, record in zip(outcome.indices, outcome.records):
                 records[index] = record
-            if self.store is not None:
-                with parent_tele.span("store_append"):
-                    self.store.append(outcome.records)
-                if torn:
-                    _tear_last_line(self.store.path)
             if outcome.telemetry is not None:
                 shard_snapshots.append(
                     TelemetrySnapshot.from_dict(outcome.telemetry))
@@ -935,14 +1017,16 @@ class FleetRunner:
             while queue:
                 payload = queue.popleft()
                 try:
-                    sink(_run_spec_shard(
-                        self._stamp(payload, False, scenario_attempts)))
+                    outcome = _run_spec_shard(
+                        self._stamp(payload, False, scenario_attempts))
                 except Exception as error:
                     followup = self._failure_followup(
                         payload, error, scenario_attempts,
                         payload_attempts, counters, quarantine)
                     plan["total"] += len(followup)
                     queue.extendleft(reversed(followup))
+                else:
+                    sink(outcome)
         else:
             workers = min(workers, plan["total"])
             if self.offline_gap or any(
@@ -988,6 +1072,9 @@ class FleetRunner:
 
         * a shard raising inside its worker surfaces through
           ``future.result()`` → normal retry/bisect/quarantine;
+        * the sink's store append failing past its own retries
+          (:meth:`_append_outcome`) is not a shard failure: it takes
+          the ``BaseException`` path below, and no shard re-runs;
         * a dying worker breaks the whole executor
           (``BrokenProcessPool`` on *every* in-flight future, guilty
           or not) → surfaced failures are penalized, still-pending
@@ -1053,7 +1140,7 @@ class FleetRunner:
                 for future in done:
                     payload, _ = pending.pop(future)
                     try:
-                        sink(future.result())
+                        outcome = future.result()
                     except Exception as error:
                         if isinstance(error, BrokenProcessPool):
                             broken = True
@@ -1062,6 +1149,8 @@ class FleetRunner:
                                 f"(scenarios {payload['indices']}): "
                                 f"{error}")
                         handle_failure(payload, error)
+                    else:
+                        sink(outcome)
                 if broken:
                     # The executor is dead and every in-flight future
                     # fails with the same BrokenProcessPool regardless
@@ -1096,9 +1185,10 @@ class FleetRunner:
                         queue.extend(survivors)
                         respawn()
         except BaseException:
-            # Ctrl-C (or a fail-fast re-raise) mid-sweep: cancel queued
-            # shards, stop the pool without waiting for stragglers, and
-            # propagate — no orphan workers survive the run.
+            # Ctrl-C, a fail-fast re-raise or a failed store append
+            # mid-sweep: cancel queued shards, stop the pool without
+            # waiting for stragglers, and propagate — no orphan workers
+            # survive the run.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         pool.shutdown()

@@ -533,25 +533,42 @@ class ScenarioSpec:
                 *self._model_overrides(system), self.trace_seed,
                 reshapes, beta)
 
-    def open_stream(self, system: SystemConfig | None = None
+    def open_stream(self, system: SystemConfig | None = None,
+                    bases: dict[tuple, TraceSet] | None = None
                     ) -> TraceStream:
         """Build the trace source this spec describes (from
-        :meth:`trace_key`)."""
+        :meth:`trace_key`).
+
+        A ``paper`` recipe generates and peak-clips a base realization,
+        then applies its reshapes and expansion.  ``bases`` (optional)
+        keeps those bases by their generation inputs — the key without
+        the reshapes and ``β`` — across calls, so specs that differ
+        only in reshapes or ``β`` (Fig. 8's penetration and variation
+        values, Fig. 10's expansions) generate each base once.  The
+        transforms return new trace sets, so a shared base never
+        changes.
+        """
+        key = self.trace_key(system)
         (kind, slots, clip, demand_model, solar_model, price_model, seed,
-         reshapes, beta) = self.trace_key(system)
+         reshapes, beta) = key
         if kind == "stream":
             return StreamingPaperTraces(
                 n_slots=slots, seed=seed, demand_model=demand_model,
                 solar_model=solar_model, price_model=price_model,
                 clip_p_grid=clip)
-        traces = make_paper_traces(
-            seed=seed, n_slots=slots, demand_model=demand_model,
-            solar_model=solar_model, price_model=price_model,
-            clip_peaks=False)
-        if clip is not None:
-            traces = clip_demand_peaks(traces, clip)
-        for key, value in reshapes:
-            traces = TRACE_RESHAPES[key](traces, value)
+        base_key = key[:-2]
+        traces = None if bases is None else bases.get(base_key)
+        if traces is None:
+            traces = make_paper_traces(
+                seed=seed, n_slots=slots, demand_model=demand_model,
+                solar_model=solar_model, price_model=price_model,
+                clip_peaks=False)
+            if clip is not None:
+                traces = clip_demand_peaks(traces, clip)
+            if bases is not None:
+                bases[base_key] = traces
+        for name, value in reshapes:
+            traces = TRACE_RESHAPES[name](traces, value)
         if beta is not None:
             traces = expand_system(traces, beta)
         return ArrayTraceStream(traces)

@@ -2,8 +2,7 @@
 
 A :class:`ResultStore` is a directory holding one JSON-lines file
 (``results.jsonl``) plus a small ``meta.json``.  Writers only ever
-*append* whole lines (each line is one scenario record as produced by
-:mod:`repro.fleet.runner`), so
+*append* whole lines, so
 
 * a crashed or interrupted sweep keeps every finished shard,
 * concurrent readers see a consistent prefix,
@@ -13,6 +12,13 @@ A :class:`ResultStore` is a directory holding one JSON-lines file
   resume cheaply); pass ``resume=False`` (CLI ``--no-resume``) to
   re-execute them and accumulate duplicate seed-replica rows
   instead — the pre-resumption behavior.
+
+Each line is one scenario record as produced by
+:mod:`repro.fleet.runner`, encoded by :func:`encode_record`, the one
+encoder behind every append (results and both sidecars).  The runner's
+shard workers call it on the records they build and ship the lines
+back, so the parent's sink only writes them
+(:meth:`ResultStore.append` takes encoded lines).
 
 :meth:`ResultStore.sweep_table` folds the records back into the
 familiar :class:`~repro.sim.sweep.SweepTable` — grouping by each
@@ -41,6 +47,12 @@ _RESULTS_NAME = "results.jsonl"
 _META_NAME = "meta.json"
 _MANIFEST_NAME = "manifest.jsonl"
 _ERRORS_NAME = "errors.jsonl"
+
+
+def encode_record(record: Mapping) -> str:
+    """One record as the store writes it: canonical (sorted-keys) JSON
+    on one line."""
+    return json.dumps(dict(record), sort_keys=True)
 
 
 class ResultStore:
@@ -101,13 +113,14 @@ class ResultStore:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def append(self, records: Iterable[Mapping]) -> int:
-        """Append records as JSON lines; returns how many were written.
+    def append(self, lines: Sequence[str]) -> int:
+        """Append encoded records; returns how many were written.
 
-        See :meth:`_append_lines` for the crash-safety discipline.
+        ``lines`` are :func:`encode_record` strings: the fleet runner's
+        workers encode the records they build, and any other caller
+        that holds records encodes them first.  See
+        :meth:`_append_lines` for the crash-safety discipline.
         """
-        lines = [json.dumps(dict(record), sort_keys=True)
-                 for record in records]
         if not lines:
             return 0
         self._append_lines(self._results_path, lines)
@@ -119,8 +132,7 @@ class ResultStore:
         Same append-only, torn-write-tolerant discipline as record
         appends.
         """
-        self._append_lines(self._manifest_path,
-                           [json.dumps(dict(record), sort_keys=True)])
+        self._append_lines(self._manifest_path, [encode_record(record)])
 
     def append_errors(self, records: Iterable[Mapping]) -> int:
         """Append quarantine records to the ``errors.jsonl`` sidecar.
@@ -131,8 +143,7 @@ class ResultStore:
         discipline as results, so a crash mid-quarantine loses at most
         one torn line.
         """
-        lines = [json.dumps(dict(record), sort_keys=True)
-                 for record in records]
+        lines = [encode_record(record) for record in records]
         if not lines:
             return 0
         self._append_lines(self._errors_path, lines)
@@ -178,10 +189,6 @@ class ResultStore:
         write-ahead log.
         """
         yield from self._read_jsonl(self._results_path)
-
-    def records(self) -> list[dict]:
-        """All records, in append order."""
-        return list(self)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -28,6 +28,7 @@ engine's aggregator.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 import numpy as np
 
@@ -198,16 +199,20 @@ class DelayReplay:
     Replays realized service and true arrivals through the exact
     dynamics of :class:`~repro.workload.queue.BacklogQueue` (same
     serve-then-admit order, same tolerances, same accumulation order),
-    reproducing bit-for-bit the delay statistics the scalar engine
-    accumulates inline.  The streaming engine
-    (:mod:`repro.fleet.engine`) feeds it chunk by chunk; one
-    full-horizon window gives the same arithmetic, which is what keeps
-    the chunked path exact.  Written as a tight local-variable loop
-    because it runs once per batch member over the whole horizon.
+    reproducing bit-for-bit the served energy, weighted delay and
+    maximum delay the scalar engine accumulates inline — the three
+    statistics a record reads (:func:`~repro.fleet.engine._fold`).
+    It keeps no per-delay histogram (nothing reads one); the scalar
+    queue keeps it for the tests that compare histograms.  The
+    streaming engine (:mod:`repro.fleet.engine`) feeds it chunk by
+    chunk; one full-horizon window gives the same arithmetic, which is
+    what keeps the chunked path exact.  Written as a tight
+    local-variable loop because it runs once per batch member over
+    the whole horizon.
     """
 
     __slots__ = ("backlog", "parcels", "served_energy", "weighted_delay",
-                 "max_delay", "histogram")
+                 "max_delay")
 
     def __init__(self):
         self.backlog = 0.0
@@ -215,46 +220,54 @@ class DelayReplay:
         self.served_energy = 0.0
         self.weighted_delay = 0.0
         self.max_delay = 0
-        self.histogram: dict[int, float] = {}
 
-    def extend(self, start_slot: int, served_dt: np.ndarray,
-               arrivals_dt: np.ndarray) -> None:
-        """Replay slots ``[start_slot, start_slot + len(served_dt))``."""
+    def extend(self, start_slot: int, served_dt: Sequence[float],
+               arrivals_dt: Sequence[float]) -> None:
+        """Replay slots ``[start_slot, start_slot + len(served_dt))``.
+
+        ``served_dt`` and ``arrivals_dt`` are plain float sequences
+        (one row of a block's ``tolist()``).
+        """
+        tolerance = _Q_TOLERANCE
         backlog = self.backlog
         parcels = self.parcels
-        histogram = self.histogram
-        for offset, (amount, arrivals) in enumerate(
-                zip(served_dt.tolist(), arrivals_dt.tolist())):
-            slot = start_slot + offset
+        served_energy = self.served_energy
+        weighted_delay = self.weighted_delay
+        max_delay = self.max_delay
+        slot = start_slot
+        for amount, arrivals in zip(served_dt, arrivals_dt):
             # serve (eq. 2's max{·, 0} drain, oldest parcels first)
             to_serve = amount if amount < backlog else backlog
             remaining = to_serve
-            while remaining > _Q_TOLERANCE and parcels:
+            while remaining > tolerance and parcels:
                 head = parcels[0]
                 arrival_slot, energy = head
                 take = energy if energy < remaining else remaining
                 delay = slot - arrival_slot
                 if delay < 0:
                     delay = 0
-                self.served_energy += take
-                self.weighted_delay += take * delay
-                if delay > self.max_delay:
-                    self.max_delay = delay
-                histogram[delay] = histogram.get(delay, 0.0) + take
+                served_energy += take
+                weighted_delay += take * delay
+                if delay > max_delay:
+                    max_delay = delay
                 remaining -= take
-                if take >= energy - _Q_TOLERANCE:
+                if take >= energy - tolerance:
                     parcels.popleft()
                 else:
                     head[1] = energy - take
             backlog = max(0.0, backlog - to_serve)
             # admit the slot's arrivals at the queue tail
-            if arrivals > _Q_TOLERANCE:
+            if arrivals > tolerance:
                 parcels.append([slot, arrivals])
             backlog += arrivals
+            slot += 1
         self.backlog = backlog
+        self.served_energy = served_energy
+        self.weighted_delay = weighted_delay
+        self.max_delay = max_delay
 
     def stats(self) -> DelayStats:
+        """The replayed statistics (with an empty histogram)."""
         return DelayStats(served_energy=self.served_energy,
                           weighted_delay=self.weighted_delay,
-                          max_delay=self.max_delay,
-                          histogram=self.histogram)
+                          max_delay=self.max_delay)

@@ -31,10 +31,13 @@ one per run):
 * ``stages`` — per-stage ``total_s`` / ``count`` / ``max_s`` merged
   across shards: ``traces`` (chunk loads), ``slot_loop`` with its
   nested ``plan → p4``, ``real_time → p5`` and ``physics``,
-  ``delay_replay``, ``collect``, ``build``, ``store_append``, and
-  where armed ``observe`` (nested under ``traces``: chunks are
-  observed as they load), ``robustness``, ``offline_lp → lp_solve``
-  and ``offline_replay``;
+  ``delay_replay``, ``collect``, ``build``, ``spec_decode`` (the
+  shard's specs decoded from the payload), ``record_encode`` (its
+  records built and, with a store, encoded into store lines),
+  ``store_append`` (the parent's write of those lines), and where
+  armed ``observe`` (nested under ``traces``: chunks are observed as
+  they load), ``robustness``, ``offline_lp → lp_solve`` and
+  ``offline_replay``;
 * ``counters`` / ``process`` / ``caches`` — slots, chunks, boundaries,
   scenarios, trace twins and the fault-tolerance counters; peak RSS
   (the maximum across processes); warm-vs-cold cache statistics

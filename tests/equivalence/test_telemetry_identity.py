@@ -95,10 +95,12 @@ class TestManifestPlumbing:
         assert manifest.fleet["executed"] == 6
         assert manifest.counters["scenarios"] == 6
         assert manifest.counters["shards"] == 2
-        # The stage breakdown covers the pipeline: chunk loads, the
-        # slot loop and its nested controller/solver spans, appends.
-        for stage in ("slot_loop", "real_time", "p5", "plan", "p4",
-                      "physics", "traces", "store_append", "shard"):
+        # The stage breakdown covers the pipeline: spec decode, chunk
+        # loads, the slot loop and its nested controller/solver spans,
+        # record encoding, appends.
+        for stage in ("spec_decode", "slot_loop", "real_time", "p5",
+                      "plan", "p4", "physics", "traces", "record_encode",
+                      "store_append", "shard"):
             assert stage in manifest.stages, stage
         stored = store.manifests()
         assert len(stored) == 1

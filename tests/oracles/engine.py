@@ -10,9 +10,9 @@ more:
   (``StreamingBatchSimulator._stream(BatchRecorder(B, n_slots))``), it
   keeps every per-slot series, as the scalar
   :class:`~repro.sim.recorder.Recorder` holds them;
-* :func:`replay_delay_stats` — one scenario's FIFO delay ledger
-  rebuilt from a whole recorded horizon through the engine's
-  :class:`~repro.sim.vecstate.DelayReplay`;
+* :func:`replay_delay_stats` — one scenario's FIFO delay ledger,
+  histogram included, rebuilt from a whole recorded horizon through
+  the scalar engine's :class:`~repro.workload.queue.BacklogQueue`;
 * :func:`metrics_from_result` — a scalar result's record, computed by
   feeding its series through a batch-of-one aggregator and the batch
   engine's fold, so bit-identical series give bit-identical metrics.
@@ -31,8 +31,7 @@ from repro.fleet.engine import (
 )
 from repro.sim.recorder import SERIES_NAMES
 from repro.sim.results import SimulationResult
-from repro.sim.vecstate import DelayReplay
-from repro.workload.queue import DelayStats
+from repro.workload.queue import BacklogQueue, DelayStats
 
 
 class BatchRecorder:
@@ -99,13 +98,17 @@ def replay_delay_stats(served_dt: np.ndarray,
                        arrivals_dt: np.ndarray) -> DelayStats:
     """Reconstruct one scenario's FIFO delay ledger post-run.
 
-    One full-horizon pass through
-    :class:`~repro.sim.vecstate.DelayReplay` — see its docstring for
-    the exactness contract.
+    One full-horizon pass through the scalar engine's ledger,
+    :class:`~repro.workload.queue.BacklogQueue`, which also keeps the
+    per-delay histogram the engine's
+    :class:`~repro.sim.vecstate.DelayReplay` leaves out (see its
+    docstring for the exactness contract the two share).
     """
-    replay = DelayReplay()
-    replay.extend(0, served_dt, arrivals_dt)
-    return replay.stats()
+    queue = BacklogQueue()
+    for slot, (served, arrivals) in enumerate(
+            zip(served_dt.tolist(), arrivals_dt.tolist())):
+        queue.step(served, arrivals, slot)
+    return queue.stats
 
 
 def metrics_from_result(result: SimulationResult,

@@ -11,6 +11,7 @@ fault-free run throughout.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from repro.exceptions import (
     FaultInjectionError,
     TraceCorruptionError,
 )
+from repro.fleet import runner as runner_module
 from repro.fleet.faults import FAULT_ENV_VAR, Fault, FaultPlan
 from repro.fleet.runner import FleetRunner, _tear_last_line
 from repro.fleet.spec import ScenarioSpec, grid_specs
@@ -51,6 +53,19 @@ def fleet() -> list[ScenarioSpec]:
 def reference(fleet) -> list[dict]:
     """Fault-free records every chaos run must reproduce bit-identically."""
     return FleetRunner(fleet, batch_size=4, fault_plan=FaultPlan()).run()
+
+
+def count_shards(monkeypatch) -> list[list[int]]:
+    """Record the indices of every in-process shard computation."""
+    computed: list[list[int]] = []
+    run_shard = runner_module._run_spec_shard
+
+    def counted(payload):
+        computed.append(list(payload["indices"]))
+        return run_shard(payload)
+
+    monkeypatch.setattr(runner_module, "_run_spec_shard", counted)
+    return computed
 
 
 def run_chaos(fleet, plan, **kwargs):
@@ -255,14 +270,18 @@ class TestSerialRecovery:
                 assert record == ref  # gap columns intact elsewhere
 
     def test_store_append_fault_is_retried(self, fleet, reference,
-                                           tmp_path):
+                                           tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "s")
+        computed = count_shards(monkeypatch)
         plan = FaultPlan(faults=(Fault(site="store_append", times=1),))
         runner, records = run_chaos(fleet, plan, store=store)
-        # The fault fires before the append, so the retry re-runs the
-        # shard without leaving duplicate rows behind.
+        # The fault fires before each append attempt and goes quiet on
+        # the second.  The sink retries the append itself (one retry
+        # per shard), so each shard is computed once and no duplicate
+        # rows are left behind.
         assert runner.last_run_stats["retries"] == 2
         assert runner.last_run_stats["quarantined"] == 0
+        assert computed == [[0, 3, 1, 4], [2, 5]]
         assert records == reference
         assert len(store) == 6
 
@@ -288,6 +307,58 @@ class TestSerialRecovery:
             [r["metrics"] for r in reference]
         assert set(store.latest_by_hash()) == \
             {spec.spec_hash() for spec in fleet}
+
+
+class TestStoreFailure:
+    """A store failure is not a scenario failure: the run stops and
+    raises the store's error, re-runs no shard and quarantines no
+    scenario."""
+
+    @staticmethod
+    def full_disk(store) -> list[int]:
+        """Make every append of ``store`` fail; returns the attempts."""
+        attempts: list[int] = []
+
+        def append(lines):
+            attempts.append(len(lines))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        store.append = append
+        return attempts
+
+    def test_failing_store_raises_after_append_retries(self, tmp_path,
+                                                       monkeypatch):
+        fleet = grid_specs(tiny_template(), "controller.v",
+                           [0.2, 0.5, 1.0, 2.0], seeds=(0, 1))
+        store = ResultStore(tmp_path / "s")
+        attempts = self.full_disk(store)
+        computed = count_shards(monkeypatch)
+        runner = FleetRunner(fleet, batch_size=8, store=store,
+                             retry_backoff_s=0, fault_plan=FaultPlan())
+        with pytest.raises(OSError) as raised:
+            runner.run()
+        assert raised.value.errno == errno.ENOSPC
+        # One shard, computed once; its append tried 1 + max_retries
+        # times with all 8 lines.
+        assert [sorted(indices) for indices in computed] == [
+            list(range(8))]
+        assert attempts == [8, 8, 8]
+        assert store.errors() == []
+        assert len(store) == 0
+
+    def test_failing_store_stops_the_pool(self, fleet, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        attempts = self.full_disk(store)
+        runner = FleetRunner(fleet, batch_size=2, max_workers=2,
+                             store=store, retry_backoff_s=0,
+                             fault_plan=FaultPlan())
+        with pytest.raises(OSError):
+            runner.run()
+        # The first finished shard's append fails three times, then
+        # the run stops: no other shard reaches the store.
+        assert attempts == [2, 2, 2]
+        assert store.errors() == []
+        assert len(store) == 0
 
 
 class TestDeterministicErrors:

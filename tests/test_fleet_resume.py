@@ -9,7 +9,7 @@ import pytest
 from repro.fleet.__main__ import build_demo_fleet
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import ScenarioSpec, spec_content_hash
-from repro.fleet.store import ResultStore
+from repro.fleet.store import ResultStore, encode_record
 
 pytestmark = pytest.mark.fleet
 
@@ -101,7 +101,8 @@ def test_legacy_records_without_hash_still_resume(tmp_path):
 
     legacy = ResultStore(tmp_path / "legacy")
     legacy.append(
-        [{k: v for k, v in record.items() if k != "spec_hash"}
+        [encode_record({k: v for k, v in record.items()
+                        if k != "spec_hash"})
          for record in records])
     executed = []
     resumed = FleetRunner(specs, batch_size=4, store=legacy).run(

@@ -8,9 +8,10 @@ import json
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.fleet.faults import Fault, FaultPlan
 from repro.fleet.runner import FleetRunner, _split_shards
-from repro.fleet.spec import ScenarioSpec, grid_specs
-from repro.fleet.store import ResultStore
+from repro.fleet.spec import ScenarioSpec, grid_specs, product_specs
+from repro.fleet.store import ResultStore, encode_record
 from repro.fleet.__main__ import build_demo_fleet, main
 
 pytestmark = pytest.mark.fleet
@@ -109,6 +110,36 @@ class TestSharding:
         assert runner.last_manifest.counters["trace_twins"] == 3
         assert records == FleetRunner(specs, batch_size=1,
                                       offline_gap=True).run()
+
+    def test_reshape_lanes_share_one_base_realization(self, monkeypatch):
+        """Lanes that differ only in reshapes or ``β`` (Fig. 8's
+        penetration and variation values, Fig. 10's expansions) keep
+        their own keys but generate one base per (seed, models, clip)
+        in a shard."""
+        from repro.experiments.common import paper_spec
+        from repro.fleet import spec as spec_module
+
+        generated: list[int] = []
+        make = spec_module.make_paper_traces
+
+        def counted(**kwargs):
+            generated.append(kwargs["seed"])
+            return make(**kwargs)
+
+        monkeypatch.setattr(spec_module, "make_paper_traces", counted)
+        specs = [paper_spec(7, 1, trace={"renewable_penetration": level})
+                 for level in (0.1, 0.3, 0.5)]
+        specs += [paper_spec(7, 1, trace={"demand_variation": scale})
+                  for scale in (0.5, 1.0)]
+        specs += [paper_spec(7, 1, expansion=beta) for beta in (1.0, 2.0)]
+        specs += [paper_spec(8, 1, trace={"renewable_penetration": 0.3})]
+        runner = FleetRunner(specs)
+        assert len(runner.shards()) == 1
+        records = runner.run()
+        assert sorted(generated) == [7, 8]
+        generated.clear()
+        assert records == FleetRunner(specs, batch_size=1).run()
+        assert len(generated) == len(specs)
 
 
 #: One bad option per case: (spec section, its value, words the error
@@ -251,6 +282,70 @@ class TestRun:
         # None stays auto (in-process); 1 is a valid explicit serial.
         FleetRunner(specs, max_workers=None)
         FleetRunner(specs, max_workers=1)
+
+
+def stored_lines(store: ResultStore) -> list[str]:
+    return store.path.read_text(encoding="utf-8").splitlines()
+
+
+class TestStoreLines:
+    """Workers encode the store lines; the parent writes them as-is."""
+
+    def test_stored_bytes_are_the_returned_records(self, tmp_path):
+        # Dict values, an observation record, a name with quotes and
+        # non-ASCII, robustness columns, and one scenario whose offline
+        # LP degrades (its offline columns are left out).
+        specs = product_specs(
+            tiny_template(),
+            {"controller.v": [0.2, 1.0], "trace.solar.capacity_mw": [5.0]},
+            seeds=(0, 1))
+        specs[1] = dataclasses.replace(
+            specs[1], observation={"kind": "uniform", "rel_error": 0.1})
+        specs[2] = dataclasses.replace(specs[2], name='v="1.0" — Δ/ñ')
+        plan = FaultPlan(faults=(Fault(
+            site="lp_solve", error="solver", scenario=specs[3].name,
+            times=None),))
+        files = []
+        for workers in (2, None):
+            store = ResultStore(tmp_path / f"w{workers}")
+            records = FleetRunner(
+                specs, batch_size=2, max_workers=workers, store=store,
+                offline_gap=True, robustness=0.1, fault_plan=plan,
+                retry_backoff_s=0).run()
+            assert isinstance(records[0]["value"], dict)
+            assert "observation" in records[1]
+            assert "robustness_gap" in records[0]["metrics"]
+            assert "offline_gap" in records[0]["metrics"]
+            assert "offline_gap" not in records[3]["metrics"]
+            lines = stored_lines(store)
+            assert sorted(lines) == sorted(encode_record(record)
+                                           for record in records)
+            files.append(sorted(lines))
+        assert files[0] == files[1]
+
+    def test_storeless_outcomes_carry_no_lines(self, tmp_path):
+        outcomes = []
+        FleetRunner(tiny_fleet(), batch_size=4).run(
+            progress=lambda outcome, *_: outcomes.append(outcome))
+        assert [outcome.lines for outcome in outcomes] == [(), ()]
+        outcomes.clear()
+        FleetRunner(tiny_fleet(), batch_size=4,
+                    store=ResultStore(tmp_path / "s")).run(
+            progress=lambda outcome, *_: outcomes.append(outcome))
+        for outcome in outcomes:
+            assert outcome.lines == tuple(
+                encode_record(record) for record in outcome.records)
+
+    def test_store_attached_after_construction(self, tmp_path):
+        # ``fleet run`` builds the runner, plans its shards (to log
+        # their count), and only then attaches the store.
+        runner = FleetRunner(tiny_fleet(), batch_size=4, max_workers=2)
+        assert len(runner.shards()) == 2
+        store = runner.store = ResultStore(tmp_path / "s")
+        records = runner.run()
+        assert sorted(stored_lines(store)) == sorted(
+            encode_record(record) for record in records)
+        assert len(store) == 6
 
 
 class TestCli:
