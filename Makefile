@@ -5,7 +5,7 @@ PY := PYTHONPATH=src python
 
 .PHONY: check test test-fast test-equivalence test-telemetry test-faults \
 	test-lint test-noise test-offline lint typecheck bench bench-layers \
-	test-perfbench
+	test-perfbench reach
 
 # Everything a change must pass, in order: the linter, the tier-1
 # suite, then perfbench's self-tests.  perfbench wraps library names
@@ -66,6 +66,14 @@ test-offline:
 # src/repro/lint/README.md holds (modulo inline waivers).
 lint:
 	$(PY) -m repro.lint src/repro tests/oracles
+
+# The reach probe (tests/reach.py, not part of tier-1): runs the
+# production entry points in one process under a sys.setprofile hook
+# and lists each src/repro function that never ran, with file:line and
+# size.  The dead-code scan (tests/test_dead_code.py) matches names, so
+# this finds the methods it cannot see.  About half a minute.
+reach:
+	$(PY) tests/reach.py
 
 # Static type check of the clean leaf modules (see mypy.ini).  mypy is
 # an optional dev dependency (`pip install repro[dev]`); when it is

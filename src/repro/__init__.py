@@ -48,7 +48,7 @@ from repro.core import (
     TheoreticalBounds,
 )
 from repro.core.bounds import compute_bounds
-from repro.sim import SimulationResult, Simulator, run_simulation
+from repro.sim import SimulationResult, Simulator
 from repro.traces import (
     TraceSet,
     expand_system,
@@ -82,7 +82,6 @@ __all__ = [
     "compute_bounds",
     # Simulation
     "Simulator",
-    "run_simulation",
     "SimulationResult",
     # Traces
     "TraceSet",

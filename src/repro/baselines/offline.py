@@ -110,11 +110,6 @@ class OfflinePlan:
     backlog: np.ndarray     # length N+1
     lp_objective: float
 
-    @property
-    def rt_energy(self) -> float:
-        """Total real-time purchases (Lemma 1 predicts ≈ 0)."""
-        return float(self.grt.sum())
-
 
 class _OfflineStructure:
     """The offline LP with trace numerics factored out.

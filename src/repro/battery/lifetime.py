@@ -84,10 +84,6 @@ class CycleLedger:
         self._operations += 1
         return self.op_cost
 
-    def reset(self) -> None:
-        """Clear counters for a fresh horizon (budget unchanged)."""
-        self._operations = 0
-
     def __repr__(self) -> str:
         budget = "inf" if self.budget is None else str(self.budget)
         return (f"CycleLedger(operations={self._operations}, "

@@ -30,17 +30,11 @@ class BatteryAction:
 
     ``charge`` is the energy absorbed from the bus [``brc``];
     ``discharge`` is the energy delivered to the bus [``bdc``]; at most
-    one is non-zero.  ``level_after`` is ``b(τ+1)``.
+    one is non-zero.
     """
 
     charge: float
     discharge: float
-    level_after: float
-
-    @property
-    def active(self) -> bool:
-        """Whether the slot counts against the cycle budget (``n(τ)``)."""
-        return self.charge > 0.0 or self.discharge > 0.0
 
 
 class UpsBattery:
@@ -100,8 +94,7 @@ class UpsBattery:
         accepted = min(requested, self.headroom)
         self._level = min(self.system.b_max,
                           self._level + self.system.eta_c * accepted)
-        return BatteryAction(charge=accepted, discharge=0.0,
-                             level_after=self._level)
+        return BatteryAction(charge=accepted, discharge=0.0)
 
     def discharge(self, requested: float) -> BatteryAction:
         """Serve up to ``requested`` MWh of deficit from the battery.
@@ -116,36 +109,7 @@ class UpsBattery:
         delivered = min(requested, self.available)
         self._level = max(self.system.b_min,
                           self._level - self.system.eta_d * delivered)
-        return BatteryAction(charge=0.0, discharge=delivered,
-                             level_after=self._level)
-
-    def idle(self) -> BatteryAction:
-        """No-op slot (keeps the action log uniform)."""
-        return BatteryAction(charge=0.0, discharge=0.0,
-                             level_after=self._level)
-
-    def settle(self, net_surplus: float) -> BatteryAction:
-        """Charge on surplus, discharge on deficit, idle at zero.
-
-        ``net_surplus`` is supply minus served demand for the slot;
-        this is the paper's eq. (3) dispatch rule
-        (``brc = [s − d]⁺, bdc = [d − s]⁺``) with all clamps applied.
-        """
-        if net_surplus > 0:
-            return self.charge(net_surplus)
-        if net_surplus < 0:
-            return self.discharge(-net_surplus)
-        return self.idle()
-
-    def reset(self, level: float | None = None) -> None:
-        """Restore the initial (or a given) level for a fresh horizon."""
-        target = (self.system.initial_battery if level is None
-                  else float(level))
-        if not self.system.b_min <= target <= self.system.b_max:
-            raise InfeasibleActionError(
-                f"reset level {target} outside "
-                f"[{self.system.b_min}, {self.system.b_max}]")
-        self._level = target
+        return BatteryAction(charge=0.0, discharge=delivered)
 
     def __repr__(self) -> str:
         return (f"UpsBattery(level={self._level:.4f}, "

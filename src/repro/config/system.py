@@ -219,12 +219,6 @@ class SystemConfig:
             b_min = 0.0
         return self.replace(b_max=b_max, b_min=b_min, b_init=None)
 
-    def coarse_index(self, fine_slot: int) -> int:
-        """Coarse slot that contains the given fine slot."""
-        if fine_slot < 0:
-            raise ConfigurationError(f"fine slot must be >= 0, got {fine_slot}")
-        return fine_slot // self.fine_slots_per_coarse
-
     def is_coarse_boundary(self, fine_slot: int) -> bool:
         """Whether a fine slot opens a new coarse slot (``t = kT``)."""
         return fine_slot % self.fine_slots_per_coarse == 0

@@ -100,11 +100,6 @@ class BatchCoarseObservation:
     profile_renewable: np.ndarray
     profile_price_rt: np.ndarray
 
-    @property
-    def batch(self) -> int:
-        """Number of scenarios ``B``."""
-        return self.price_lt.shape[0]
-
     def scalar(self, index: int) -> CoarseObservation:
         """The exact scalar observation of one scenario."""
         budget = float(self.cycle_budget_left[index])
@@ -146,11 +141,6 @@ class FineObservation:
     grid_headroom: float
     supply_headroom: float
     cycle_budget_left: int | None
-
-    @property
-    def demand_total(self) -> float:
-        """Observed aggregate demand ``d(τ)``."""
-        return self.demand_ds + self.demand_dt
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class _RunningMean:
         self._sum += value
         self._count += 1
 
-    def reset(self) -> None:
-        self._sum = 0.0
-        self._count = 0
-
     def state(self) -> dict:
         """Exact snapshot — including the ``initial`` seed.
 

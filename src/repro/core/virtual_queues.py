@@ -69,11 +69,6 @@ class DelayAwareQueue:
             self._peak = self._value
         return self._value
 
-    def reset(self) -> None:
-        """Zero the queue for a fresh horizon."""
-        self._value = 0.0
-        self._peak = 0.0
-
     def state(self) -> dict:
         """Exact snapshot of the live state (for cross-engine checks)."""
         return {"value": self._value, "peak": self._peak}
@@ -117,12 +112,6 @@ class BatteryVirtualQueue:
     def retarget(self, shift: float) -> None:
         """Move the shift point (operational mode adapts it to prices)."""
         self.shift = shift
-
-    def reset(self) -> None:
-        """Clear observations for a fresh horizon (shift unchanged)."""
-        self._value = None
-        self._min_seen = None
-        self._max_seen = None
 
     def state(self) -> dict:
         """Exact snapshot of the live state (for cross-engine checks).

@@ -243,6 +243,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         table = store.sweep_table(name=f"fleet report ({store.root})",
                                   metrics=metrics)
+    except ConfigurationError as error:
+        logger.error("%s", error)
+        return 2
     except StateError as error:
         logger.error("%s", error)
         return 1

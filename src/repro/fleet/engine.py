@@ -167,12 +167,14 @@ class StreamingAggregator:
     elementwise ``+=`` in slot order; :func:`_fold` turns the
     aggregates into a metrics block.  The same aggregator fed a scalar
     result's series reproduces every sum bit for bit.
+
+    ``buffer_slots`` is the most slots the caller records between two
+    flushes (the engine's chunk length, or a whole horizon when the
+    caller never flushes); the service buffer is allocated once at
+    that width.
     """
 
-    #: Initial column capacity of the buffered service block.
-    _INITIAL_BLOCK = 64
-
-    def __init__(self, batch: int):
+    def __init__(self, batch: int, buffer_slots: int):
         if batch < 1:
             raise ConfigurationError(f"need batch >= 1, got {batch}")
         self.batch = batch
@@ -182,11 +184,10 @@ class StreamingAggregator:
         self._battery_min = np.full(batch, np.inf)
         self._battery_max = np.full(batch, -np.inf)
         self._replays = [DelayReplay() for _ in range(batch)]
-        # Preallocated (B, cap) service buffer, grown geometrically —
-        # the slot loop writes one column per slot instead of
-        # allocating a per-slot copy (aggregator scratch stays O(B)
-        # per slot, zero allocations at steady state).
-        self._served_dt_block: np.ndarray | None = None
+        # Preallocated (B, buffer_slots) service buffer: the slot loop
+        # writes one column per slot instead of allocating a per-slot
+        # copy (zero allocations at steady state).
+        self._served_dt_block = np.empty((batch, buffer_slots))
         self._buffered = 0
 
     def record(self, **values: np.ndarray) -> None:
@@ -199,22 +200,8 @@ class StreamingAggregator:
         level = values["battery_level"]
         np.minimum(self._battery_min, level, out=self._battery_min)
         np.maximum(self._battery_max, level, out=self._battery_max)
-        block = self._served_dt_block
-        if block is None or self._buffered == block.shape[1]:
-            block = self._grow_block()
-        block[:, self._buffered] = values["served_dt"]
+        self._served_dt_block[:, self._buffered] = values["served_dt"]
         self._buffered += 1
-
-    def _grow_block(self) -> np.ndarray:
-        """Double the buffered-service capacity, keeping buffered data."""
-        old = self._served_dt_block
-        capacity = (self._INITIAL_BLOCK if old is None
-                    else 2 * old.shape[1])
-        block = np.empty((self.batch, capacity))
-        if old is not None and self._buffered:
-            block[:, :self._buffered] = old[:, :self._buffered]
-        self._served_dt_block = block
-        return block
 
     def flush_delays(self, start_slot: int,
                      arrivals_dt: np.ndarray) -> None:
@@ -400,7 +387,13 @@ class ScenarioMetrics:
                 for values in zip(*columns)]
 
     def as_dict(self) -> dict:
-        """JSON-ready form: this record as a one-row :meth:`rows` block."""
+        """JSON-ready form: this record as a one-row :meth:`rows` block.
+
+        Kept although no production path calls it: perfbench
+        (``perfbench/layers.py``) looks it up in the class
+        ``__dict__`` when it is imported, to time record encoding, so
+        deleting it breaks the benchmark.
+        """
         return self.rows({
             name: [value.item() if isinstance(value, np.generic) else value]
             for name, value in self.__dict__.items()})[0]
@@ -826,7 +819,8 @@ class StreamingBatchSimulator:
         bit-identical with telemetry on or off.
         """
         tele = self._telemetry
-        state = self._stream(StreamingAggregator(self._batch))
+        state = self._stream(StreamingAggregator(
+            self._batch, min(self._chunk_slots, self._n_slots)))
         aggregator = state.recorder
         with tele.span("collect"):
             block = _fold(

@@ -577,7 +577,11 @@ class ScenarioSpec:
         """Materialize the full trace horizon.
 
         The per-spec reference for the horizons a fleet shard builds
-        (the runner materializes once per :meth:`trace_key`).
+        (the runner materializes once per :meth:`trace_key`).  Kept
+        although no production path calls it: perfbench
+        (``perfbench/layers.py``) looks it up in the class
+        ``__dict__`` when it is imported, to time materialization, so
+        deleting it breaks the benchmark.
         """
         return self.open_stream(system).materialize()
 

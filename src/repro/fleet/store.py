@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.sim.sweep import SweepPoint, SweepTable
-from repro.exceptions import StateError
+from repro.exceptions import ConfigurationError, StateError
 
 #: Metrics shown by default in aggregated tables (fleet-record keys).
 DEFAULT_TABLE_METRICS = ("time_avg_cost", "avg_delay_slots",
@@ -281,7 +281,10 @@ class ResultStore:
 
         Records are grouped by their ``value`` field (first-seen
         order); each group's metric vectors are averaged over its
-        records — one :class:`SweepPoint` per distinct value.
+        records — one :class:`SweepPoint` per distinct value.  A
+        requested metric that a record lacks (a bad ``metrics`` name)
+        raises :class:`~repro.exceptions.ConfigurationError`; an empty
+        store raises :class:`~repro.exceptions.StateError`.
         """
         metric_names = tuple(metrics or DEFAULT_TABLE_METRICS)
         order: list[str] = []
@@ -298,7 +301,7 @@ class ResultStore:
             row = record.get("metrics", {})
             missing = [m for m in metric_names if m not in row]
             if missing:
-                raise KeyError(
+                raise ConfigurationError(
                     f"record for value {record.get('value')!r} lacks "
                     f"metrics {missing}")
             for metric in metric_names:

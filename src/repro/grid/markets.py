@@ -1,16 +1,17 @@
 """Two-timescale grid markets (paper Section II-A.1).
 
-Both markets validate prices against the cap ``Pmax`` and keep a
-purchase ledger (energy and spend) so experiments can decompose the
-operational cost exactly as the paper's cost model does:
+Both markets validate prices against the cap ``Pmax``, price each
+purchase and keep a ledger of the energy bought, so the engine books
+the operational cost exactly as the paper's cost model does:
 
     Cost(τ) = gbef(t)/T · plt(t) + grt(τ) · prt(τ) + n(τ)·Cb + W(τ).
 
 The :class:`LongTermMarket` sells one block ``gbef(t)`` per coarse slot,
 delivered evenly (``gbef/T`` per fine slot); the :class:`RealTimeMarket`
-sells per fine slot.  Neither enforces the interconnect cap — that is
-physical, not commercial, and lives in
-:class:`~repro.grid.interconnect.GridInterconnect`.
+sells per fine slot.  Neither enforces the interconnect cap (paper
+constraint 5) — that is physical, not commercial, and the engine
+clamps it: the advance block to ``T · Pgrid`` and each real-time
+purchase to the feeder headroom ``Pgrid − gbef/T``.
 """
 
 from __future__ import annotations
@@ -19,39 +20,25 @@ from repro.exceptions import ConfigurationError, InfeasibleActionError
 
 
 class MarketLedger:
-    """Energy/spend accounting shared by both markets."""
+    """Energy accounting shared by both markets."""
 
     def __init__(self, name: str):
         self.name = name
         self._energy = 0.0
-        self._spend = 0.0
 
     @property
     def energy(self) -> float:
         """Total MWh purchased so far."""
         return self._energy
 
-    @property
-    def spend(self) -> float:
-        """Total dollars spent so far."""
-        return self._spend
-
     def record(self, energy: float, price: float) -> float:
         """Record a purchase, returning its cost."""
-        cost = energy * price
         if energy > 0:
             self._energy += energy
-            self._spend += cost
-        return cost
-
-    def reset(self) -> None:
-        """Clear all accumulators for a fresh horizon."""
-        self._energy = 0.0
-        self._spend = 0.0
+        return energy * price
 
     def __repr__(self) -> str:
-        return (f"MarketLedger({self.name!r}, energy={self._energy:.3f}, "
-                f"spend={self._spend:.2f})")
+        return f"MarketLedger({self.name!r}, energy={self._energy:.3f})"
 
 
 class _MarketBase:
@@ -71,10 +58,6 @@ class _MarketBase:
             raise InfeasibleActionError(
                 f"{self.ledger.name}: price {price} outside "
                 f"[0, {self.price_cap}]")
-
-    def reset(self) -> None:
-        """Clear the ledger for a fresh horizon."""
-        self.ledger.reset()
 
 
 class LongTermMarket(_MarketBase):
@@ -104,10 +87,6 @@ class LongTermMarket(_MarketBase):
     def per_fine_slot_energy(self) -> float:
         """Scheduled delivery ``gbef(t)/T`` for each fine slot."""
         return self._current_block / self.fine_slots_per_coarse
-
-    def reset(self) -> None:
-        super().reset()
-        self._current_block = 0.0
 
 
 class RealTimeMarket(_MarketBase):

@@ -78,7 +78,7 @@ class RngDiscipline(Rule):
                                 ctx, node,
                                 f"`{name}` bypasses the repro.rng seed "
                                 "contract; mint Generators with "
-                                "repro.rng.make_rng / RngFactory")
+                                "repro.rng.make_rng")
                         break
 
 

@@ -186,33 +186,3 @@ def substream_rngs_batch(root_seeds: Sequence[int],
                 _PrecomputedSeedState(states[index]))))
             index += 1
     return rngs
-
-
-class RngFactory:
-    """Factory handing out independent generators from one root seed.
-
-    >>> factory = RngFactory(seed=7)
-    >>> solar_rng = factory.stream("solar")
-    >>> price_rng = factory.stream("prices")
-
-    Requesting the same name twice returns a *fresh* generator seeded
-    identically, which is what trace builders want: re-generating a trace
-    yields the same data regardless of how many times it was generated
-    before.
-    """
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        if not isinstance(seed, (int, np.integer)):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        self.seed = int(seed)
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return a generator for the named substream."""
-        return make_rng(self.seed, name)
-
-    def child(self, name: str) -> "RngFactory":
-        """Derive a nested factory (e.g. one per Monte-Carlo replica)."""
-        return RngFactory(substream_seed(self.seed, name))
-
-    def __repr__(self) -> str:
-        return f"RngFactory(seed={self.seed})"

@@ -1,11 +1,11 @@
 """Discrete-time simulation engine for the DPSS.
 
 The engine (:mod:`repro.sim.engine`) owns every piece of physical state
-— UPS battery, backlog queue, market ledgers, the interconnect — and
-drives an arbitrary :class:`~repro.core.interfaces.Controller` over a
+— UPS battery, backlog queue, market ledgers — and drives an arbitrary
+:class:`~repro.core.interfaces.Controller` over a
 :class:`~repro.traces.base.TraceSet`, resolving the supply-demand
-balance (paper eq. 4) with hard clamps so no policy can violate a
-physical constraint.  Per-slot series land in a
+balance (paper eq. 4) with hard clamps (the interconnect cap among
+them) so no policy can violate a physical constraint.  Per-slot series land in a
 :class:`~repro.sim.recorder.Recorder`; summaries (cost breakdown, delay
 statistics, availability, battery cycling) in a
 :class:`~repro.sim.results.SimulationResult`.
@@ -21,7 +21,7 @@ seed-averaged :class:`SweepTable` a result store renders.
 """
 
 from repro.sim.batch import ScalarControllerBatch
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import Simulator
 from repro.sim.metrics import CostBreakdown, summarize_costs
 from repro.sim.outages import (
     OutageSchedule,
@@ -34,7 +34,6 @@ from repro.sim.sweep import SweepTable
 
 __all__ = [
     "Simulator",
-    "run_simulation",
     "ScalarControllerBatch",
     "Recorder",
     "SimulationResult",

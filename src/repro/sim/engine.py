@@ -1,8 +1,10 @@
 """The discrete-time DPSS simulation engine.
 
 The engine is the physics authority: it owns the UPS battery, the
-backlog queue, the grid interconnect and the market ledgers, and it
-resolves the supply-demand balance (paper eq. 4) every fine slot:
+backlog queue and the market ledgers, enforces the grid interconnect
+cap (paper eq. 5: each advance block is clipped to ``T · Pgrid`` and
+each real-time purchase to the feeder headroom), and it resolves the
+supply-demand balance (paper eq. 4) every fine slot:
 
     s(τ) + bdc(τ) − brc(τ) = dds(τ) + γ(τ)Q(τ) + W(τ)
 
@@ -38,7 +40,6 @@ from repro.exceptions import (
     HorizonMismatchError,
     InfeasibleActionError,
 )
-from repro.grid.interconnect import GridInterconnect
 from repro.grid.markets import LongTermMarket, RealTimeMarket
 from repro.sim.recorder import Recorder
 from repro.sim.results import SimulationResult
@@ -105,7 +106,6 @@ class Simulator:
         battery = UpsBattery(system)
         backlog = BacklogQueue()
         cycles = CycleLedger(system.battery_op_cost, system.cycle_budget)
-        interconnect = GridInterconnect(system.p_grid)
         lt_market = LongTermMarket(system.p_max, t_slots)
         rt_market = RealTimeMarket(system.p_max)
         recorder = Recorder(n_slots)
@@ -121,8 +121,7 @@ class Simulator:
             if system.is_coarse_boundary(slot):
                 gbef = self._plan(coarse, slot, battery, backlog,
                                   cycles, obs_plt)
-                gbef = min(max(0.0, gbef),
-                           interconnect.max_block_purchase(t_slots))
+                gbef = min(max(0.0, gbef), system.p_grid * t_slots)
                 lt_market.purchase_block(gbef, float(true_plt[coarse]))
 
             if self.grid_capacity is None:
@@ -305,12 +304,3 @@ class Simulator:
             backlog=backlog.backlog,
             had_backlog=had_backlog,
         ))
-
-
-def run_simulation(system: SystemConfig, controller: Controller,
-                   traces: TraceSet,
-                   observed: TraceSet | None = None,
-                   grid_capacity=None) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(system, controller, traces, observed=observed,
-                     grid_capacity=grid_capacity).run()

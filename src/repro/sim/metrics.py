@@ -88,8 +88,3 @@ def renewable_utilization(series: dict[str, np.ndarray]) -> float:
     lost += min(float(series["waste"].sum()),
                 float(series["renewable_used"].sum()))
     return max(0.0, 1.0 - lost / produced)
-
-
-def battery_throughput(series: dict[str, np.ndarray]) -> float:
-    """Total energy cycled through the battery (charge + discharge)."""
-    return float(series["charge"].sum() + series["discharge"].sum())

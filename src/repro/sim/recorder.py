@@ -44,11 +44,6 @@ class Recorder:
         self._series = {name: np.zeros(n_slots) for name in SERIES_NAMES}
         self._cursor = 0
 
-    @property
-    def cursor(self) -> int:
-        """Number of slots recorded so far."""
-        return self._cursor
-
     def record(self, **values: float) -> None:
         """Record one slot; unknown keys raise, missing keys stay 0."""
         if self._cursor >= self.n_slots:

@@ -5,14 +5,17 @@ VI-A: one month (31 days of one-hour slots) of Google-cluster-like
 demand split into delay-sensitive and delay-tolerant components,
 MIDC-like solar production, and NYISO-like two-market prices — with
 demand peaks clipped at ``Pgrid`` exactly as the paper describes.
-Everything is driven by one root seed through independent substreams
-(:mod:`repro.rng`), so the bundle is bit-reproducible.
+Everything is driven by one root seed through independent named
+substreams (:func:`repro.rng.make_rng`), so the bundle is
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.config.system import SystemConfig
-from repro.rng import DEFAULT_SEED, RngFactory
+from repro.rng import DEFAULT_SEED, make_rng
 from repro.traces.base import TraceSet
 from repro.traces.demand import DemandModel, GoogleClusterDemandGenerator
 from repro.traces.prices import NyisoLikePriceGenerator, PriceModel
@@ -39,8 +42,10 @@ def make_paper_traces(system: SystemConfig | None = None,
         model, the grid cap used for peak clipping and the
         delay-tolerant arrival cap.  Defaults to the paper system.
     seed:
-        Root seed; substreams named ``solar`` / ``prices`` / ``demand``
-        / ``wind`` derive from it.
+        Root seed, an ``int``: substreams named ``solar`` / ``prices``
+        / ``demand`` / ``wind`` derive from it (any other type raises
+        :class:`TypeError`, since a float's text would name other
+        substreams).
     n_slots:
         Override the horizon (defaults to the system's).
     solar_model / price_model / demand_model:
@@ -59,7 +64,9 @@ def make_paper_traces(system: SystemConfig | None = None,
     if slots < 1:
         raise ConfigurationError(f"horizon must have >= 1 slot, got {slots}")
 
-    factory = RngFactory(seed)
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    root = int(seed)
 
     if price_model is None:
         price_model = PriceModel(price_cap=system.p_max,
@@ -71,14 +78,14 @@ def make_paper_traces(system: SystemConfig | None = None,
         solar_model = SolarModel(slot_hours=system.slot_hours)
 
     demand_ds, demand_dt = GoogleClusterDemandGenerator(demand_model).generate(
-        slots, factory.stream("demand"))
+        slots, make_rng(root, "demand"))
     renewable = MidcLikeSolarGenerator(solar_model).generate(
-        slots, factory.stream("solar"))
+        slots, make_rng(root, "solar"))
     if wind_model is not None:
         renewable = renewable + WindTraceGenerator(wind_model).generate(
-            slots, factory.stream("wind"))
+            slots, make_rng(root, "wind"))
     price_rt, price_lt = NyisoLikePriceGenerator(price_model).generate(
-        slots, factory.stream("prices"))
+        slots, make_rng(root, "prices"))
 
     traces = TraceSet(
         demand_ds=demand_ds,

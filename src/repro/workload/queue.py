@@ -147,12 +147,6 @@ class BacklogQueue:
                 f"backlog ledger desync: parcels sum to {ledger}, "
                 f"scalar is {self._backlog}")
 
-    def reset(self) -> None:
-        """Empty the queue and statistics for a fresh horizon."""
-        self._backlog = 0.0
-        self._parcels.clear()
-        self.stats = DelayStats()
-
     def __repr__(self) -> str:
         return (f"BacklogQueue(backlog={self._backlog:.4f}, "
                 f"parcels={len(self._parcels)})")

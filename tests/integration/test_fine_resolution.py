@@ -20,7 +20,7 @@ from repro.traces.demand import DemandModel, GoogleClusterDemandGenerator
 from repro.traces.prices import NyisoLikePriceGenerator, PriceModel
 from repro.traces.scaling import clip_demand_peaks
 from repro.traces.solar import MidcLikeSolarGenerator, SolarModel
-from repro.rng import RngFactory
+from repro.rng import make_rng
 
 
 SLOT_HOURS = 0.25
@@ -45,18 +45,17 @@ def quarter_hour_setting():
         s_dt_max=2.0 * SLOT_HOURS,
     )
     n_slots = system.horizon_slots
-    factory = RngFactory(2025)
     demand_model = DemandModel(d_dt_max=system.d_dt_max,
                                slot_hours=SLOT_HOURS,
                                batch_jobs_per_hour=4.0)
     ds, dt = GoogleClusterDemandGenerator(demand_model).generate(
-        n_slots, factory.stream("demand"))
+        n_slots, make_rng(2025, "demand"))
     solar = MidcLikeSolarGenerator(
         SolarModel(slot_hours=SLOT_HOURS)).generate(
-        n_slots, factory.stream("solar"))
+        n_slots, make_rng(2025, "solar"))
     prt, plt = NyisoLikePriceGenerator(
         PriceModel(slot_hours=SLOT_HOURS)).generate(
-        n_slots, factory.stream("prices"))
+        n_slots, make_rng(2025, "prices"))
     traces = clip_demand_peaks(
         TraceSet(demand_ds=ds, demand_dt=dt, renewable=solar,
                  price_rt=prt, price_lt_hourly=plt),

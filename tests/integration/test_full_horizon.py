@@ -57,8 +57,8 @@ class TestServiceGuarantees:
         _, traces, smart, _, _ = month
         arrived = float(traces.demand_dt.sum())
         served = float(smart.series["served_dt"].sum())
-        assert arrived == pytest.approx(served + smart.final_backlog,
-                                        abs=1e-6)
+        final = float(smart.series["backlog"][-1])
+        assert arrived == pytest.approx(served + final, abs=1e-6)
 
     def test_battery_in_range_all_month(self, month):
         system, _, smart, _, _ = month
@@ -101,6 +101,6 @@ class TestDeterminism:
         again = Simulator(system,
                           SmartDPSS(paper_controller_config()),
                           traces).run()
-        assert again.total_cost == smart.total_cost
+        assert again.costs.total == smart.costs.total
         assert np.array_equal(again.series["battery_level"],
                               smart.series["battery_level"])

@@ -14,6 +14,9 @@ a test can compare the two.  ``tests/conftest.py`` puts ``tests/`` on
 * :mod:`oracles.engine` — per-slot series out of the batch engine
   (:class:`~oracles.engine.BatchRecorder`), the whole-horizon delay
   replay, and a scalar result's metrics through the batch fold;
+* :mod:`oracles.results` — a scalar result's headline summary as
+  NumPy reductions over its series, the independent check on the
+  batch fold;
 * :mod:`oracles.drift` — Theorem 1's per-slot drift bound, recorded
   around a SmartDPSS run;
 * :mod:`oracles.theory` — Theorem 2's claims checked on a finished run;

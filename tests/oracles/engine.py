@@ -122,7 +122,7 @@ def metrics_from_result(result: SimulationResult,
     batch engine.
     """
     series = result.series
-    aggregator = StreamingAggregator(1)
+    aggregator = StreamingAggregator(1, result.n_slots)
     columns = {name: series[name]
                for name in (*_SUMMED, "backlog", "battery_level")}
     for slot in range(result.n_slots):

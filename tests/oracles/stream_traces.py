@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, TraceError
 from repro.fleet.stream import _SUBSTREAMS, StreamingPaperTraces
-from repro.rng import RngFactory
+from repro.rng import make_rng
 from repro.traces.base import TraceSet
 from repro.traces.demand import (
     _BATCH_SHAPE,
@@ -314,8 +314,8 @@ class StreamCursor:
 
     def __init__(self, stream: StreamingPaperTraces):
         self._stream = stream
-        factory = RngFactory(stream.seed)
-        self._rngs = {name: factory.stream(name) for name in _SUBSTREAMS}
+        self._rngs = {name: make_rng(stream.seed, name)
+                      for name in _SUBSTREAMS}
         self._state = _CursorState()
         self._position = 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from oracles.results import peak_backlog, unserved_ds_total
 from repro.core.bounds import BoundVariant, TheoreticalBounds, compute_bounds
 from repro.sim.results import SimulationResult
 
@@ -82,10 +83,11 @@ def verify_theorem2(result: SimulationResult,
         holds=b_hi <= result.system.b_max + _SLACK,
         observed=b_hi, bound=result.system.b_max))
 
+    q_peak = peak_backlog(result)
     checks.append(BoundCheck(
         claim="backlog Q <= Qmax (Thm 2-3)",
-        holds=result.peak_backlog <= bounds.q_max + _SLACK,
-        observed=result.peak_backlog, bound=bounds.q_max))
+        holds=q_peak <= bounds.q_max + _SLACK,
+        observed=q_peak, bound=bounds.q_max))
 
     if y_peak is not None:
         checks.append(BoundCheck(
@@ -101,7 +103,7 @@ def verify_theorem2(result: SimulationResult,
 
     checks.append(BoundCheck(
         claim="availability = 1 (Thm 2-2 corollary)",
-        holds=result.unserved_ds_total <= _SLACK,
+        holds=unserved_ds_total(result) <= _SLACK,
         observed=result.availability, bound=1.0))
 
     if offline_time_average is not None:

@@ -17,7 +17,7 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
 from repro.fleet.engine import StreamRunSpec
 from repro.fleet.stream import ArrayTraceStream
-from repro.rng import RngFactory
+from repro.rng import make_rng
 from repro.sim.engine import Simulator
 from repro.sim.outages import sample_outages
 from repro.sim.recorder import SERIES_NAMES
@@ -80,7 +80,7 @@ class TestOutageMasks:
     def test_grid_outage_capacity_binds_identically(self):
         system = paper_system_config(days=4)
         schedule = sample_outages(system.horizon_slots,
-                                  RngFactory(11).stream("outages"),
+                                  make_rng(11, "outages"),
                                   events_per_month=40,
                                   mean_duration_slots=6)
         capacity = schedule.grid_capacity(system.p_grid)

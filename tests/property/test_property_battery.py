@@ -1,8 +1,9 @@
 """Property-based tests: UPS battery invariants (eqs. 3, 7, 8).
 
-Under *any* sequence of charge/discharge/settle requests, the battery
-must stay inside ``[Bmin, Bmax]``, never move more than the per-slot
-rate caps allow, and conserve energy under the efficiency model.
+Under *any* sequence of charge/discharge requests — the two calls
+``Simulator._step_physics`` makes — the battery must stay inside
+``[Bmin, Bmax]``, never move more than the per-slot rate caps allow,
+and conserve energy under the efficiency model.
 """
 
 import hypothesis.strategies as st
@@ -12,8 +13,8 @@ from repro.battery.model import UpsBattery
 from repro.config.system import SystemConfig
 
 request_amounts = st.lists(
-    st.tuples(st.sampled_from(["charge", "discharge", "settle"]),
-              st.floats(min_value=-2.0, max_value=2.0,
+    st.tuples(st.sampled_from(["charge", "discharge"]),
+              st.floats(min_value=0.0, max_value=2.0,
                         allow_nan=False)),
     min_size=1, max_size=60)
 
@@ -41,12 +42,7 @@ def test_level_always_in_range(shape, actions):
     battery = build_battery(shape)
     system = battery.system
     for kind, amount in actions:
-        if kind == "charge":
-            battery.charge(abs(amount))
-        elif kind == "discharge":
-            battery.discharge(abs(amount))
-        else:
-            battery.settle(amount)
+        getattr(battery, kind)(amount)
         assert system.b_min - 1e-9 <= battery.level \
             <= system.b_max + 1e-9
 
@@ -57,12 +53,7 @@ def test_rate_caps_respected(shape, actions):
     battery = build_battery(shape)
     system = battery.system
     for kind, amount in actions:
-        if kind == "charge":
-            action = battery.charge(abs(amount))
-        elif kind == "discharge":
-            action = battery.discharge(abs(amount))
-        else:
-            action = battery.settle(amount)
+        action = getattr(battery, kind)(amount)
         assert action.charge <= system.b_charge_max + 1e-12
         assert action.discharge <= system.b_discharge_max + 1e-12
         assert action.charge == 0.0 or action.discharge == 0.0
@@ -76,12 +67,7 @@ def test_energy_ledger_consistent(shape, actions):
     system = battery.system
     level = battery.level
     for kind, amount in actions:
-        if kind == "charge":
-            action = battery.charge(abs(amount))
-        elif kind == "discharge":
-            action = battery.discharge(abs(amount))
-        else:
-            action = battery.settle(amount)
+        action = getattr(battery, kind)(amount)
         level += system.eta_c * action.charge \
             - system.eta_d * action.discharge
         assert battery.level == pytest_approx(level)

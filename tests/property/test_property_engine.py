@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from repro.config.presets import paper_system_config
 from repro.core.interfaces import Controller, RealTimeDecision
-from repro.sim.engine import run_simulation
+from repro.sim.engine import Simulator
 from repro.traces.base import TraceSet
 
 N_SLOTS = 48  # two coarse days
@@ -70,7 +70,7 @@ def test_engine_invariants(ds, dt, renewable, prices, plan, script):
     system = paper_system_config(days=2)
     traces = build_traces(ds, dt, renewable, prices)
     controller = RandomScriptController(plan, script)
-    result = run_simulation(system, controller, traces)
+    result = Simulator(system, controller, traces).run()
     s = result.series
 
     # Balance equation (4): supply + bdc − brc = served + waste.
@@ -95,8 +95,8 @@ def test_engine_invariants(ds, dt, renewable, prices, plan, script):
     # Delay-tolerant energy conservation.
     arrived = float(traces.demand_dt[:N_SLOTS].sum())
     served = float(s["served_dt"].sum())
-    assert arrived == pytest.approx(served + result.final_backlog,
-                                    abs=1e-6)
+    final = float(result.series["backlog"][-1])
+    assert arrived == pytest.approx(served + final, abs=1e-6)
 
     # Served + unserved delay-sensitive equals the trace.
     ds_total = float(traces.demand_ds[:N_SLOTS].sum())
@@ -116,6 +116,6 @@ def test_smartdpss_never_violates_availability_within_capacity(
     system = paper_system_config(days=2)
     capped_ds = np.minimum(ds, system.p_grid)
     traces = build_traces(capped_ds, dt, renewable, prices)
-    result = run_simulation(
-        system, SmartDPSS(paper_controller_config()), traces)
+    result = Simulator(
+        system, SmartDPSS(paper_controller_config()), traces).run()
     assert result.availability == pytest.approx(1.0, abs=1e-9)

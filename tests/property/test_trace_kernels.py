@@ -25,7 +25,7 @@ from oracles.stream_traces import (
     generate_chunk,
     real_time_stream_chunk,
 )
-from repro.rng import RngFactory
+from repro.rng import make_rng
 from repro.traces.demand import DemandModel, DemandTraceKernel
 from repro.traces.prices import PriceModel, PriceTraceKernel
 from repro.traces.solar import SolarModel, SolarTraceKernel
@@ -96,7 +96,7 @@ price_models = st.builds(
 
 
 def _rngs(name, seed_values):
-    return [RngFactory(seed).stream(name) for seed in seed_values]
+    return [make_rng(seed, name) for seed in seed_values]
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_demand_sensitive_kernel_bit_identical(
     reference = np.empty((batch, N_SLOTS))
     final_levels = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        rng = RngFactory(seed).stream("dds")
+        rng = make_rng(seed, "dds")
         state, start = DemandChunkState(), 0
         for chunk in ref_chunks:
             reference[row, start:start + chunk] = \
@@ -148,8 +148,8 @@ def test_demand_tolerant_kernel_bit_identical(
 
     reference = np.empty((batch, N_SLOTS))
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        count_rng = RngFactory(seed).stream("counts")
-        size_rng = RngFactory(seed).stream("sizes")
+        count_rng = make_rng(seed, "counts")
+        size_rng = make_rng(seed, "sizes")
         start = 0
         for chunk in ref_chunks:
             reference[row, start:start + chunk] = \
@@ -185,10 +185,9 @@ def test_solar_kernel_bit_identical(models, seed_values, ref_chunks,
     reference = np.empty((batch, N_SLOTS))
     final_states = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        factory = RngFactory(seed)
-        cloud_rng = factory.stream("clouds")
-        jitter_rng = factory.stream("jitter")
-        noise_rng = factory.stream("noise")
+        cloud_rng = make_rng(seed, "clouds")
+        jitter_rng = make_rng(seed, "jitter")
+        noise_rng = make_rng(seed, "noise")
         state, start = SolarChunkState(), 0
         for chunk in ref_chunks:
             reference[row, start:start + chunk] = generate_chunk(
@@ -233,10 +232,9 @@ def test_price_kernels_bit_identical(models, seed_values, ref_chunks,
     ref_fwd = np.empty((batch, N_SLOTS))
     final_levels = []
     for row, (model, seed) in enumerate(zip(models, seed_values)):
-        factory = RngFactory(seed)
-        rt_rng = factory.stream("rt")
-        spike_rng = factory.stream("spikes")
-        fwd_rng = factory.stream("fwd")
+        rt_rng = make_rng(seed, "rt")
+        spike_rng = make_rng(seed, "spikes")
+        fwd_rng = make_rng(seed, "fwd")
         state, start = PriceChunkState(), 0
         for chunk in ref_chunks:
             ref_rt[row, start:start + chunk] = \

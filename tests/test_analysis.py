@@ -7,17 +7,17 @@ from repro.analysis.tables import format_series, format_table
 from repro.baselines.impatient import ImpatientController
 from repro.config.presets import paper_controller_config
 from repro.core.smartdpss import SmartDPSS
-from repro.sim.engine import run_simulation
+from repro.sim.engine import Simulator
 from repro.exceptions import ConfigurationError
 
 
 @pytest.fixture
 def pair(small_system, small_traces):
-    smart = run_simulation(small_system,
-                           SmartDPSS(paper_controller_config()),
-                           small_traces)
-    impatient = run_simulation(small_system, ImpatientController(),
-                               small_traces)
+    smart = Simulator(small_system,
+                      SmartDPSS(paper_controller_config()),
+                      small_traces).run()
+    impatient = Simulator(small_system, ImpatientController(),
+                          small_traces).run()
     return smart, impatient
 
 

@@ -11,7 +11,7 @@ from repro.analysis.timeseries import (
 )
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
-from repro.sim.engine import run_simulation
+from repro.sim.engine import Simulator
 from repro.traces.library import make_paper_traces
 from repro.exceptions import ConfigurationError
 
@@ -56,8 +56,8 @@ class TestResultProfiles:
     def result(self):
         system = paper_system_config(days=4)
         traces = make_paper_traces(system, seed=60)
-        return run_simulation(
-            system, SmartDPSS(paper_controller_config()), traces)
+        return Simulator(
+            system, SmartDPSS(paper_controller_config()), traces).run()
 
     def test_purchase_profile_keys(self, result):
         profile = purchase_profile(result)

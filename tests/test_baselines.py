@@ -38,7 +38,7 @@ class TestImpatient:
     def test_backlog_stays_tiny(self, small_system, small_traces):
         result = Simulator(small_system, ImpatientController(),
                            small_traces).run()
-        assert result.peak_backlog <= small_system.d_dt_max + 1e-9
+        assert result.series["backlog"].max() <= small_system.d_dt_max + 1e-9
 
     def test_ds_only_planning_variant(self, small_system,
                                       small_traces):
@@ -87,7 +87,7 @@ class TestOfflinePlan:
     def test_no_real_time_option(self, small_system, small_traces):
         plan = solve_offline_plan(small_system, small_traces,
                                   include_real_time=False)
-        assert plan.rt_energy == pytest.approx(0.0, abs=1e-9)
+        assert plan.grt.sum() == pytest.approx(0.0, abs=1e-9)
 
     def test_tighter_deadline_costs_more(self, small_system,
                                          small_traces):
@@ -115,7 +115,7 @@ class TestOfflineReplay:
         lp = controller.plan.lp_objective
         # Engine adds the battery op cost the LP relaxes; physics
         # clamps can only reduce waste.  Stay within a few percent.
-        assert result.total_cost == pytest.approx(lp, rel=0.05)
+        assert result.costs.total == pytest.approx(lp, rel=0.05)
 
     def test_replay_availability(self, small_system, small_traces):
         result = Simulator(small_system, OfflineOptimal(small_traces),
@@ -275,7 +275,7 @@ class TestOfflinePlanInjection:
         injected = Simulator(small_system,
                              OfflineOptimal(None, plan=plan),
                              small_traces).run()
-        assert injected.total_cost == solved.total_cost
+        assert injected.costs.total == solved.costs.total
 
 
 class TestRunningQuantile:

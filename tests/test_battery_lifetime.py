@@ -81,12 +81,5 @@ class TestBudget:
         with pytest.raises(ConfigurationError):
             CycleLedger(op_cost=-0.1)
 
-    def test_reset_clears_counters_keeps_budget(self):
-        ledger = CycleLedger(op_cost=0.1, budget=3)
-        ledger.record(0.1, 0.0)
-        ledger.reset()
-        assert ledger.operations == 0
-        assert ledger.remaining == 3
-
     def test_repr(self):
         assert "CycleLedger" in repr(CycleLedger(op_cost=0.1))

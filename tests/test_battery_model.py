@@ -91,53 +91,11 @@ class TestDischarge:
             UpsBattery(make_system()).discharge(-0.1)
 
 
-class TestSettle:
-    def test_surplus_charges(self):
-        battery = UpsBattery(make_system())
-        action = battery.settle(0.1)
-        assert action.charge > 0.0
-        assert action.discharge == 0.0
-
-    def test_deficit_discharges(self):
-        battery = UpsBattery(make_system())
-        action = battery.settle(-0.1)
-        assert action.discharge > 0.0
-        assert action.charge == 0.0
-
-    def test_zero_idles(self):
-        battery = UpsBattery(make_system())
-        action = battery.settle(0.0)
-        assert not action.active
-        assert action.charge == 0.0 and action.discharge == 0.0
-
-    def test_exclusivity(self):
-        # brc * bdc == 0 is structural: one action per slot.
-        battery = UpsBattery(make_system())
-        for net in (0.3, -0.2, 0.0, 0.5, -0.4):
-            action = battery.settle(net)
-            assert action.charge == 0.0 or action.discharge == 0.0
-
-
 class TestStateInspection:
     def test_headroom_and_available(self):
         battery = UpsBattery(make_system())
         assert battery.headroom == pytest.approx(0.4)       # rate cap
         assert battery.available == pytest.approx(0.3)      # rate cap
-
-    def test_reset(self):
-        battery = UpsBattery(make_system())
-        battery.discharge(0.2)
-        battery.reset()
-        assert battery.level == 0.5
-
-    def test_reset_to_level(self):
-        battery = UpsBattery(make_system())
-        battery.reset(0.8)
-        assert battery.level == 0.8
-
-    def test_reset_out_of_range_rejected(self):
-        with pytest.raises(InfeasibleActionError):
-            UpsBattery(make_system()).reset(2.0)
 
     def test_repr(self):
         assert "UpsBattery" in repr(UpsBattery(make_system()))

@@ -125,16 +125,6 @@ class TestBuilders:
         assert config.b_max == 0.0
         assert config.b_min == 0.0
 
-    def test_coarse_index(self):
-        config = SystemConfig(fine_slots_per_coarse=24)
-        assert config.coarse_index(0) == 0
-        assert config.coarse_index(23) == 0
-        assert config.coarse_index(24) == 1
-
-    def test_coarse_index_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig().coarse_index(-1)
-
     def test_is_coarse_boundary(self):
         config = SystemConfig(fine_slots_per_coarse=12)
         assert config.is_coarse_boundary(0)

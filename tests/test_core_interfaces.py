@@ -5,7 +5,6 @@ import pytest
 from repro.core.interfaces import (
     CoarseObservation,
     Controller,
-    FineObservation,
     RealTimeDecision,
 )
 from repro.exceptions import ConfigurationError
@@ -36,15 +35,6 @@ class TestObservations:
             coarse_index=0, fine_slot=0, price_lt=40.0,
             demand_ds=1.0, demand_dt=0.5, renewable=0.0,
             battery_level=0.5, backlog=0.0, cycle_budget_left=None)
-        assert obs.demand_total == pytest.approx(1.5)
-
-    def test_fine_demand_total(self):
-        obs = FineObservation(
-            fine_slot=3, coarse_index=0, price_rt=50.0,
-            demand_ds=1.2, demand_dt=0.3, renewable=0.0,
-            battery_level=0.5, backlog=0.0, long_term_rate=1.0,
-            grid_headroom=1.0, supply_headroom=2.0,
-            cycle_budget_left=None)
         assert obs.demand_total == pytest.approx(1.5)
 
     def test_profiles_default_empty(self):

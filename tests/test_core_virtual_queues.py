@@ -55,13 +55,6 @@ class TestDelayAwareQueue:
         queue.update(10.0, False)
         assert queue.peak == pytest.approx(5.0)
 
-    def test_reset(self):
-        queue = DelayAwareQueue(epsilon=0.5)
-        queue.update(0.0, True)
-        queue.reset()
-        assert queue.value == 0.0
-        assert queue.peak == 0.0
-
     def test_invalid_epsilon_rejected(self):
         with pytest.raises(ConfigurationError):
             DelayAwareQueue(epsilon=0.0)
@@ -95,14 +88,6 @@ class TestBatteryVirtualQueue:
         queue = BatteryVirtualQueue(shift=1.0)
         queue.retarget(3.0)
         assert queue.observe(1.0) == pytest.approx(-2.0)
-
-    def test_reset_keeps_shift(self):
-        queue = BatteryVirtualQueue(shift=1.5)
-        queue.observe(1.0)
-        queue.reset()
-        assert queue.shift == 1.5
-        with pytest.raises(StateError):
-            queue.value
 
 
 class TestShiftFormulas:

@@ -23,22 +23,12 @@ There is no allowlist: delete what this flags, or use it.
 Blind spot: the scan matches names, not bindings.  A definition stays
 invisible while any other definition of the same name is used, so a
 method such as ``reset``, ``summary`` or ``read`` passes whenever some
-other class's method of that name has a user.  A reach probe finds
-these.  Run the production entry points under a ``sys.setprofile``
-hook that records the code object of every call whose file lies under
-``src/repro``:
-
-* perfbench's two workloads at ``tiny`` size, in process, with
-  telemetry off and on;
-* ``python -m repro.experiments all --days 6``;
-* ``python -m repro.fleet run --scenarios 40 --telemetry --offline-gap
-  --robustness 0.1``, then ``report``, ``stats`` and ``stats --all``
-  on its store;
-* ``python -m repro.lint src/repro`` and every ``examples/*.py``.
-
-A definition that no run called is a candidate.  Healthy runs skip
-error handling, the fault harness, pool recovery, CLI branches and
-protocol stubs on purpose, so read the candidates by hand.
+other class's method of that name has a user.  The reach probe finds
+these: ``make reach`` (``tests/reach.py``, outside tier-1) runs the
+production entry points under a ``sys.setprofile`` hook and lists each
+``src/repro`` function that never ran.  Healthy runs skip error
+handling, the fault harness, pool recovery, CLI branches and protocol
+stubs on purpose, so read what it lists by hand.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 :func:`~oracles.engine.metrics_from_result` feeds a result's series
 through the streamed engine's aggregator and fold, and the equivalence
 harness pins the streamed engine to it exactly.  This pack checks the
-fold itself against separate code: the summaries
-:class:`SimulationResult` computes with NumPy reductions.  The sums differ only in order (slot by slot in
-the fold, pairwise in NumPy), hence the 1e-12 tolerance.
+fold itself against separate code: the summaries :mod:`oracles.results`
+and :class:`SimulationResult` compute with NumPy reductions.  The sums
+differ only in order (slot by slot in the fold, pairwise in NumPy),
+hence the 1e-12 tolerance.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import results
 from oracles.engine import metrics_from_result
 from repro.baselines.impatient import ImpatientController
 from repro.baselines.offline import OfflineOptimal
@@ -50,9 +52,10 @@ def _scalar_reference(result) -> dict:
     """Every record field the result's own summaries also report."""
     levels = result.series["battery_level"]
     low, high = float(levels.min()), float(levels.max())
-    return {**result.summary(), "battery_min": low, "battery_max": high,
-            "battery_throughput": result.battery_throughput,
-            "unserved_ds_total": result.unserved_ds_total}
+    return {**results.summary(result), "battery_min": low,
+            "battery_max": high,
+            "battery_throughput": results.battery_throughput(result),
+            "unserved_ds_total": results.unserved_ds_total(result)}
 
 
 @pytest.mark.parametrize("traces, build",

@@ -368,6 +368,20 @@ class TestCli:
         assert "12 records" in captured
         assert "time_avg_cost" in captured
 
+    def test_report_unknown_metric_logs_one_line(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        assert main(["run", "--demo", "v-sweep", "--scenarios", "2",
+                     "--days", "1", "--t-slots", "6",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--out", str(out), "--metrics",
+                     "time_avg_cost,bogus_metric"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "lacks metrics ['bogus_metric']" in line
+        assert "Traceback" not in captured.err
+
     @pytest.mark.telemetry
     def test_run_with_telemetry_and_stats(self, tmp_path, capsys):
         out = tmp_path / "store"

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.fleet.store import ResultStore, encode_record
-from repro.exceptions import StateError
+from repro.exceptions import ConfigurationError, StateError
 
 
 pytestmark = pytest.mark.fleet
@@ -86,7 +86,7 @@ def test_sweep_table_groups_structured_values(tmp_path):
 def test_sweep_table_missing_metric_raises(tmp_path):
     store = ResultStore(tmp_path / "s")
     append(store, record(0.1, 0, 10.0))
-    with pytest.raises(KeyError, match="lacks metrics"):
+    with pytest.raises(ConfigurationError, match="lacks metrics"):
         store.sweep_table(metrics=("no_such_metric",))
 
 

@@ -9,23 +9,14 @@ from repro.grid.markets import LongTermMarket, MarketLedger, RealTimeMarket
 class TestMarketLedger:
     def test_accumulates(self):
         ledger = MarketLedger("test")
-        ledger.record(2.0, 40.0)
-        ledger.record(1.0, 60.0)
+        costs = [ledger.record(2.0, 40.0), ledger.record(1.0, 60.0)]
         assert ledger.energy == pytest.approx(3.0)
-        assert ledger.spend == pytest.approx(140.0)
+        assert costs == pytest.approx([80.0, 60.0])
 
     def test_zero_energy_not_a_transaction(self):
         ledger = MarketLedger("test")
         assert ledger.record(0.0, 40.0) == 0.0
         assert ledger.energy == 0.0
-        assert ledger.spend == 0.0
-
-    def test_reset(self):
-        ledger = MarketLedger("test")
-        ledger.record(1.0, 40.0)
-        ledger.reset()
-        assert ledger.energy == 0.0
-        assert ledger.spend == 0.0
 
 
 class TestLongTermMarket:
@@ -39,7 +30,7 @@ class TestLongTermMarket:
         market = LongTermMarket(200.0, 24)
         market.purchase_block(30.0, 35.0)
         total = market.per_fine_slot_energy * 35.0 * 24
-        assert total == pytest.approx(market.ledger.spend)
+        assert total == pytest.approx(30.0 * 35.0)
 
     def test_block_replaces_previous(self):
         market = LongTermMarket(200.0, 4)
@@ -57,13 +48,6 @@ class TestLongTermMarket:
         market = LongTermMarket(200.0, 24)
         with pytest.raises(InfeasibleActionError):
             market.purchase_block(-1.0, 40.0)
-
-    def test_reset_clears_block(self):
-        market = LongTermMarket(200.0, 24)
-        market.purchase_block(10.0, 40.0)
-        market.reset()
-        assert market.per_fine_slot_energy == 0.0
-        assert market.ledger.energy == 0.0
 
     def test_invalid_t_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.rng import (
     DEFAULT_SEED,
-    RngFactory,
     batch_seed_states,
     make_rng,
     substream_rngs_batch,
@@ -39,30 +38,6 @@ class TestMakeRng:
         a = make_rng(7, "demand").random(16)
         b = make_rng(7, "solar").random(16)
         assert not np.array_equal(a, b)
-
-
-class TestRngFactory:
-    def test_stream_reproducible_across_calls(self):
-        factory = RngFactory(9)
-        first = factory.stream("prices").random(8)
-        second = factory.stream("prices").random(8)
-        assert np.array_equal(first, second)
-
-    def test_child_differs_from_parent(self):
-        factory = RngFactory(9)
-        child = factory.child("replica-1")
-        assert child.seed != factory.seed
-
-    def test_children_differ(self):
-        factory = RngFactory(9)
-        assert factory.child("a").seed != factory.child("b").seed
-
-    def test_non_int_seed_rejected(self):
-        with pytest.raises(TypeError):
-            RngFactory("not-a-seed")
-
-    def test_repr_mentions_seed(self):
-        assert "9" in repr(RngFactory(9))
 
 
 # ----------------------------------------------------------------------

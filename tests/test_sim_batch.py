@@ -321,7 +321,7 @@ class TestBatchCoarseObservation:
         system = paper_system_config(days=2)
         runs = [_spec(seed=seed, system=system) for seed in (1, 2, 3)]
         obs = self._observation(runs)
-        assert obs.batch == 3
+        assert obs.price_lt.shape[0] == 3
         for index, run in enumerate(runs):
             captured = {}
 

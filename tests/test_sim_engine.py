@@ -8,7 +8,7 @@ from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.interfaces import Controller, RealTimeDecision
 from repro.core.smartdpss import SmartDPSS
 from repro.exceptions import HorizonMismatchError
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import Simulator
 from tests.conftest import constant_traces
 
 
@@ -68,8 +68,8 @@ class TestBalanceEquation:
         system = tiny_system()
         traces = constant_traces(48, demand_ds=1.0, demand_dt=0.4,
                                  renewable=0.1)
-        result = run_simulation(
-            system, SmartDPSS(paper_controller_config()), traces)
+        result = Simulator(
+            system, SmartDPSS(paper_controller_config()), traces).run()
         s = result.series
         supply = (s["gbef_rate"] + s["grt"] + s["renewable_used"])
         lhs = supply + s["discharge"] - s["charge"]
@@ -79,8 +79,8 @@ class TestBalanceEquation:
     def test_battery_energy_conservation(self):
         system = tiny_system()
         traces = constant_traces(48)
-        result = run_simulation(
-            system, SmartDPSS(paper_controller_config()), traces)
+        result = Simulator(
+            system, SmartDPSS(paper_controller_config()), traces).run()
         s = result.series
         level = system.initial_battery
         for i in range(48):
@@ -94,15 +94,24 @@ class TestClamping:
     def test_overbuyer_respects_grid_cap(self):
         system = tiny_system()
         traces = constant_traces(48)
-        result = run_simulation(system, GreedyOverbuyer(), traces)
+        result = Simulator(system, GreedyOverbuyer(), traces).run()
         s = result.series
         draw = s["gbef_rate"] + s["grt"]
         assert np.all(draw <= system.p_grid + 1e-9)
 
+    def test_zero_pgrid_blocks_everything(self):
+        # A feeder of zero capacity: the block cap T·Pgrid and the
+        # real-time headroom are both 0, so nothing at all is bought.
+        system = tiny_system().replace(p_grid=0.0)
+        traces = constant_traces(48)
+        result = Simulator(system, GreedyOverbuyer(), traces).run()
+        s = result.series
+        assert np.all(s["gbef_rate"] + s["grt"] == 0.0)
+
     def test_overbuyer_respects_supply_cap(self):
         system = tiny_system()
         traces = constant_traces(48, renewable=1.0)
-        result = run_simulation(system, GreedyOverbuyer(), traces)
+        result = Simulator(system, GreedyOverbuyer(), traces).run()
         s = result.series
         supply = s["gbef_rate"] + s["grt"] + s["renewable_used"]
         assert np.all(supply <= system.s_max + 1e-9)
@@ -110,7 +119,7 @@ class TestClamping:
     def test_battery_never_leaves_range(self):
         system = tiny_system()
         traces = constant_traces(48, demand_ds=1.8, renewable=0.0)
-        result = run_simulation(system, GreedyOverbuyer(), traces)
+        result = Simulator(system, GreedyOverbuyer(), traces).run()
         levels = result.series["battery_level"]
         lo, hi = levels.min(), levels.max()
         assert lo >= system.b_min - 1e-9
@@ -124,7 +133,7 @@ class TestServicePriority:
         traces = constant_traces(48, demand_ds=1.0, demand_dt=0.5,
                                  renewable=0.0)
         controller = ScriptedController(gbef=24.0, grt=0.0, gamma=1.0)
-        result = run_simulation(system, controller, traces)
+        result = Simulator(system, controller, traces).run()
         assert result.availability == 1.0
         # gbef/T = 1.0 exactly covers dds; after the battery drains,
         # nothing is left for the queue.
@@ -137,24 +146,24 @@ class TestServicePriority:
                                                      s_max=1.0)
         traces = constant_traces(48, demand_ds=1.5, demand_dt=0.0,
                                  renewable=0.0)
-        result = run_simulation(system, ImpatientController(), traces)
+        result = Simulator(system, ImpatientController(), traces).run()
         assert result.availability < 1.0
-        assert result.unserved_ds_total > 0.0
+        assert result.series["unserved_ds"].sum() > 0.0
 
 
 class TestCycleBudget:
     def test_budget_stops_battery(self):
         system = tiny_system(cycle_budget=3)
         traces = constant_traces(48)
-        result = run_simulation(
-            system, SmartDPSS(paper_controller_config()), traces)
+        result = Simulator(
+            system, SmartDPSS(paper_controller_config()), traces).run()
         assert result.battery_operations <= 3
 
     def test_no_budget_unconstrained(self):
         system = tiny_system()
         traces = constant_traces(48)
-        result = run_simulation(
-            system, SmartDPSS(paper_controller_config()), traces)
+        result = Simulator(
+            system, SmartDPSS(paper_controller_config()), traces).run()
         assert result.battery_operations >= 0
 
 
@@ -163,7 +172,7 @@ class TestAccounting:
         system = tiny_system()
         traces = constant_traces(48, price_lt=40.0)
         controller = ScriptedController(gbef=24.0)
-        result = run_simulation(system, controller, traces)
+        result = Simulator(system, controller, traces).run()
         # Rate 1.0 at 40 $/MWh booked every slot.
         assert np.allclose(result.series["cost_lt"], 40.0)
         assert result.costs.long_term == pytest.approx(48 * 40.0)
@@ -185,7 +194,7 @@ class TestAccounting:
         traces = constant_traces(48, demand_ds=0.2, demand_dt=0.0,
                                  renewable=0.0, price_lt=40.0)
         controller = ScriptedController(gbef=24.0)  # rate 1.0 vs 0.2
-        result = run_simulation(system, controller, traces)
+        result = Simulator(system, controller, traces).run()
         assert result.waste_total > 0.0
         assert result.costs.waste == pytest.approx(
             result.waste_total * system.waste_penalty)
@@ -193,19 +202,19 @@ class TestAccounting:
     def test_meta_propagated(self):
         system = tiny_system()
         traces = constant_traces(48)
-        result = run_simulation(system, ImpatientController(), traces)
+        result = Simulator(system, ImpatientController(), traces).run()
         assert result.meta["traces"]["source"] == "constant"
 
 
 class TestDeterminism:
     def test_same_inputs_same_outputs(self, small_system,
                                       small_traces):
-        a = run_simulation(small_system,
-                           SmartDPSS(paper_controller_config()),
-                           small_traces)
-        b = run_simulation(small_system,
-                           SmartDPSS(paper_controller_config()),
-                           small_traces)
-        assert a.total_cost == b.total_cost
+        a = Simulator(small_system,
+                      SmartDPSS(paper_controller_config()),
+                      small_traces).run()
+        b = Simulator(small_system,
+                      SmartDPSS(paper_controller_config()),
+                      small_traces).run()
+        assert a.costs.total == b.costs.total
         assert np.array_equal(a.series["backlog"],
                               b.series["backlog"])

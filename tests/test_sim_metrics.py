@@ -1,12 +1,14 @@
 """Cost breakdown and service metrics."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracles.results import battery_throughput
 from repro.sim.metrics import (
     CostBreakdown,
     availability,
-    battery_throughput,
     renewable_utilization,
     summarize_costs,
 )
@@ -91,7 +93,11 @@ class TestRenewableUtilization:
 
 
 class TestBatteryThroughput:
+    """The test oracle's throughput, which the batch fold is checked
+    against (``tests/test_fleet_metrics.py``)."""
+
     def test_sums_both_directions(self):
-        value = battery_throughput(series(charge=[0.5, 0, 0, 0],
-                                          discharge=[0, 0.3, 0, 0]))
+        result = SimpleNamespace(series=series(charge=[0.5, 0, 0, 0],
+                                               discharge=[0, 0.3, 0, 0]))
+        value = battery_throughput(result)
         assert value == pytest.approx(0.8)

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines.impatient import ImpatientController
 from repro.config.presets import paper_controller_config, paper_system_config
 from repro.core.smartdpss import SmartDPSS
-from repro.sim.engine import Simulator, run_simulation
+from repro.sim.engine import Simulator
 from repro.sim.outages import (
     OutageSchedule,
     ride_through_report,
@@ -85,9 +85,9 @@ class TestEngineUnderOutage:
         traces = constant_traces(48, demand_ds=1.0, demand_dt=0.2,
                                  renewable=0.0)
         schedule = OutageSchedule(n_slots=48, events=((20, 2),))
-        result = run_simulation(
+        result = Simulator(
             system, SmartDPSS(paper_controller_config()), traces,
-            grid_capacity=schedule.grid_capacity(system.p_grid))
+            grid_capacity=schedule.grid_capacity(system.p_grid)).run()
         return system, result, schedule
 
     def test_no_grid_draw_during_outage(self):

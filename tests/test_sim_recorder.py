@@ -12,7 +12,7 @@ class TestRecorder:
         recorder = Recorder(3)
         recorder.record(cost_total=1.0)
         recorder.record(cost_total=2.0)
-        assert recorder.cursor == 2
+        assert recorder.series("cost_total").size == 2
         assert np.allclose(recorder.series("cost_total"), [1.0, 2.0])
 
     def test_missing_keys_default_zero(self):

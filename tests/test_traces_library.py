@@ -23,6 +23,19 @@ class TestMakePaperTraces:
         assert np.array_equal(a.price_rt, b.price_rt)
         assert np.array_equal(a.renewable, b.renewable)
 
+    def test_non_int_seed_rejected(self):
+        # A float seed would name other substreams ("5.0:solar").
+        system = paper_system_config(days=1)
+        for seed in ("not-a-seed", 5.0):
+            with pytest.raises(TypeError, match="seed must be an int"):
+                make_paper_traces(system, seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        system = paper_system_config(days=1)
+        a = make_paper_traces(system, seed=np.int64(5))
+        b = make_paper_traces(system, seed=5)
+        assert np.array_equal(a.price_rt, b.price_rt)
+
     def test_seed_changes_traces(self):
         system = paper_system_config(days=4)
         a = make_paper_traces(system, seed=5)

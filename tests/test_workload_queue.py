@@ -113,13 +113,5 @@ class TestHousekeeping:
         queue.serve(0.1, 1)
         assert not queue.has_backlog
 
-    def test_reset(self):
-        queue = BacklogQueue()
-        queue.admit(1.0, 0)
-        queue.serve(0.5, 1)
-        queue.reset()
-        assert queue.backlog == 0.0
-        assert queue.stats.served_energy == 0.0
-
     def test_repr(self):
         assert "BacklogQueue" in repr(BacklogQueue())
